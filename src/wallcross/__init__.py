@@ -19,34 +19,15 @@ from .lattice import (
 from .series import SeriesElem, SeriesMatrix, TruncationContext
 from .vertexlie import AutPair, LieElem, bch, bracket, compose, exp, log
 from .scattering import Diagram, Wall, complete, is_consistent, merge_wall, new_rays, path_ordered_product
-from .groupoid import (
-    BpsProblem,
-    GroupoidContext,
-    GroupoidElem,
-    KFactor,
-    LGammaElem,
-    SFactor,
-    exp_k,
-    exp_s,
-    k_auto,
-    k_gen,
-    lgamma_bracket,
-    s_auto,
-    s_gen,
-    solve_wcf,
-    upsilon,
-)
-from .trees import enumerate_ribbon_trees, natural_tree_sum, ray_support_oracle
+from .groupoid import BpsContext, BpsProblem, KFactor, SFactor, solve_wcf
 
 __all__ = [
     "AutPair",
+    "BpsContext",
     "BpsProblem",
     "ConventionError",
     "Diagram",
-    "GroupoidContext",
-    "GroupoidElem",
     "KFactor",
-    "LGammaElem",
     "LieElem",
     "SFactor",
     "SchemaError",
@@ -61,27 +42,16 @@ __all__ = [
     "complete",
     "compose",
     "dirac_pairing",
-    "enumerate_ribbon_trees",
     "exp",
-    "exp_k",
-    "exp_s",
     "is_consistent",
-    "k_auto",
-    "k_gen",
-    "lgamma_bracket",
     "log",
     "merge_wall",
-    "natural_tree_sum",
     "new_rays",
     "pairing",
     "path_ordered_product",
     "primitive_decompose",
     "primitive_normal",
-    "ray_support_oracle",
-    "s_auto",
-    "s_gen",
     "solve_wcf",
-    "upsilon",
 ]
 
 __version__ = "0.1.0"

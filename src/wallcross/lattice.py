@@ -14,7 +14,6 @@ point enters any decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 
@@ -24,20 +23,6 @@ Vec = tuple[int, int]
 class WallKind(str, Enum):
     LINE = "line"
     RAY = "ray"
-
-
-@dataclass(frozen=True)
-class RayGeometry:
-    """A line or ray through the origin with a primitive direction."""
-
-    direction: Vec
-    kind: WallKind = WallKind.RAY
-
-    def __post_init__(self):
-        if self.direction == (0, 0):
-            raise ValueError("zero vector has no direction")
-        if not is_primitive(self.direction):
-            raise ValueError(f"direction {self.direction} is not primitive")
 
 
 def pairing(m: Vec, n: Vec) -> int:
@@ -82,6 +67,12 @@ def primitive_normal(m: Vec) -> Vec:
     if m == (0, 0):
         raise ValueError("zero vector has no normal")
     return primitive_part((-m[1], m[0]))
+
+
+def normal_coefficient(m: Vec, d):
+    """The scalar ``c`` with ``d == c * primitive_normal(m)``, for ``d`` orthogonal to ``m``."""
+    n = primitive_normal(m)
+    return d[0] / n[0] if n[0] else d[1] / n[1]
 
 
 def dirac_pairing(g: Vec, g2: Vec) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .groupoid import ProducedFactor, SFactor, WcfSolution
-from .lattice import WallKind, primitive_part
+from .lattice import WallKind, angular_sort, primitive_part
 from .scattering import Diagram, new_rays
 from .vertexlie import LieElem
 
@@ -123,17 +123,12 @@ def wcf_report(sol: WcfSolution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _angle_sort_key(direction):
-    """Counterclockwise angle from the positive x-axis, compared exactly."""
-    x, y = direction
-    if y == 0:
-        sector = 0 if x > 0 else 4
-    elif y > 0:
-        sector = 1 if x > 0 else (2 if x == 0 else 3)
-    else:
-        sector = 5 if x < 0 else (6 if x == 0 else 7)
-    # Within an open quadrant the angle grows with the slope y/x.
-    return (sector, Fraction(y, x) if x else Fraction(0))
+def _counterclockwise_from_x_axis(d: Diagram) -> list:
+    """Wall directions by counterclockwise angle, starting at the positive x-axis."""
+    dirs = angular_sort([w.direction for w in d.walls], (1, 0))
+    if dirs and dirs[-1] == (1, 0):
+        dirs.insert(0, dirs.pop())
+    return dirs
 
 
 def wcf_identity_string(sol: WcfSolution) -> str:
@@ -142,11 +137,9 @@ def wcf_identity_string(sol: WcfSolution) -> str:
     Left side: initial factors, last-crossed first.  Right side: the
     completed sequence, first-crossed first.
     """
-    initial = [(w.direction, w) for w in sol.initial.walls]
-    initial.sort(key=lambda t: _angle_sort_key(t[0]))
-    completed = [(w.direction, w) for w in sol.completed.walls]
-    completed.sort(key=lambda t: _angle_sort_key(t[0]))
-    initial_dirs = {w.direction for w in sol.initial.walls}
+    initial = _counterclockwise_from_x_axis(sol.initial)
+    completed = _counterclockwise_from_x_axis(sol.completed)
+    initial_dirs = set(initial)
 
     def letter(direction, produced: bool) -> str:
         labels = []
@@ -169,8 +162,8 @@ def wcf_identity_string(sol: WcfSolution) -> str:
         ]
         return "".join(letters) if letters else "?"
 
-    lhs = " ".join(letter(d, False) for d, _ in reversed(initial))
-    rhs = " ".join(letter(d, d not in initial_dirs) for d, _ in completed)
+    lhs = " ".join(letter(d, False) for d in reversed(initial))
+    rhs = " ".join(letter(d, d not in initial_dirs) for d in completed)
     return f"{lhs} = {rhs}" if lhs else "1 = 1"
 
 

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .exceptions import ConventionError
+from .exceptions import ConventionError, SchemaError
 from .lattice import (
-    RayGeometry,
     Vec,
     WallKind,
     angular_sort,
@@ -71,10 +70,6 @@ class Wall:
                 raise ValueError(
                     f"wall derivation at {m} is not a multiple of the primitive normal"
                 )
-
-    @property
-    def geometry(self) -> RayGeometry:
-        return RayGeometry(self.direction, self.kind)
 
 
 @dataclass(frozen=True)
@@ -208,7 +203,7 @@ def complete(d: Diagram) -> Diagram:
             if wa is not wb and primitive_part(wa.direction) == tuple(
                 -c for c in wb.direction
             ):
-                raise ValueError("parallel initial walls: merge or reorient them first")
+                raise SchemaError("parallel initial walls: merge or reorient them first")
 
     current = replace(d, walls=tuple(w for w in d.walls if not w.logf.is_zero()))
     for _round in range(d.ctx.order + 1):

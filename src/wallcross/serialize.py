@@ -14,13 +14,22 @@ Diagram files::
                            "derivation": "p/q"}]}]}
 
 The ``derivation`` coefficient is relative to the primitive normal of the
-wall direction.  BPS problem files::
+wall direction.  The wall data stops at ``N``, so an order override may lower
+the truncation but not raise it.  No two walls may cover the same ray (a
+line covers both of its rays), and ``base_direction``, when given, lies on
+none.  BPS problem files::
 
     {"vacua": ["i", "j", ...], "basepoints": {"i": [x, y], ...},
      "factors": [{"type": "S", "pair": ["i", "j"], "gamma": [x, y], "mu": n},
-                 {"type": "K", "gamma": [x, y], "Omega": n}]}
+                 {"type": "K", "gamma": [x, y], "Omega": n}],
+     "truncation": N}
 
-with optional "truncation" and "twisting" keys.
+``basepoints`` (default ``[0, 0]`` per vacuum) shift an S factor's charge to
+its coordinate ``gamma - e_i + e_j``; ``truncation`` may be left out when an
+order is passed.  The solver works in the untwisted groupoid ring, so a
+``"twisting"`` key other than ``"trivial"`` is rejected.  Counts, orders and
+lattice coordinates must be JSON integers; every malformed value raises
+:class:`SchemaError`.
 """
 
 from __future__ import annotations
@@ -29,8 +38,8 @@ import json
 from fractions import Fraction
 
 from .exceptions import SchemaError
-from .groupoid import BpsProblem, GroupoidContext, KFactor, SFactor
-from .lattice import WallKind, primitive_normal
+from .groupoid import BpsContext, BpsProblem, KFactor, SFactor
+from .lattice import WallKind, normal_coefficient, primitive_normal
 from .scattering import Diagram, Wall
 from .series import TruncationContext
 from .vertexlie import LieElem, mat_zero
@@ -47,6 +56,12 @@ def parse_frac(s) -> Fraction:
         raise SchemaError(f"bad rational {s!r}: {e}") from None
 
 
+def _int(v, what) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise SchemaError(f"bad {what}: {v!r} (expected an integer)")
+    return v
+
+
 def _vec(v, what="vector") -> tuple[int, int]:
     if (
         not isinstance(v, (list, tuple))
@@ -57,24 +72,37 @@ def _vec(v, what="vector") -> tuple[int, int]:
     return (v[0], v[1])
 
 
+def _objects(v, what) -> list[dict]:
+    if not isinstance(v, list) or not all(isinstance(x, dict) for x in v):
+        raise SchemaError(f"{what} must be a list of objects")
+    return v
+
+
+def _matrix(mat, rank: int):
+    if mat is None:
+        return mat_zero(rank)
+    if (
+        not isinstance(mat, list)
+        or len(mat) != rank
+        or any(not isinstance(row, list) or len(row) != rank for row in mat)
+    ):
+        raise SchemaError("matrix shape does not match rank")
+    return tuple(tuple(parse_frac(x) for x in row) for row in mat)
+
+
 # -- diagrams --------------------------------------------------------------------
 
 
 def wall_to_json(w: Wall) -> dict:
-    n = primitive_normal(w.direction)
     terms = []
     for (m, j), (a, d) in sorted(w.logf.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
         k = m[0] // w.direction[0] if w.direction[0] else m[1] // w.direction[1]
-        if n[0]:
-            dcoeff = d[0] / n[0]
-        else:
-            dcoeff = d[1] / n[1]
         terms.append(
             {
                 "t": j,
                 "k": k,
                 "matrix": [[frac_str(x) for x in row] for row in a],
-                "derivation": frac_str(dcoeff),
+                "derivation": frac_str(normal_coefficient(w.direction, d)),
             }
         )
     return {
@@ -96,50 +124,55 @@ def diagram_to_json(d: Diagram) -> dict:
 
 
 def diagram_from_json(data: dict, order: int | None = None) -> Diagram:
+    """Parse a diagram file; ``order`` may lower its truncation, never raise it."""
     if not isinstance(data, dict):
         raise SchemaError("diagram file must be a JSON object")
     try:
-        rank = int(data["rank"])
-        n = int(order if order is not None else data["truncation"])
-        walls_data = data["walls"]
+        rank, truncation, walls_data = data["rank"], data["truncation"], data["walls"]
     except KeyError as e:
         raise SchemaError(f"diagram file missing key {e}") from None
-    ctx = TruncationContext(n, rank)
-    walls = []
-    for wd in walls_data:
-        direction = _vec(wd.get("direction"), "direction")
-        geometry = wd.get("geometry", "line")
-        if geometry not in ("line", "ray"):
-            raise SchemaError(f"bad geometry {geometry!r}")
-        nrm = primitive_normal(direction)
-        terms = {}
-        for td in wd.get("terms", []):
-            j = int(td["t"])
-            k = int(td["k"])
-            if k < 1:
-                raise SchemaError("frequency multiple k must be >= 1")
-            m = (k * direction[0], k * direction[1])
-            mat = td.get("matrix")
-            if mat is None:
-                a = mat_zero(rank)
-            else:
-                if len(mat) != rank or any(len(row) != rank for row in mat):
-                    raise SchemaError("matrix shape does not match rank")
-                a = tuple(tuple(parse_frac(x) for x in row) for row in mat)
-            dc = parse_frac(td.get("derivation", "0"))
-            key = (m, j)
-            if key in terms:
-                raise SchemaError(f"duplicate term at frequency {m}, degree {j}")
-            terms[key] = (a, (dc * nrm[0], dc * nrm[1]))
-        try:
-            walls.append(Wall(direction, WallKind(geometry), LieElem(ctx, terms)))
-        except ValueError as e:
-            raise SchemaError(str(e)) from None
-    base = data.get("base_direction")
+    n = _int(truncation, "truncation")
+    if order is not None:
+        if order > n:
+            raise SchemaError(
+                f"order {order} exceeds the file's truncation {n}, where its wall data stops"
+            )
+        n = order
     try:
-        return Diagram(ctx, tuple(walls), _vec(base, "base_direction") if base else None)
+        ctx = TruncationContext(n, _int(rank, "rank"))
+        walls = tuple(_wall_from_json(ctx, wd) for wd in _objects(walls_data, "walls"))
+        base = data.get("base_direction")
+        d = Diagram(ctx, walls, _vec(base, "base_direction") if base else None)
     except ValueError as e:
         raise SchemaError(str(e)) from None
+    rays = d.occupied_ray_directions()
+    if len(set(rays)) != len(rays):
+        raise SchemaError("two walls cover the same ray (a line covers both of its rays)")
+    if d.base_direction in rays:
+        raise SchemaError("base_direction lies on a wall")
+    return d
+
+
+def _wall_from_json(ctx: TruncationContext, wd: dict) -> Wall:
+    direction = _vec(wd.get("direction"), "direction")
+    geometry = wd.get("geometry", "line")
+    if geometry not in ("line", "ray"):
+        raise SchemaError(f"bad geometry {geometry!r}")
+    nrm = primitive_normal(direction)
+    terms = {}
+    for td in _objects(wd.get("terms", []), "terms"):
+        j = _int(td.get("t"), "t-degree")
+        k = _int(td.get("k"), "frequency multiple k")
+        if k < 1:
+            raise SchemaError("frequency multiple k must be >= 1")
+        m = (k * direction[0], k * direction[1])
+        a = _matrix(td.get("matrix"), ctx.rank)
+        dc = parse_frac(td.get("derivation", "0"))
+        key = (m, j)
+        if key in terms:
+            raise SchemaError(f"duplicate term at frequency {m}, degree {j}")
+        terms[key] = (a, (dc * nrm[0], dc * nrm[1]))
+    return Wall(direction, WallKind(geometry), LieElem(ctx, terms))
 
 
 # -- BPS problems -----------------------------------------------------------------
@@ -151,54 +184,51 @@ def bps_from_json(data: dict, order: int | None = None) -> tuple[BpsProblem, int
     vacua = data.get("vacua")
     if not isinstance(vacua, list) or not all(isinstance(v, str) for v in vacua):
         raise SchemaError("vacua must be a list of names")
-    n = order if order is not None else data.get("truncation")
+    if data.get("twisting", "trivial") != "trivial":
+        raise SchemaError(
+            f"unsupported twisting {data['twisting']!r}: the solver works in the "
+            'untwisted ring, so only "trivial" is accepted'
+        )
+    truncation = data.get("truncation")
+    if truncation is not None:
+        _int(truncation, "truncation")
+    n = order if order is not None else truncation
     if n is None:
         raise SchemaError("no truncation order: set \"truncation\" or pass --order")
-    n = int(n)
-    basepoints = tuple(
-        (name, _vec(v, "basepoint")) for name, v in sorted(data.get("basepoints", {}).items())
-    )
-    twisting = data.get("twisting", "trivial")
-    factors = []
-    omega = []
-    mu = []
-    for fd in data.get("factors", []):
-        ftype = fd.get("type")
-        if ftype == "S":
-            pair = fd.get("pair")
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise SchemaError("S factor needs a pair of vacua")
-            i, j = pair
-            if i not in vacua or j not in vacua:
-                raise SchemaError(f"unknown vacua in pair {pair}")
-            gamma = _vec(fd.get("gamma"), "gamma")
-            muv = int(fd.get("mu", 0))
-            ei = dict(basepoints).get(i, (0, 0))
-            ej = dict(basepoints).get(j, (0, 0))
-            g = (gamma[0] - ei[0] + ej[0], gamma[1] - ei[1] + ej[1])
-            if g == (0, 0):
-                raise SchemaError("S factor has zero charge coordinate")
-            factors.append(SFactor((i, j), g, muv))
-            mu.append((i, j, g, muv))
-        elif ftype == "K":
-            gamma = _vec(fd.get("gamma"), "gamma")
-            ov = int(fd.get("Omega", 0))
-            factors.append(KFactor(gamma, ov))
-            omega.append((gamma, ov))
-        else:
-            raise SchemaError(f"unknown factor type {ftype!r}")
+    basepoints = data.get("basepoints", {})
+    if not isinstance(basepoints, dict):
+        raise SchemaError("basepoints must map vacuum names to charge pairs")
+    for name in basepoints:
+        if name not in vacua:
+            raise SchemaError(f"basepoint for unknown vacuum {name!r}")
+    shift = {name: _vec(v, "basepoint") for name, v in basepoints.items()}
     try:
-        ctx = GroupoidContext(
-            vacua=tuple(vacua),
-            order=n,
-            basepoints=basepoints,
-            omega=tuple(omega),
-            mu=tuple(mu),
-            twisting=twisting,
-        )
-        problem = BpsProblem(ctx, tuple(f for f in factors if _factor_strength(f)))
+        ctx = BpsContext(tuple(vacua), n)
     except ValueError as e:
         raise SchemaError(str(e)) from None
+    factors = []
+    for fd in _objects(data.get("factors", []), "factors"):
+        ftype = fd.get("type")
+        if ftype not in ("S", "K"):
+            raise SchemaError(f"unknown factor type {ftype!r}")
+        gamma = _vec(fd.get("gamma"), "gamma")
+        if ftype == "K":
+            factors.append(KFactor(gamma, _int(fd.get("Omega", 0), "Omega")))
+            continue
+        pair = fd.get("pair")
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise SchemaError("S factor needs a pair of vacua")
+        i, j = pair
+        if i not in vacua or j not in vacua:
+            raise SchemaError(f"unknown vacua in pair {pair}")
+        if i == j:
+            raise SchemaError(f"S factor pair {pair} names one vacuum twice")
+        ei, ej = shift.get(i, (0, 0)), shift.get(j, (0, 0))
+        g = (gamma[0] - ei[0] + ej[0], gamma[1] - ei[1] + ej[1])
+        if g == (0, 0):
+            raise SchemaError("S factor has zero charge coordinate")
+        factors.append(SFactor((i, j), g, _int(fd.get("mu", 0), "mu")))
+    problem = BpsProblem(ctx, tuple(f for f in factors if _factor_strength(f)))
     return problem, n
 
 
@@ -224,20 +254,11 @@ def lie_terms_to_json(x: LieElem) -> list[dict]:
 
 
 def lie_terms_from_json(ctx: TruncationContext, data) -> LieElem:
-    if not isinstance(data, list):
-        raise SchemaError("expected a list of terms")
     terms = {}
-    for td in data:
+    for td in _objects(data, "terms"):
         m = _vec(td.get("m"), "frequency")
-        j = int(td["t"])
-        mat = td.get("matrix")
-        a = (
-            tuple(tuple(parse_frac(x) for x in row) for row in mat)
-            if mat is not None
-            else mat_zero(ctx.rank)
-        )
-        if len(a) != ctx.rank or any(len(row) != ctx.rank for row in a):
-            raise SchemaError("matrix shape does not match rank")
+        j = _int(td.get("t"), "t-degree")
+        a = _matrix(td.get("matrix"), ctx.rank)
         dv = td.get("derivation", ["0", "0"])
         if not isinstance(dv, list) or len(dv) != 2:
             raise SchemaError("derivation must be a pair of rationals")

@@ -193,19 +193,6 @@ class SeriesElem:
             acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
         return acc
 
-    def pow_int(self, e: int) -> "SeriesElem":
-        """Integer power; negative exponents go through unit inversion."""
-        if e < 0:
-            return self.invert_unit().pow_int(-e)
-        result = SeriesElem.one(self.ctx)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __str__(self):
         if not self.coeffs:
             return "0"

@@ -232,28 +232,6 @@ class LieElem:
         return tuple(a + b for a, b in zip(derived, mat_part))
 
 
-@dataclass(frozen=True)
-class LieOperator:
-    """The faithful first-order realization of a Lie algebra element.
-
-    Acts on the torus ring by the derivation part and on sections of the
-    rank-r free module by derivation plus matrix multiplication; satisfies
-    the Leibniz rule op(f s) = D(f) s + f op(s).
-    """
-
-    elem: LieElem
-
-    def on_ring(self, f: SeriesElem) -> SeriesElem:
-        return self.elem.apply_derivation(f)
-
-    def on_section(self, vec: tuple[SeriesElem, ...]) -> tuple[SeriesElem, ...]:
-        return self.elem.apply_section(vec)
-
-
-def to_operator(x: LieElem) -> LieOperator:
-    return LieOperator(x)
-
-
 def bracket(x: LieElem, y: LieElem) -> LieElem:
     """The Lie bracket, computed termwise.
 

@@ -16,23 +16,21 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_wall_log
-from wallcross.groupoid import (
-    BpsProblem,
+from wallcross.groupoid import BpsContext, BpsProblem, KFactor, SFactor, k_wall_log, solve_wcf
+from wallcross.groupoid_ring import (
     GroupoidContext,
     GroupoidElem,
-    KFactor,
-    SFactor,
+    KAuto,
+    LGammaElem,
+    SAuto,
     exp_k,
     exp_s,
-    k_auto,
     k_gen,
     lgamma_bracket,
-    s_auto,
     s_gen,
-    solve_wcf,
     upsilon,
 )
-from wallcross.lattice import WallKind, primitive_normal
+from wallcross.lattice import WallKind
 from wallcross.scattering import Diagram, Wall, complete, is_consistent, new_rays
 from wallcross.series import SeriesElem, TruncationContext
 from wallcross.trees import natural_tree_sum, ray_support_oracle
@@ -47,20 +45,6 @@ from wallcross.vertexlie import (
 )
 
 
-def k_log(ctx, gamma, omega=1, degree=1):
-    n = primitive_normal(gamma)
-    terms = {}
-    l = 1
-    while l * degree <= ctx.order:
-        c = Fraction(omega, l)
-        terms[((l * gamma[0], l * gamma[1]), l * degree)] = (
-            mat_zero(ctx.rank),
-            (c * n[0], c * n[1]),
-        )
-        l += 1
-    return LieElem(ctx, terms)
-
-
 def s_log(ctx, m, i, j, mu=1):
     return LieElem.single(ctx, m, 1, matrix=elementary(ctx.rank, i, j, -mu))
 
@@ -71,13 +55,7 @@ def ok(n, label):
 
 def test_criterion_01_example1_reproduction():
     t0 = time.time()
-    ctx = GroupoidContext(
-        vacua=("i", "j", "k"),
-        order=8,
-        omega=(((0, 1), 1),),
-        mu=(("i", "j", (1, 0), 1),),
-        twisting="trivial",
-    )
+    ctx = BpsContext(vacua=("i", "j", "k"), order=8)
     sol = solve_wcf(BpsProblem(ctx, (SFactor(("i", "j"), (1, 0), 1), KFactor((0, 1), 1))))
     rays = new_rays(sol.initial, sol.completed)
     assert len(rays) == 1
@@ -100,7 +78,7 @@ def test_criterion_01_example1_reproduction():
     )
     # omega' = omega: the 4d wall is unchanged and no 4d factor is produced
     kwall = sol.completed.wall_in_direction((0, 1))
-    assert kwall is not None and kwall.logf == k_log(sol.lie_ctx, (0, 1))
+    assert kwall is not None and kwall.logf == k_wall_log(sol.lie_ctx, KFactor((0, 1), 1))
     elapsed = time.time() - t0
     assert elapsed < 5.0, f"runtime target exceeded: {elapsed:.2f}s"
     ok(1, "example-1 reproduction at N=8")
@@ -112,7 +90,7 @@ def test_criterion_02_conjugation_series_identity():
     N = 10
     ctx = TruncationContext(N, 3)
     s = s_log(ctx, (1, 0), 0, 1)
-    k = k_log(ctx, (0, 1))
+    k = k_wall_log(ctx, KFactor((0, 1), 1))
 
     # Right side: iterated bracket (adjoint orbit)
     rhs = LieElem.zero(ctx)
@@ -139,7 +117,7 @@ def test_criterion_02_conjugation_series_identity():
 
 
 def test_criterion_03_example2_reproduction():
-    ctx = GroupoidContext(vacua=("i", "j", "l"), order=6, twisting="trivial")
+    ctx = BpsContext(vacua=("i", "j", "l"), order=6)
     mu1, mu2 = 1, 1
     sol = solve_wcf(
         BpsProblem(
@@ -189,8 +167,8 @@ def test_criterion_04_exponentials_match_automorphisms():
             omega=((gamma, omega),),
             twisting=twisting,
         )
-        s, se = s_auto(ctx, pair, g, mu), exp_s(ctx, pair, g, mu)
-        k, ke = k_auto(ctx, gamma, omega), exp_k(ctx, gamma)
+        s, se = SAuto(ctx, pair, g, mu), exp_s(ctx, pair, g, mu)
+        k, ke = KAuto(ctx, gamma, omega), exp_k(ctx, gamma)
         for i in ctx.objects:
             for jn in ctx.objects:
                 for g1 in range(-3, 4):
@@ -217,8 +195,6 @@ def _random_generator(ctx, rng):
     # random group-ring coefficient shift
     shift = (rng.randint(-1, 1), rng.randint(-1, 1))
     jshift = rng.randint(0, 1)
-    from wallcross.groupoid import LGammaElem
-
     return LGammaElem(
         ctx,
         {
@@ -354,7 +330,7 @@ def test_criterion_07_completion_properties():
 def test_criterion_08_pure_4d_pentagon():
     ctx = TruncationContext(10, 1)
     walls = tuple(
-        Wall(gamma, WallKind.LINE, k_log(ctx, gamma)) for gamma in [(1, 0), (0, 1)]
+        Wall(gamma, WallKind.LINE, k_wall_log(ctx, KFactor(gamma, 1))) for gamma in [(1, 0), (0, 1)]
     )
     d = Diagram(ctx, walls)
     completed = complete(d)
@@ -371,10 +347,10 @@ def test_criterion_08_pure_4d_pentagon():
 
 def _example_inputs(which, ctx):
     if which == "example1":
-        return [s_log(ctx, (1, 0), 0, 1), k_log(ctx, (0, 1))]
+        return [s_log(ctx, (1, 0), 0, 1), k_wall_log(ctx, KFactor((0, 1), 1))]
     if which == "example2":
         return [s_log(ctx, (0, 1), 0, 1), s_log(ctx, (1, 0), 1, 2)]
-    return [k_log(ctx, (1, 0)), k_log(ctx, (0, 1))]
+    return [k_wall_log(ctx, KFactor((1, 0), 1)), k_wall_log(ctx, KFactor((0, 1), 1))]
 
 
 def _example_diagram(which, ctx):

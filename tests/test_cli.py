@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from wallcross import cli
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
@@ -257,3 +259,71 @@ def test_complete_two_line_mixed_diagram_report(tmp_path, capsys):
     assert "direction (1,1) [ray]" in out
     assert "t^2 * E[1,2] * z^(1,1)" in out
     assert "consistency: PASS" in out
+
+
+def _fixture_with(name, *edits):
+    """A fixture document with ``(*path, key, value)`` edits applied."""
+    data = json.loads((FIXTURES / name).read_text())
+    for *path, key, value in edits:
+        target = data
+        for part in path:
+            target = target[part]
+        target[key] = value
+    return data
+
+
+_OPPOSITE_LINES = ("walls", 1, "direction", [-1, 0])
+_OPPOSITE_RAYS = (
+    ("walls", 0, "geometry", "ray"),
+    ("walls", 1, "geometry", "ray"),
+    _OPPOSITE_LINES,
+)
+
+
+@pytest.mark.parametrize(
+    "command, data, extra, message",
+    [
+        pytest.param("wcf", _fixture_with("example1.json", ("twisting", "dirac")), (),
+                     "twisting", id="twisting-dirac"),
+        pytest.param("wcf", _fixture_with("example1.json", ("twisting", "bogus")), (),
+                     "twisting", id="twisting-bogus"),
+        pytest.param("wcf", _fixture_with("example1.json", ("twisting", 42)), (),
+                     "twisting", id="twisting-number"),
+        pytest.param("wcf", _fixture_with("example1.json", ("factors", 0, "mu", "x")), (),
+                     "bad mu", id="bps-mu"),
+        pytest.param("wcf", _fixture_with("example1.json", ("truncation", "x")), (),
+                     "bad truncation", id="bps-truncation"),
+        pytest.param("wcf", _fixture_with("example1.json", ("factors", 0, "pair", ["i", "i"])),
+                     (), "names one vacuum twice", id="s-pair-equal-vacua"),
+        pytest.param("complete", _fixture_with("pentagon.json", ("walls", 0, "terms", 0, "t", "x")),
+                     (), "bad t-degree", id="term-t"),
+        pytest.param("complete", _fixture_with("pentagon.json", ("rank", 0)), (),
+                     "rank must be >= 1", id="rank-zero"),
+        pytest.param("complete", _fixture_with("pentagon.json", ("truncation", 0)), (),
+                     "order must be >= 1", id="truncation-zero"),
+        pytest.param("complete", _fixture_with("pentagon.json", ("walls", 5)), (),
+                     "walls must be a list", id="walls-number"),
+        pytest.param("complete", _fixture_with("pentagon.json", _OPPOSITE_LINES), (),
+                     "same ray", id="opposite-lines-complete"),
+        pytest.param("check", _fixture_with("pentagon.json", _OPPOSITE_LINES), (),
+                     "same ray", id="opposite-lines-check"),
+        pytest.param("complete", _fixture_with("pentagon.json", *_OPPOSITE_RAYS), (),
+                     "parallel initial walls", id="opposite-rays-complete"),
+        pytest.param("check", _fixture_with("pentagon.json", ("base_direction", [-1, 0])), (),
+                     "lies on a wall", id="base-direction-on-wall"),
+        pytest.param("complete", _fixture_with("pentagon.json"), ("--order", "16"),
+                     "exceeds the file's truncation", id="order-above-truncation-complete"),
+        pytest.param("check", _fixture_with("pentagon.json"), ("--order", "16"),
+                     "exceeds the file's truncation", id="order-above-truncation-check"),
+        pytest.param("plot", _fixture_with("pentagon.json"), ("--order", "11", "--emit-csv", "p.csv"),
+                     "exceeds the file's truncation", id="order-above-truncation-plot"),
+    ],
+)
+def test_malformed_input_exit_code(tmp_path, capsys, monkeypatch, command, data, extra, message):
+    monkeypatch.chdir(tmp_path)
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, str(p), *extra)
+    assert code == 2
+    assert err.startswith("input error:") and message in err
+    assert out == ""

@@ -4,23 +4,22 @@ from fractions import Fraction
 import pytest
 
 from wallcross.exceptions import ConventionError
-from wallcross.groupoid import (
-    BpsProblem,
+from wallcross.exceptions import SchemaError
+from wallcross.groupoid import BpsContext, BpsProblem, KFactor, SFactor, factor_log, solve_wcf
+from wallcross.groupoid_ring import (
     GroupoidContext,
     GroupoidElem,
-    KFactor,
+    KAuto,
     LGammaElem,
-    SFactor,
+    SAuto,
     d_gen,
     dirac_twist,
     exp_k,
     exp_s,
-    k_auto,
     k_gen,
     lgamma_bracket,
-    s_auto,
+    resolve_twist,
     s_gen,
-    solve_wcf,
     trivial_twist,
     upsilon,
     validate_twisting,
@@ -98,7 +97,7 @@ def test_central_gamma_elements():
 
 def test_s_fixes_diagonal_and_other_vacua():
     ctx = make_ctx()
-    s = s_auto(ctx, ("i", "j"), (1, 0), mu=1)
+    s = SAuto(ctx, ("i", "j"), (1, 0), mu=1)
     diag = GroupoidElem.gamma_elem(ctx, (0, 1))
     assert s.apply(diag) == diag
     xk = GroupoidElem.morphism(ctx, "k", "o", (1, 1))
@@ -109,7 +108,7 @@ def test_s_moves_target_vacuum_line():
     # X_(j,o) -> X_(j,o) - mu t X_(i,j) X_(j,o)
     ctx = make_ctx()
     mu = 2
-    s = s_auto(ctx, ("i", "j"), (1, 0), mu=mu)
+    s = SAuto(ctx, ("i", "j"), (1, 0), mu=mu)
     xj = GroupoidElem.morphism(ctx, "j", "o", (0, 1))
     x_ij = GroupoidElem.morphism(ctx, "i", "j", (1, 0), t=1)
     assert s.apply(xj) == xj - (x_ij * xj).scale(mu)
@@ -118,7 +117,7 @@ def test_s_moves_target_vacuum_line():
 def test_k_action_unit_powers():
     ctx = make_ctx()
     gamma = (0, 1)
-    k = k_auto(ctx, gamma, 1)
+    k = KAuto(ctx, gamma, 1)
     # omega(gamma, a) = <m(a), n_gamma>; for m(a) = (1, 1): -1
     xa = GroupoidElem.morphism(ctx, "i", "o", (1, 1))
     n = primitive_normal(gamma)
@@ -134,8 +133,8 @@ def test_automorphism_property_random():
     rng = random.Random(2)
     for twisting in ("trivial", "dirac"):
         ctx = make_ctx(order=4, twisting=twisting)
-        s = s_auto(ctx, ("i", "j"), (1, 0), mu=rng.randint(-2, 2))
-        k = k_auto(ctx, (0, 1), 1)
+        s = SAuto(ctx, ("i", "j"), (1, 0), mu=rng.randint(-2, 2))
+        k = KAuto(ctx, (0, 1), 1)
         objs = ctx.objects
         for _ in range(25):
             i = rng.choice(objs)
@@ -159,8 +158,8 @@ def test_exp_generators_equal_automorphisms():
             if g == (0, 0):
                 g = (1, 0)
             gamma = rng.choice([(0, 1), (1, 0), (1, 1)])
-            s, se = s_auto(ctx, tuple(pair), g, mu), exp_s(ctx, tuple(pair), g, mu)
-            k, ke = k_auto(ctx, gamma, ctx.omega_value(gamma)), exp_k(ctx, gamma)
+            s, se = SAuto(ctx, tuple(pair), g, mu), exp_s(ctx, tuple(pair), g, mu)
+            k, ke = KAuto(ctx, gamma, ctx.omega_value(gamma)), exp_k(ctx, gamma)
             for i in ctx.objects:
                 for j in ctx.objects:
                     for g1 in range(-2, 3):
@@ -348,13 +347,7 @@ def test_upsilon_obstruction_under_dirac_twisting():
 
 
 def example1_problem(order=8):
-    ctx = GroupoidContext(
-        vacua=("i", "j", "k"),
-        order=order,
-        omega=(((0, 1), 1),),
-        mu=(("i", "j", (1, 0), 1),),
-        twisting="trivial",
-    )
+    ctx = BpsContext(vacua=("i", "j", "k"), order=order)
     return BpsProblem(ctx, (SFactor(("i", "j"), (1, 0), 1), KFactor((0, 1), 1)))
 
 
@@ -370,7 +363,7 @@ def test_solve_wcf_example1():
 
 
 def test_solve_wcf_example2():
-    ctx = GroupoidContext(vacua=("i", "j", "l"), order=6, twisting="trivial")
+    ctx = BpsContext(vacua=("i", "j", "l"), order=6)
     prob = BpsProblem(
         ctx,
         (SFactor(("j", "l"), (1, 0), 1), SFactor(("i", "j"), (0, 1), 1)),
@@ -386,7 +379,7 @@ def test_solve_wcf_example2():
 
 
 def test_solve_wcf_zero_strength_is_empty():
-    ctx = GroupoidContext(vacua=("i", "j"), order=4, twisting="trivial")
+    ctx = BpsContext(vacua=("i", "j"), order=4)
     prob = BpsProblem(ctx, (SFactor(("i", "j"), (1, 0), 0), KFactor((0, 1), 0)))
     sol = solve_wcf(prob)
     assert sol.consistent
@@ -401,8 +394,6 @@ def test_solve_wcf_rechecks_consistency():
 
 def test_factor_logs_match_bridge_route():
     # wall logs equal the bridge image of the corresponding generators
-    from wallcross.groupoid import factor_log
-
     ctx = make_ctx(order=6)
     lctx = TruncationContext(6, 3)
     s = SFactor(("i", "j"), (2, 1), 3)
@@ -414,10 +405,9 @@ def test_factor_logs_match_bridge_route():
 
 
 def test_k_factor_with_multiple_charge():
-    from wallcross.groupoid import factor_log
     from wallcross.vertexlie import mat_zero
 
-    ctx = GroupoidContext(vacua=("i",), order=6, twisting="trivial")
+    ctx = BpsContext(vacua=("i",), order=6)
     lctx = TruncationContext(6, 1)
     k = KFactor((0, 2), 1)
     x = factor_log(ctx, lctx, k)
@@ -432,9 +422,6 @@ def test_k_factor_with_multiple_charge():
 
 
 def test_custom_twisting_table():
-    from wallcross.exceptions import SchemaError
-    from wallcross.groupoid import resolve_twist
-
     table = {((1, 0), (0, 1)): -1, ((0, 1), (1, 0)): -1}
     twist = resolve_twist(table)
     assert twist((1, 0), (0, 1)) == -1

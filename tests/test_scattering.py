@@ -5,7 +5,8 @@ import pytest
 
 from conftest import rand_wall_log
 from wallcross.exceptions import ConventionError
-from wallcross.lattice import WallKind, primitive_normal
+from wallcross.groupoid import KFactor, k_wall_log
+from wallcross.lattice import WallKind
 from wallcross.scattering import (
     Diagram,
     Wall,
@@ -20,17 +21,7 @@ from wallcross.vertexlie import AutPair, LieElem, bracket, elementary, exp, log,
 
 
 def k_wall(ctx, gamma, kind=WallKind.LINE, scale=1, degree=1):
-    n = primitive_normal(gamma)
-    terms = {}
-    l = 1
-    while l * degree <= ctx.order:
-        c = Fraction(scale, l)
-        terms[((l * gamma[0], l * gamma[1]), l * degree)] = (
-            mat_zero(ctx.rank),
-            (c * n[0], c * n[1]),
-        )
-        l += 1
-    return Wall(gamma, kind, LieElem(ctx, terms))
+    return Wall(gamma, kind, k_wall_log(ctx, KFactor(gamma, scale, degree)))
 
 
 def s_wall(ctx, m, i, j, mu=1, kind=WallKind.LINE):

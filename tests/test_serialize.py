@@ -84,6 +84,7 @@ def test_bps_loading_and_basepoints():
     data = {
         "vacua": ["i", "j"],
         "truncation": 4,
+        "twisting": "trivial",
         "basepoints": {"i": [1, 0], "j": [0, 0]},
         "factors": [
             {"type": "S", "pair": ["i", "j"], "gamma": [2, 1], "mu": 3},

@@ -1,10 +1,10 @@
 import random
-from fractions import Fraction
 
 import pytest
 
 from conftest import rand_wall_log
-from wallcross.lattice import WallKind, primitive_normal
+from wallcross.groupoid import KFactor, k_wall_log
+from wallcross.lattice import WallKind
 from wallcross.scattering import Diagram, Wall, complete, new_rays
 from wallcross.series import TruncationContext
 from wallcross.trees import (
@@ -15,21 +15,7 @@ from wallcross.trees import (
     ribbon_tree_count,
     tree_shapes,
 )
-from wallcross.vertexlie import LieElem, bracket, elementary, mat_zero
-
-
-def k_log(ctx, gamma, scale=1):
-    n = primitive_normal(gamma)
-    return LieElem(
-        ctx,
-        {
-            ((l * gamma[0], l * gamma[1]), l): (
-                mat_zero(ctx.rank),
-                (Fraction(scale, l) * n[0], Fraction(scale, l) * n[1]),
-            )
-            for l in range(1, ctx.order + 1)
-        },
-    )
+from wallcross.vertexlie import LieElem, bracket, elementary
 
 
 def s_log(ctx, m, i, j, mu=1):
@@ -115,7 +101,7 @@ def test_mirror_pairs_combine_at_k3():
 def test_tree_sum_k1_returns_inputs():
     ctx = TruncationContext(4, 3)
     x = s_log(ctx, (1, 0), 0, 1)
-    y = k_log(ctx, (0, 1))
+    y = k_wall_log(ctx, KFactor((0, 1), 1))
     assert natural_tree_sum([x, y], 1, (1, 0)) == x
     assert natural_tree_sum([x, y], 1, (0, 1)) == y
 
@@ -131,7 +117,7 @@ def test_tree_sum_rejects_antiparallel():
 def test_order2_term_matches_example1_insertion():
     ctx = TruncationContext(8, 3)
     x = s_log(ctx, (1, 0), 0, 1)
-    y = k_log(ctx, (0, 1))
+    y = k_wall_log(ctx, KFactor((0, 1), 1))
     out = natural_tree_sum([x, y], 2, (1, 1))
     expected = LieElem.single(ctx, (1, 1), 2, matrix=elementary(3, 0, 1, 1))
     assert out.degree_part(2) == expected
@@ -170,7 +156,7 @@ def test_support_oracle_example1_order2():
     # at the order-2 level the oracle support is exactly the completed set
     ctx = TruncationContext(2, 3)
     x = s_log(ctx, (1, 0), 0, 1)
-    y = k_log(ctx, (0, 1))
+    y = k_wall_log(ctx, KFactor((0, 1), 1))
     assert ray_support_oracle([x, y], 2) == {(1, 0), (0, 1), (1, 1)}
 
 
@@ -179,7 +165,7 @@ def test_support_oracle_example1_overcovers_beyond_order2():
     # analytic smoothing factors would cancel; it stays a superset
     ctx = TruncationContext(4, 3)
     x = s_log(ctx, (1, 0), 0, 1)
-    y = k_log(ctx, (0, 1))
+    y = k_wall_log(ctx, KFactor((0, 1), 1))
     support = ray_support_oracle([x, y], 4)
     assert {(1, 0), (0, 1), (1, 1)} <= support
     assert (1, 2) in support

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import rand_lie
 from wallcross.exceptions import ConventionError
+from wallcross.groupoid import KFactor, k_wall_log
 from wallcross.series import SeriesElem, SeriesMatrix, TruncationContext
 from wallcross.vertexlie import (
     AutPair,
@@ -16,23 +17,7 @@ from wallcross.vertexlie import (
     elementary,
     exp,
     log,
-    mat_zero,
 )
-
-
-def k_log(ctx, gamma, scale=1):
-    """The standard 4d wall log: sum_l (1/l) t^l z^(l gamma) d_n."""
-    from wallcross.lattice import primitive_normal
-
-    n = primitive_normal(gamma)
-    terms = {}
-    for l in range(1, ctx.order + 1):
-        c = Fraction(scale, l)
-        terms[((l * gamma[0], l * gamma[1]), l)] = (
-            mat_zero(ctx.rank),
-            (c * n[0], c * n[1]),
-        )
-    return LieElem(ctx, terms)
 
 
 def s_log(ctx, m, i, j, mu=1, degree=1):
@@ -167,7 +152,7 @@ def test_exp_k_type_closed_form():
     # exp of the 4d log acts on generators by unit powers and leaves gauge I
     ctx = TruncationContext(5, 2)
     gamma = (0, 1)
-    g = exp(k_log(ctx, gamma))
+    g = exp(k_wall_log(ctx, KFactor(gamma, 1)))
     one = SeriesElem.one(ctx)
     u = one - SeriesElem.monomial(ctx, gamma, 1)
     # images are z^(e_i) (1 - t z^gamma)^(-<e_i, n>) with n = (-1, 0)
@@ -301,7 +286,7 @@ def test_bch_matches_dynkin_reference():
 def test_example1_group_identity_and_commutator_log():
     ctx = TruncationContext(8, 3)
     s = s_log(ctx, (1, 0), 0, 1)
-    k = k_log(ctx, (0, 1))
+    k = k_wall_log(ctx, KFactor((0, 1), 1))
     t_s, t_k = exp(s), exp(k)
     sk = LieElem.single(ctx, (1, 1), 2, matrix=elementary(3, 0, 1, 1))
     lhs = compose(compose(t_k, t_s), exp(-k))
@@ -309,18 +294,6 @@ def test_example1_group_identity_and_commutator_log():
     assert lhs == rhs
     commutator = compose(compose(compose(exp(-s), t_k), t_s), exp(-k))
     assert log(commutator) == sk
-
-
-def test_to_operator_wrapper():
-    from wallcross.vertexlie import to_operator
-
-    ctx = TruncationContext(3, 2)
-    x = LieElem.single(ctx, (1, 1), 1, dvec=(1, -1))
-    op = to_operator(x)
-    f = SeriesElem.monomial(ctx, (1, 0))
-    assert op.on_ring(f) == x.apply_derivation(f)
-    s = (SeriesElem.one(ctx), SeriesElem.zero(ctx))
-    assert op.on_section(s) == x.apply_section(s)
 
 
 def test_exp_log_roundtrip_mixed_quadrants():
