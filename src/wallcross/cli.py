@@ -126,11 +126,18 @@ def cmd_wcf(args) -> int:
 
 def cmd_bch(args) -> int:
     data = load_json(args.input)
+    if not isinstance(data, dict):
+        raise SchemaError("bch input must be a JSON object")
     try:
-        ctx = TruncationContext(int(args.order or data["truncation"]), int(data["rank"]))
+        n = args.order if args.order is not None else data["truncation"]
+        rank = data["rank"]
     except KeyError as e:
         raise SchemaError(f"bch input missing key {e}") from None
-    check_order(ctx.order)
+    check_order(serialize._int(n, "truncation"))
+    try:
+        ctx = TruncationContext(n, serialize._int(rank, "rank"))
+    except ValueError as e:
+        raise SchemaError(str(e)) from None
     from .vertexlie import bch
 
     x = serialize.lie_terms_from_json(ctx, data.get("x", []))

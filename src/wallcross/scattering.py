@@ -12,14 +12,19 @@ acting last:
 with loops oriented counterclockwise from ``base_direction``.  A line
 contributes its automorphism on the ray in direction ``+m`` and the inverse
 automorphism on ``-m``.  The diagram is consistent when Theta is the
-identity modulo t^(N+1).
+identity modulo t^(N+1).  The product is accumulated right to left,
+``theta_i o (theta_(i+1) o ... o theta_s)``, so each sparse wall
+automorphism acts on the dense partial product.
 
-``complete`` performs the order-by-order insertion of correction rays: at
-the lowest t-degree where the product fails to be the identity, the defect
-is split by primitive direction and cancelled by new rays (or merged into
-existing rays via BCH).  Corrections at one degree commute modulo the next,
-so the insertion order within a degree is immaterial and the completion is
-the unique minimal consistent enlargement.
+``complete`` performs the order-by-order insertion of correction rays in
+truncated rounds k = 1..N.  Before round k the product is the identity
+modulo t^k; round k computes it modulo t^(k+1) only, from the wall logs
+truncated there, and reads the degree-k defect linearly off Theta - Id
+(:func:`~wallcross.vertexlie.leading_log`).  The defect is split by
+primitive direction and cancelled by new rays (or merged into existing rays
+via BCH).  Corrections at one degree commute modulo the next, so the
+insertion order within a degree is immaterial and the completion is the
+unique minimal consistent enlargement.
 """
 
 from __future__ import annotations
@@ -36,7 +41,11 @@ from .lattice import (
     primitive_part,
 )
 from .series import TruncationContext
-from .vertexlie import AutPair, LieElem, bch, compose, exp, log
+from .vertexlie import AutPair, LieElem, bch, compose, exp, leading_log
+
+# Not called here any more; kept as a module attribute because the
+# benchmark's layer trace (perfbench/layertrace.py) wraps ``scattering.log``.
+from .vertexlie import log  # noqa: F401
 
 # The single global orientation choice, fixed at build time and validated by
 # the two-line worked examples: loops run counterclockwise from the base
@@ -155,11 +164,12 @@ def path_ordered_product(d: Diagram) -> AutPair:
 
     The first wall crossed is the outermost factor (it acts last); this is
     the orientation under which the two-line examples reproduce their known
-    completions.
+    completions.  The walls are composed from the last crossed back to the
+    first, each acting on the product of the ones after it.
     """
     total = AutPair.identity(d.ctx)
-    for _p, logf in _crossing_order(d):
-        total = compose(total, exp(logf))
+    for _p, logf in reversed(_crossing_order(d)):
+        total = compose(exp(logf), total)
     return total
 
 
@@ -193,10 +203,14 @@ def merge_wall(d: Diagram, w: Wall) -> Diagram:
 def complete(d: Diagram) -> Diagram:
     """The minimal consistent completion (order-by-order ray insertion).
 
-    New walls are rays in direction ``+a`` for each primitive ``a`` carrying
-    part of the defect.  Initial lines are never corrected: a defect landing
-    on a line direction would need a one-sided factor and raises instead
-    (this cannot happen for two non-parallel initial lines).
+    Round k (k = 1..N) truncates every wall log to order k, takes the
+    path-ordered product modulo t^(k+1), and reads its degree-k defect as
+    the degree-k part of Theta - Id; the previous rounds made Theta the
+    identity modulo t^k, which the read-off checks.  New walls are rays in
+    direction ``+a`` for each primitive ``a`` carrying part of the defect.
+    Initial lines are never corrected: a defect landing on a ray of a line
+    would need a one-sided factor and raises instead (this cannot happen
+    for two non-parallel initial lines).
     """
     for wa in d.walls:
         for wb in d.walls:
@@ -206,27 +220,30 @@ def complete(d: Diagram) -> Diagram:
                 raise SchemaError("parallel initial walls: merge or reorient them first")
 
     current = replace(d, walls=tuple(w for w in d.walls if not w.logf.is_zero()))
-    for _round in range(d.ctx.order + 1):
-        defect_log = log(path_ordered_product(current))
-        if defect_log.is_zero():
-            return current
-        k0 = defect_log.t_order()
-        defect = defect_log.degree_part(k0)
+    line_rays = {
+        p for w in current.walls if w.kind is WallKind.LINE
+        for p in (w.direction, (-w.direction[0], -w.direction[1]))
+    }
+    for k in range(1, d.ctx.order + 1):
+        truncated = Diagram(
+            TruncationContext(k, d.ctx.rank),
+            tuple(Wall(w.direction, w.kind, w.logf.truncate(k)) for w in current.walls),
+            current.base_direction,
+        )
+        defect = leading_log(path_ordered_product(truncated), k)
         by_direction: dict[Vec, LieElem] = {}
-        for (m, j), (a, dv) in sorted(defect.terms.items()):
-            _l, p = primitive_decompose(m)
-            piece = LieElem(current.ctx, {(m, j): (a, dv)})
+        for key, value in sorted(defect.terms.items()):
+            _l, p = primitive_decompose(key[0])
+            piece = LieElem(current.ctx, {key: value})
             by_direction[p] = by_direction.get(p, LieElem.zero(current.ctx)) + piece
         for p in sorted(by_direction):
-            correction = -by_direction[p]
-            existing = current.wall_in_direction(p)
-            if existing is not None and existing.kind is WallKind.LINE:
+            if p in line_rays:
                 raise ConventionError(
-                    f"defect at degree {k0} lies on the line direction {p}; "
+                    f"defect at degree {k} lies on the line direction {p}; "
                     "single-vertex completion supports corrections on rays only"
                 )
-            current = merge_wall(current, Wall(p, WallKind.RAY, correction))
-    raise ConventionError("completion did not converge within the truncation order")
+            current = merge_wall(current, Wall(p, WallKind.RAY, -by_direction[p]))
+    return current
 
 
 def new_rays(initial: Diagram, completed: Diagram) -> list[Wall]:

@@ -175,6 +175,11 @@ class LieElem:
             return None
         return min(j for (_, j) in self.terms)
 
+    def truncate(self, order: int) -> "LieElem":
+        """Reduce to a lower truncation order (same frequency support)."""
+        ctx = TruncationContext(order, self.ctx.rank)
+        return LieElem(ctx, {k: v for k, v in self.terms.items() if k[1] <= order})
+
     def degree_part(self, j: int) -> "LieElem":
         return LieElem(self.ctx, {k: v for k, v in self.terms.items() if k[1] == j})
 
@@ -428,16 +433,10 @@ def log(g: AutPair) -> LieElem:
             k += 1
         dlog.append(acc)
 
-    dvecs: dict[TermKey, list[Fraction]] = {}
-    for axis, e in enumerate((_E1, _E2)):
-        for (m1, m2, j), c in dlog[axis].coeffs.items():
-            key = ((m1 - e[0], m2 - e[1]), j)
-            dvecs.setdefault(key, [_ZERO, _ZERO])[axis] = c
-
     # Matrix part: operator logarithm on constant basis sections.
     zero = SeriesElem.zero(ctx)
     r = ctx.rank
-    mats: dict[TermKey, list[list[Fraction]]] = {}
+    cols = []
     for i in range(r):
         s0 = tuple(SeriesElem.one(ctx) if k == i else zero for k in range(r))
         acc = tuple(zero for _ in range(r))
@@ -448,8 +447,55 @@ def log(g: AutPair) -> LieElem:
             acc = tuple(a + b.scale(coeff) for a, b in zip(acc, v))
             v = tuple(a - b for a, b in zip(g.apply_section(v), v))
             k += 1
+        cols.append(acc)
+    return _lie_from_parts(ctx, dlog, cols)
+
+
+def leading_log(g: AutPair, k: int) -> LieElem:
+    """The degree-k part of ``log(g)`` for g congruent to the identity mod t^k.
+
+    Such a g is exp(X) with X = log(g) of t-order >= k, and X^2 starts at
+    degree 2k > k, so g = Id + X modulo t^(k+1).  The derivation part is
+    therefore read linearly off the generator images minus z^(e_i), and the
+    matrix part off the gauge minus the identity.  Like :func:`log`, raises
+    :class:`ConventionError` on a derivation not orthogonal to its
+    frequency; also raises it when g - Id has a term below degree k.
+    """
+    ctx = g.ctx
+    r = ctx.rank
+
+    def part(f: SeriesElem) -> SeriesElem:
+        low = f.t_order()
+        if low is not None and low < k:
+            raise ConventionError(
+                f"not the identity modulo t^{k}: a term of degree {low} remains"
+            )
+        return SeriesElem(ctx, {key: c for key, c in f.coeffs.items() if key[2] == k})
+
+    dparts = [part(g.sigma_images[axis] - SeriesElem.monomial(ctx, e))
+              for axis, e in enumerate((_E1, _E2))]
+    gauge = g.gauge - SeriesMatrix.identity(ctx)
+    cols = [tuple(part(gauge.rows[row][i]) for row in range(r)) for i in range(r)]
+    return _lie_from_parts(ctx, dparts, cols)
+
+
+def _lie_from_parts(ctx, dlog, cols) -> LieElem:
+    """Assemble a Lie element from its action on z^(e_1), z^(e_2) and the constant sections.
+
+    ``dlog[i]`` is the derivation applied to z^(e_i); ``cols[i]`` is the
+    matrix part applied to the i-th constant basis section.
+    """
+    r = ctx.rank
+    dvecs: dict[TermKey, list[Fraction]] = {}
+    for axis, e in enumerate((_E1, _E2)):
+        for (m1, m2, j), c in dlog[axis].coeffs.items():
+            key = ((m1 - e[0], m2 - e[1]), j)
+            dvecs.setdefault(key, [_ZERO, _ZERO])[axis] = c
+
+    mats: dict[TermKey, list[list[Fraction]]] = {}
+    for i, col in enumerate(cols):
         for row in range(r):
-            for (m1, m2, j), c in acc[row].coeffs.items():
+            for (m1, m2, j), c in col[row].coeffs.items():
                 key = ((m1, m2), j)
                 mats.setdefault(key, [[_ZERO] * r for _ in range(r)])[row][i] = c
 

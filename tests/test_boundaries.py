@@ -62,3 +62,16 @@ def test_benchmark_rebuilds_bps_initial_walls(monkeypatch):
     directions = {tuple(f["gamma"]) for f in doc["factors"]}
     assert sorted(tuple(w["direction"]) for w in walls) == sorted(directions)
     assert all(w["geometry"] == "line" for w in walls)
+
+
+def test_completion_runs_truncated_rounds_without_log(monkeypatch, capsys):
+    # one product per degree, and the defect is read off the product without
+    # a log: a return to full-order rounds with a log each fails here
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layertrace = importlib.import_module("layertrace")
+    tracer = layertrace.Tracer()
+    with tracer.installed():
+        assert cli.main(["wcf", str(EXAMPLE1), "--order", "4"]) == 0
+    capsys.readouterr()
+    assert 1 <= tracer.counts["scattering.rounds"] <= 4
+    assert tracer.counts["scattering.defect_terms"] == 0

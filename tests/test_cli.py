@@ -317,6 +317,11 @@ _OPPOSITE_RAYS = (
                      "exceeds the file's truncation", id="order-above-truncation-check"),
         pytest.param("plot", _fixture_with("pentagon.json"), ("--order", "11", "--emit-csv", "p.csv"),
                      "exceeds the file's truncation", id="order-above-truncation-plot"),
+        pytest.param("bch", {"rank": "x", "truncation": 2, "x": [], "y": []}, (),
+                     "bad rank", id="bch-rank-string"),
+        pytest.param("bch", [1], (), "must be a JSON object", id="bch-not-an-object"),
+        pytest.param("bch", {"rank": 1, "truncation": 2, "x": [], "y": []}, ("--order", "0"),
+                     "order must be >= 1", id="bch-order-zero"),
     ],
 )
 def test_malformed_input_exit_code(tmp_path, capsys, monkeypatch, command, data, extra, message):

@@ -265,6 +265,19 @@ def test_defect_on_initial_line_is_flagged():
         complete(Diagram(ctx, walls))
 
 
+def test_defect_on_the_opposite_ray_of_a_line_is_flagged():
+    # the (0,1) and (-1,-1) lines have non-commuting matrix parts; their
+    # defect at frequency (0,1) + (-1,-1) lands on the -(1,0) ray of a line
+    ctx = TruncationContext(2, 3)
+    walls = (
+        s_wall(ctx, (1, 0), 0, 1),
+        s_wall(ctx, (0, 1), 1, 2),
+        s_wall(ctx, (-1, -1), 0, 1),
+    )
+    with pytest.raises(ConventionError, match=r"line direction \(-1, 0\)"):
+        complete(Diagram(ctx, walls))
+
+
 def test_dense_two_wall_fan():
     # both 4d walls with index 2: the completion grows the classic fan of
     # rays marching toward the diagonal, consistent at every order
@@ -313,3 +326,52 @@ def test_random_completions_rotated_cone():
             assert is_consistent(completed)
             for w in new_rays(d, completed):
                 assert det2(da, w.direction) > 0 and det2(w.direction, db) > 0
+
+
+def _log_series(coeffs, n):
+    """Coefficients 1..n of log(1 + sum_k coeffs[k] u^k), by L' S = S'."""
+    s = [Fraction(1)] + [Fraction(coeffs.get(k, 0)) for k in range(1, n + 1)]
+    out = [Fraction(0)] * (n + 1)
+    for j in range(1, n + 1):
+        out[j] = j * s[j] - sum(k * out[k] * s[j - k] for k in range(1, j))
+        out[j] /= j
+    return out
+
+
+def _central_ray(omega, order):
+    ctx = TruncationContext(order, 1)
+    d = Diagram(ctx, (k_wall(ctx, (1, 0), scale=omega), k_wall(ctx, (0, 1), scale=omega)))
+    completed = complete(d)
+    return d, completed, completed.wall_in_direction((1, 1))
+
+
+def _assert_central_ray(w, expected, order):
+    # the engine's (1,1) ray carries log f_(1,1) times d(1,-1), the vector
+    # the pentagon golden report prints for log(1 + t^2 z^(1,1))
+    assert set(w.logf.terms) == {((l, l), 2 * l) for l in range(1, order // 2 + 1)}
+    for ((l, _), _j), (a, dv) in w.logf.terms.items():
+        assert a == mat_zero(1)
+        assert dv == (expected[l], -expected[l])
+
+
+def test_kronecker_three_central_ray_closed_form():
+    # Reineke / GPS: for l1 = l2 = 3 the central ray is
+    # f = (sum_k C(4k,k)/(3k+1) (t^2 z^(1,1))^k)^9
+    from math import comb
+
+    order = 12
+    _d, completed, w = _central_ray(3, order)
+    expected = _log_series(
+        {k: Fraction(comb(4 * k, k), 3 * k + 1) for k in range(1, order // 2 + 1)}, order // 2
+    )
+    _assert_central_ray(w, [9 * c for c in expected], order)
+    assert is_consistent(completed)
+
+
+def test_pentagon_keeps_one_ray_at_order_16():
+    order = 16
+    d, completed, w = _central_ray(1, order)
+    assert len(completed.walls) == 3
+    assert [r.direction for r in new_rays(d, completed)] == [(1, 1)]
+    _assert_central_ray(w, _log_series({1: 1}, order // 2), order)
+    assert is_consistent(completed)
