@@ -164,9 +164,9 @@ def cmd_plot(args) -> int:
 
 
 def _emit_plots(args, d):
-    if getattr(args, "emit_svg", None):
+    if args.emit_svg:
         write_text(args.emit_svg, report.diagram_svg(d))
-    if getattr(args, "emit_csv", None):
+    if args.emit_csv:
         write_text(args.emit_csv, report.diagram_csv(d))
 
 
@@ -211,22 +211,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def add(name, fn, needs_input=True):
+    def add(name, fn, output, plots):
         p = sub.add_parser(name)
-        if needs_input:
-            p.add_argument("input", help="input JSON file")
+        p.add_argument("input", help="input JSON file")
         p.add_argument("--order", type=int, default=None, help="truncation order N")
-        p.add_argument("--output", default=None, help="write the result JSON here")
-        p.add_argument("--emit-svg", default=None, help="write an SVG plot here")
-        p.add_argument("--emit-csv", default=None, help="write a CSV summary here")
+        if output:
+            p.add_argument("--output", default=None, help="write the result JSON here")
+        if plots:
+            p.add_argument("--emit-svg", default=None, help="write an SVG plot here")
+            p.add_argument("--emit-csv", default=None, help="write a CSV summary here")
         p.set_defaults(fn=fn)
-        return p
 
-    add("complete", cmd_complete)
-    add("check", cmd_check)
-    add("wcf", cmd_wcf)
-    add("bch", cmd_bch)
-    add("plot", cmd_plot)
+    add("complete", cmd_complete, output=True, plots=True)
+    add("check", cmd_check, output=False, plots=True)
+    add("wcf", cmd_wcf, output=True, plots=True)
+    add("bch", cmd_bch, output=True, plots=False)
+    add("plot", cmd_plot, output=False, plots=True)
     demo = sub.add_parser("demo")
     demo.add_argument("--outdir", default=None, help="write fixture reports here")
     demo.set_defaults(fn=cmd_demo)

@@ -197,7 +197,7 @@ def _read_ray_factors(ctx: BpsContext, wall: Wall) -> list[ProducedFactor]:
         lowest = min(k_parts, key=lambda k: (k[1], k[0]))
         (m1, j1) = lowest
         c1 = k_parts[lowest]
-        pattern = _matches_dilog(k_parts, p, m1, j1, c1, wall.logf.ctx.order)
+        pattern = _matches_dilog(wall.logf, m1, j1, c1)
         out.append(
             ProducedFactor(
                 kind="K",
@@ -211,17 +211,14 @@ def _read_ray_factors(ctx: BpsContext, wall: Wall) -> list[ProducedFactor]:
     return out
 
 
-def _matches_dilog(k_parts, p: Vec, m1: Vec, j1: int, c1: Fraction, order: int) -> bool:
-    """Does the derivation series have the standard K shape
+def _matches_dilog(logf: LieElem, m1: Vec, j1: int, c1: Fraction) -> bool:
+    """Is the derivation part of ``logf`` the K-factor log with Omega' = c1,
 
     Omega' * sum_l (1/l) t^(l j1) w^(l m1) d_n ?
     """
-    expected = {}
-    l = 1
-    while l * j1 <= order:
-        expected[((l * m1[0], l * m1[1]), l * j1)] = c1 * Fraction(1, l)
-        l += 1
-    return expected == dict(k_parts)
+    r = logf.ctx.rank
+    derivations = LieElem(logf.ctx, {key: (mat_zero(r), d) for key, (_a, d) in logf.terms.items()})
+    return derivations == k_wall_log(logf.ctx, KFactor(m1, 1, j1)).scale(c1)
 
 
 def solve_wcf(problem: BpsProblem) -> WcfSolution:

@@ -422,10 +422,6 @@ class LGammaElem:
             clean[(tag, (delta[0], delta[1]), j)] = Fraction(c)
         object.__setattr__(self, "terms", clean)
 
-    @staticmethod
-    def zero(ctx) -> "LGammaElem":
-        return LGammaElem(ctx, {})
-
     def __add__(self, other):
         if self.ctx != other.ctx:
             raise ValueError("context mismatch")
@@ -440,9 +436,6 @@ class LGammaElem:
 
     def __neg__(self):
         return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, c):
         c = Fraction(c)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .groupoid import ProducedFactor, SFactor, WcfSolution
+from .groupoid import SFactor, WcfSolution
 from .lattice import WallKind, angular_sort, primitive_part
 from .scattering import Diagram, new_rays
 from .vertexlie import LieElem
@@ -66,18 +66,6 @@ def defect_report(defect: LieElem) -> str:
         lines.append(f"  frequency ({m[0]},{m[1]}):")
         lines.extend(format_term_lines(LieElem(defect.ctx, terms), indent="    "))
     return "\n".join(lines) + "\n"
-
-
-def _factor_label(f) -> str:
-    if isinstance(f, SFactor):
-        return f"S[{f.pair[0]},{f.pair[1]}]"
-    return "K"
-
-
-def _produced_label(p: ProducedFactor) -> str:
-    if p.kind == "S":
-        return f"S'[{p.pair[0]},{p.pair[1]}]"
-    return "K'"
 
 
 def wcf_report(sol: WcfSolution) -> str:

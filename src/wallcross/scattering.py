@@ -19,8 +19,9 @@ automorphism acts on the dense partial product.
 ``complete`` performs the order-by-order insertion of correction rays in
 truncated rounds k = 1..N.  Before round k the product is the identity
 modulo t^k; round k computes it modulo t^(k+1) only, from the wall logs
-truncated there, and reads the degree-k defect linearly off Theta - Id
-(:func:`~wallcross.vertexlie.leading_log`).  The defect is split by
+truncated there, and takes its ``log``; with Theta - Id of t-order k at
+truncation k, the bounded Mercator series of :func:`~wallcross.vertexlie.log`
+is one term, the degree-k part of Theta - Id.  The defect is split by
 primitive direction and cancelled by new rays (or merged into existing rays
 via BCH).  Corrections at one degree commute modulo the next, so the
 insertion order within a degree is immaterial and the completion is the
@@ -41,11 +42,7 @@ from .lattice import (
     primitive_part,
 )
 from .series import TruncationContext
-from .vertexlie import AutPair, LieElem, bch, compose, exp, leading_log
-
-# Not called here any more; kept as a module attribute because the
-# benchmark's layer trace (perfbench/layertrace.py) wraps ``scattering.log``.
-from .vertexlie import log  # noqa: F401
+from .vertexlie import AutPair, LieElem, bch, compose, exp, log
 
 # The single global orientation choice, fixed at build time and validated by
 # the two-line worked examples: loops run counterclockwise from the base
@@ -205,8 +202,10 @@ def complete(d: Diagram) -> Diagram:
 
     Round k (k = 1..N) truncates every wall log to order k, takes the
     path-ordered product modulo t^(k+1), and reads its degree-k defect as
-    the degree-k part of Theta - Id; the previous rounds made Theta the
-    identity modulo t^k, which the read-off checks.  New walls are rays in
+    its ``log``.  The previous rounds made Theta the identity modulo t^k, so
+    that ``log`` sums one Mercator term, the degree-k part of Theta - Id; a
+    term of the defect below degree k raises :class:`ConventionError`.
+    New walls are rays in
     direction ``+a`` for each primitive ``a`` carrying part of the defect.
     Initial lines are never corrected: a defect landing on a ray of a line
     would need a one-sided factor and raises instead (this cannot happen
@@ -230,7 +229,12 @@ def complete(d: Diagram) -> Diagram:
             tuple(Wall(w.direction, w.kind, w.logf.truncate(k)) for w in current.walls),
             current.base_direction,
         )
-        defect = leading_log(path_ordered_product(truncated), k)
+        defect = log(path_ordered_product(truncated))
+        low = defect.t_order()
+        if low is not None and low < k:
+            raise ConventionError(
+                f"not the identity modulo t^{k}: a term of degree {low} remains"
+            )
         by_direction: dict[Vec, LieElem] = {}
         for key, value in sorted(defect.terms.items()):
             _l, p = primitive_decompose(key[0])

@@ -138,9 +138,6 @@ class SeriesElem:
         ctx = TruncationContext(order, self.ctx.rank)
         return SeriesElem(ctx, {k: c for k, c in self.coeffs.items() if k[2] <= order})
 
-    def coefficient(self, m: Vec, j: int) -> Fraction:
-        return self.coeffs.get((m[0], m[1], j), _ZERO)
-
     # -- unit inversion and exp/log --------------------------------------------
 
     def invert_unit(self) -> "SeriesElem":
@@ -193,15 +190,6 @@ class SeriesElem:
             acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
         return acc
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for (m1, m2, j) in sorted(self.coeffs):
-            c = self.coeffs[(m1, m2, j)]
-            bits.append(f"{c}*t^{j}*z^({m1},{m2})")
-        return " + ".join(bits)
-
 
 # -- matrices over the series ring ---------------------------------------------
 
@@ -217,11 +205,6 @@ class SeriesMatrix:
         r = self.ctx.rank
         if len(self.rows) != r or any(len(row) != r for row in self.rows):
             raise ValueError(f"matrix shape does not match rank {r}")
-
-    @staticmethod
-    def zero(ctx: TruncationContext) -> "SeriesMatrix":
-        z = SeriesElem.zero(ctx)
-        return SeriesMatrix(ctx, tuple(tuple(z for _ in range(ctx.rank)) for _ in range(ctx.rank)))
 
     @staticmethod
     def identity(ctx: TruncationContext) -> "SeriesMatrix":
@@ -260,9 +243,6 @@ class SeriesMatrix:
             rows.append(tuple(row))
         return SeriesMatrix(self.ctx, tuple(rows))
 
-    def scale(self, c) -> "SeriesMatrix":
-        return SeriesMatrix(self.ctx, tuple(tuple(a.scale(c) for a in row) for row in self.rows))
-
     def matvec(self, vec: tuple[SeriesElem, ...]) -> tuple[SeriesElem, ...]:
         r = self.ctx.rank
         out = []
@@ -279,30 +259,3 @@ class SeriesMatrix:
     def t_order(self) -> int | None:
         orders = [a.t_order() for row in self.rows for a in row if not a.is_zero()]
         return min(orders) if orders else None
-
-    def mat_exp(self) -> "SeriesMatrix":
-        """exp of a matrix of positive t-order (nilpotent modulo t^(N+1))."""
-        if not self.is_zero() and self.t_order() == 0:
-            raise ValueError("mat_exp needs positive t-order")
-        acc = SeriesMatrix.identity(self.ctx)
-        term = SeriesMatrix.identity(self.ctx)
-        for k in range(1, self.ctx.order + 1):
-            term = (term * self).scale(Fraction(1, k))
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc
-
-    def mat_log(self) -> "SeriesMatrix":
-        """log of I + (positive t-order); inverse of mat_exp modulo t^(N+1)."""
-        n = self - SeriesMatrix.identity(self.ctx)
-        if not n.is_zero() and n.t_order() == 0:
-            raise ValueError("mat_log needs constant term I")
-        acc = SeriesMatrix.zero(self.ctx)
-        power = SeriesMatrix.identity(self.ctx)
-        for k in range(1, self.ctx.order + 1):
-            power = power * n
-            if power.is_zero():
-                break
-            acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
-        return acc

@@ -44,10 +44,6 @@ MAX_TREE_INPUTS = 7
 Tree = object
 
 
-def catalan(n: int) -> int:
-    return comb(2 * n, n) // (n + 1)
-
-
 def ribbon_tree_count(k: int) -> int:
     """Independent count oracle: binary splits of k labeled inputs.
 

@@ -25,7 +25,8 @@ rather than through an error-prone Dynkin series; a low-order Dynkin check
 remains as a test oracle (:func:`bch_reference`).
 
 Every term's t-degree is at least 1, so all exponentials and logarithms
-terminate after at most N iterations and every identity here is exact.
+terminate after at most N iterations (N // s for a logarithm of an element
+congruent to the identity mod t^s) and every identity here is exact.
 """
 
 from __future__ import annotations
@@ -405,87 +406,53 @@ def compose(g1: AutPair, g2: AutPair) -> AutPair:
 def log(g: AutPair) -> LieElem:
     """Logarithm of a pro-unipotent AutPair; exact inverse of :func:`exp`.
 
-    The derivation part is recovered per frequency from the logarithm of the
-    ring automorphism evaluated on the two generators; the matrix part is the
-    operator logarithm read off on constant sections.
+    The derivation part is log(sigma) evaluated on the two generators, the
+    matrix part the operator logarithm on the constant sections, both from
+    the Mercator series  sum_k (-1)^(k+1)/k (g - 1)^k.  Its first term is
+    g - 1 itself: the generator images minus z^(e_i) and the gauge minus I.
+    If s is the t-order of g - 1, each further factor g - 1 raises the
+    t-degree by at least s (sigma(z^m) - z^m = z^m((1 + O(t^s))^m - 1)), so
+    the k-th term vanishes modulo t^(N+1) once k*s > N and at most N // s
+    terms are summed.  A completion round k truncates at t^(k+1) and its
+    product is the identity mod t^k, so there s = k = N: one linear term.
     """
     ctx = g.ctx
-    N = ctx.order
-
-    for axis, e in enumerate((_E1, _E2)):
-        lead = g.sigma_images[axis] - SeriesElem.monomial(ctx, e)
-        if not lead.is_zero() and lead.t_order() == 0:
-            raise ValueError("not pro-unipotent: generator image is not z^e*(1 + O(t))")
-    lead = g.gauge - SeriesMatrix.identity(ctx)
-    if not lead.is_zero() and lead.t_order() == 0:
+    r = ctx.rank
+    dparts = [g.sigma_images[axis] - SeriesElem.monomial(ctx, e)
+              for axis, e in enumerate((_E1, _E2))]
+    if any(f.t_order() == 0 for f in dparts):
+        raise ValueError("not pro-unipotent: generator image is not z^e*(1 + O(t))")
+    gauge = g.gauge - SeriesMatrix.identity(ctx)
+    if gauge.t_order() == 0:
         raise ValueError("not pro-unipotent: gauge constant term is not the identity")
+    orders = [f.t_order() for f in dparts] + [gauge.t_order()]
+    s = min((o for o in orders if o is not None), default=ctx.order + 1)
+    steps = ctx.order // s
 
     # Derivation part: log(sigma) evaluated on the generators.
     dlog = []
-    for axis, e in enumerate((_E1, _E2)):
-        f = SeriesElem.monomial(ctx, e)
-        acc = SeriesElem.zero(ctx)
-        v = g.apply_ring(f) - f
-        k = 1
-        while not v.is_zero() and k <= N:
-            acc = acc + v.scale(Fraction((-1) ** (k + 1), k))
+    for v in dparts:
+        acc = v
+        for k in range(2, steps + 1):
             v = g.apply_ring(v) - v
-            k += 1
+            if v.is_zero():
+                break
+            acc = acc + v.scale(Fraction((-1) ** (k + 1), k))
         dlog.append(acc)
 
     # Matrix part: operator logarithm on constant basis sections.
-    zero = SeriesElem.zero(ctx)
-    r = ctx.rank
     cols = []
     for i in range(r):
-        s0 = tuple(SeriesElem.one(ctx) if k == i else zero for k in range(r))
-        acc = tuple(zero for _ in range(r))
-        v = tuple(a - b for a, b in zip(g.apply_section(s0), s0))
-        k = 1
-        while any(not f.is_zero() for f in v) and k <= N:
+        v = tuple(gauge.rows[row][i] for row in range(r))
+        acc = v
+        for k in range(2, steps + 1):
+            v = tuple(a - b for a, b in zip(g.apply_section(v), v))
+            if all(f.is_zero() for f in v):
+                break
             coeff = Fraction((-1) ** (k + 1), k)
             acc = tuple(a + b.scale(coeff) for a, b in zip(acc, v))
-            v = tuple(a - b for a, b in zip(g.apply_section(v), v))
-            k += 1
         cols.append(acc)
-    return _lie_from_parts(ctx, dlog, cols)
 
-
-def leading_log(g: AutPair, k: int) -> LieElem:
-    """The degree-k part of ``log(g)`` for g congruent to the identity mod t^k.
-
-    Such a g is exp(X) with X = log(g) of t-order >= k, and X^2 starts at
-    degree 2k > k, so g = Id + X modulo t^(k+1).  The derivation part is
-    therefore read linearly off the generator images minus z^(e_i), and the
-    matrix part off the gauge minus the identity.  Like :func:`log`, raises
-    :class:`ConventionError` on a derivation not orthogonal to its
-    frequency; also raises it when g - Id has a term below degree k.
-    """
-    ctx = g.ctx
-    r = ctx.rank
-
-    def part(f: SeriesElem) -> SeriesElem:
-        low = f.t_order()
-        if low is not None and low < k:
-            raise ConventionError(
-                f"not the identity modulo t^{k}: a term of degree {low} remains"
-            )
-        return SeriesElem(ctx, {key: c for key, c in f.coeffs.items() if key[2] == k})
-
-    dparts = [part(g.sigma_images[axis] - SeriesElem.monomial(ctx, e))
-              for axis, e in enumerate((_E1, _E2))]
-    gauge = g.gauge - SeriesMatrix.identity(ctx)
-    cols = [tuple(part(gauge.rows[row][i]) for row in range(r)) for i in range(r)]
-    return _lie_from_parts(ctx, dparts, cols)
-
-
-def _lie_from_parts(ctx, dlog, cols) -> LieElem:
-    """Assemble a Lie element from its action on z^(e_1), z^(e_2) and the constant sections.
-
-    ``dlog[i]`` is the derivation applied to z^(e_i); ``cols[i]`` is the
-    matrix part applied to the i-th constant basis section.
-    """
-    r = ctx.rank
     dvecs: dict[TermKey, list[Fraction]] = {}
     for axis, e in enumerate((_E1, _E2)):
         for (m1, m2, j), c in dlog[axis].coeffs.items():

@@ -3,15 +3,62 @@
 The generic algorithm, written without the production shortcuts: the
 path-ordered product is accumulated left to right at full truncation order,
 ``(theta_1 o theta_2) o theta_3 ...``, and every round takes the full
-``log`` of it and corrects its lowest-degree part.  ``scattering`` instead
-accumulates right to left, truncates round k to t^(k+1) and reads the
-defect linearly; both must give the same walls.
+logarithm of it (:func:`reference_log`) and corrects its lowest-degree part.
+``scattering`` instead accumulates right to left, truncates round k to
+t^(k+1) and takes a ``log`` that stops after one term there; both must give
+the same walls.
 """
+
+from fractions import Fraction
 
 from wallcross.exceptions import ConventionError, SchemaError
 from wallcross.lattice import WallKind, primitive_decompose, primitive_part
 from wallcross.scattering import Diagram, Wall, _crossing_order, merge_wall
-from wallcross.vertexlie import AutPair, LieElem, compose, exp, log
+from wallcross.series import SeriesElem
+from wallcross.vertexlie import AutPair, LieElem, compose, exp
+
+_ZERO = Fraction(0)
+
+
+def reference_log(g: AutPair) -> LieElem:
+    """log(g) from the unbounded Mercator series: up to N terms of g - 1.
+
+    The series starts from g(z^e) - z^e and from g applied to the constant
+    sections, and stops only when a term is zero or after N terms, where
+    ``vertexlie.log`` stops after N // s terms for g - 1 of t-order s.
+    """
+    ctx = g.ctx
+    N, r = ctx.order, ctx.rank
+    terms: dict = {}  # (m, j) -> (matrix part, derivation vector), as lists
+
+    def entry(key):
+        return terms.setdefault(key, ([[_ZERO] * r for _ in range(r)], [_ZERO, _ZERO]))
+
+    for axis, e in enumerate(((1, 0), (0, 1))):
+        f = SeriesElem.monomial(ctx, e)
+        acc, v, k = SeriesElem.zero(ctx), g.apply_ring(f) - f, 1
+        while not v.is_zero() and k <= N:
+            acc = acc + v.scale(Fraction((-1) ** (k + 1), k))
+            v, k = g.apply_ring(v) - v, k + 1
+        for (m1, m2, j), c in acc.coeffs.items():
+            entry(((m1 - e[0], m2 - e[1]), j))[1][axis] = c
+
+    zero = SeriesElem.zero(ctx)
+    for i in range(r):
+        s0 = tuple(SeriesElem.one(ctx) if row == i else zero for row in range(r))
+        acc, k = tuple(zero for _ in range(r)), 1
+        v = tuple(a - b for a, b in zip(g.apply_section(s0), s0))
+        while any(not f.is_zero() for f in v) and k <= N:
+            acc = tuple(a + b.scale(Fraction((-1) ** (k + 1), k)) for a, b in zip(acc, v))
+            v, k = tuple(a - b for a, b in zip(g.apply_section(v), v)), k + 1
+        for row, f in enumerate(acc):
+            for (m1, m2, j), c in f.coeffs.items():
+                entry(((m1, m2), j))[0][row][i] = c
+
+    for (m, _j), (_a, d) in terms.items():
+        if m[0] * d[0] + m[1] * d[1] != 0:
+            raise ConventionError("recovered derivation not orthogonal to its frequency")
+    return LieElem(ctx, terms)
 
 
 def reference_path_ordered_product(d: Diagram) -> AutPair:
@@ -33,7 +80,7 @@ def reference_complete(d: Diagram) -> Diagram:
 
     current = Diagram(d.ctx, tuple(w for w in d.walls if not w.logf.is_zero()), d.base_direction)
     for _round in range(d.ctx.order + 1):
-        defect_log = log(reference_path_ordered_product(current))
+        defect_log = reference_log(reference_path_ordered_product(current))
         if defect_log.is_zero():
             return current
         k0 = defect_log.t_order()

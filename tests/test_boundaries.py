@@ -3,9 +3,11 @@
 ``perfbench/layertrace.py`` wraps functions by module and attribute name, and
 ``perfbench/run.py`` rebuilds the initial walls of BPS inputs through the
 solver; a refactor that moves either fails here before it breaks the
-benchmark.
+benchmark.  Every name a module imports must also be used by it, so no
+import is kept only for a hook to patch.
 """
 
+import ast
 import importlib
 import os
 import random
@@ -13,10 +15,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from wallcross import cli
+from wallcross import cli, scattering
+from wallcross.vertexlie import log
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+PACKAGE = ROOT / "src" / "wallcross"
 EXAMPLE1 = Path(cli.__file__).parent / "fixtures" / "example1.json"
 
 
@@ -65,13 +69,58 @@ def test_benchmark_rebuilds_bps_initial_walls(monkeypatch):
 
 
 def test_completion_runs_truncated_rounds_without_log(monkeypatch, capsys):
-    # one product per degree, and the defect is read off the product without
-    # a log: a return to full-order rounds with a log each fails here
+    # (no full-order log): one product per degree, and round k takes the log
+    # of the product at truncation k only; a return to full-order rounds, or
+    # a defect read without the hooked ``scattering.log``, fails here
     monkeypatch.syspath_prepend(str(PERFBENCH))
     layertrace = importlib.import_module("layertrace")
+    orders = []
+
+    def recording_log(g):
+        orders.append(g.ctx.order)
+        return log(g)
+
+    monkeypatch.setattr(scattering, "log", recording_log)
     tracer = layertrace.Tracer()
     with tracer.installed():
         assert cli.main(["wcf", str(EXAMPLE1), "--order", "4"]) == 0
     capsys.readouterr()
     assert 1 <= tracer.counts["scattering.rounds"] <= 4
-    assert tracer.counts["scattering.defect_terms"] == 0
+    assert orders == [1, 2, 3, 4]
+    assert tracer.counts["scattering.defect_terms"] > 0
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads (string annotations count as reads)."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef)):
+            note = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                used.update(
+                    n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
+                    if isinstance(n, ast.Name)
+                )
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # an import kept only so that a hook can patch it hides what the module
+    # really calls; the package root's re-exports are its public API
+    unused = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        and (names := _unused_imports(path.read_text()))
+    }
+    assert unused == {}

@@ -332,3 +332,31 @@ def test_malformed_input_exit_code(tmp_path, capsys, monkeypatch, command, data,
     assert code == 2
     assert err.startswith("input error:") and message in err
     assert out == ""
+
+
+_BCH_INPUT = {"rank": 1, "truncation": 2, "x": [], "y": []}
+
+
+@pytest.mark.parametrize(
+    "command, data, option",
+    [
+        pytest.param("check", None, "--output", id="check-output"),
+        pytest.param("plot", None, "--output", id="plot-output"),
+        pytest.param("bch", _BCH_INPUT, "--emit-svg", id="bch-emit-svg"),
+        pytest.param("bch", _BCH_INPUT, "--emit-csv", id="bch-emit-csv"),
+    ],
+)
+def test_option_the_command_does_not_read_is_rejected(tmp_path, capsys, command, data, option):
+    # each subcommand accepts only the options it acts on; these used to be
+    # accepted and ignored, writing no file
+    p = tmp_path / "input.json"
+    if data is None:
+        p.write_text((FIXTURES / "pentagon.json").read_text())
+    else:
+        p.write_text(json.dumps(data))
+    target = tmp_path / "written"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, str(p), option, str(target)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not target.exists()

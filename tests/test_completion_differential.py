@@ -1,25 +1,31 @@
 """``complete`` and ``path_ordered_product`` against the slow reference.
 
 The reference (``reference_completion.py``) composes left to right at full
-order and takes a full ``log`` every round; the engine composes right to
-left, truncates round k to t^(k+1) and reads the defect linearly.  Their
-serialized results must agree byte for byte.
+order and takes its unbounded ``reference_log`` every round; the engine
+composes right to left, truncates round k to t^(k+1) and takes a ``log``
+that stops after N // s terms.  Their serialized results must agree byte
+for byte, and the two logarithms must agree on any product.
 """
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import rand_lie, rand_wall_log
-from reference_completion import reference_complete, reference_path_ordered_product
-from wallcross import cli, groupoid, serialize
+from reference_completion import (
+    reference_complete,
+    reference_log,
+    reference_path_ordered_product,
+)
+from wallcross import cli, groupoid, scattering, serialize
 from wallcross.exceptions import ConventionError
 from wallcross.lattice import WallKind
 from wallcross.scattering import Diagram, Wall, complete, path_ordered_product
 from wallcross.series import TruncationContext
-from wallcross.vertexlie import LieElem, compose, exp, leading_log, log
+from wallcross.vertexlie import AutPair, LieElem, bracket, compose, elementary, exp, log
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
 
@@ -70,25 +76,85 @@ def _raise_order(x: LieElem, k: int) -> LieElem:
     return LieElem(x.ctx, {key: v for key, v in x.terms.items() if key[1] >= k})
 
 
-def test_leading_log_is_the_degree_part_of_log():
+def test_log_matches_the_unbounded_reference_log():
     rng = random.Random(7)
     directions = ((1, 0), (0, 1), (1, 1), (2, 1))
     nonzero = 0
-    for _ in range(30):
-        ctx = TruncationContext(rng.randint(2, 6), rng.randint(1, 3))
-        k = rng.randint(1, ctx.order)
-        x = _raise_order(rand_lie(ctx, rng, directions, terms=4), k)
-        y = _raise_order(rand_lie(ctx, rng, directions, terms=4), k)
+    for _ in range(36):
+        s = rng.choice((1, 2, 3))
+        ctx = TruncationContext(rng.randint(s, 6), rng.randint(1, 3))
+        x = _raise_order(rand_lie(ctx, rng, directions, terms=4), s)
+        y = _raise_order(rand_lie(ctx, rng, directions, terms=4), s)
         g = compose(exp(x), exp(y))
-        expected = log(g).degree_part(k)
-        assert leading_log(g, k) == expected
+        expected = reference_log(g)
+        assert log(g) == expected
         nonzero += not expected.is_zero()
-    assert nonzero >= 15
+    assert nonzero >= 24
 
 
-def test_leading_log_rejects_a_term_below_the_degree():
-    ctx = TruncationContext(4, 2)
-    g = exp(LieElem.single(ctx, (1, 0), 2, dvec=(0, 1)))
-    assert leading_log(g, 2) == LieElem.single(ctx, (1, 0), 2, dvec=(0, 1))
-    with pytest.raises(ConventionError, match="degree 2"):
-        leading_log(g, 3)
+def _s_only(ctx, rng, directions, s):
+    """A matrix-only element with strictly upper triangular parts of t-order >= s."""
+    r = ctx.rank
+    terms = {}
+    for _ in range(3):
+        d = rng.choice(directions)
+        i = rng.randrange(r - 1)
+        a = elementary(r, i, rng.randrange(i + 1, r), rng.choice((-2, -1, 1, 3)))
+        terms[(d, rng.randint(s, ctx.order))] = (a, (0, 0))
+    return LieElem(ctx, terms)
+
+
+def _count_calls(monkeypatch, *names):
+    """Record each call of the named AutPair methods, in one list."""
+    calls = []
+    for name in names:
+        def counted(self, *args, _name=name, _method=getattr(AutPair, name)):
+            calls.append(_name)
+            return _method(self, *args)
+
+        monkeypatch.setattr(AutPair, name, counted)
+    return calls
+
+
+def test_log_of_a_round_product_is_its_linear_part(monkeypatch):
+    # g - 1 of t-order N: the series stops after its first term, which is
+    # read off the generator images and the gauge without applying g
+    ctx = TruncationContext(3, 2)
+    x = LieElem.single(ctx, (1, 0), 3, matrix=elementary(2, 0, 1, 1), dvec=(0, 2))
+    y = LieElem.single(ctx, (1, 2), 3, matrix=elementary(2, 1, 0, -1))
+    g = compose(exp(x), exp(y))
+    calls = _count_calls(monkeypatch, "apply_ring", "apply_section")
+    assert log(g) == x + y
+    assert calls == []
+
+
+def test_log_of_nilpotent_s_products_stops_on_a_zero_term(monkeypatch):
+    # sigma is the identity and the gauge is I + (strictly upper triangular),
+    # so (g - 1)^r = 0 and the series ends before its N // s bound
+    rng = random.Random(11)
+    directions = ((1, 0), (0, 1), (1, 1))
+    for _ in range(12):
+        s = rng.choice((1, 2))
+        ctx = TruncationContext(8, 3)
+        g = compose(exp(_s_only(ctx, rng, directions, s)), exp(_s_only(ctx, rng, directions, s)))
+        expected = reference_log(g)
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch, "apply_section")
+            assert log(g) == expected
+        # at most r - 1 further powers per column, against N // s - 1 without the exit
+        assert len(calls) <= ctx.rank * (ctx.rank - 1) < ctx.rank * (ctx.order // s - 1)
+
+    ctx = TruncationContext(6, 3)
+    x = LieElem.single(ctx, (1, 0), 1, matrix=elementary(3, 0, 1, 1))
+    y = LieElem.single(ctx, (0, 1), 1, matrix=elementary(3, 1, 2, -2))
+    # [x, [x, y]] = [y, [x, y]] = 0: the BCH series ends at the first bracket
+    assert log(compose(exp(x), exp(y))) == x + y + bracket(x, y).scale(Fraction(1, 2))
+
+
+def test_complete_rejects_a_round_that_is_not_the_identity_below_its_degree(monkeypatch):
+    # with every correction dropped, the degree-2 defect of round 2 is still
+    # there in round 3, whose product must be the identity modulo t^3
+    d = _fixture_diagram("bps", "example1.json")
+    monkeypatch.setattr(scattering, "merge_wall", lambda d, w: d)
+    with pytest.raises(ConventionError, match=r"modulo t\^3: a term of degree 2"):
+        complete(d)

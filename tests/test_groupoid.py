@@ -25,6 +25,7 @@ from wallcross.groupoid_ring import (
     validate_twisting,
 )
 from wallcross.lattice import primitive_normal
+from wallcross.report import wcf_report
 from wallcross.scattering import is_consistent, new_rays
 from wallcross.series import TruncationContext
 from wallcross.vertexlie import LieElem, bracket as lie_bracket, elementary
@@ -390,6 +391,33 @@ def test_solve_wcf_zero_strength_is_empty():
 def test_solve_wcf_rechecks_consistency():
     sol = solve_wcf(example1_problem(order=5))
     assert is_consistent(sol.completed)
+
+
+def _kronecker(omega, order):
+    ctx = BpsContext(vacua=("i",), order=order)
+    return solve_wcf(BpsProblem(ctx, (KFactor((1, 0), omega), KFactor((0, 1), omega))))
+
+
+def test_solve_wcf_reads_a_standard_k_series():
+    # Kronecker Omega = 2: the (1,1) ray's log is -4 sum_l (1/l) t^(2l) w^(l,l) d_n
+    sol = _kronecker(2, 6)
+    assert sol.consistent
+    (central,) = [p for p in sol.produced if p.charge == (1, 1)]
+    assert (central.kind, central.degree, central.strength) == ("K", 2, -4)
+    assert central.dilog_pattern is True
+    assert "[nonstandard series]" not in wcf_report(sol)
+
+
+def test_solve_wcf_flags_a_nonstandard_k_series():
+    # Kronecker Omega = 3: the (1,1) ray's log is 9 log sum_k C(4k,k)/(3k+1) u^k
+    # (up to the normal's sign), whose u^2 coefficient 63/2 is not 9/2
+    sol = _kronecker(3, 4)
+    assert sol.consistent
+    (central,) = [p for p in sol.produced if p.charge == (1, 1)]
+    assert (central.kind, central.degree, central.strength) == ("K", 2, -9)
+    assert central.dilog_pattern is False
+    assert all(p.dilog_pattern for p in sol.produced if p.charge != (1, 1))
+    assert "K' charge=(1,1) Omega'=-9 (t^2) [nonstandard series]" in wcf_report(sol)
 
 
 def test_factor_logs_match_bridge_route():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross.series import SeriesElem, SeriesMatrix, TruncationContext
+from wallcross.series import SeriesElem, TruncationContext
 
 
 def rand_series(ctx, rng, min_order=0, terms=4, span=2):
@@ -123,27 +123,6 @@ def test_order_reduction_consistency():
         prod_then_cut = (a * b).truncate(3)
         cut_then_prod = a.truncate(3) * b.truncate(3)
         assert prod_then_cut == cut_then_prod
-
-
-def test_matrix_exp_identity_and_nilpotent():
-    ctx = TruncationContext(4, 2)
-    assert SeriesMatrix.zero(ctx).mat_exp() == SeriesMatrix.identity(ctx)
-    z = SeriesElem.zero(ctx)
-    e01 = SeriesMatrix(ctx, ((z, -SeriesElem.monomial(ctx, (1, 0), 1)), (z, z)))
-    expected = SeriesMatrix.identity(ctx) + e01
-    assert e01.mat_exp() == expected
-
-
-def test_matrix_log_exp_roundtrip_random():
-    rng = random.Random(9)
-    ctx = TruncationContext(4, 3)
-    for _ in range(10):
-        rows = tuple(
-            tuple(rand_series(ctx, rng, min_order=1, terms=2) for _ in range(3))
-            for _ in range(3)
-        )
-        m = SeriesMatrix(ctx, rows)
-        assert m.mat_exp().mat_log() == m
 
 
 # -- property tests -----------------------------------------------------------------
