@@ -71,7 +71,7 @@ def convention_audit() -> str:
         "convention audit",
         "  primitive normal: 90-degree counterclockwise rotation, reduced",
         "  dirac pairing: determinant det(g, g2)",
-        f"  loop orientation: {scattering.LOOP_ORIENTATION} from the base direction",
+        f"  loop orientation: {scattering.LOOP_ORIENTATION} from the positive x-axis",
         f"  path product: first wall crossed {scattering.FIRST_CROSSED}",
         f"  line expansion: {scattering.LINE_EXPANSION}",
         f"  produced walls: {scattering.PRODUCED_WALLS}",

@@ -14,6 +14,7 @@ point enters any decision.
 
 from __future__ import annotations
 
+import functools
 from enum import Enum
 from math import gcd
 
@@ -80,44 +81,26 @@ def dirac_pairing(g: Vec, g2: Vec) -> int:
     return det2(g, g2)
 
 
-def _angle_class(base: Vec, v: Vec) -> tuple[int, Vec]:
-    """Sort key component: which half-turn past ``base`` the vector lies in.
+def _angle_class(v: Vec) -> int:
+    """0 for directions at angles in [0, pi) from the positive x-axis, 1 for [pi, 2 pi)."""
+    return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
 
-    Returns 0 for v on the open half-turn strictly after ``base`` (CCW),
-    1 for v opposite to base, 2 for the second open half-turn, and 3 for
-    v parallel to base itself (sorted last).
+
+def angular_sort(directions: list[Vec]) -> list[Vec]:
+    """Sort directions counterclockwise from the positive x-axis, ``(1, 0)`` first.
+
+    Exact comparison via cross products.  Two coincident directions are an
+    error: same-direction walls must be merged before ordering.
     """
-    c = det2(base, v)
-    d = pairing(base, v)
-    if c == 0:
-        return (3, v) if d > 0 else (1, v)
-    return (0, v) if c > 0 else (2, v)
-
-
-def angular_sort(directions: list[Vec], base: Vec) -> list[Vec]:
-    """Sort directions counterclockwise starting strictly after ``base``.
-
-    Exact comparison via cross/dot products.  Two coincident directions are
-    an error: same-direction walls must be merged before ordering.
-    """
-    if base == (0, 0):
-        raise ValueError("zero vector cannot serve as a base direction")
-
-    import functools
 
     def cmp(u: Vec, v: Vec) -> int:
-        cu, cv = _angle_class(base, u)[0], _angle_class(base, v)[0]
+        cu, cv = _angle_class(u), _angle_class(v)
         if cu != cv:
-            return -1 if cu < cv else 1
+            return cu - cv
         c = det2(u, v)
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        if pairing(u, v) > 0:
+        if c == 0:
+            # within one half-plane, parallel directions coincide
             raise ValueError(f"coincident rays must be merged: {u}, {v}")
-        # Anti-parallel within one class cannot happen: they differ by a
-        # half-turn and land in different classes.
-        raise AssertionError("unreachable: anti-parallel in one angle class")
+        return -1 if c > 0 else 1
 
     return sorted(directions, key=functools.cmp_to_key(cmp))

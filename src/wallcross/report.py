@@ -111,22 +111,14 @@ def wcf_report(sol: WcfSolution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _counterclockwise_from_x_axis(d: Diagram) -> list:
-    """Wall directions by counterclockwise angle, starting at the positive x-axis."""
-    dirs = angular_sort([w.direction for w in d.walls], (1, 0))
-    if dirs and dirs[-1] == (1, 0):
-        dirs.insert(0, dirs.pop())
-    return dirs
-
-
 def wcf_identity_string(sol: WcfSolution) -> str:
     """The verified identity in S/K letters, walls in crossing order.
 
     Left side: initial factors, last-crossed first.  Right side: the
     completed sequence, first-crossed first.
     """
-    initial = _counterclockwise_from_x_axis(sol.initial)
-    completed = _counterclockwise_from_x_axis(sol.completed)
+    initial = angular_sort([w.direction for w in sol.initial.walls])
+    completed = angular_sort([w.direction for w in sol.completed.walls])
     initial_dirs = set(initial)
 
     def letter(direction, produced: bool) -> str:

@@ -9,10 +9,14 @@ acting last:
 
     Theta = theta_1 o theta_2 o ... o theta_s     (theta_1 crossed first)
 
-with loops oriented counterclockwise from ``base_direction``.  A line
+with loops oriented counterclockwise from the positive x-axis.  A line
 contributes its automorphism on the ray in direction ``+m`` and the inverse
-automorphism on ``-m``.  The diagram is consistent when Theta is the
-identity modulo t^(N+1).  The product is accumulated right to left,
+automorphism on ``-m``; no two walls may cover the same ray.  The diagram is
+consistent when Theta is the identity modulo t^(N+1).  Where the loop starts
+does not matter for that: moving the start conjugates Theta by a factor that
+is the identity modulo t, which leaves the lowest-degree part of Theta - Id
+unchanged, and that part is all that completion and consistency read.  The
+product is accumulated right to left,
 ``theta_i o (theta_(i+1) o ... o theta_s)``, so each sparse wall
 automorphism acts on the dense partial product.
 
@@ -39,14 +43,13 @@ from .lattice import (
     angular_sort,
     is_primitive,
     primitive_decompose,
-    primitive_part,
 )
 from .series import TruncationContext
 from .vertexlie import AutPair, LieElem, bch, compose, exp, log
 
 # The single global orientation choice, fixed at build time and validated by
-# the two-line worked examples: loops run counterclockwise from the base
-# direction and the first wall crossed is the outermost (last-acting) factor
+# the two-line worked examples: loops run counterclockwise from the positive
+# x-axis and the first wall crossed is the outermost (last-acting) factor
 # of the path-ordered product.  A line carries its automorphism on the +m ray
 # and the inverse automorphism on -m; produced walls are rays in direction +a.
 LOOP_ORIENTATION = "counterclockwise"
@@ -80,21 +83,20 @@ class Wall:
 
 @dataclass(frozen=True)
 class Diagram:
-    """A scattering diagram with a distinguished loop start direction."""
+    """A scattering diagram: walls through the origin, at one truncation."""
 
     ctx: TruncationContext
     walls: tuple[Wall, ...]
-    base_direction: Vec | None = None
 
     def __post_init__(self):
-        dirs = [w.direction for w in self.walls]
-        if len(set(dirs)) != len(dirs):
-            raise ValueError("walls must have pairwise distinct directions")
         for w in self.walls:
             if w.logf.ctx != self.ctx:
                 raise ValueError("wall log context does not match diagram context")
-        if self.base_direction is not None and not is_primitive(self.base_direction):
-            raise ValueError("base direction must be primitive")
+        rays = [w.direction for w in self.walls] + [
+            (-w.direction[0], -w.direction[1]) for w in self.walls if w.kind is WallKind.LINE
+        ]
+        if len(set(rays)) != len(rays):
+            raise ValueError("two walls cover the same ray (a line covers both of its rays)")
 
     def wall_in_direction(self, p: Vec) -> Wall | None:
         for w in self.walls:
@@ -102,58 +104,14 @@ class Diagram:
                 return w
         return None
 
-    def occupied_ray_directions(self) -> list[Vec]:
-        out = []
-        for w in self.walls:
-            out.append(w.direction)
-            if w.kind is WallKind.LINE:
-                out.append((-w.direction[0], -w.direction[1]))
-        return out
-
-    def resolved_base(self) -> Vec:
-        """The loop start: the stated base, or a deterministic default.
-
-        Default: the primitive direction of minus the sum of wall directions
-        when that avoids every occupied ray; otherwise the first small
-        primitive direction that does.
-        """
-        occupied = set(self.occupied_ray_directions())
-        if self.base_direction is not None:
-            if self.base_direction in occupied:
-                raise ValueError("base direction lies on a wall")
-            return self.base_direction
-        s = (-sum(w.direction[0] for w in self.walls), -sum(w.direction[1] for w in self.walls))
-        candidates = []
-        if s != (0, 0):
-            candidates.append(primitive_part(s))
-        bound = 1
-        while len(candidates) < 64:
-            for a in range(-bound, bound + 1):
-                for b in range(-bound, bound + 1):
-                    if (a, b) != (0, 0) and is_primitive((a, b)):
-                        candidates.append((a, b))
-            bound += 1
-        for c in candidates:
-            if c not in occupied:
-                return c
-        raise AssertionError("unreachable: no valid base direction found")
-
 
 def _crossing_order(d: Diagram) -> list[tuple[Vec, LieElem]]:
-    """Expand lines into opposite rays and sort by crossing order (CCW)."""
-    rays: dict[Vec, LieElem] = {}
+    """Expand lines into opposite rays and sort them counterclockwise from the positive x-axis."""
+    rays = {w.direction: w.logf for w in d.walls}
     for w in d.walls:
-        if w.direction in rays:
-            raise ValueError("merge walls first: coincident ray directions")
-        rays[w.direction] = w.logf
         if w.kind is WallKind.LINE:
-            neg = (-w.direction[0], -w.direction[1])
-            if neg in rays:
-                raise ValueError("merge walls first: coincident ray directions")
-            rays[neg] = -w.logf
-    base = d.resolved_base()
-    order = angular_sort(list(rays), base)
-    return [(p, rays[p]) for p in order]
+            rays[(-w.direction[0], -w.direction[1])] = -w.logf
+    return [(p, rays[p]) for p in angular_sort(list(rays))]
 
 
 def path_ordered_product(d: Diagram) -> AutPair:
@@ -211,12 +169,9 @@ def complete(d: Diagram) -> Diagram:
     would need a one-sided factor and raises instead (this cannot happen
     for two non-parallel initial lines).
     """
-    for wa in d.walls:
-        for wb in d.walls:
-            if wa is not wb and primitive_part(wa.direction) == tuple(
-                -c for c in wb.direction
-            ):
-                raise SchemaError("parallel initial walls: merge or reorient them first")
+    directions = {w.direction for w in d.walls}
+    if any((-p[0], -p[1]) in directions for p in directions):
+        raise SchemaError("parallel initial walls: merge or reorient them first")
 
     current = replace(d, walls=tuple(w for w in d.walls if not w.logf.is_zero()))
     line_rays = {
@@ -227,7 +182,6 @@ def complete(d: Diagram) -> Diagram:
         truncated = Diagram(
             TruncationContext(k, d.ctx.rank),
             tuple(Wall(w.direction, w.kind, w.logf.truncate(k)) for w in current.walls),
-            current.base_direction,
         )
         defect = log(path_ordered_product(truncated))
         low = defect.t_order()

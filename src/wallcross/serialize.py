@@ -16,8 +16,9 @@ Diagram files::
 The ``derivation`` coefficient is relative to the primitive normal of the
 wall direction.  The wall data stops at ``N``, so an order override may lower
 the truncation but not raise it.  No two walls may cover the same ray (a
-line covers both of its rays), and ``base_direction``, when given, lies on
-none.  BPS problem files::
+line covers both of its rays).  Loops start at the positive x-axis, so a
+``base_direction`` key, which older files used to choose the loop start, is
+rejected.  BPS problem files::
 
     {"vacua": ["i", "j", ...], "basepoints": {"i": [x, y], ...},
      "factors": [{"type": "S", "pair": ["i", "j"], "gamma": [x, y], "mu": n},
@@ -63,13 +64,9 @@ def _int(v, what) -> int:
 
 
 def _vec(v, what="vector") -> tuple[int, int]:
-    if (
-        not isinstance(v, (list, tuple))
-        or len(v) != 2
-        or not all(isinstance(x, int) for x in v)
-    ):
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise SchemaError(f"bad {what}: {v!r} (expected a pair of integers)")
-    return (v[0], v[1])
+    return (_int(v[0], what), _int(v[1], what))
 
 
 def _objects(v, what) -> list[dict]:
@@ -113,14 +110,11 @@ def wall_to_json(w: Wall) -> dict:
 
 
 def diagram_to_json(d: Diagram) -> dict:
-    out = {
+    return {
         "rank": d.ctx.rank,
         "truncation": d.ctx.order,
         "walls": [wall_to_json(w) for w in sorted(d.walls, key=lambda w: w.direction)],
     }
-    if d.base_direction is not None:
-        out["base_direction"] = list(d.base_direction)
-    return out
 
 
 def diagram_from_json(data: dict, order: int | None = None) -> Diagram:
@@ -131,6 +125,10 @@ def diagram_from_json(data: dict, order: int | None = None) -> Diagram:
         rank, truncation, walls_data = data["rank"], data["truncation"], data["walls"]
     except KeyError as e:
         raise SchemaError(f"diagram file missing key {e}") from None
+    if "base_direction" in data:
+        raise SchemaError(
+            "base_direction is no longer accepted: every loop starts at the positive x-axis"
+        )
     n = _int(truncation, "truncation")
     if order is not None:
         if order > n:
@@ -141,16 +139,9 @@ def diagram_from_json(data: dict, order: int | None = None) -> Diagram:
     try:
         ctx = TruncationContext(n, _int(rank, "rank"))
         walls = tuple(_wall_from_json(ctx, wd) for wd in _objects(walls_data, "walls"))
-        base = data.get("base_direction")
-        d = Diagram(ctx, walls, _vec(base, "base_direction") if base else None)
+        return Diagram(ctx, walls)
     except ValueError as e:
         raise SchemaError(str(e)) from None
-    rays = d.occupied_ray_directions()
-    if len(set(rays)) != len(rays):
-        raise SchemaError("two walls cover the same ray (a line covers both of its rays)")
-    if d.base_direction in rays:
-        raise SchemaError("base_direction lies on a wall")
-    return d
 
 
 def _wall_from_json(ctx: TruncationContext, wd: dict) -> Wall:

@@ -1,8 +1,29 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
+from wallcross import cli, groupoid, serialize
 from wallcross.lattice import primitive_normal
+from wallcross.series import TruncationContext
 from wallcross.vertexlie import LieElem, mat_zero
+
+FIXTURES = Path(cli.__file__).parent / "fixtures"
+
+
+def fixture_diagram(name, order=None):
+    """The initial diagram of a bundled fixture, optionally at a lower order.
+
+    BPS fixtures give the diagram the solver builds from their factors.
+    """
+    kind, fname = cli.FIXTURES[name]
+    data = json.loads((FIXTURES / fname).read_text())
+    if kind == "diagram":
+        return serialize.diagram_from_json(data, order)
+    problem, n = serialize.bps_from_json(data, order)
+    return groupoid.build_initial_diagram(
+        problem, TruncationContext(n, len(problem.context.vacua))
+    )
 
 
 def rand_matrix(r, rng, span=2):

@@ -69,6 +69,23 @@ def reference_path_ordered_product(d: Diagram) -> AutPair:
     return total
 
 
+def loop_products(d: Diagram) -> list[AutPair]:
+    """The path-ordered product for every loop start, composed left to right.
+
+    Entry i starts the loop just before the i-th ray of ``_crossing_order``,
+    so it is the product over that order rotated by i; entry 0 starts at the
+    positive x-axis, like :func:`reference_path_ordered_product`.
+    """
+    autos = [exp(logf) for _p, logf in _crossing_order(d)]
+    products = []
+    for i in range(max(1, len(autos))):
+        total = AutPair.identity(d.ctx)
+        for g in autos[i:] + autos[:i]:
+            total = compose(total, g)
+        products.append(total)
+    return products
+
+
 def reference_complete(d: Diagram) -> Diagram:
     """Order-by-order completion from the full log of the full-order product."""
     for wa in d.walls:
@@ -78,7 +95,7 @@ def reference_complete(d: Diagram) -> Diagram:
             ):
                 raise SchemaError("parallel initial walls: merge or reorient them first")
 
-    current = Diagram(d.ctx, tuple(w for w in d.walls if not w.logf.is_zero()), d.base_direction)
+    current = Diagram(d.ctx, tuple(w for w in d.walls if not w.logf.is_zero()))
     for _round in range(d.ctx.order + 1):
         defect_log = reference_log(reference_path_ordered_product(current))
         if defect_log.is_zero():

@@ -310,7 +310,12 @@ _OPPOSITE_RAYS = (
         pytest.param("complete", _fixture_with("pentagon.json", *_OPPOSITE_RAYS), (),
                      "parallel initial walls", id="opposite-rays-complete"),
         pytest.param("check", _fixture_with("pentagon.json", ("base_direction", [-1, 0])), (),
-                     "lies on a wall", id="base-direction-on-wall"),
+                     "base_direction is no longer accepted", id="base-direction-on-wall"),
+        pytest.param("complete", _fixture_with("pentagon.json", ("walls", 0, "direction",
+                                                                 [True, False])), (),
+                     "bad direction", id="direction-booleans"),
+        pytest.param("wcf", _fixture_with("example1.json", ("factors", 0, "gamma", [True, 0])),
+                     (), "bad gamma", id="gamma-boolean"),
         pytest.param("complete", _fixture_with("pentagon.json"), ("--order", "16"),
                      "exceeds the file's truncation", id="order-above-truncation-complete"),
         pytest.param("check", _fixture_with("pentagon.json"), ("--order", "16"),

@@ -7,46 +7,32 @@ that stops after N // s terms.  Their serialized results must agree byte
 for byte, and the two logarithms must agree on any product.
 """
 
-import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from conftest import rand_lie, rand_wall_log
+from conftest import fixture_diagram, rand_lie, rand_wall_log
 from reference_completion import (
     reference_complete,
     reference_log,
     reference_path_ordered_product,
 )
-from wallcross import cli, groupoid, scattering, serialize
+from wallcross import cli, scattering, serialize
 from wallcross.exceptions import ConventionError
 from wallcross.lattice import WallKind
 from wallcross.scattering import Diagram, Wall, complete, path_ordered_product
 from wallcross.series import TruncationContext
 from wallcross.vertexlie import AutPair, LieElem, bracket, compose, elementary, exp, log
 
-FIXTURES = Path(cli.__file__).parent / "fixtures"
-
 
 def _dump(d: Diagram) -> str:
     return serialize.dumps(serialize.diagram_to_json(d))
 
 
-def _fixture_diagram(kind, fname) -> Diagram:
-    data = json.loads((FIXTURES / fname).read_text())
-    if kind == "diagram":
-        return serialize.diagram_from_json(data, None)
-    problem, n = serialize.bps_from_json(data, None)
-    return groupoid.build_initial_diagram(
-        problem, TruncationContext(n, len(problem.context.vacua))
-    )
-
-
 @pytest.mark.parametrize("name", sorted(cli.FIXTURES))
 def test_complete_matches_reference_on_fixtures(name):
-    d = _fixture_diagram(*cli.FIXTURES[name])
+    d = fixture_diagram(name)
     assert path_ordered_product(d) == reference_path_ordered_product(d)
     assert _dump(complete(d)) == _dump(reference_complete(d))
 
@@ -154,7 +140,7 @@ def test_log_of_nilpotent_s_products_stops_on_a_zero_term(monkeypatch):
 def test_complete_rejects_a_round_that_is_not_the_identity_below_its_degree(monkeypatch):
     # with every correction dropped, the degree-2 defect of round 2 is still
     # there in round 3, whose product must be the identity modulo t^3
-    d = _fixture_diagram("bps", "example1.json")
+    d = fixture_diagram("example1")
     monkeypatch.setattr(scattering, "merge_wall", lambda d, w: d)
     with pytest.raises(ConventionError, match=r"modulo t\^3: a term of degree 2"):
         complete(d)

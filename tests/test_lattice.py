@@ -78,19 +78,23 @@ def test_primitive_decompose():
 
 
 def test_angular_sort_examples():
-    assert angular_sort([(1, 0), (0, 1), (1, 1)], (-1, -1)) == [(1, 0), (1, 1), (0, 1)]
-    assert angular_sort([(2, 1)], (0, 1)) == [(2, 1)]
-    assert angular_sort([(1, 0), (-1, 0)], (0, -1)) == [(1, 0), (-1, 0)]
+    assert angular_sort([(0, 1), (1, 1), (1, 0)]) == [(1, 0), (1, 1), (0, 1)]
+    assert angular_sort([(2, 1)]) == [(2, 1)]
+    assert angular_sort([(-1, 0), (1, 0)]) == [(1, 0), (-1, 0)]
+    # the positive x-axis opens the order and the ray just below it closes it
+    assert angular_sort([(5, -1), (0, -1), (1, 0), (-1, 0)]) == [(1, 0), (-1, 0), (0, -1), (5, -1)]
 
 
 def test_angular_sort_full_circle_and_permutation():
-    dirs = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
-    out = angular_sort(list(reversed(dirs)), (1, -2))
-    assert sorted(out) == sorted(dirs)
-    # base sits at roughly -63 degrees; (1,-1) is the first direction after it
-    assert out == [(1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1)]
+    dirs = [(1, 0), (2, 1), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+    for shift in range(len(dirs)):
+        shuffled = dirs[shift:] + dirs[:shift]
+        assert angular_sort(list(reversed(shuffled))) == dirs
+        assert angular_sort(shuffled) == dirs
 
 
 def test_angular_sort_rejects_coincident():
     with pytest.raises(ValueError, match="coincident"):
-        angular_sort([(1, 1), (1, 1)], (-1, 0))
+        angular_sort([(1, 1), (1, 1)])
+    with pytest.raises(ValueError, match="coincident"):
+        angular_sort([(1, 0), (0, -1), (1, 0)])

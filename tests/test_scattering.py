@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_wall_log
+from conftest import fixture_diagram, rand_wall_log
+from reference_completion import loop_products
+from wallcross import cli
 from wallcross.exceptions import ConventionError
 from wallcross.groupoid import KFactor, k_wall_log
 from wallcross.lattice import WallKind
@@ -136,9 +138,15 @@ def test_complete_is_idempotent():
 
 def test_complete_rejects_parallel_lines():
     ctx = TruncationContext(4, 2)
+    # two opposite lines cover the same two rays: no diagram holds them
+    with pytest.raises(ValueError, match="same ray"):
+        Diagram(ctx, (s_wall(ctx, (1, 0), 0, 1), s_wall(ctx, (-1, 0), 1, 0)))
     d = Diagram(
         ctx,
-        (s_wall(ctx, (1, 0), 0, 1), s_wall(ctx, (-1, 0), 1, 0)),
+        (
+            s_wall(ctx, (1, 0), 0, 1, kind=WallKind.RAY),
+            s_wall(ctx, (-1, 0), 1, 0, kind=WallKind.RAY),
+        ),
     )
     with pytest.raises(ValueError, match="parallel"):
         complete(d)
@@ -187,21 +195,110 @@ def test_random_two_line_completions():
             assert a >= 1 and b >= 1  # strictly inside the positive cone
 
 
-def test_loop_base_independence():
-    d = example1_diagram(order=5)
-    completed = complete(d)
-    for base in [(-1, -1), (-1, 2), (-3, -1), (-2, 1), (1, -2), (3, 1)]:
-        moved = Diagram(d.ctx, completed.walls, base)
-        assert is_consistent(moved)
-        initial_moved = Diagram(d.ctx, d.walls, base)
-        assert not is_consistent(initial_moved)
+def _random_walls(rng, count):
+    """``count`` random (direction, kind) pairs, no two on one line through the origin."""
+    directions = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, 1), (2, 1), (1, -2), (-3, -1)]
+    walls, covered = [], set()
+    while len(walls) < count:
+        p = rng.choice(directions)
+        if p in covered:
+            continue
+        covered |= {p, (-p[0], -p[1])}
+        walls.append((p, rng.choice([WallKind.LINE, WallKind.RAY])))
+    return walls
 
 
-def test_base_on_wall_rejected():
-    d = example1_diagram(order=3)
-    bad = Diagram(d.ctx, d.walls, (1, 0))
-    with pytest.raises(ValueError, match="lies on a wall"):
-        path_ordered_product(bad)
+def test_loop_start_independence():
+    # Moving the loop start conjugates Theta by a factor that is the identity
+    # modulo t: a consistent diagram stays consistent from every start, and
+    # the lowest-degree part of log Theta, all that completion and the
+    # defect report read, is the same from every start.
+    rng = random.Random(5150)
+    consistent, inconsistent = [], []
+    for name in sorted(cli.FIXTURES):
+        d = fixture_diagram(name, 3)
+        inconsistent.append(d)
+        consistent.append(complete(d))
+    while len(inconsistent) < 20:
+        ctx = TruncationContext(rng.randint(2, 4), rng.randint(1, 2))
+        walls = tuple(
+            Wall(p, kind, rand_wall_log(ctx, rng, p))
+            for p, kind in _random_walls(rng, rng.randint(2, 4))
+        )
+        if any(w.logf.is_zero() for w in walls):
+            continue
+        inconsistent.append(Diagram(ctx, walls))
+    for da, db in [((1, 0), (0, 1)), ((1, -1), (1, 1)), ((2, 1), (-1, 2)), ((-1, -2), (1, -1))]:
+        ctx = TruncationContext(4, 2)
+        la, lb = rand_wall_log(ctx, rng, da), rand_wall_log(ctx, rng, db)
+        consistent.append(complete(Diagram(ctx, (Wall(da, WallKind.LINE, la),
+                                                 Wall(db, WallKind.LINE, lb)))))
+
+    for d in consistent:
+        assert all(g.is_identity() for g in loop_products(d))
+    moved = 0
+    for d in inconsistent:
+        products = loop_products(d)
+        assert products[0] == path_ordered_product(d)
+        logs = [log(g) for g in products]
+        k = logs[0].t_order()
+        assert all(x.t_order() == k for x in logs)
+        if k is None:
+            continue
+        assert all(x.degree_part(k) == logs[0].degree_part(k) for x in logs)
+        moved += any(x != logs[0] for x in logs)
+    # the starts are really different loops: beyond the lowest degree the
+    # logs of most inconsistent diagrams depend on where the loop starts
+    assert moved >= len(inconsistent) // 2
+
+
+def _random_sl2(rng):
+    """A random g in SL2(Z) with every entry nonzero and at most 3 in size."""
+    while True:
+        a, b, c = (rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3))
+        if (1 + b * c) % a == 0 and (1 + b * c) // a != 0 and abs((1 + b * c) // a) <= 3:
+            return ((a, b), (c, (1 + b * c) // a))
+
+
+def _act(g, d):
+    """g on a diagram: directions and frequencies by g, derivation vectors by g^(-T).
+
+    The pairing <m, d> is invariant and g^(-T) carries the primitive normal of
+    m to that of g m, so derivation coefficients and matrix parts are unchanged.
+    """
+    (a, b), (c, e) = g
+
+    def vec(m):
+        return (a * m[0] + b * m[1], c * m[0] + e * m[1])
+
+    def dual(n):
+        return (e * n[0] - c * n[1], -b * n[0] + a * n[1])
+
+    return Diagram(d.ctx, tuple(
+        Wall(vec(w.direction), w.kind, LieElem(d.ctx, {
+            (vec(m), j): (mat, dual(dv)) for (m, j), (mat, dv) in w.logf.terms.items()
+        }))
+        for w in d.walls
+    ))
+
+
+def test_complete_is_sl2z_covariant():
+    # an engine-independent oracle: complete(g . D) == g . complete(D); it is
+    # the only test that moves every wall off the axes the loop starts from
+    rng = random.Random(1729)
+    cases = [fixture_diagram(name, 3) for name in sorted(cli.FIXTURES)]
+    while len(cases) < 12:
+        ctx = TruncationContext(rng.randint(3, 5), rng.randint(1, 2))
+        da, db = rng.choice([((1, 0), (0, 1)), ((1, -1), (1, 1)), ((2, 1), (-1, 2))])
+        la, lb = rand_wall_log(ctx, rng, da), rand_wall_log(ctx, rng, db)
+        if not la.is_zero() and not lb.is_zero():
+            cases.append(Diagram(ctx, (Wall(da, WallKind.LINE, la), Wall(db, WallKind.LINE, lb))))
+    for d in cases:
+        g = _random_sl2(rng)
+        mapped = complete(_act(g, d))
+        expected = _act(g, complete(d))
+        assert {w.direction: w for w in mapped.walls} == {w.direction: w for w in expected.walls}
+        assert len(new_rays(d, expected)) >= 1
 
 
 def test_order2_insertion_is_upper_bracket_lower():
