@@ -9,6 +9,7 @@ convention violation.  ``SCATTER_MAX_ORDER`` caps the truncation order
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -106,6 +107,7 @@ def cmd_check(args) -> int:
     if product.is_identity():
         sys.stdout.write("consistent\n")
         return EXIT_OK
+    scattering.reject_antiparallel(d)
     from .vertexlie import log
 
     sys.stdout.write(report.defect_report(log(product)))
@@ -199,7 +201,9 @@ def cmd_demo(args) -> int:
     return worst
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="wallcross",
         description="Exact scattering-diagram completions and 2d-4d wall-crossing solves.",

@@ -155,6 +155,17 @@ def merge_wall(d: Diagram, w: Wall) -> Diagram:
     return replace(d, walls=walls)
 
 
+def reject_antiparallel(d: Diagram) -> None:
+    """Raise :class:`SchemaError` if two walls point in opposite directions.
+
+    The defect of such a diagram can have a term at frequency zero, outside
+    the Lie algebra, so neither completion nor the defect report applies.
+    """
+    directions = {w.direction for w in d.walls}
+    if any((-p[0], -p[1]) in directions for p in directions):
+        raise SchemaError("parallel initial walls: merge or reorient them first")
+
+
 def complete(d: Diagram) -> Diagram:
     """The minimal consistent completion (order-by-order ray insertion).
 
@@ -169,10 +180,7 @@ def complete(d: Diagram) -> Diagram:
     would need a one-sided factor and raises instead (this cannot happen
     for two non-parallel initial lines).
     """
-    directions = {w.direction for w in d.walls}
-    if any((-p[0], -p[1]) in directions for p in directions):
-        raise SchemaError("parallel initial walls: merge or reorient them first")
-
+    reject_antiparallel(d)
     current = replace(d, walls=tuple(w for w in d.walls if not w.logf.is_zero()))
     line_rays = {
         p for w in current.walls if w.kind is WallKind.LINE

@@ -6,21 +6,27 @@ allowed), and t-degree ``0 <= j <= N``.  Products drop every term whose
 t-degree exceeds the truncation order, so exp/log of positive-order elements
 are finite sums and all identities hold exactly, with no tolerance.
 
+The coefficients of one element are stored as integer numerators over one
+shared positive denominator, in lowest terms: ``den > 0``, the gcd of
+``den`` and every numerator is 1, and ``den == 1`` for zero.  Equal elements
+therefore have equal numerators and denominators, so ``==`` is structural.
+Products and sums run on Python integers and take one gcd at the end; the
+rationals appear only at the boundary (the public constructor and
+:meth:`SeriesElem.fractions`).
+
 A :class:`TruncationContext` fixes the truncation order ``N`` and the rank
 ``r`` of the matrix factor used by the extended vertex algebra.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .lattice import Vec
 
 Key = tuple[int, int, int]  # (m1, m2, t-degree)
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -38,62 +44,113 @@ class TruncationContext:
 
 
 def _check_same_context(a, b):
-    if a.ctx != b.ctx:
+    if a.ctx is not b.ctx and a.ctx != b.ctx:
         raise ValueError(f"context mismatch: {a.ctx} vs {b.ctx}")
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
 class SeriesElem:
     """A sparse element of Q[L][t]/(t^(N+1)).
 
-    ``coeffs`` maps ``(m1, m2, j)`` to a nonzero Fraction.  Instances are
-    immutable; arithmetic returns new elements with zero terms pruned.
+    ``coeffs`` maps ``(m1, m2, j)`` to a nonzero integer numerator and
+    ``den`` is the denominator shared by all of them (see the module
+    docstring for the normal form); :meth:`fractions` gives the rational
+    coefficients.  Instances are immutable; arithmetic returns new elements
+    with zero terms pruned.
     """
 
-    ctx: TruncationContext
-    coeffs: dict[Key, Fraction] = field(default_factory=dict)
+    __slots__ = ("ctx", "coeffs", "den")
 
-    def __post_init__(self):
-        pruned = {}
-        order = self.ctx.order
-        for key, c in self.coeffs.items():
-            j = key[2]
-            if j < 0:
+    def __init__(self, ctx: TruncationContext, coeffs=None):
+        """The element with the rational coefficients ``{(m1, m2, j): c}``."""
+        order = ctx.order
+        rational = {}
+        for key, c in (coeffs or {}).items():
+            if key[2] < 0:
                 raise ValueError("negative t-degree")
-            if j > order or c == 0:
-                continue
-            pruned[key] = c if type(c) is Fraction else Fraction(c)
-        object.__setattr__(self, "coeffs", pruned)
+            c = Fraction(c)
+            if key[2] <= order and c:
+                rational[key] = c
+        den = 1
+        for c in rational.values():
+            den = lcm(den, c.denominator)
+        _set(self, "ctx", ctx)
+        _set(self, "coeffs", {k: c.numerator * (den // c.denominator) for k, c in rational.items()})
+        _set(self, "den", den)
+
+    @staticmethod
+    def _make(ctx: TruncationContext, nums: dict, den: int) -> "SeriesElem":
+        """The element ``nums / den`` from integer numerators, brought to normal form."""
+        nums = {k: v for k, v in nums.items() if v}
+        if not nums:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {k: v // g for k, v in nums.items()}
+        return SeriesElem._normal(ctx, nums, den)
+
+    @staticmethod
+    def _normal(ctx: TruncationContext, nums: dict, den: int) -> "SeriesElem":
+        """Wrap numerators and a denominator that are already in normal form."""
+        out = object.__new__(SeriesElem)
+        _set(out, "ctx", ctx)
+        _set(out, "coeffs", nums)
+        _set(out, "den", den)
+        return out
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SeriesElem is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, SeriesElem):
+            return NotImplemented
+        return self.den == other.den and self.coeffs == other.coeffs and self.ctx == other.ctx
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"SeriesElem({self.ctx!r}, {self.fractions()!r})"
+
+    def fractions(self) -> dict[Key, Fraction]:
+        """The coefficients as rationals, keyed like ``coeffs``."""
+        den = self.den
+        return {k: Fraction(v, den) for k, v in self.coeffs.items()}
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def zero(ctx: TruncationContext) -> "SeriesElem":
-        return SeriesElem(ctx, {})
+        return SeriesElem._normal(ctx, {}, 1)
 
     @staticmethod
     def one(ctx: TruncationContext) -> "SeriesElem":
-        return SeriesElem(ctx, {(0, 0, 0): _ONE})
+        return SeriesElem._normal(ctx, {(0, 0, 0): 1}, 1)
 
     @staticmethod
     def monomial(ctx: TruncationContext, m: Vec, j: int = 0, c=1) -> "SeriesElem":
-        return SeriesElem(ctx, {(m[0], m[1], j): Fraction(c)})
+        return SeriesElem(ctx, {(m[0], m[1], j): c})
 
     # -- ring structure --------------------------------------------------------
 
     def __add__(self, other: "SeriesElem") -> "SeriesElem":
         _check_same_context(self, other)
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, _ZERO) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return SeriesElem(self.ctx, out)
+        da, db = self.den, other.den
+        if da == db:
+            den, sb, out = da, 1, dict(self.coeffs)
+        else:
+            den = lcm(da, db)
+            sa, sb = den // da, den // db
+            out = {k: v * sa for k, v in self.coeffs.items()}
+        for k, v in other.coeffs.items():
+            out[k] = out.get(k, 0) + v * sb
+        return SeriesElem._make(self.ctx, out, den)
 
     def __neg__(self) -> "SeriesElem":
-        return SeriesElem(self.ctx, {k: -c for k, c in self.coeffs.items()})
+        return SeriesElem._normal(self.ctx, {k: -v for k, v in self.coeffs.items()}, self.den)
 
     def __sub__(self, other: "SeriesElem") -> "SeriesElem":
         return self + (-other)
@@ -104,25 +161,26 @@ class SeriesElem:
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Key, Fraction] = {}
+        out: dict[Key, int] = {}
+        get = out.get
         for (a1, a2, ja), ca in a.items():
             for (b1, b2, jb), cb in b.items():
                 j = ja + jb
                 if j > N:
                     continue
                 k = (a1 + b1, a2 + b2, j)
-                s = out.get(k, _ZERO) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return SeriesElem(self.ctx, out)
+                out[k] = get(k, 0) + ca * cb
+        return SeriesElem._make(self.ctx, out, self.den * other.den)
 
     def scale(self, c) -> "SeriesElem":
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         if not c:
             return SeriesElem.zero(self.ctx)
-        return SeriesElem(self.ctx, {k: c * v for k, v in self.coeffs.items()})
+        p = c.numerator
+        return SeriesElem._make(
+            self.ctx, {k: p * v for k, v in self.coeffs.items()}, self.den * c.denominator
+        )
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -136,7 +194,9 @@ class SeriesElem:
     def truncate(self, order: int) -> "SeriesElem":
         """Reduce to a lower truncation order (same lattice support)."""
         ctx = TruncationContext(order, self.ctx.rank)
-        return SeriesElem(ctx, {k: c for k, c in self.coeffs.items() if k[2] <= order})
+        return SeriesElem._make(
+            ctx, {k: v for k, v in self.coeffs.items() if k[2] <= order}, self.den
+        )
 
     # -- unit inversion and exp/log --------------------------------------------
 
@@ -146,11 +206,11 @@ class SeriesElem:
         Uses the finite geometric series for ``(1 + n)^{-1}``; the product
         with the result is exactly 1 modulo t^(N+1).
         """
-        lead = {k: c for k, c in self.coeffs.items() if k[2] == 0}
+        lead = [(k, v) for k, v in self.coeffs.items() if k[2] == 0]
         if len(lead) != 1:
             raise ValueError("not a unit: t-degree-0 part is not a single monomial")
-        (m1, m2, _), c0 = next(iter(lead.items()))
-        head_inv = SeriesElem.monomial(self.ctx, (-m1, -m2), 0, 1 / c0)
+        (m1, m2, _), c0 = lead[0]
+        head_inv = SeriesElem.monomial(self.ctx, (-m1, -m2), 0, Fraction(self.den, c0))
         n = head_inv * self - SeriesElem.one(self.ctx)
         # (1 + n)^{-1} = 1 - n + n^2 - ...
         acc = SeriesElem.one(self.ctx)
@@ -238,7 +298,9 @@ class SeriesMatrix:
             for j in range(r):
                 acc = SeriesElem.zero(self.ctx)
                 for k in range(r):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
+                    a, b = self.rows[i][k], other.rows[k][j]
+                    if a.coeffs and b.coeffs:
+                        acc = acc + a * b
                 row.append(acc)
             rows.append(tuple(row))
         return SeriesMatrix(self.ctx, tuple(rows))
@@ -249,7 +311,9 @@ class SeriesMatrix:
         for i in range(r):
             acc = SeriesElem.zero(self.ctx)
             for k in range(r):
-                acc = acc + self.rows[i][k] * vec[k]
+                a, b = self.rows[i][k], vec[k]
+                if a.coeffs and b.coeffs:
+                    acc = acc + a * b
             out.append(acc)
         return tuple(out)
 

@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .exceptions import ConventionError
 from .lattice import Vec
@@ -83,8 +85,12 @@ def elementary(r: int, i: int, j: int, c=1) -> Mat:
     )
 
 
+def _frac(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def _freeze_mat(a) -> Mat:
-    return tuple(tuple(Fraction(x) for x in row) for row in a)
+    return tuple(tuple(map(_frac, row)) for row in a)
 
 
 # -- Lie algebra elements --------------------------------------------------------
@@ -115,7 +121,7 @@ class LieElem:
         clean = {}
         for (m, j), (a, d) in self.terms.items():
             a = _freeze_mat(a)
-            d = (Fraction(d[0]), Fraction(d[1]))
+            d = (_frac(d[0]), _frac(d[1]))
             if j > self.ctx.order:
                 continue
             if mat_is_zero(a) and d == (_ZERO, _ZERO):
@@ -195,6 +201,10 @@ class LieElem:
 
     def matrix_series(self) -> SeriesMatrix:
         """The matrix-part multiplication operator, as a matrix of series."""
+        return self._matrix_series
+
+    @cached_property
+    def _matrix_series(self) -> SeriesMatrix:
         r = self.ctx.rank
         entries = [[{} for _ in range(r)] for _ in range(r)]
         for (m, j), (a, _) in self.terms.items():
@@ -209,27 +219,43 @@ class LieElem:
             ),
         )
 
+    @cached_property
+    def _integer_derivations(self) -> tuple[int, list[tuple[Vec, int, int, int]]]:
+        """The nonzero derivation vectors over one common denominator.
+
+        Returns ``(den, [(m, j, n1, n2)])`` with ``d = (n1, n2) / den`` for
+        the term at ``(m, j)``.
+        """
+        nonzero = [(m, j, d) for (m, j), (_, d) in self.terms.items() if d[0] or d[1]]
+        den = 1
+        for _m, _j, d in nonzero:
+            den = lcm(den, d[0].denominator, d[1].denominator)
+        return den, [
+            (m, j, d[0].numerator * (den // d[0].denominator),
+             d[1].numerator * (den // d[1].denominator))
+            for m, j, d in nonzero
+        ]
+
     def apply_derivation(self, f: SeriesElem) -> SeriesElem:
-        """The ring-derivation part applied to a series."""
+        """The ring-derivation part applied to a series.
+
+        The derivation vectors are kept over one common denominator, so the
+        accumulation runs on the integer numerators of ``f``.
+        """
         N = self.ctx.order
+        den, derivations = self._integer_derivations
         out: dict = {}
-        for (m, j), (_, d) in self.terms.items():
-            if d == (_ZERO, _ZERO):
-                continue
+        get = out.get
+        for m, j, d1, d2 in derivations:
             for (f1, f2, jf), cf in f.coeffs.items():
                 jj = j + jf
                 if jj > N:
                     continue
-                w = cf * (f1 * d[0] + f2 * d[1])
-                if not w:
-                    continue
-                k = (f1 + m[0], f2 + m[1], jj)
-                s = out.get(k, _ZERO) + w
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return SeriesElem(self.ctx, out)
+                w = cf * (f1 * d1 + f2 * d2)
+                if w:
+                    k = (f1 + m[0], f2 + m[1], jj)
+                    out[k] = get(k, 0) + w
+        return SeriesElem._make(self.ctx, out, f.den * den)
 
     def apply_section(self, vec: tuple[SeriesElem, ...]) -> tuple[SeriesElem, ...]:
         """The full first-order operator on a section of the free module."""
@@ -332,25 +358,33 @@ class AutPair:
         return val
 
     def apply_ring(self, f: SeriesElem) -> SeriesElem:
-        """Apply the ring automorphism to a series (monomial-by-monomial)."""
+        """Apply the ring automorphism to a series (monomial-by-monomial).
+
+        The images of the monomials of ``f`` are brought to the lcm of their
+        denominators once, and the sum runs on integer numerators.
+        """
         N = self.ctx.order
-        out: dict = {}
+        cache = self._pow_cache
+        images = []
+        den = 1
         for (m1, m2, j), c in f.coeffs.items():
-            img = self._pow_cache.get(("m", m1, m2))
+            img = cache.get(("m", m1, m2))
             if img is None:
                 img = self._gen_power(0, m1) * self._gen_power(1, m2)
-                self._pow_cache[("m", m1, m2)] = img
+                cache[("m", m1, m2)] = img
+            images.append((j, c, img))
+            den = lcm(den, img.den)
+        out: dict = {}
+        get = out.get
+        for j, c, img in images:
+            w = c * (den // img.den)
             for (a1, a2, ji), ci in img.coeffs.items():
                 jj = ji + j
                 if jj > N:
                     continue
                 k = (a1, a2, jj)
-                s = out.get(k, _ZERO) + c * ci
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return SeriesElem(self.ctx, out)
+                out[k] = get(k, 0) + w * ci
+        return SeriesElem._make(self.ctx, out, f.den * den)
 
     def apply_matrix(self, mat: SeriesMatrix) -> SeriesMatrix:
         return SeriesMatrix(
@@ -386,7 +420,8 @@ def exp(x: LieElem) -> AutPair:
         s = tuple(SeriesElem.one(ctx) if k == i else zero for k in range(ctx.rank))
         acc, term = s, s
         for k in range(1, ctx.order + 1):
-            term = tuple(f.scale(Fraction(1, k)) for f in x.apply_section(term))
+            c = Fraction(1, k)
+            term = tuple(f.scale(c) for f in x.apply_section(term))
             if all(f.is_zero() for f in term):
                 break
             acc = tuple(a + b for a, b in zip(acc, term))
@@ -455,14 +490,14 @@ def log(g: AutPair) -> LieElem:
 
     dvecs: dict[TermKey, list[Fraction]] = {}
     for axis, e in enumerate((_E1, _E2)):
-        for (m1, m2, j), c in dlog[axis].coeffs.items():
+        for (m1, m2, j), c in dlog[axis].fractions().items():
             key = ((m1 - e[0], m2 - e[1]), j)
             dvecs.setdefault(key, [_ZERO, _ZERO])[axis] = c
 
     mats: dict[TermKey, list[list[Fraction]]] = {}
     for i, col in enumerate(cols):
         for row in range(r):
-            for (m1, m2, j), c in col[row].coeffs.items():
+            for (m1, m2, j), c in col[row].fractions().items():
                 key = ((m1, m2), j)
                 mats.setdefault(key, [[_ZERO] * r for _ in range(r)])[row][i] = c
 

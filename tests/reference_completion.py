@@ -40,7 +40,7 @@ def reference_log(g: AutPair) -> LieElem:
         while not v.is_zero() and k <= N:
             acc = acc + v.scale(Fraction((-1) ** (k + 1), k))
             v, k = g.apply_ring(v) - v, k + 1
-        for (m1, m2, j), c in acc.coeffs.items():
+        for (m1, m2, j), c in acc.fractions().items():
             entry(((m1 - e[0], m2 - e[1]), j))[1][axis] = c
 
     zero = SeriesElem.zero(ctx)
@@ -52,7 +52,7 @@ def reference_log(g: AutPair) -> LieElem:
             acc = tuple(a + b.scale(Fraction((-1) ** (k + 1), k)) for a, b in zip(acc, v))
             v, k = tuple(a - b for a, b in zip(g.apply_section(v), v)), k + 1
         for row, f in enumerate(acc):
-            for (m1, m2, j), c in f.coeffs.items():
+            for (m1, m2, j), c in f.fractions().items():
                 entry(((m1, m2), j))[0][row][i] = c
 
     for (m, _j), (_a, d) in terms.items():

@@ -107,7 +107,7 @@ def test_criterion_02_conjugation_series_identity():
     u = SeriesElem.monomial(ctx, (0, 1), 1)
     tail = (-u).log1p().scale(-1) - u
     lhs_terms = {}
-    for (a, b, j), c in (tail * SeriesElem.monomial(ctx, (1, 0), 1)).coeffs.items():
+    for (a, b, j), c in (tail * SeriesElem.monomial(ctx, (1, 0), 1)).fractions().items():
         lhs_terms[((a, b), j)] = (elementary(3, 0, 1, -c), (0, 0))
     lhs = LieElem(ctx, lhs_terms)
 

@@ -280,6 +280,25 @@ _OPPOSITE_RAYS = (
 )
 
 
+def _walls(rank, truncation, *walls):
+    """A diagram document from ``(direction, geometry, terms)`` walls."""
+    return {
+        "rank": rank,
+        "truncation": truncation,
+        "walls": [{"direction": d, "geometry": g, "terms": t} for d, g, t in walls],
+    }
+
+
+def _s_term(matrix):
+    return {"t": 1, "k": 1, "matrix": matrix, "derivation": "0"}
+
+
+_K_TERM = {"t": 1, "k": 1, "derivation": "1"}
+_UPPER = [["0", "1"], ["0", "0"]]
+_LOWER = [["0", "0"], ["1", "0"]]
+_DIAGONAL = [["1", "0"], ["0", "-1"]]
+
+
 @pytest.mark.parametrize(
     "command, data, extra, message",
     [
@@ -309,6 +328,20 @@ _OPPOSITE_RAYS = (
                      "same ray", id="opposite-lines-check"),
         pytest.param("complete", _fixture_with("pentagon.json", *_OPPOSITE_RAYS), (),
                      "parallel initial walls", id="opposite-rays-complete"),
+        # an inconsistent diagram with anti-parallel rays: its defect has a term
+        # at frequency zero, so check rejects it like complete does
+        pytest.param("check", _walls(2, 3, ([1, 0], "ray", [_s_term(_UPPER)]),
+                                     ([-1, 0], "ray", [_s_term(_LOWER)])), (),
+                     "parallel initial walls", id="opposite-rays-check"),
+        pytest.param("check", _walls(2, 4, ([1, 0], "ray", [_s_term(_UPPER)]),
+                                     ([-1, 0], "ray", [_s_term(_LOWER)]),
+                                     ([-3, -1], "ray", [_K_TERM])), (),
+                     "parallel initial walls", id="opposite-rays-and-a-ray-check"),
+        pytest.param("check", _walls(2, 4, ([1, 1], "line", [_s_term(_UPPER)]),
+                                     ([2, 1], "line", [_K_TERM]),
+                                     ([1, -1], "ray", [_s_term(_LOWER)]),
+                                     ([-1, 1], "ray", [_s_term(_DIAGONAL)])), (),
+                     "parallel initial walls", id="two-lines-and-opposite-rays-check"),
         pytest.param("check", _fixture_with("pentagon.json", ("base_direction", [-1, 0])), (),
                      "base_direction is no longer accepted", id="base-direction-on-wall"),
         pytest.param("complete", _fixture_with("pentagon.json", ("walls", 0, "direction",
@@ -337,6 +370,35 @@ def test_malformed_input_exit_code(tmp_path, capsys, monkeypatch, command, data,
     assert code == 2
     assert err.startswith("input error:") and message in err
     assert out == ""
+
+
+def test_check_accepts_a_consistent_diagram_with_opposite_rays(tmp_path, capsys):
+    # the completed pentagon with an empty ray opposite its produced ray
+    completed = tmp_path / "completed.json"
+    run(capsys, "complete", str(FIXTURES / "pentagon.json"), "--output", str(completed))
+    data = json.loads(completed.read_text())
+    data["walls"].append({"direction": [-1, -1], "geometry": "ray", "terms": []})
+    p = tmp_path / "opposite.json"
+    p.write_text(json.dumps(data))
+    assert run(capsys, "check", str(p)) == (0, "consistent\n", "")
+
+
+def test_consecutive_main_calls_parse_independently(tmp_path, capsys):
+    # the parser is built once per process; no option of one call leaks into the next
+    out_json = tmp_path / "completed.json"
+    code, out, _ = run(capsys, "complete", str(FIXTURES / "pentagon.json"),
+                       "--order", "3", "--output", str(out_json))
+    assert code == 0 and out_json.exists()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", str(out_json), "--output", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --output" in capsys.readouterr().err
+    code, out, _ = run(capsys, "check", str(out_json))
+    assert (code, out) == (0, "consistent\n")
+    code, out, _ = run(capsys, "wcf", str(FIXTURES / "example1.json"))
+    assert code == 0 and out == (FIXTURES / "example1.report.txt").read_text()
+    assert not (tmp_path / "x.json").exists()
+    assert cli.build_parser() is cli.build_parser()
 
 
 _BCH_INPUT = {"rank": 1, "truncation": 2, "x": [], "y": []}

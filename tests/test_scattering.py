@@ -19,7 +19,16 @@ from wallcross.scattering import (
     path_ordered_product,
 )
 from wallcross.series import TruncationContext
-from wallcross.vertexlie import AutPair, LieElem, bracket, elementary, exp, log, mat_zero
+from wallcross.vertexlie import (
+    AutPair,
+    LieElem,
+    bracket,
+    elementary,
+    exp,
+    log,
+    mat_mul,
+    mat_zero,
+)
 
 
 def k_wall(ctx, gamma, kind=WallKind.LINE, scale=1, degree=1):
@@ -299,6 +308,71 @@ def test_complete_is_sl2z_covariant():
         expected = _act(g, complete(d))
         assert {w.direction: w for w in mapped.walls} == {w.direction: w for w in expected.walls}
         assert len(new_rays(d, expected)) >= 1
+
+
+def _inverse(p):
+    """The inverse of an invertible rational matrix, by Gauss-Jordan elimination."""
+    r = len(p)
+    rows = [list(row) + [Fraction(int(i == k)) for k in range(r)] for i, row in enumerate(p)]
+    for col in range(r):
+        pivot = next(i for i in range(col, r) if rows[i][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(r):
+            if i != col and rows[i][col]:
+                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[col])]
+    return tuple(tuple(row[r:]) for row in rows)
+
+
+def _random_invertible(r, rng):
+    """A dense invertible P whose entries and inverse have non-unit denominators."""
+    while True:
+        p = tuple(
+            tuple(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([2, 3, 5]))
+                  for _ in range(r))
+            for _ in range(r)
+        )
+        try:
+            return p, _inverse(p)
+        except StopIteration:  # singular
+            continue
+
+
+def _conjugate(p, p_inv, d):
+    """Every matrix part A of the diagram replaced by P A P^(-1); derivations unchanged."""
+    return Diagram(d.ctx, tuple(
+        Wall(w.direction, w.kind, LieElem(d.ctx, {
+            key: (mat_mul(mat_mul(p, a), p_inv), dv) for key, (a, dv) in w.logf.terms.items()
+        }))
+        for w in d.walls
+    ))
+
+
+def test_complete_commutes_with_constant_conjugation():
+    # an engine-independent oracle: A -> P A P^(-1) on every matrix part is an
+    # automorphism of the vertex algebra (the bracket only multiplies matrix
+    # parts by each other and by scalars), so complete(P.D) == P.complete(D);
+    # the denominators of P and P^(-1) put every product through the lcm
+    # rescale and the gcd reduction of the series coefficients
+    rng = random.Random(2718)
+    cases = [fixture_diagram(name, 3) for name in sorted(cli.FIXTURES)]
+    while len(cases) < 14:
+        ctx = TruncationContext(rng.randint(3, 5), rng.randint(2, 3))
+        da, db = rng.choice([((1, 0), (0, 1)), ((1, -1), (1, 1)), ((2, 1), (-1, 2))])
+        la, lb = rand_wall_log(ctx, rng, da), rand_wall_log(ctx, rng, db)
+        if not la.is_zero() and not lb.is_zero():
+            cases.append(Diagram(ctx, (Wall(da, WallKind.LINE, la), Wall(db, WallKind.LINE, lb))))
+    produced = 0
+    for d in cases:
+        p, p_inv = _random_invertible(d.ctx.rank, rng)
+        conjugated = complete(_conjugate(p, p_inv, d))
+        expected = _conjugate(p, p_inv, complete(d))
+        assert {w.direction: w for w in conjugated.walls} == {
+            w.direction: w for w in expected.walls
+        }
+        assert is_consistent(conjugated)
+        produced += bool(new_rays(d, expected))
+    assert produced >= 12
 
 
 def test_order2_insertion_is_upper_bracket_lower():

@@ -165,3 +165,66 @@ def test_unit_exp_log_roundtrips_property(n):
     assert u * u.invert_unit() == SeriesElem.one(ctx)
     assert n.log1p().exp() == u
     assert (n.exp() - SeriesElem.one(ctx)).log1p() == n
+
+
+# -- differential tests against the Fraction-dict ring ----------------------------------
+
+import reference_series as ref  # noqa: E402
+from math import gcd  # noqa: E402
+
+# denominators up to 6, so that sums and products need the lcm rescale and the
+# gcd reduction
+_rational = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def _assert_normal(x):
+    assert x.den > 0
+    assert all(type(v) is int and v for v in x.coeffs.values())
+    # gcd(den) == den, so this also asks den == 1 for the zero element
+    assert gcd(x.den, *x.coeffs.values()) == 1
+
+
+@st.composite
+def _coeff_dicts(draw, order, min_order=0):
+    key = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(min_order, order))
+    return draw(st.dictionaries(key, _rational, max_size=5))
+
+
+@st.composite
+def _operands(draw):
+    order = draw(st.integers(1, 6))
+    ctx = TruncationContext(order)
+    a, b = draw(_coeff_dicts(order)), draw(_coeff_dicts(order))
+    n = draw(_coeff_dicts(order, min_order=1))
+    c = draw(_rational.filter(lambda x: x != 0))
+    m0 = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    low = draw(st.integers(1, order))
+    return ctx, a, b, n, c, m0, draw(_rational), low
+
+
+@given(_operands())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_ring_operations_match_the_fraction_model(operands):
+    ctx, a, b, n, c, m0, s, low = operands
+    N = ctx.order
+    x, y, nx = SeriesElem(ctx, a), SeriesElem(ctx, b), SeriesElem(ctx, n)
+    a, b, n = ref.truncate(a, N), ref.truncate(b, N), ref.truncate(n, N)
+    unit = {k: c * v for k, v in ref.add(ref._one(), n, N).items()}
+    unit = {(k[0] + m0[0], k[1] + m0[1], k[2]): v for k, v in unit.items()}
+    cases = [
+        (x, a),
+        (x + y, ref.add(a, b, N)),
+        (-x, ref.neg(a)),
+        (x - y, ref.sub(a, b, N)),
+        (x * y, ref.mul(a, b, N)),
+        (x.scale(s), ref.scale(a, s, N)),
+        (x.truncate(low), ref.truncate(a, low)),
+        (SeriesElem(ctx, unit).invert_unit(), ref.invert_unit(unit, N)),
+        (nx.exp(), ref.exp(n, N)),
+        (nx.log1p(), ref.log1p(n, N)),
+    ]
+    for got, expected in cases:
+        _assert_normal(got)
+        assert got.fractions() == expected
+        # the normal form is unique: equal values are equal elements
+        assert got == SeriesElem(got.ctx, expected)
