@@ -11,13 +11,11 @@ from .exceptions import ConventionError, SchemaError
 from .lattice import (
     WallKind,
     angular_sort,
-    dirac_pairing,
-    pairing,
     primitive_decompose,
     primitive_normal,
 )
 from .series import SeriesElem, SeriesMatrix, TruncationContext
-from .vertexlie import AutPair, LieElem, bch, bracket, compose, exp, log
+from .vertexlie import AutPair, LieElem, bch, compose, exp, log
 from .scattering import Diagram, Wall, complete, is_consistent, merge_wall, new_rays, path_ordered_product
 from .groupoid import BpsContext, BpsProblem, KFactor, SFactor, solve_wcf
 
@@ -38,16 +36,13 @@ __all__ = [
     "WallKind",
     "angular_sort",
     "bch",
-    "bracket",
     "complete",
     "compose",
-    "dirac_pairing",
     "exp",
     "is_consistent",
     "log",
     "merge_wall",
     "new_rays",
-    "pairing",
     "path_ordered_product",
     "primitive_decompose",
     "primitive_normal",

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import groupoid, report, scattering, serialize
 from .exceptions import ConventionError, SchemaError
+from .lattice import in_open_half_plane
 from .series import TruncationContext
 
 EXIT_OK = 0
@@ -107,7 +108,7 @@ def cmd_check(args) -> int:
     if product.is_identity():
         sys.stdout.write("consistent\n")
         return EXIT_OK
-    scattering.reject_antiparallel(d)
+    scattering.require_half_plane(d)
     from .vertexlie import log
 
     sys.stdout.write(report.defect_report(log(product)))
@@ -144,6 +145,11 @@ def cmd_bch(args) -> int:
 
     x = serialize.lie_terms_from_json(ctx, data.get("x", []))
     y = serialize.lie_terms_from_json(ctx, data.get("y", []))
+    if not in_open_half_plane([m for m, _j in x.terms] + [m for m, _j in y.terms]):
+        raise SchemaError(
+            "the frequencies of x and y must lie in one open half-plane, or the "
+            "product leaves the Lie algebra"
+        )
     result = {
         "rank": ctx.rank,
         "truncation": ctx.order,

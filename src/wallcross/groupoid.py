@@ -11,7 +11,7 @@ vertex Lie algebra of rank ``len(vacua)``:
 ``solve_wcf`` puts these on lines, completes the diagram, and reads every
 produced ray back as S'/K' factors.  These wall logs are the bridge images of
 the S/K generators of the untwisted groupoid ring; the ring and the bridge
-live in :mod:`wallcross.groupoid_ring`, which the tests use to check them.
+are a test oracle (``tests/reference_groupoid_ring.py``) that checks them.
 """
 
 from __future__ import annotations

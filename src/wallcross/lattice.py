@@ -1,12 +1,12 @@
-"""Rank-2 lattice geometry: pairings, primitive normals, and exact angular order.
+"""Rank-2 lattice geometry: primitive normals and exact angular order.
 
 Lattice vectors and dual vectors are plain integer pairs ``(a, b)``.  The
 module fixes the two orientation conventions everything downstream depends on:
 
 * ``primitive_normal(m)`` is the 90-degree *counterclockwise* rotation of
   ``m``, reduced to a primitive vector.
-* ``dirac_pairing`` is the determinant ``det(g, g2)``, which for primitive
-  ``g`` equals ``pairing(g2, primitive_normal(g))``.
+* the Dirac pairing of two charges is the determinant ``det2(g, g2)``, which
+  for primitive ``g`` equals ``<g2, primitive_normal(g)>``.
 
 All angular comparisons are exact (integer cross/dot products); no floating
 point enters any decision.
@@ -24,11 +24,6 @@ Vec = tuple[int, int]
 class WallKind(str, Enum):
     LINE = "line"
     RAY = "ray"
-
-
-def pairing(m: Vec, n: Vec) -> int:
-    """Natural pairing of a lattice vector with a dual vector."""
-    return m[0] * n[0] + m[1] * n[1]
 
 
 def det2(u: Vec, v: Vec) -> int:
@@ -63,7 +58,7 @@ def primitive_normal(m: Vec) -> Vec:
 
     Convention: rotate ``m`` counterclockwise by 90 degrees and reduce, so
     ``primitive_normal((1, 0)) == (0, 1)``.  Consequently, for primitive
-    ``m`` and any ``m2``: ``pairing(m2, primitive_normal(m)) == det2(m, m2)``.
+    ``m`` and any ``m2``: ``<m2, primitive_normal(m)> == det2(m, m2)``.
     """
     if m == (0, 0):
         raise ValueError("zero vector has no normal")
@@ -74,11 +69,6 @@ def normal_coefficient(m: Vec, d):
     """The scalar ``c`` with ``d == c * primitive_normal(m)``, for ``d`` orthogonal to ``m``."""
     n = primitive_normal(m)
     return d[0] / n[0] if n[0] else d[1] / n[1]
-
-
-def dirac_pairing(g: Vec, g2: Vec) -> int:
-    """Antisymmetric integer pairing on the charge lattice (the determinant)."""
-    return det2(g, g2)
 
 
 def _angle_class(v: Vec) -> int:
@@ -104,3 +94,17 @@ def angular_sort(directions: list[Vec]) -> list[Vec]:
         return -1 if c > 0 else 1
 
     return sorted(directions, key=functools.cmp_to_key(cmp))
+
+
+def in_open_half_plane(vectors: list[Vec]) -> bool:
+    """Whether the nonzero vectors all lie strictly on one side of a line through 0.
+
+    In counterclockwise order the directions leave such a half-plane free
+    exactly when some cyclic gap between neighbours exceeds pi, which is
+    ``det2(u, v) < 0`` for the neighbours ``u, v``.  Anti-parallel vectors,
+    or three spanning the plane, leave no gap that wide.
+    """
+    order = angular_sort(list({primitive_part(v) for v in vectors}))
+    if len(order) < 2:
+        return True
+    return any(det2(u, v) < 0 for u, v in zip(order, order[1:] + order[:1]))

@@ -41,6 +41,7 @@ from .lattice import (
     Vec,
     WallKind,
     angular_sort,
+    in_open_half_plane,
     is_primitive,
     primitive_decompose,
 )
@@ -155,15 +156,19 @@ def merge_wall(d: Diagram, w: Wall) -> Diagram:
     return replace(d, walls=walls)
 
 
-def reject_antiparallel(d: Diagram) -> None:
-    """Raise :class:`SchemaError` if two walls point in opposite directions.
+def require_half_plane(d: Diagram) -> None:
+    """Raise :class:`SchemaError` unless the wall directions lie in an open half-plane.
 
-    The defect of such a diagram can have a term at frequency zero, outside
-    the Lie algebra, so neither completion nor the defect report applies.
+    Every frequency of the defect is then a positive combination of wall
+    directions inside that half-plane, so none is zero.  Otherwise the
+    defect can have a term at frequency zero, outside the Lie algebra, and
+    neither completion nor the defect report applies.
     """
-    directions = {w.direction for w in d.walls}
-    if any((-p[0], -p[1]) in directions for p in directions):
-        raise SchemaError("parallel initial walls: merge or reorient them first")
+    if not in_open_half_plane([w.direction for w in d.walls]):
+        raise SchemaError(
+            "parallel initial walls, or walls on every side of the origin: wall "
+            "directions must lie in one open half-plane; merge or reorient them first"
+        )
 
 
 def complete(d: Diagram) -> Diagram:
@@ -176,16 +181,14 @@ def complete(d: Diagram) -> Diagram:
     term of the defect below degree k raises :class:`ConventionError`.
     New walls are rays in
     direction ``+a`` for each primitive ``a`` carrying part of the defect.
-    Initial lines are never corrected: a defect landing on a ray of a line
-    would need a one-sided factor and raises instead (this cannot happen
-    for two non-parallel initial lines).
+    The wall directions lie in an open half-plane, so no defect reaches the
+    ``-m`` ray of a line ``m``.  Initial lines are never corrected: a defect
+    on a line's direction would need a one-sided factor and raises instead
+    (this cannot happen for two non-parallel initial lines).
     """
-    reject_antiparallel(d)
+    require_half_plane(d)
     current = replace(d, walls=tuple(w for w in d.walls if not w.logf.is_zero()))
-    line_rays = {
-        p for w in current.walls if w.kind is WallKind.LINE
-        for p in (w.direction, (-w.direction[0], -w.direction[1]))
-    }
+    line_directions = {w.direction for w in current.walls if w.kind is WallKind.LINE}
     for k in range(1, d.ctx.order + 1):
         truncated = Diagram(
             TruncationContext(k, d.ctx.rank),
@@ -203,7 +206,7 @@ def complete(d: Diagram) -> Diagram:
             piece = LieElem(current.ctx, {key: value})
             by_direction[p] = by_direction.get(p, LieElem.zero(current.ctx)) + piece
         for p in sorted(by_direction):
-            if p in line_rays:
+            if p in line_directions:
                 raise ConventionError(
                     f"defect at degree {k} lies on the line direction {p}; "
                     "single-vertex completion supports corrections on rays only"

@@ -256,7 +256,10 @@ def lie_terms_from_json(ctx: TruncationContext, data) -> LieElem:
         key = (m, j)
         if key in terms:
             raise SchemaError(f"duplicate term at {key}")
-        terms[key] = (a, (parse_frac(dv[0]), parse_frac(dv[1])))
+        d = (parse_frac(dv[0]), parse_frac(dv[1]))
+        if m[0] * d[0] + m[1] * d[1] != 0:
+            raise SchemaError(f"derivation at frequency {m} is not orthogonal to it")
+        terms[key] = (a, d)
     try:
         return LieElem(ctx, terms)
     except ValueError as e:

@@ -3,8 +3,8 @@
 Elements are sparse sums  sum c * z^m * t^j  with exact rational coefficients
 ``c``, Laurent exponents ``m`` in the rank-2 lattice (negative coordinates
 allowed), and t-degree ``0 <= j <= N``.  Products drop every term whose
-t-degree exceeds the truncation order, so exp/log of positive-order elements
-are finite sums and all identities hold exactly, with no tolerance.
+t-degree exceeds the truncation order, so power series in positive-order
+elements are finite sums and all identities hold exactly, with no tolerance.
 
 The coefficients of one element are stored as integer numerators over one
 shared positive denominator, in lowest terms: ``den > 0``, the gcd of
@@ -198,7 +198,7 @@ class SeriesElem:
             ctx, {k: v for k, v in self.coeffs.items() if k[2] <= order}, self.den
         )
 
-    # -- unit inversion and exp/log --------------------------------------------
+    # -- unit inversion ---------------------------------------------------------
 
     def invert_unit(self) -> "SeriesElem":
         """Invert ``c * z^m0 * (1 + n)`` with ``n`` of positive t-order.
@@ -223,32 +223,6 @@ class SeriesElem:
             acc = acc + term.scale(sign)
             sign = -sign
         return acc * head_inv
-
-    def exp(self) -> "SeriesElem":
-        """exp of an element of positive t-order (finite sum after truncation)."""
-        if not self.is_zero() and self.t_order() == 0:
-            raise ValueError("exp needs positive t-order")
-        acc = SeriesElem.one(self.ctx)
-        term = SeriesElem.one(self.ctx)
-        for k in range(1, self.ctx.order + 1):
-            term = (term * self).scale(Fraction(1, k))
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc
-
-    def log1p(self) -> "SeriesElem":
-        """log(1 + a) for ``a`` of positive t-order."""
-        if not self.is_zero() and self.t_order() == 0:
-            raise ValueError("log1p needs positive t-order")
-        acc = SeriesElem.zero(self.ctx)
-        power = SeriesElem.one(self.ctx)
-        for k in range(1, self.ctx.order + 1):
-            power = power * self
-            if power.is_zero():
-                break
-            acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
-        return acc
 
 
 # -- matrices over the series ring ---------------------------------------------

@@ -20,9 +20,9 @@ acting on pairs (Laurent series, section of the rank-r free module).  Group
 elements are stored concretely as :class:`AutPair`: the images of the two
 ring generators under the exponentiated derivation together with the gauge
 matrix recording the action on constant sections.  This representation is
-faithful, so the BCH product is computed as ``log(compose(exp x, exp y))``
-rather than through an error-prone Dynkin series; a low-order Dynkin check
-remains as a test oracle (:func:`bch_reference`).
+faithful, so the module never brackets two elements: the BCH product is
+``log(compose(exp x, exp y))``.  The bracket formula above and a low-order
+Dynkin series are test oracles (``tests/reference_bracket.py``).
 
 Every term's t-degree is at least 1, so all exponentials and logarithms
 terminate after at most N iterations (N // s for a logarithm of an element
@@ -66,18 +66,6 @@ def mat_scale(a: Mat, c: Fraction) -> Mat:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    r = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(r)), _ZERO) for j in range(r))
-        for i in range(r)
-    )
-
-
-def mat_commutator(a: Mat, b: Mat) -> Mat:
-    return mat_add(mat_mul(a, b), mat_scale(mat_mul(b, a), Fraction(-1)))
-
-
 def elementary(r: int, i: int, j: int, c=1) -> Mat:
     """E_ij scaled by c (0-based indices)."""
     return tuple(
@@ -105,12 +93,10 @@ class LieElem:
     absorbed into the vector).  Invariants: ``m != 0`` and ``1 <= j <= N``.
 
     Elements of the vertex algebra proper additionally have every derivation
-    orthogonal to its frequency (``<m, d> = 0``); that cut is preserved by
-    the bracket and holds for every wall log, but the ambient algebra is
-    needed too: bridge images of general 2d-4d module elements land outside
-    the cut while their brackets still follow the same formula.  Use
-    :meth:`is_orthogonal` to test for the cut; wall construction and group
-    logarithms enforce it where their contracts require.
+    orthogonal to its frequency (``<m, d> = 0``).  The class does not enforce
+    that cut, because the test oracle of the 2d-4d bridge brackets elements
+    outside it; the engine's entry points do: wall construction, the ``bch``
+    input parser and :func:`log`.
     """
 
     ctx: TruncationContext
@@ -134,12 +120,6 @@ class LieElem:
                 raise ValueError("matrix part does not match context rank")
             clean[(m, j)] = (a, d)
         object.__setattr__(self, "terms", clean)
-
-    def is_orthogonal(self) -> bool:
-        """Whether every derivation is orthogonal to its frequency."""
-        return all(
-            m[0] * d[0] + m[1] * d[1] == 0 for (m, _j), (_a, d) in self.terms.items()
-        )
 
     @staticmethod
     def zero(ctx: TruncationContext) -> "LieElem":
@@ -189,15 +169,6 @@ class LieElem:
 
     def degree_part(self, j: int) -> "LieElem":
         return LieElem(self.ctx, {k: v for k, v in self.terms.items() if k[1] == j})
-
-    def restrict_direction(self, a: Vec) -> "LieElem":
-        """Keep terms whose frequency is a positive multiple of the primitive a."""
-        out = {}
-        for (m, j), v in self.terms.items():
-            cross = m[0] * a[1] - m[1] * a[0]
-            if cross == 0 and (m[0] * a[0] + m[1] * a[1]) > 0:
-                out[(m, j)] = v
-        return LieElem(self.ctx, out)
 
     def matrix_series(self) -> SeriesMatrix:
         """The matrix-part multiplication operator, as a matrix of series."""
@@ -262,49 +233,6 @@ class LieElem:
         derived = tuple(self.apply_derivation(f) for f in vec)
         mat_part = self.matrix_series().matvec(vec)
         return tuple(a + b for a, b in zip(derived, mat_part))
-
-
-def bracket(x: LieElem, y: LieElem) -> LieElem:
-    """The Lie bracket, computed termwise.
-
-    A nonzero result at frequency zero cannot occur for inputs supported in
-    a strictly convex cone; it signals misuse and raises.
-    """
-    _check_same_context(x, y)
-    N = x.ctx.order
-    r = x.ctx.rank
-    acc: dict[TermKey, tuple[Mat, DVec]] = {}
-    for (m, j), (a, d) in x.terms.items():
-        for (m2, j2), (a2, d2) in y.terms.items():
-            jj = j + j2
-            if jj > N:
-                continue
-            p = m2[0] * d[0] + m2[1] * d[1]      # <m', n>
-            q = m[0] * d2[0] + m[1] * d2[1]      # <m, n'>
-            mat = mat_commutator(a, a2)
-            if p:
-                mat = mat_add(mat, mat_scale(a2, p))
-            if q:
-                mat = mat_add(mat, mat_scale(a, -q))
-            dv = (p * d2[0] - q * d[0], p * d2[1] - q * d[1])
-            if mat_is_zero(mat) and dv == (_ZERO, _ZERO):
-                continue
-            key = ((m[0] + m2[0], m[1] + m2[1]), jj)
-            if key in acc:
-                a0, d0 = acc[key]
-                acc[key] = (mat_add(a0, mat), (d0[0] + dv[0], d0[1] + dv[1]))
-            else:
-                acc[key] = (mat, dv)
-    for (m, j) in list(acc):
-        if m == (0, 0):
-            a0, d0 = acc[(m, j)]
-            if mat_is_zero(a0) and d0 == (_ZERO, _ZERO):
-                del acc[(m, j)]
-            else:
-                raise ConventionError(
-                    "bracket leaves the Lie algebra: nonzero term at frequency zero"
-                )
-    return LieElem(x.ctx, acc)
 
 
 # -- the exponential group -------------------------------------------------------
@@ -524,22 +452,3 @@ def bch(x: LieElem, y: LieElem) -> LieElem:
     """Baker-Campbell-Hausdorff product log(exp(x) o exp(y))."""
     return log(compose(exp(x), exp(y)))
 
-
-def bch_reference(x: LieElem, y: LieElem) -> LieElem:
-    """Dynkin series through total bracket degree 4 (test oracle for bch).
-
-    Exact whenever every word of length > 4 is killed by the truncation,
-    e.g. for x, y of t-order >= 1 at N <= 4.
-    """
-    xy = bracket(x, y)
-    xxy = bracket(x, xy)
-    yyx = bracket(y, bracket(y, x))
-    yxxy = bracket(y, xxy)
-    return (
-        x
-        + y
-        + xy.scale(Fraction(1, 2))
-        + xxy.scale(Fraction(1, 12))
-        + yyx.scale(Fraction(1, 12))
-        - yxxy.scale(Fraction(1, 24))
-    )

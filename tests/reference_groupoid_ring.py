@@ -1,8 +1,8 @@
 """The twisted groupoid ring, its S/K automorphisms, and the bridge ``upsilon``.
 
-This is the paper-verification side of the 2d-4d story: the test suite uses
-it to check the wall logs of the solver in :mod:`wallcross.groupoid` against
-the groupoid action they encode.  No command imports it.
+This is the paper-verification side of the 2d-4d story, a test oracle: the
+tests use it to check the wall logs of the solver in ``wallcross.groupoid``
+against the groupoid action they encode.
 
 Vacua ``i, j, ...`` plus the base point ``o`` form the objects of a pointed
 groupoid.  Basis elements of its ring are morphisms ``(i, j, g)`` where ``g``
@@ -44,17 +44,27 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
 
-from .exceptions import ConventionError, SchemaError
-from .groupoid import BASEPOINT_OBJECT, UPSILON_MATRIX_SIGN, BpsContext
-from .lattice import Vec, dirac_pairing, is_primitive, pairing, primitive_normal
-from .series import TruncationContext
-from .vertexlie import LieElem, elementary, mat_add, mat_zero
+from wallcross.exceptions import ConventionError, SchemaError
+from wallcross.groupoid import BASEPOINT_OBJECT, UPSILON_MATRIX_SIGN, BpsContext
+from wallcross.lattice import Vec, det2, is_primitive, primitive_normal
+from wallcross.series import TruncationContext
+from wallcross.vertexlie import LieElem, elementary, mat_add, mat_zero
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 TwistFn = Callable[[Vec, Vec], int]
 Twisting = Union[str, dict, TwistFn]
+
+
+def pairing(m: Vec, n: Vec) -> int:
+    """Natural pairing of a lattice vector with a dual vector."""
+    return m[0] * n[0] + m[1] * n[1]
+
+
+def dirac_pairing(g: Vec, g2: Vec) -> int:
+    """Antisymmetric integer pairing on the charge lattice (the determinant)."""
+    return det2(g, g2)
 
 
 def dirac_twist(ma: Vec, mb: Vec) -> int:

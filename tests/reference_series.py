@@ -63,18 +63,3 @@ def invert_unit(a: Coeffs, order: int) -> Coeffs:
         acc = add(acc, scale(term, (-1) ** k, order), order)
     return mul(acc, head_inv, order)
 
-
-def exp(a: Coeffs, order: int) -> Coeffs:
-    acc, term = _one(), _one()
-    for k in range(1, order + 1):
-        term = scale(mul(term, a, order), Fraction(1, k), order)
-        acc = add(acc, term, order)
-    return acc
-
-
-def log1p(a: Coeffs, order: int) -> Coeffs:
-    acc, power = {}, _one()
-    for k in range(1, order + 1):
-        power = mul(power, a, order)
-        acc = add(acc, scale(power, Fraction((-1) ** (k + 1), k), order), order)
-    return acc

@@ -35,8 +35,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .lattice import Vec, primitive_part
-from .vertexlie import LieElem, bracket
+from reference_bracket import bracket
+from wallcross.lattice import Vec, primitive_part
+from wallcross.vertexlie import LieElem
 
 MAX_TREE_INPUTS = 7
 
@@ -104,6 +105,16 @@ def tree_shapes(k: int) -> list[Tree]:
         return out
 
     return build(k)
+
+
+def restrict_direction(x: LieElem, a: Vec) -> LieElem:
+    """The terms of ``x`` whose frequency is a positive multiple of the primitive ``a``."""
+    out = {}
+    for (m, j), v in x.terms.items():
+        cross = m[0] * a[1] - m[1] * a[0]
+        if cross == 0 and (m[0] * a[0] + m[1] * a[1]) > 0:
+            out[(m, j)] = v
+    return LieElem(x.ctx, out)
 
 
 def oriented_vertex(u: LieElem, v: LieElem) -> LieElem:
@@ -178,7 +189,7 @@ def natural_tree_sum(inputs: list[LieElem], k_max: int, direction: Vec) -> LieEl
         weight = Fraction(1, 2 ** (k - 1))
         for shape in tree_shapes(k):
             total = total + eval_shape(shape).scale(weight)
-    return total.restrict_direction(direction)
+    return restrict_direction(total, direction)
 
 
 def ray_support_oracle(inputs: list[LieElem], order: int) -> set[Vec]:

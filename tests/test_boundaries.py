@@ -1,10 +1,12 @@
-"""The production path's import boundary, and the names the benchmark hooks into.
+"""The package's boundary, and the names the benchmark hooks into.
 
 ``perfbench/layertrace.py`` wraps functions by module and attribute name, and
 ``perfbench/run.py`` rebuilds the initial walls of BPS inputs through the
 solver; a refactor that moves either fails here before it breaks the
 benchmark.  Every name a module imports must also be used by it, so no
-import is kept only for a hook to patch.
+import is kept only for a hook to patch; and every module, function, class
+and method of the package is reached from the package itself, so code that
+only tests use lives in ``tests/``.
 """
 
 import ast
@@ -24,19 +26,22 @@ PACKAGE = ROOT / "src" / "wallcross"
 EXAMPLE1 = Path(cli.__file__).parent / "fixtures" / "example1.json"
 
 
-def test_cli_imports_no_verification_code():
+def test_cli_loads_every_package_module():
+    # every module of the package is engine code that a command runs; the
+    # paper-verification oracles live in tests/ as reference_*.py
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    code = (
-        "import sys, wallcross.cli; "
-        "print([m for m in ('wallcross.groupoid_ring', 'wallcross.trees') if m in sys.modules])"
-    )
+    code = "import sys, wallcross.cli; print('\\n'.join(sorted(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "[]"
+    modules = {
+        "wallcross" if path.stem == "__init__" else f"wallcross.{path.stem}"
+        for path in PACKAGE.glob("*.py")
+    }
+    assert modules - set(result.stdout.split()) == set()
 
 
 def test_benchmark_layer_hooks_resolve_and_see_the_solver(monkeypatch, capsys):
@@ -124,3 +129,45 @@ def test_no_module_imports_a_name_it_does_not_use():
         and (names := _unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def _unreferenced_definitions(sources: dict[str, str]) -> list[str]:
+    """Functions, classes and non-dunder methods no other code of ``sources`` names.
+
+    A reference is a bare name or an attribute name anywhere outside the
+    definition's own body, in any module.  Matching is by name only, so a
+    method named like some other function (``SeriesElem.exp`` against
+    ``vertexlie.exp``) is not caught.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    references = [
+        (name, node.id if isinstance(node, ast.Name) else node.attr, node.lineno)
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    unused = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                continue
+            body = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                ref == node.name and not (module == name and line in body)
+                for module, ref, line in references
+            ):
+                unused.append(f"{name}:{node.lineno} {node.name}")
+    return unused
+
+
+def test_every_definition_is_referenced_by_the_package():
+    # code that only tests reach belongs in tests/ as a named oracle; the
+    # package root's re-exports do not count as a use
+    sources = {
+        path.name: path.read_text()
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert _unreferenced_definitions(sources) == []

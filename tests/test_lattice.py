@@ -2,17 +2,16 @@ import pytest
 
 from wallcross.lattice import (
     angular_sort,
-    dirac_pairing,
-    pairing,
+    det2,
+    in_open_half_plane,
     primitive_decompose,
     primitive_normal,
 )
 
 
-def test_pairing_values():
-    assert pairing((1, 0), (0, 1)) == 0
-    assert pairing((1, 0), (1, 0)) == 1
-    assert pairing((2, 3), (-1, 4)) == 10
+def pairing(m, n):
+    """The natural pairing of a lattice vector with a dual vector."""
+    return m[0] * n[0] + m[1] * n[1]
 
 
 def test_primitive_normal_convention():
@@ -36,8 +35,9 @@ def test_primitive_normal_orthogonal_and_primitive_exhaustive():
 
 
 def test_dirac_pairing_values():
-    assert dirac_pairing((1, 0), (0, 1)) == 1
-    assert dirac_pairing((0, 1), (1, 0)) == -1
+    # the Dirac pairing is the determinant det2
+    assert det2((1, 0), (0, 1)) == 1
+    assert det2((0, 1), (1, 0)) == -1
     # the Example-1 normalisation: <m(gamma_ij), n_gamma> = -1
     assert pairing((1, 0), primitive_normal((0, 1))) == -1
 
@@ -53,7 +53,7 @@ def test_dirac_pairing_matches_normal_for_primitive():
         if g == (0, 0) or gcd(abs(g[0]), abs(g[1])) != 1:
             continue
         g2 = (rng.randint(-6, 6), rng.randint(-6, 6))
-        assert dirac_pairing(g, g2) == pairing(g2, primitive_normal(g))
+        assert det2(g, g2) == pairing(g2, primitive_normal(g))
 
 
 def test_dirac_bilinear_antisymmetric():
@@ -64,9 +64,9 @@ def test_dirac_bilinear_antisymmetric():
         a = (rng.randint(-5, 5), rng.randint(-5, 5))
         b = (rng.randint(-5, 5), rng.randint(-5, 5))
         c = (rng.randint(-5, 5), rng.randint(-5, 5))
-        assert dirac_pairing(a, b) == -dirac_pairing(b, a)
+        assert det2(a, b) == -det2(b, a)
         ab = (a[0] + b[0], a[1] + b[1])
-        assert dirac_pairing(ab, c) == dirac_pairing(a, c) + dirac_pairing(b, c)
+        assert det2(ab, c) == det2(a, c) + det2(b, c)
 
 
 def test_primitive_decompose():
@@ -98,3 +98,31 @@ def test_angular_sort_rejects_coincident():
         angular_sort([(1, 1), (1, 1)])
     with pytest.raises(ValueError, match="coincident"):
         angular_sort([(1, 0), (0, -1), (1, 0)])
+
+
+def test_in_open_half_plane_examples():
+    assert in_open_half_plane([])
+    assert in_open_half_plane([(1, 0), (2, 0)])
+    assert in_open_half_plane([(1, 0), (0, 1), (-1, 2), (1, -1)])
+    assert not in_open_half_plane([(1, 0), (-2, 0)])
+    # no two anti-parallel, but together they span the plane
+    assert not in_open_half_plane([(1, 0), (-1, 1), (0, -1)])
+    # a closed half-plane is not open
+    assert not in_open_half_plane([(1, 0), (0, 1), (-1, 0)])
+
+
+def test_in_open_half_plane_matches_a_separating_normal():
+    # the vectors lie in an open half-plane exactly when some dual vector
+    # pairs positively with all of them; for coordinates up to 3 the sum of
+    # two primitive normals of extreme vectors is one, so |n_i| <= 6 suffices
+    import random
+
+    rng = random.Random(2)
+    normals = [(a, b) for a in range(-6, 7) for b in range(-6, 7)]
+    for _ in range(300):
+        vectors = [
+            v for v in ((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 4)))
+            if v != (0, 0)
+        ]
+        separated = any(all(pairing(v, n) > 0 for v in vectors) for n in normals)
+        assert in_open_half_plane(vectors) == separated, vectors

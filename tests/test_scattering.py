@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import fixture_diagram, rand_wall_log
+from reference_bracket import bracket, mat_mul
 from reference_completion import loop_products
+from reference_trees import restrict_direction
 from wallcross import cli
-from wallcross.exceptions import ConventionError
+from wallcross.exceptions import ConventionError, SchemaError
 from wallcross.groupoid import KFactor, k_wall_log
 from wallcross.lattice import WallKind
 from wallcross.scattering import (
@@ -22,11 +24,9 @@ from wallcross.series import TruncationContext
 from wallcross.vertexlie import (
     AutPair,
     LieElem,
-    bracket,
     elementary,
     exp,
     log,
-    mat_mul,
     mat_zero,
 )
 
@@ -375,6 +375,41 @@ def test_complete_commutes_with_constant_conjugation():
     assert produced >= 12
 
 
+def _regrade(d):
+    """The diagram with t replaced by t^2: every degree j becomes 2j, N becomes 2N."""
+    ctx = TruncationContext(2 * d.ctx.order, d.ctx.rank)
+    return Diagram(ctx, tuple(
+        Wall(w.direction, w.kind, LieElem(ctx, {
+            (m, 2 * j): value for (m, j), value in w.logf.terms.items()
+        }))
+        for w in d.walls
+    ))
+
+
+def test_complete_commutes_with_regrading():
+    # an engine-independent oracle: t -> t^2 doubles every degree, and the
+    # bracket adds degrees, so it is an automorphism of the graded algebra
+    # onto its even part; truncating at N before and at 2N after agree, so
+    # complete(regrade(D)) == regrade(complete(D))
+    rng = random.Random(1414)
+    cases = [fixture_diagram(name, 3) for name in sorted(cli.FIXTURES)]
+    while len(cases) < 14:
+        ctx = TruncationContext(rng.randint(2, 4), rng.randint(1, 3))
+        da, db = rng.choice([((1, 0), (0, 1)), ((1, -1), (1, 1)), ((2, 1), (-1, 2))])
+        la, lb = rand_wall_log(ctx, rng, da), rand_wall_log(ctx, rng, db)
+        if not la.is_zero() and not lb.is_zero():
+            cases.append(Diagram(ctx, (Wall(da, WallKind.LINE, la), Wall(db, WallKind.LINE, lb))))
+    produced = 0
+    for d in cases:
+        regraded = complete(_regrade(d))
+        expected = _regrade(complete(d))
+        assert {w.direction: w for w in regraded.walls} == {
+            w.direction: w for w in expected.walls
+        }
+        produced += bool(new_rays(d, expected))
+    assert produced >= 10
+
+
 def test_order2_insertion_is_upper_bracket_lower():
     # for walls A (lower) and B (upper), the first correction is [log B, log A]
     rng = random.Random(33)
@@ -389,8 +424,8 @@ def test_order2_insertion_is_upper_bracket_lower():
         expected = bracket(lb, la)
         for w in new_rays(d, completed):
             k0 = w.logf.t_order()
-            assert w.logf.degree_part(k0) == expected.restrict_direction(
-                w.direction
+            assert w.logf.degree_part(k0) == restrict_direction(
+                expected, w.direction
             ).degree_part(k0)
 
 
@@ -438,14 +473,16 @@ def test_defect_on_initial_line_is_flagged():
 
 def test_defect_on_the_opposite_ray_of_a_line_is_flagged():
     # the (0,1) and (-1,-1) lines have non-commuting matrix parts; their
-    # defect at frequency (0,1) + (-1,-1) lands on the -(1,0) ray of a line
+    # defect at frequency (0,1) + (-1,-1) would land on the -(1,0) ray of a
+    # line.  The three directions span the plane, so the input is rejected
+    # before any round (exit 2 from the CLI)
     ctx = TruncationContext(2, 3)
     walls = (
         s_wall(ctx, (1, 0), 0, 1),
         s_wall(ctx, (0, 1), 1, 2),
         s_wall(ctx, (-1, -1), 0, 1),
     )
-    with pytest.raises(ConventionError, match=r"line direction \(-1, 0\)"):
+    with pytest.raises(SchemaError, match="parallel initial walls"):
         complete(Diagram(ctx, walls))
 
 

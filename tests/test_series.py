@@ -78,42 +78,6 @@ def test_invert_non_unit_raises():
         x.invert_unit()
 
 
-def test_log1p_dilog_series():
-    ctx = TruncationContext(6)
-    a = -SeriesElem.monomial(ctx, (0, 1), 1)
-    expected = SeriesElem(
-        ctx, {(0, l, l): Fraction(-1, l) for l in range(1, ctx.order + 1)}
-    )
-    assert a.log1p() == expected
-
-
-def test_exp_commutative_square():
-    ctx = TruncationContext(2)
-    x = SeriesElem.monomial(ctx, (1, 0), 1) + SeriesElem.monomial(ctx, (0, 1), 1)
-    e = x.exp()
-    expected = SeriesElem(
-        ctx,
-        {
-            (0, 0, 0): 1,
-            (1, 0, 1): 1,
-            (0, 1, 1): 1,
-            (2, 0, 2): Fraction(1, 2),
-            (1, 1, 2): 1,
-            (0, 2, 2): Fraction(1, 2),
-        },
-    )
-    assert e == expected
-
-
-def test_exp_log_roundtrip_random():
-    rng = random.Random(7)
-    ctx = TruncationContext(5)
-    for _ in range(20):
-        a = rand_series(ctx, rng, min_order=1)
-        assert (a.exp() - SeriesElem.one(ctx)).log1p() == a
-        assert a.log1p().exp() == SeriesElem.one(ctx) + a
-
-
 def test_order_reduction_consistency():
     rng = random.Random(8)
     big = TruncationContext(6)
@@ -135,7 +99,7 @@ _coeff = st.fractions(
 ).filter(lambda c: c != 0)
 
 
-def _series(min_order=0):
+def _series():
     ctx = TruncationContext(4)
 
     def build(entries):
@@ -144,7 +108,7 @@ def _series(min_order=0):
         )
 
     key = st.tuples(
-        st.integers(-2, 2), st.integers(-2, 2), st.integers(min_order, 4)
+        st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 4)
     )
     return st.lists(st.tuples(key, _coeff), max_size=4).map(build)
 
@@ -155,16 +119,6 @@ def test_ring_axioms_property(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
-
-
-@given(_series(min_order=1))
-@settings(max_examples=60, deadline=None, derandomize=True)
-def test_unit_exp_log_roundtrips_property(n):
-    ctx = n.ctx
-    u = SeriesElem.one(ctx) + n
-    assert u * u.invert_unit() == SeriesElem.one(ctx)
-    assert n.log1p().exp() == u
-    assert (n.exp() - SeriesElem.one(ctx)).log1p() == n
 
 
 # -- differential tests against the Fraction-dict ring ----------------------------------
@@ -207,7 +161,7 @@ def _operands(draw):
 def test_ring_operations_match_the_fraction_model(operands):
     ctx, a, b, n, c, m0, s, low = operands
     N = ctx.order
-    x, y, nx = SeriesElem(ctx, a), SeriesElem(ctx, b), SeriesElem(ctx, n)
+    x, y = SeriesElem(ctx, a), SeriesElem(ctx, b)
     a, b, n = ref.truncate(a, N), ref.truncate(b, N), ref.truncate(n, N)
     unit = {k: c * v for k, v in ref.add(ref._one(), n, N).items()}
     unit = {(k[0] + m0[0], k[1] + m0[1], k[2]): v for k, v in unit.items()}
@@ -220,8 +174,6 @@ def test_ring_operations_match_the_fraction_model(operands):
         (x.scale(s), ref.scale(a, s, N)),
         (x.truncate(low), ref.truncate(a, low)),
         (SeriesElem(ctx, unit).invert_unit(), ref.invert_unit(unit, N)),
-        (nx.exp(), ref.exp(n, N)),
-        (nx.log1p(), ref.log1p(n, N)),
     ]
     for got, expected in cases:
         _assert_normal(got)

@@ -3,11 +3,8 @@ import random
 import pytest
 
 from conftest import rand_wall_log
-from wallcross.groupoid import KFactor, k_wall_log
-from wallcross.lattice import WallKind
-from wallcross.scattering import Diagram, Wall, complete, new_rays
-from wallcross.series import TruncationContext
-from wallcross.trees import (
+from reference_bracket import bracket
+from reference_trees import (
     enumerate_ribbon_trees,
     natural_tree_sum,
     oriented_vertex,
@@ -15,7 +12,11 @@ from wallcross.trees import (
     ribbon_tree_count,
     tree_shapes,
 )
-from wallcross.vertexlie import LieElem, bracket, elementary
+from wallcross.groupoid import KFactor, k_wall_log
+from wallcross.lattice import WallKind
+from wallcross.scattering import Diagram, Wall, complete, new_rays
+from wallcross.series import TruncationContext
+from wallcross.vertexlie import LieElem, elementary
 
 
 def s_log(ctx, m, i, j, mu=1):

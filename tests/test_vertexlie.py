@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rand_lie
+from reference_bracket import bch_reference, bracket
 from wallcross.exceptions import ConventionError
 from wallcross.groupoid import KFactor, k_wall_log
 from wallcross.series import SeriesElem, SeriesMatrix, TruncationContext
@@ -11,8 +12,6 @@ from wallcross.vertexlie import (
     AutPair,
     LieElem,
     bch,
-    bch_reference,
-    bracket,
     compose,
     elementary,
     exp,
@@ -64,7 +63,8 @@ def test_bracket_orthogonality_closure():
     for _ in range(40):
         x = rand_lie(ctx, rng)
         y = rand_lie(ctx, rng)
-        assert bracket(x, y).is_orthogonal()
+        for (m, _j), (_a, d) in bracket(x, y).terms.items():
+            assert m[0] * d[0] + m[1] * d[1] == 0
 
 
 def test_bracket_zero_frequency_guard():
