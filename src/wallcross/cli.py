@@ -132,20 +132,24 @@ def cmd_bch(args) -> int:
     if not isinstance(data, dict):
         raise SchemaError("bch input must be a JSON object")
     try:
-        n = args.order if args.order is not None else data["truncation"]
+        # without a truncation key, the order is the file's truncation
+        order = args.order
+        truncation = data["truncation"] if order is None else data.get("truncation", order)
         rank = data["rank"]
     except KeyError as e:
         raise SchemaError(f"bch input missing key {e}") from None
-    check_order(serialize._int(n, "truncation"))
+    truncation = serialize._int(truncation, "truncation")
+    n = serialize.read_order(truncation, order)
+    check_order(n)
     try:
         ctx = TruncationContext(n, serialize._int(rank, "rank"))
     except ValueError as e:
         raise SchemaError(str(e)) from None
     from .vertexlie import bch
 
-    x = serialize.lie_terms_from_json(ctx, data.get("x", []))
-    y = serialize.lie_terms_from_json(ctx, data.get("y", []))
-    if not in_open_half_plane([m for m, _j in x.terms] + [m for m, _j in y.terms]):
+    x = serialize.lie_terms_from_json(ctx, data.get("x", []), truncation)
+    y = serialize.lie_terms_from_json(ctx, data.get("y", []), truncation)
+    if not in_open_half_plane(list(x.frequencies() | y.frequencies())):
         raise SchemaError(
             "the frequencies of x and y must lie in one open half-plane, or the "
             "product leaves the Lie algebra"

@@ -127,7 +127,7 @@ def k_wall_log(lie_ctx: TruncationContext, f: KFactor) -> LieElem:
             (c * n[0], c * n[1]),
         )
         l += 1
-    return LieElem(lie_ctx, terms)
+    return LieElem.from_terms(lie_ctx, terms)
 
 
 def factor_log(ctx: BpsContext, lie_ctx: TruncationContext, f: Factor) -> LieElem:
@@ -216,9 +216,8 @@ def _matches_dilog(logf: LieElem, m1: Vec, j1: int, c1: Fraction) -> bool:
 
     Omega' * sum_l (1/l) t^(l j1) w^(l m1) d_n ?
     """
-    r = logf.ctx.rank
-    derivations = LieElem(logf.ctx, {key: (mat_zero(r), d) for key, (_a, d) in logf.terms.items()})
-    return derivations == k_wall_log(logf.ctx, KFactor(m1, 1, j1)).scale(c1)
+    expected = k_wall_log(logf.ctx, KFactor(m1, 1, j1)).scale(c1)
+    return (logf.d1, logf.d2) == (expected.d1, expected.d2)
 
 
 def solve_wcf(problem: BpsProblem) -> WcfSolution:

@@ -59,12 +59,9 @@ def defect_report(defect: LieElem) -> str:
     k0 = defect.t_order()
     lines = [f"inconsistent: lowest defect at t-degree {k0}"]
     part = defect.degree_part(k0)
-    by_freq: dict = {}
-    for (m, j), v in sorted(part.terms.items()):
-        by_freq.setdefault(m, {})[(m, j)] = v
-    for m, terms in sorted(by_freq.items()):
+    for m in sorted(part.frequencies()):
         lines.append(f"  frequency ({m[0]},{m[1]}):")
-        lines.extend(format_term_lines(LieElem(defect.ctx, terms), indent="    "))
+        lines.extend(format_term_lines(part.restrict(lambda k: k[:2] == m), indent="    "))
     return "\n".join(lines) + "\n"
 
 

@@ -43,7 +43,7 @@ from .lattice import (
     angular_sort,
     in_open_half_plane,
     is_primitive,
-    primitive_decompose,
+    primitive_part,
 )
 from .series import TruncationContext
 from .vertexlie import AutPair, LieElem, bch, compose, exp, log
@@ -70,16 +70,16 @@ class Wall:
     def __post_init__(self):
         if not is_primitive(self.direction):
             raise ValueError(f"wall direction {self.direction} must be primitive")
-        for (m, _j), (_a, d) in self.logf.terms.items():
-            l, p = primitive_decompose(m)
-            if p != self.direction:
+        for m in self.logf.frequencies():
+            if primitive_part(m) != self.direction:
                 raise ValueError(
                     f"wall log frequency {m} is not a positive multiple of {self.direction}"
                 )
-            if m[0] * d[0] + m[1] * d[1] != 0:
-                raise ValueError(
-                    f"wall derivation at {m} is not a multiple of the primitive normal"
-                )
+        bad = self.logf.non_orthogonal()
+        if bad:
+            raise ValueError(
+                f"wall derivation at {bad[0]} is not a multiple of the primitive normal"
+            )
 
 
 @dataclass(frozen=True)
@@ -200,18 +200,15 @@ def complete(d: Diagram) -> Diagram:
             raise ConventionError(
                 f"not the identity modulo t^{k}: a term of degree {low} remains"
             )
-        by_direction: dict[Vec, LieElem] = {}
-        for key, value in sorted(defect.terms.items()):
-            _l, p = primitive_decompose(key[0])
-            piece = LieElem(current.ctx, {key: value})
-            by_direction[p] = by_direction.get(p, LieElem.zero(current.ctx)) + piece
-        for p in sorted(by_direction):
+        direction = {m: primitive_part(m) for m in defect.frequencies()}
+        for p in sorted(set(direction.values())):
             if p in line_directions:
                 raise ConventionError(
                     f"defect at degree {k} lies on the line direction {p}; "
                     "single-vertex completion supports corrections on rays only"
                 )
-            current = merge_wall(current, Wall(p, WallKind.RAY, -by_direction[p]))
+            piece = defect.restrict(lambda key: direction[key[:2]] == p, current.ctx)
+            current = merge_wall(current, Wall(p, WallKind.RAY, -piece))
     return current
 
 

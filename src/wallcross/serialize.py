@@ -14,8 +14,11 @@ Diagram files::
                            "derivation": "p/q"}]}]}
 
 The ``derivation`` coefficient is relative to the primitive normal of the
-wall direction.  The wall data stops at ``N``, so an order override may lower
-the truncation but not raise it.  No two walls may cover the same ray (a
+wall direction.  The wall data stops at ``N``: a term above it is rejected,
+and an order override may lower the truncation (dropping the terms above
+the new order) but not raise it.  The ``bch`` input (``rank``,
+``truncation``, lists ``x`` and ``y`` of terms ``{"m", "t", "matrix",
+"derivation"}``) follows the same rule.  No two walls may cover the same ray (a
 line covers both of its rays).  Loops start at the positive x-axis, so a
 ``base_direction`` key, which older files used to choose the loop start, is
 rejected.  BPS problem files::
@@ -129,22 +132,34 @@ def diagram_from_json(data: dict, order: int | None = None) -> Diagram:
         raise SchemaError(
             "base_direction is no longer accepted: every loop starts at the positive x-axis"
         )
-    n = _int(truncation, "truncation")
-    if order is not None:
-        if order > n:
-            raise SchemaError(
-                f"order {order} exceeds the file's truncation {n}, where its wall data stops"
-            )
-        n = order
+    truncation = _int(truncation, "truncation")
     try:
-        ctx = TruncationContext(n, _int(rank, "rank"))
-        walls = tuple(_wall_from_json(ctx, wd) for wd in _objects(walls_data, "walls"))
+        ctx = TruncationContext(read_order(truncation, order), _int(rank, "rank"))
+        walls = tuple(
+            _wall_from_json(ctx, wd, truncation) for wd in _objects(walls_data, "walls")
+        )
         return Diagram(ctx, walls)
     except ValueError as e:
         raise SchemaError(str(e)) from None
 
 
-def _wall_from_json(ctx: TruncationContext, wd: dict) -> Wall:
+def read_order(truncation: int, order: int | None) -> int:
+    """The order a file is read at: its ``truncation``, or a lower ``order``."""
+    if order is not None and order > truncation:
+        raise SchemaError(
+            f"order {order} exceeds the file's truncation {truncation}, where its data stops"
+        )
+    return truncation if order is None else order
+
+
+def _t_degree(td: dict, truncation: int) -> int:
+    j = _int(td.get("t"), "t-degree")
+    if j > truncation:
+        raise SchemaError(f"term at t-degree {j} exceeds the file's truncation {truncation}")
+    return j
+
+
+def _wall_from_json(ctx: TruncationContext, wd: dict, truncation: int) -> Wall:
     direction = _vec(wd.get("direction"), "direction")
     geometry = wd.get("geometry", "line")
     if geometry not in ("line", "ray"):
@@ -152,7 +167,7 @@ def _wall_from_json(ctx: TruncationContext, wd: dict) -> Wall:
     nrm = primitive_normal(direction)
     terms = {}
     for td in _objects(wd.get("terms", []), "terms"):
-        j = _int(td.get("t"), "t-degree")
+        j = _t_degree(td, truncation)
         k = _int(td.get("k"), "frequency multiple k")
         if k < 1:
             raise SchemaError("frequency multiple k must be >= 1")
@@ -163,7 +178,7 @@ def _wall_from_json(ctx: TruncationContext, wd: dict) -> Wall:
         if key in terms:
             raise SchemaError(f"duplicate term at frequency {m}, degree {j}")
         terms[key] = (a, (dc * nrm[0], dc * nrm[1]))
-    return Wall(direction, WallKind(geometry), LieElem(ctx, terms))
+    return Wall(direction, WallKind(geometry), LieElem.from_terms(ctx, terms))
 
 
 # -- BPS problems -----------------------------------------------------------------
@@ -244,11 +259,12 @@ def lie_terms_to_json(x: LieElem) -> list[dict]:
     return out
 
 
-def lie_terms_from_json(ctx: TruncationContext, data) -> LieElem:
+def lie_terms_from_json(ctx: TruncationContext, data, truncation: int) -> LieElem:
+    """A Lie element read at ``ctx.order`` from a file truncated at ``truncation``."""
     terms = {}
     for td in _objects(data, "terms"):
         m = _vec(td.get("m"), "frequency")
-        j = _int(td.get("t"), "t-degree")
+        j = _t_degree(td, truncation)
         a = _matrix(td.get("matrix"), ctx.rank)
         dv = td.get("derivation", ["0", "0"])
         if not isinstance(dv, list) or len(dv) != 2:
@@ -261,7 +277,7 @@ def lie_terms_from_json(ctx: TruncationContext, data) -> LieElem:
             raise SchemaError(f"derivation at frequency {m} is not orthogonal to it")
         terms[key] = (a, d)
     try:
-        return LieElem(ctx, terms)
+        return LieElem.from_terms(ctx, terms)
     except ValueError as e:
         raise SchemaError(str(e)) from None
 

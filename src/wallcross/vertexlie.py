@@ -22,7 +22,9 @@ ring generators under the exponentiated derivation together with the gauge
 matrix recording the action on constant sections.  This representation is
 faithful, so the module never brackets two elements: the BCH product is
 ``log(compose(exp x, exp y))``.  The bracket formula above and a low-order
-Dynkin series are test oracles (``tests/reference_bracket.py``).
+Dynkin series are test oracles (``tests/reference_bracket.py``).  A
+:class:`LieElem` lives in the same series ring, so :func:`exp` and
+:func:`log` never convert; rationals appear only at parsing and printing.
 
 Every term's t-degree is at least 1, so all exponentials and logarithms
 terminate after at most N iterations (N // s for a logarithm of an element
@@ -35,6 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from types import MappingProxyType
 
 from .exceptions import ConventionError
 from .lattice import Vec
@@ -43,11 +46,9 @@ from .series import SeriesElem, SeriesMatrix, TruncationContext, _check_same_con
 _ZERO = Fraction(0)
 
 Mat = tuple[tuple[Fraction, ...], ...]
-DVec = tuple[Fraction, Fraction]
-TermKey = tuple[Vec, int]  # (frequency m, t-degree j)
 
 
-# -- small exact-matrix helpers --------------------------------------------------
+# -- rational matrices, for the boundary ----------------------------------------
 
 
 def mat_zero(r: int) -> Mat:
@@ -58,14 +59,6 @@ def mat_is_zero(a: Mat) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Mat, c: Fraction) -> Mat:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def elementary(r: int, i: int, j: int, c=1) -> Mat:
     """E_ij scaled by c (0-based indices)."""
     return tuple(
@@ -73,44 +66,44 @@ def elementary(r: int, i: int, j: int, c=1) -> Mat:
     )
 
 
-def _frac(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
-
-
-def _freeze_mat(a) -> Mat:
-    return tuple(tuple(map(_frac, row)) for row in a)
-
-
 # -- Lie algebra elements --------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class LieElem:
-    """Sparse element of the extended vertex Lie algebra.
+    """Sparse element of the extended vertex Lie algebra, stored in the series ring.
 
-    ``terms`` maps ``(m, j)`` to a pair ``(A, d)`` with ``A`` an r x r
-    rational matrix and ``d`` a rational dual vector (the derivation scale
-    absorbed into the vector).  Invariants: ``m != 0`` and ``1 <= j <= N``.
+    The element  sum (A_mj, d_mj) z^m t^j  is held as three parts: ``d1`` and
+    ``d2``, the series  sum d_mj[i] z^m t^j  of the two coordinates of the
+    derivation vectors, and ``a``, the matrix  sum A_mj z^m t^j  of series.
+    These are what :func:`exp` reads and what :func:`log` produces, so the
+    group law never leaves the ring.  Invariants: every key ``(m1, m2, j)``
+    of a part has ``m != 0`` and ``1 <= j <= N``.
+
+    ``from_terms`` and ``terms`` are the rational boundary, for parsing,
+    printing and tests: ``terms`` maps ``(m, j)`` to a pair ``(A, d)`` of an
+    r x r rational matrix and a rational dual vector.
 
     Elements of the vertex algebra proper additionally have every derivation
     orthogonal to its frequency (``<m, d> = 0``).  The class does not enforce
     that cut, because the test oracle of the 2d-4d bridge brackets elements
     outside it; the engine's entry points do: wall construction, the ``bch``
-    input parser and :func:`log`.
+    input parser and :func:`log`, through :meth:`non_orthogonal`.
     """
 
     ctx: TruncationContext
-    terms: dict[TermKey, tuple[Mat, DVec]] = field(default_factory=dict)
+    d1: SeriesElem
+    d2: SeriesElem
+    a: SeriesMatrix
 
-    def __post_init__(self):
-        r = self.ctx.rank
-        clean = {}
-        for (m, j), (a, d) in self.terms.items():
-            a = _freeze_mat(a)
-            d = (_frac(d[0]), _frac(d[1]))
-            if j > self.ctx.order:
-                continue
-            if mat_is_zero(a) and d == (_ZERO, _ZERO):
+    @staticmethod
+    def from_terms(ctx: TruncationContext, terms) -> "LieElem":
+        """The element with rational terms ``{(m, j): (A, d)}``, dropping those above N."""
+        r = ctx.rank
+        d1, d2 = {}, {}
+        mats = [[{} for _ in range(r)] for _ in range(r)]
+        for (m, j), (a, d) in terms.items():
+            if j > ctx.order or (mat_is_zero(a) and not d[0] and not d[1]):
                 continue
             if j < 1:
                 raise ValueError("Lie algebra terms need t-degree >= 1")
@@ -118,94 +111,96 @@ class LieElem:
                 raise ValueError("Lie algebra terms need nonzero frequency")
             if len(a) != r:
                 raise ValueError("matrix part does not match context rank")
-            clean[(m, j)] = (a, d)
-        object.__setattr__(self, "terms", clean)
-
-    @staticmethod
-    def zero(ctx: TruncationContext) -> "LieElem":
-        return LieElem(ctx, {})
+            key = (m[0], m[1], j)
+            d1[key], d2[key] = d
+            for i, row in enumerate(a):
+                for k, c in enumerate(row):
+                    mats[i][k][key] = c
+        rows = tuple(tuple(SeriesElem(ctx, e) for e in row) for row in mats)
+        return LieElem(ctx, SeriesElem(ctx, d1), SeriesElem(ctx, d2), SeriesMatrix(ctx, rows))
 
     @staticmethod
     def single(ctx, m: Vec, j: int, matrix=None, dvec=(0, 0)) -> "LieElem":
-        a = _freeze_mat(matrix) if matrix is not None else mat_zero(ctx.rank)
-        return LieElem(ctx, {(tuple(m), j): (a, (Fraction(dvec[0]), Fraction(dvec[1])))})
+        a = matrix if matrix is not None else mat_zero(ctx.rank)
+        return LieElem.from_terms(ctx, {(tuple(m), j): (a, dvec)})
+
+    @cached_property
+    def terms(self) -> MappingProxyType:
+        """The rational view ``{(m, j): (A, d)}`` (read-only)."""
+        r = self.ctx.rank
+        d1, d2 = self.d1.fractions(), self.d2.fractions()
+        a = [[f.fractions() for f in row] for row in self.a.rows]
+        return MappingProxyType({
+            ((k[0], k[1]), k[2]): (
+                tuple(tuple(a[i][col].get(k, _ZERO) for col in range(r)) for i in range(r)),
+                (d1.get(k, _ZERO), d2.get(k, _ZERO)),
+            )
+            for k in dict.fromkeys(k for f in self._parts() for k in f.coeffs)
+        })
+
+    def _parts(self) -> tuple[SeriesElem, ...]:
+        return (self.d1, self.d2, *(f for row in self.a.rows for f in row))
+
+    def _map(self, fn, ctx: TruncationContext) -> "LieElem":
+        """Apply ``fn`` to every part; the parts of the result live in ``ctx``."""
+        rows = tuple(tuple(map(fn, row)) for row in self.a.rows)
+        return LieElem(ctx, fn(self.d1), fn(self.d2), SeriesMatrix(ctx, rows))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return all(f.is_zero() for f in self._parts())
 
     def __add__(self, other: "LieElem") -> "LieElem":
         _check_same_context(self, other)
-        out = dict(self.terms)
-        for k, (a, d) in other.terms.items():
-            if k in out:
-                a0, d0 = out[k]
-                out[k] = (mat_add(a0, a), (d0[0] + d[0], d0[1] + d[1]))
-            else:
-                out[k] = (a, d)
-        return LieElem(self.ctx, out)
+        return LieElem(self.ctx, self.d1 + other.d1, self.d2 + other.d2, self.a + other.a)
 
     def __neg__(self) -> "LieElem":
-        return self.scale(-1)
+        return LieElem(self.ctx, -self.d1, -self.d2, -self.a)
 
     def __sub__(self, other: "LieElem") -> "LieElem":
         return self + (-other)
 
     def scale(self, c) -> "LieElem":
         c = Fraction(c)
-        return LieElem(
-            self.ctx,
-            {k: (mat_scale(a, c), (c * d[0], c * d[1])) for k, (a, d) in self.terms.items()},
-        )
+        return self._map(lambda f: f.scale(c), self.ctx)
 
     def t_order(self) -> int | None:
-        if not self.terms:
-            return None
-        return min(j for (_, j) in self.terms)
+        return min((f.t_order() for f in self._parts() if f.coeffs), default=None)
+
+    def frequencies(self) -> set[Vec]:
+        """The frequencies ``m`` that carry a nonzero term."""
+        return {(k[0], k[1]) for f in self._parts() for k in f.coeffs}
+
+    def restrict(self, keep, ctx: TruncationContext | None = None) -> "LieElem":
+        """The terms whose key ``(m1, m2, j)`` passes ``keep``, in ``ctx`` (default: own)."""
+        ctx = ctx or self.ctx
+        return self._map(
+            lambda f: SeriesElem._make(ctx, {k: v for k, v in f.coeffs.items() if keep(k)}, f.den),
+            ctx,
+        )
 
     def truncate(self, order: int) -> "LieElem":
         """Reduce to a lower truncation order (same frequency support)."""
-        ctx = TruncationContext(order, self.ctx.rank)
-        return LieElem(ctx, {k: v for k, v in self.terms.items() if k[1] <= order})
+        return self.restrict(lambda k: k[2] <= order, TruncationContext(order, self.ctx.rank))
 
     def degree_part(self, j: int) -> "LieElem":
-        return LieElem(self.ctx, {k: v for k, v in self.terms.items() if k[1] == j})
-
-    def matrix_series(self) -> SeriesMatrix:
-        """The matrix-part multiplication operator, as a matrix of series."""
-        return self._matrix_series
+        return self.restrict(lambda k: k[2] == j)
 
     @cached_property
-    def _matrix_series(self) -> SeriesMatrix:
-        r = self.ctx.rank
-        entries = [[{} for _ in range(r)] for _ in range(r)]
-        for (m, j), (a, _) in self.terms.items():
-            for i in range(r):
-                for k in range(r):
-                    if a[i][k]:
-                        entries[i][k][(m[0], m[1], j)] = a[i][k]
-        return SeriesMatrix(
-            self.ctx,
-            tuple(
-                tuple(SeriesElem(self.ctx, entries[i][k]) for k in range(r)) for i in range(r)
-            ),
-        )
-
-    @cached_property
-    def _integer_derivations(self) -> tuple[int, list[tuple[Vec, int, int, int]]]:
+    def _derivations(self) -> tuple[int, list[tuple[int, int, int, int, int]]]:
         """The nonzero derivation vectors over one common denominator.
 
-        Returns ``(den, [(m, j, n1, n2)])`` with ``d = (n1, n2) / den`` for
-        the term at ``(m, j)``.
+        Returns ``(den, [(m1, m2, j, n1, n2)])`` with ``d = (n1, n2) / den``
+        for the term at ``((m1, m2), j)``.
         """
-        nonzero = [(m, j, d) for (m, j), (_, d) in self.terms.items() if d[0] or d[1]]
-        den = 1
-        for _m, _j, d in nonzero:
-            den = lcm(den, d[0].denominator, d[1].denominator)
-        return den, [
-            (m, j, d[0].numerator * (den // d[0].denominator),
-             d[1].numerator * (den // d[1].denominator))
-            for m, j, d in nonzero
-        ]
+        c1, c2 = self.d1.coeffs, self.d2.coeffs
+        den = lcm(self.d1.den, self.d2.den)
+        s1, s2 = den // self.d1.den, den // self.d2.den
+        keys = list(c1) + [k for k in c2 if k not in c1]
+        return den, [(k[0], k[1], k[2], c1.get(k, 0) * s1, c2.get(k, 0) * s2) for k in keys]
+
+    def non_orthogonal(self) -> list[Vec]:
+        """The frequencies whose derivation vector is not orthogonal to them."""
+        return [(m1, m2) for m1, m2, _j, n1, n2 in self._derivations[1] if m1 * n1 + m2 * n2]
 
     def apply_derivation(self, f: SeriesElem) -> SeriesElem:
         """The ring-derivation part applied to a series.
@@ -214,24 +209,24 @@ class LieElem:
         accumulation runs on the integer numerators of ``f``.
         """
         N = self.ctx.order
-        den, derivations = self._integer_derivations
+        den, derivations = self._derivations
         out: dict = {}
         get = out.get
-        for m, j, d1, d2 in derivations:
+        for m1, m2, j, d1, d2 in derivations:
             for (f1, f2, jf), cf in f.coeffs.items():
                 jj = j + jf
                 if jj > N:
                     continue
                 w = cf * (f1 * d1 + f2 * d2)
                 if w:
-                    k = (f1 + m[0], f2 + m[1], jj)
+                    k = (f1 + m1, f2 + m2, jj)
                     out[k] = get(k, 0) + w
         return SeriesElem._make(self.ctx, out, f.den * den)
 
     def apply_section(self, vec: tuple[SeriesElem, ...]) -> tuple[SeriesElem, ...]:
         """The full first-order operator on a section of the free module."""
         derived = tuple(self.apply_derivation(f) for f in vec)
-        mat_part = self.matrix_series().matvec(vec)
+        mat_part = self.a.matvec(vec)
         return tuple(a + b for a, b in zip(derived, mat_part))
 
 
@@ -416,36 +411,23 @@ def log(g: AutPair) -> LieElem:
             acc = tuple(a + b.scale(coeff) for a, b in zip(acc, v))
         cols.append(acc)
 
-    dvecs: dict[TermKey, list[Fraction]] = {}
-    for axis, e in enumerate((_E1, _E2)):
-        for (m1, m2, j), c in dlog[axis].fractions().items():
-            key = ((m1 - e[0], m2 - e[1]), j)
-            dvecs.setdefault(key, [_ZERO, _ZERO])[axis] = c
-
-    mats: dict[TermKey, list[list[Fraction]]] = {}
-    for i, col in enumerate(cols):
-        for row in range(r):
-            for (m1, m2, j), c in col[row].fractions().items():
-                key = ((m1, m2), j)
-                mats.setdefault(key, [[_ZERO] * r for _ in range(r)])[row][i] = c
-
-    terms: dict[TermKey, tuple[Mat, DVec]] = {}
-    for key in set(dvecs) | set(mats):
-        (m, j) = key
-        d = dvecs.get(key, [_ZERO, _ZERO])
-        a = mats.get(key)
-        a = _freeze_mat(a) if a is not None else mat_zero(r)
-        if mat_is_zero(a) and d[0] == 0 and d[1] == 0:
-            continue
-        if m == (0, 0) or j < 1:
-            raise ValueError("logarithm has a term outside the Lie algebra")
-        if m[0] * d[0] + m[1] * d[1] != 0:
-            raise ConventionError(
-                "recovered derivation not orthogonal to its frequency; "
-                "input is not in the exponential image"
-            )
-        terms[key] = (a, (d[0], d[1]))
-    return LieElem(ctx, terms)
+    # The generator series carry d_i z^(m + e_i); shift them back to z^m.
+    d1, d2 = (
+        SeriesElem._normal(
+            ctx, {(m1 - e[0], m2 - e[1], j): c for (m1, m2, j), c in f.coeffs.items()}, f.den
+        )
+        for f, e in zip(dlog, (_E1, _E2))
+    )
+    a = SeriesMatrix(ctx, tuple(tuple(col[row] for col in cols) for row in range(r)))
+    x = LieElem(ctx, d1, d2, a)
+    if (0, 0) in x.frequencies():
+        raise ValueError("logarithm has a term outside the Lie algebra")
+    if x.non_orthogonal():
+        raise ConventionError(
+            "recovered derivation not orthogonal to its frequency; "
+            "input is not in the exponential image"
+        )
+    return x
 
 
 def bch(x: LieElem, y: LieElem) -> LieElem:

@@ -52,7 +52,7 @@ def rand_lie(ctx, rng, directions=((1, 0), (0, 1)), terms=3, max_mult=2):
         if key in acc:
             continue
         acc[key] = (a, (c * n[0], c * n[1]))
-    return LieElem(ctx, acc)
+    return LieElem.from_terms(ctx, acc)
 
 
 def rand_wall_log(ctx, rng, direction, terms=2, stype=None):
@@ -75,4 +75,4 @@ def rand_wall_log(ctx, rng, direction, terms=2, stype=None):
         if key in acc:
             continue
         acc[key] = (a, dvec)
-    return LieElem(ctx, acc)
+    return LieElem.from_terms(ctx, acc)

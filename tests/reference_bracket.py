@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from wallcross.exceptions import ConventionError
 from wallcross.series import _check_same_context
-from wallcross.vertexlie import LieElem, mat_add, mat_is_zero, mat_scale
+from reference_lie import mat_add, mat_scale
+from wallcross.vertexlie import LieElem, mat_is_zero
 
 _ZERO = Fraction(0)
 
@@ -73,7 +74,7 @@ def bracket(x: LieElem, y: LieElem) -> LieElem:
                 raise ConventionError(
                     "bracket leaves the Lie algebra: nonzero term at frequency zero"
                 )
-    return LieElem(x.ctx, acc)
+    return LieElem.from_terms(x.ctx, acc)
 
 
 def bch_reference(x: LieElem, y: LieElem) -> LieElem:

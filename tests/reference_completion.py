@@ -58,7 +58,7 @@ def reference_log(g: AutPair) -> LieElem:
     for (m, _j), (_a, d) in terms.items():
         if m[0] * d[0] + m[1] * d[1] != 0:
             raise ConventionError("recovered derivation not orthogonal to its frequency")
-    return LieElem(ctx, terms)
+    return LieElem.from_terms(ctx, terms)
 
 
 def reference_path_ordered_product(d: Diagram) -> AutPair:
@@ -105,8 +105,8 @@ def reference_complete(d: Diagram) -> Diagram:
         by_direction: dict = {}
         for (m, j), (a, dv) in sorted(defect.terms.items()):
             _l, p = primitive_decompose(m)
-            piece = LieElem(current.ctx, {(m, j): (a, dv)})
-            by_direction[p] = by_direction.get(p, LieElem.zero(current.ctx)) + piece
+            piece = LieElem.from_terms(current.ctx, {(m, j): (a, dv)})
+            by_direction[p] = by_direction.get(p, LieElem.from_terms(current.ctx, {})) + piece
         for p in sorted(by_direction):
             existing = current.wall_in_direction(p)
             if existing is not None and existing.kind is WallKind.LINE:

@@ -44,11 +44,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
 
+from reference_lie import mat_add
 from wallcross.exceptions import ConventionError, SchemaError
 from wallcross.groupoid import BASEPOINT_OBJECT, UPSILON_MATRIX_SIGN, BpsContext
 from wallcross.lattice import Vec, det2, is_primitive, primitive_normal
 from wallcross.series import TruncationContext
-from wallcross.vertexlie import LieElem, elementary, mat_add, mat_zero
+from wallcross.vertexlie import LieElem, elementary, mat_zero
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -663,5 +664,5 @@ def upsilon(x: LGammaElem, lie_ctx: TruncationContext) -> LieElem:
             m = (delta[0] + gamma[0], delta[1] + gamma[1])
             d = (Fraction(c * omega) * n[0], Fraction(c * omega) * n[1])
             add_term(m, j, mat_zero(lie_ctx.rank), d)
-    return LieElem(lie_ctx, terms)
+    return LieElem.from_terms(lie_ctx, terms)
 

@@ -8,8 +8,17 @@ dict this module computes for the same operation.
 """
 
 from fractions import Fraction
+from math import gcd
 
 Coeffs = dict[tuple[int, int, int], Fraction]
+
+
+def assert_normal(x) -> None:
+    """``SeriesElem`` normal form: ``den > 0``, nonzero integer numerators, gcd 1."""
+    assert x.den > 0
+    assert all(type(v) is int and v for v in x.coeffs.values())
+    # gcd(den) == den, so this also asks den == 1 for the zero element
+    assert gcd(x.den, *x.coeffs.values()) == 1
 
 
 def _clean(coeffs: dict, order: int) -> Coeffs:

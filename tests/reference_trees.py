@@ -114,7 +114,7 @@ def restrict_direction(x: LieElem, a: Vec) -> LieElem:
         cross = m[0] * a[1] - m[1] * a[0]
         if cross == 0 and (m[0] * a[0] + m[1] * a[1]) > 0:
             out[(m, j)] = v
-    return LieElem(x.ctx, out)
+    return LieElem.from_terms(x.ctx, out)
 
 
 def oriented_vertex(u: LieElem, v: LieElem) -> LieElem:
@@ -124,16 +124,16 @@ def oriented_vertex(u: LieElem, v: LieElem) -> LieElem:
     taken with the upper direction first, independent of argument order.
     """
     ctx = u.ctx
-    acc = LieElem.zero(ctx)
+    acc = LieElem.from_terms(ctx, {})
     for (mu, ju), (au, du) in u.terms.items():
-        pu = LieElem(ctx, {((mu, ju)): (au, du)})
+        pu = LieElem.from_terms(ctx, {((mu, ju)): (au, du)})
         for (mv, jv), (av, dv) in v.terms.items():
             if ju + jv > ctx.order:
                 continue
             cross = mv[0] * mu[1] - mv[1] * mu[0]  # det(d_v, d_u) up to positives
             if cross == 0:
                 continue
-            pv = LieElem(ctx, {((mv, jv)): (av, dv)})
+            pv = LieElem.from_terms(ctx, {((mv, jv)): (av, dv)})
             piece = bracket(pu, pv)
             acc = acc + (piece if cross > 0 else -piece)
     return acc
@@ -143,7 +143,7 @@ def _combined_input(inputs: list[LieElem]) -> LieElem:
     if not inputs:
         raise ValueError("need at least one input log")
     ctx = inputs[0].ctx
-    acc = LieElem.zero(ctx)
+    acc = LieElem.from_terms(ctx, {})
     for x in inputs:
         acc = acc + x
     return acc
@@ -171,7 +171,7 @@ def natural_tree_sum(inputs: list[LieElem], k_max: int, direction: Vec) -> LieEl
                 raise ValueError("inputs supported on anti-parallel directions")
     combined = _combined_input(inputs)
     ctx = combined.ctx
-    total = LieElem.zero(ctx)
+    total = LieElem.from_terms(ctx, {})
 
     def eval_shape(shape) -> LieElem:
         if shape == 0:
@@ -204,7 +204,7 @@ def ray_support_oracle(inputs: list[LieElem], order: int) -> set[Vec]:
     ctx = inputs[0].ctx
 
     def pieces(x: LieElem):
-        return [LieElem(ctx, {(m, j): v}) for (m, j), v in x.terms.items() if j <= order]
+        return [LieElem.from_terms(ctx, {(m, j): v}) for (m, j), v in x.terms.items() if j <= order]
 
     pool: list[LieElem] = []
     seen: set = set()

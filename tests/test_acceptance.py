@@ -93,7 +93,7 @@ def test_criterion_02_conjugation_series_identity():
     k = k_wall_log(ctx, KFactor((0, 1), 1))
 
     # Right side: iterated bracket (adjoint orbit)
-    rhs = LieElem.zero(ctx)
+    rhs = LieElem.from_terms(ctx, {})
     term = s
     factorial = 1
     for l in range(1, N + 1):
@@ -108,7 +108,7 @@ def test_criterion_02_conjugation_series_identity():
     lhs_terms = {}
     for (a, b, j), c in (tail * SeriesElem.monomial(ctx, (1, 0), 1)).fractions().items():
         lhs_terms[((a, b), j)] = (elementary(3, 0, 1, -c), (0, 0))
-    lhs = LieElem(ctx, lhs_terms)
+    lhs = LieElem.from_terms(ctx, lhs_terms)
 
     assert not rhs.is_zero()
     assert lhs == rhs

@@ -11,14 +11,19 @@ only tests use lives in ``tests/``.
 
 import ast
 import importlib
+import json
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
 
-from wallcross import cli, scattering
-from wallcross.vertexlie import log
+from wallcross import cli, scattering, serialize
+from wallcross.groupoid import KFactor, k_wall_log
+from wallcross.lattice import WallKind
+from wallcross.scattering import Diagram, Wall
+from wallcross.series import TruncationContext
+from wallcross.vertexlie import LieElem, bch, log
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -93,6 +98,28 @@ def test_completion_runs_truncated_rounds_without_log(monkeypatch, capsys):
     assert 1 <= tracer.counts["scattering.rounds"] <= 4
     assert orders == [1, 2, 3, 4]
     assert tracer.counts["scattering.defect_terms"] > 0
+
+
+def test_engine_runs_without_the_rational_boundary(monkeypatch):
+    # Fraction appears only at parsing and printing: once the inputs are
+    # parsed, completion, consistency, bch and the path-ordered product
+    # neither build a Lie element from rational terms nor read its rational view
+    rand1 = serialize.diagram_from_json(json.loads((EXAMPLE1.parent / "rand1.json").read_text()))
+    ctx = TruncationContext(8, 1)
+    kronecker = Diagram(ctx, tuple(
+        Wall(g, WallKind.LINE, k_wall_log(ctx, KFactor(g, 3))) for g in ((1, 0), (0, 1))
+    ))
+
+    def crossed(*_args):
+        raise AssertionError("the engine crossed the rational boundary")
+
+    monkeypatch.setattr(LieElem, "terms", property(crossed))
+    monkeypatch.setattr(LieElem, "from_terms", staticmethod(crossed))
+    completed = scattering.complete(rand1)
+    assert scattering.is_consistent(completed)
+    first, second = completed.walls[:2]
+    assert not bch(first.logf, second.logf).is_zero()
+    assert not scattering.path_ordered_product(kronecker).is_identity()
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -383,6 +383,16 @@ def _bch(x, y, truncation=3):
                      (), "open half-plane", id="bch-spanning"),
         pytest.param("bch", _bch([{"m": [1, 0], "t": 1, "derivation": ["1", "0"]}], []),
                      (), "not orthogonal", id="bch-derivation-along-frequency"),
+        # one truncation rule for every file: a term above the file's
+        # truncation, or an order above it, is an input error
+        pytest.param("complete", _walls(1, 3, ([1, 0], "line", [{"t": 5, "k": 1, "derivation": "1"}]),
+                                        ([0, 1], "line", [_K_TERM])), (),
+                     "exceeds the file's truncation", id="term-above-truncation-complete"),
+        pytest.param("bch", _bch([{"m": [1, 0], "t": 5, "matrix": _UPPER}], []), (),
+                     "exceeds the file's truncation", id="term-above-truncation-bch"),
+        pytest.param("bch", _bch([{"m": [1, 0], "t": 1, "matrix": _UPPER}], [], truncation=2),
+                     ("--order", "4"), "exceeds the file's truncation",
+                     id="order-above-truncation-bch"),
     ],
 )
 def test_malformed_input_exit_code(tmp_path, capsys, monkeypatch, command, data, extra, message):

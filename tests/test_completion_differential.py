@@ -60,7 +60,7 @@ def test_complete_matches_reference_on_random_two_line_diagrams():
 
 def _raise_order(x: LieElem, k: int) -> LieElem:
     """Keep the terms of t-degree >= k."""
-    return LieElem(x.ctx, {key: v for key, v in x.terms.items() if key[1] >= k})
+    return LieElem.from_terms(x.ctx, {key: v for key, v in x.terms.items() if key[1] >= k})
 
 
 def test_log_matches_the_unbounded_reference_log():
@@ -88,7 +88,7 @@ def _s_only(ctx, rng, directions, s):
         i = rng.randrange(r - 1)
         a = elementary(r, i, rng.randrange(i + 1, r), rng.choice((-2, -1, 1, 3)))
         terms[(d, rng.randint(s, ctx.order))] = (a, (0, 0))
-    return LieElem(ctx, terms)
+    return LieElem.from_terms(ctx, terms)
 
 
 def _count_calls(monkeypatch, *names):

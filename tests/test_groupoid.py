@@ -287,7 +287,7 @@ def test_upsilon_on_generators():
             tuple(tuple(Fraction(0) for _ in range(3)) for _ in range(3)),
             (c * n[0], c * n[1]),
         )
-    assert upsilon(k, lctx) == LieElem(lctx, expected)
+    assert upsilon(k, lctx) == LieElem.from_terms(lctx, expected)
 
 
 def test_upsilon_rejects_degree_zero():
@@ -441,7 +441,7 @@ def test_k_factor_with_multiple_charge():
     k = KFactor((0, 2), 1)
     x = factor_log(ctx, lctx, k)
     n = primitive_normal((0, 1))
-    assert x == LieElem(
+    assert x == LieElem.from_terms(
         lctx,
         {
             ((0, 2 * l), l): (mat_zero(1), (Fraction(1, l) * n[0], Fraction(1, l) * n[1]))

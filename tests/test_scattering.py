@@ -47,7 +47,7 @@ def example1_diagram(order=8):
 def test_wall_validation():
     ctx = TruncationContext(4, 2)
     with pytest.raises(ValueError, match="primitive"):
-        Wall((2, 0), WallKind.LINE, LieElem.zero(ctx))
+        Wall((2, 0), WallKind.LINE, LieElem.from_terms(ctx, {}))
     with pytest.raises(ValueError, match="multiple"):
         Wall((1, 0), WallKind.LINE, LieElem.single(ctx, (0, 1), 1, dvec=(-1, 0)))
     with pytest.raises(ValueError, match="normal"):
@@ -168,7 +168,7 @@ def test_merge_wall_cases():
     d1 = merge_wall(d, w)
     assert d1.walls == (w,)
     # zero-log merge leaves the diagram unchanged
-    assert merge_wall(d1, Wall((0, 1), WallKind.RAY, LieElem.zero(ctx))) == d1
+    assert merge_wall(d1, Wall((0, 1), WallKind.RAY, LieElem.from_terms(ctx, {}))) == d1
     # same-direction merge with commuting matrix parts adds the logs
     w2 = s_wall(ctx, (1, 0), 2, 3)
     d2 = merge_wall(d1, w2)
@@ -284,7 +284,7 @@ def _act(g, d):
         return (e * n[0] - c * n[1], -b * n[0] + a * n[1])
 
     return Diagram(d.ctx, tuple(
-        Wall(vec(w.direction), w.kind, LieElem(d.ctx, {
+        Wall(vec(w.direction), w.kind, LieElem.from_terms(d.ctx, {
             (vec(m), j): (mat, dual(dv)) for (m, j), (mat, dv) in w.logf.terms.items()
         }))
         for w in d.walls
@@ -341,7 +341,7 @@ def _random_invertible(r, rng):
 def _conjugate(p, p_inv, d):
     """Every matrix part A of the diagram replaced by P A P^(-1); derivations unchanged."""
     return Diagram(d.ctx, tuple(
-        Wall(w.direction, w.kind, LieElem(d.ctx, {
+        Wall(w.direction, w.kind, LieElem.from_terms(d.ctx, {
             key: (mat_mul(mat_mul(p, a), p_inv), dv) for key, (a, dv) in w.logf.terms.items()
         }))
         for w in d.walls
@@ -379,7 +379,7 @@ def _regrade(d):
     """The diagram with t replaced by t^2: every degree j becomes 2j, N becomes 2N."""
     ctx = TruncationContext(2 * d.ctx.order, d.ctx.rank)
     return Diagram(ctx, tuple(
-        Wall(w.direction, w.kind, LieElem(ctx, {
+        Wall(w.direction, w.kind, LieElem.from_terms(ctx, {
             (m, 2 * j): value for (m, j), value in w.logf.terms.items()
         }))
         for w in d.walls
@@ -437,7 +437,7 @@ def test_completion_truncation_consistency():
     reduced = {}
     for w in c8.walls:
         terms = {k: v for k, v in w.logf.terms.items() if k[1] <= 4}
-        reduced[w.direction] = (w.kind, LieElem(ctx4, terms))
+        reduced[w.direction] = (w.kind, LieElem.from_terms(ctx4, terms))
     assert reduced == {w.direction: (w.kind, w.logf) for w in c4.walls}
 
 

@@ -126,4 +126,4 @@ def test_lie_terms_roundtrip():
     ctx = TruncationContext(4, 2)
     for _ in range(10):
         x = rand_lie(ctx, rng)
-        assert lie_terms_from_json(ctx, lie_terms_to_json(x)) == x
+        assert lie_terms_from_json(ctx, lie_terms_to_json(x), ctx.order) == x

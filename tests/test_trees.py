@@ -150,7 +150,7 @@ def test_support_oracle_trivial_cases():
     x = s_log(ctx, (1, 0), 0, 1)
     assert ray_support_oracle([x], 4) == {(1, 0)}
     assert ray_support_oracle([], 4) == set()
-    assert ray_support_oracle([LieElem.zero(ctx)], 4) == set()
+    assert ray_support_oracle([LieElem.from_terms(ctx, {})], 4) == set()
 
 
 def test_support_oracle_example1_order2():

@@ -144,7 +144,7 @@ def test_representation_is_faithful_bracket_match():
 
 def test_exp_zero_is_identity():
     ctx = TruncationContext(3, 2)
-    assert exp(LieElem.zero(ctx)) == AutPair.identity(ctx)
+    assert exp(LieElem.from_terms(ctx, {})) == AutPair.identity(ctx)
     assert log(AutPair.identity(ctx)).is_zero()
 
 
@@ -167,7 +167,7 @@ def test_exp_s_type_nilpotent():
     g = exp(x)
     assert g.sigma_images[0] == SeriesElem.monomial(ctx, (1, 0))
     assert g.sigma_images[1] == SeriesElem.monomial(ctx, (0, 1))
-    expected = SeriesMatrix.identity(ctx) + x.matrix_series()
+    expected = SeriesMatrix.identity(ctx) + x.a
     assert g.gauge == expected
 
 
@@ -247,8 +247,8 @@ def test_bch_with_zero():
     ctx = TruncationContext(4, 2)
     rng = random.Random(13)
     x = rand_lie(ctx, rng)
-    assert bch(x, LieElem.zero(ctx)) == x
-    assert bch(LieElem.zero(ctx), x) == x
+    assert bch(x, LieElem.from_terms(ctx, {})) == x
+    assert bch(LieElem.from_terms(ctx, {}), x) == x
 
 
 def test_bch_commuting_case():
@@ -312,3 +312,91 @@ def test_bch_associative():
     for _ in range(10):
         x, y, z = (rand_lie(ctx, rng, terms=2) for _ in range(3))
         assert bch(bch(x, y), z) == bch(x, bch(y, z))
+
+
+# -- differential tests against the Fraction-dict algebra -----------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+import reference_lie as model  # noqa: E402
+import reference_series as ref  # noqa: E402
+
+# denominators up to 6, so that sums, scalings and the derivation kernel need
+# the lcm rescale and the gcd reduction; zero entries keep the parts sparse
+_rational = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def _terms(draw, rank, order):
+    """Sparse rational terms; derivations need not be orthogonal to their frequencies."""
+    m = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(lambda m: m != (0, 0))
+    out = {}
+    for key in draw(st.lists(st.tuples(m, st.integers(1, order)), max_size=4, unique=True)):
+        entries = draw(st.dictionaries(
+            st.tuples(st.integers(0, rank - 1), st.integers(0, rank - 1)), _rational, max_size=3
+        ))
+        mat = tuple(tuple(entries.get((i, k), 0) for k in range(rank)) for i in range(rank))
+        d = draw(st.sampled_from([(0, 1), (1, 0), (1, 1)]))
+        out[key] = (mat, tuple(draw(_rational) if on else 0 for on in d))
+    return out
+
+
+@st.composite
+def _lie_operands(draw):
+    rank, order = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    ctx = TruncationContext(order, rank)
+    key = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(0, order))
+    series = st.dictionaries(key, _rational, max_size=4)
+    return (
+        ctx,
+        draw(_terms(rank, order)),
+        draw(_terms(rank, order)),
+        draw(_rational),
+        draw(st.integers(1, order)),
+        [draw(series) for _ in range(rank)],
+    )
+
+
+def _assert_parts_normal(x):
+    for f in (x.d1, x.d2, *(e for row in x.a.rows for e in row)):
+        ref.assert_normal(f)
+        assert f.ctx == x.ctx
+
+
+@given(_lie_operands())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_lie_operations_match_the_fraction_model(operands):
+    ctx, a, b, c, low, vec = operands
+    N = ctx.order
+    x, y = LieElem.from_terms(ctx, a), LieElem.from_terms(ctx, b)
+    a, b = model.clean(a, N), model.clean(b, N)
+    cases = [
+        (x, a),
+        (x + y, model.add(a, b, N)),
+        (-x, model.scale(a, -1, N)),
+        (x - y, model.add(a, model.scale(b, -1, N), N)),
+        (x.scale(c), model.scale(a, c, N)),
+        (x.truncate(low), model.truncate(a, low)),
+        (x.degree_part(low), model.degree_part(a, low)),
+    ]
+    for got, expected in cases:
+        _assert_parts_normal(got)
+        assert dict(got.terms) == expected
+        assert got.t_order() == model.t_order(expected)
+        assert got.is_zero() == (not expected)
+        assert got.frequencies() == {m for m, _j in expected}
+        assert sorted(got.non_orthogonal()) == sorted(
+            m for (m, _j), (_a, d) in expected.items() if m[0] * d[0] + m[1] * d[1]
+        )
+        # the rational boundary round-trips
+        assert LieElem.from_terms(got.ctx, got.terms) == got
+    sections = [SeriesElem(ctx, f) for f in vec]
+    vec = [ref.truncate(f, N) for f in vec]
+    derived = x.apply_derivation(sections[0])
+    ref.assert_normal(derived)
+    assert derived.fractions() == model.apply_derivation(a, vec[0], N)
+    section = x.apply_section(tuple(sections))
+    for got, expected in zip(section, model.apply_section(a, vec, N)):
+        ref.assert_normal(got)
+        assert got.fractions() == expected
