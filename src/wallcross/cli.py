@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``complete``, ``check``, ``wcf``, ``bch``, ``plot``, ``demo``.
-Exit codes: 0 success/consistent, 1 inconsistent, 2 input error, 3 internal
-convention violation.  ``SCATTER_MAX_ORDER`` caps the truncation order
+Exit codes: 0 success/consistent, 1 inconsistent, 2 input error, 3
+convention violation (among others, a completion that would correct an
+initial line or cancel an initial ray).  ``SCATTER_MAX_ORDER`` caps the truncation order
 (default 16).  Outputs are byte-identical across runs for identical inputs.
 """
 

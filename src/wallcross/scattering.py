@@ -20,12 +20,17 @@ product is accumulated right to left,
 ``theta_i o (theta_(i+1) o ... o theta_s)``, so each sparse wall
 automorphism acts on the dense partial product.
 
-``complete`` performs the order-by-order insertion of correction rays in
-truncated rounds k = 1..N.  Before round k the product is the identity
-modulo t^k; round k computes it modulo t^(k+1) only, from the wall logs
-truncated there, and takes its ``log``; with Theta - Id of t-order k at
-truncation k, the bounded Mercator series of :func:`~wallcross.vertexlie.log`
-is one term, the degree-k part of Theta - Id.  The defect is split by
+Each wall computes its automorphism once, at the diagram's full order, and
+keeps it (:attr:`Wall.automorphisms`); a merged wall takes the product that
+:func:`~wallcross.vertexlie.bch` already composed.  ``complete`` performs
+the order-by-order insertion of correction rays in truncated rounds
+k = 1..N.  Before round k the product is the identity modulo t^k; round k
+computes it modulo t^(k+1) only, from the walls' automorphisms truncated
+there, and takes its ``log``.  Truncation is a ring homomorphism that
+commutes with the action, so this is exactly the product of the wall logs
+truncated there.  With Theta - Id of t-order k at truncation k, the bounded
+Mercator series of :func:`~wallcross.vertexlie.log` is one term, the
+degree-k part of Theta - Id.  The defect is split by
 primitive direction and cancelled by new rays (or merged into existing rays
 via BCH).  Corrections at one degree commute modulo the next, so the
 insertion order within a degree is immaterial and the completion is the
@@ -35,6 +40,7 @@ unique minimal consistent enlargement.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .exceptions import ConventionError, SchemaError
 from .lattice import (
@@ -81,6 +87,18 @@ class Wall:
                 f"wall derivation at {bad[0]} is not a multiple of the primitive normal"
             )
 
+    @cached_property
+    def automorphisms(self) -> tuple[tuple[Vec, AutPair], ...]:
+        """The rays the wall covers, each with the automorphism it carries.
+
+        The ``+m`` ray carries ``exp(logf)``; a line's ``-m`` ray carries the
+        inverse ``exp(-logf)``.  Computed once per wall, at full order.
+        """
+        theta = ((self.direction, exp(self.logf)),)
+        if self.kind is WallKind.RAY:
+            return theta
+        return theta + (((-self.direction[0], -self.direction[1]), exp(-self.logf)),)
+
 
 @dataclass(frozen=True)
 class Diagram:
@@ -106,26 +124,26 @@ class Diagram:
         return None
 
 
-def _crossing_order(d: Diagram) -> list[tuple[Vec, LieElem]]:
-    """Expand lines into opposite rays and sort them counterclockwise from the positive x-axis."""
-    rays = {w.direction: w.logf for w in d.walls}
-    for w in d.walls:
-        if w.kind is WallKind.LINE:
-            rays[(-w.direction[0], -w.direction[1])] = -w.logf
-    return [(p, rays[p]) for p in angular_sort(list(rays))]
+def _crossing_order(d: Diagram) -> list[AutPair]:
+    """The rays' automorphisms, sorted counterclockwise from the positive x-axis."""
+    rays = dict(ray for w in d.walls for ray in w.automorphisms)
+    return [rays[p] for p in angular_sort(list(rays))]
 
 
-def path_ordered_product(d: Diagram) -> AutPair:
+def path_ordered_product(d: Diagram, order: int | None = None) -> AutPair:
     """Compose the wall automorphisms around a counterclockwise loop.
 
     The first wall crossed is the outermost factor (it acts last); this is
     the orientation under which the two-line examples reproduce their known
     completions.  The walls are composed from the last crossed back to the
-    first, each acting on the product of the ones after it.
+    first, each acting on the product of the ones after it.  The product is
+    taken modulo t^(order + 1) (default: the diagram's truncation), from
+    each wall's automorphism truncated there.
     """
-    total = AutPair.identity(d.ctx)
-    for _p, logf in reversed(_crossing_order(d)):
-        total = compose(exp(logf), total)
+    ctx = d.ctx if order in (None, d.ctx.order) else TruncationContext(order, d.ctx.rank)
+    total = AutPair.identity(ctx)
+    for theta in reversed(_crossing_order(d)):
+        total = compose(theta.truncate(ctx), total)
     return total
 
 
@@ -174,9 +192,10 @@ def require_half_plane(d: Diagram) -> None:
 def complete(d: Diagram) -> Diagram:
     """The minimal consistent completion (order-by-order ray insertion).
 
-    Round k (k = 1..N) truncates every wall log to order k, takes the
-    path-ordered product modulo t^(k+1), and reads its degree-k defect as
-    its ``log``.  The previous rounds made Theta the identity modulo t^k, so
+    Round k (k = 1..N) takes the path-ordered product modulo t^(k+1), from
+    the walls' full-order automorphisms truncated there (each wall
+    exponentiates its log once), and reads its degree-k defect as its
+    ``log``.  The previous rounds made Theta the identity modulo t^k, so
     that ``log`` sums one Mercator term, the degree-k part of Theta - Id; a
     term of the defect below degree k raises :class:`ConventionError`.
     New walls are rays in
@@ -184,17 +203,15 @@ def complete(d: Diagram) -> Diagram:
     The wall directions lie in an open half-plane, so no defect reaches the
     ``-m`` ray of a line ``m``.  Initial lines are never corrected: a defect
     on a line's direction would need a one-sided factor and raises instead
-    (this cannot happen for two non-parallel initial lines).
+    (this cannot happen for two non-parallel initial lines).  Initial rays
+    may be corrected but never removed: a correction that cancels one
+    raises too.
     """
     require_half_plane(d)
     current = replace(d, walls=tuple(w for w in d.walls if not w.logf.is_zero()))
-    line_directions = {w.direction for w in current.walls if w.kind is WallKind.LINE}
+    initial = {w.direction: w.kind for w in current.walls}
     for k in range(1, d.ctx.order + 1):
-        truncated = Diagram(
-            TruncationContext(k, d.ctx.rank),
-            tuple(Wall(w.direction, w.kind, w.logf.truncate(k)) for w in current.walls),
-        )
-        defect = log(path_ordered_product(truncated))
+        defect = log(path_ordered_product(current, k))
         low = defect.t_order()
         if low is not None and low < k:
             raise ConventionError(
@@ -202,13 +219,18 @@ def complete(d: Diagram) -> Diagram:
             )
         direction = {m: primitive_part(m) for m in defect.frequencies()}
         for p in sorted(set(direction.values())):
-            if p in line_directions:
+            if initial.get(p) is WallKind.LINE:
                 raise ConventionError(
                     f"defect at degree {k} lies on the line direction {p}; "
                     "single-vertex completion supports corrections on rays only"
                 )
             piece = defect.restrict(lambda key: direction[key[:2]] == p, current.ctx)
             current = merge_wall(current, Wall(p, WallKind.RAY, -piece))
+            if p in initial and current.wall_in_direction(p) is None:
+                raise ConventionError(
+                    f"the correction at degree {k} cancels the initial ray {p}; "
+                    "completion does not remove initial walls"
+                )
     return current
 
 

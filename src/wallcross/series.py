@@ -191,9 +191,9 @@ class SeriesElem:
             return None
         return min(j for (_, _, j) in self.coeffs)
 
-    def truncate(self, order: int) -> "SeriesElem":
-        """Reduce to a lower truncation order (same lattice support)."""
-        ctx = TruncationContext(order, self.ctx.rank)
+    def truncate(self, ctx: TruncationContext) -> "SeriesElem":
+        """Reduce to the lower truncation order of ``ctx`` (same lattice support)."""
+        order = ctx.order
         return SeriesElem._make(
             ctx, {k: v for k, v in self.coeffs.items() if k[2] <= order}, self.den
         )

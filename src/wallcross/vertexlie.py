@@ -25,6 +25,9 @@ faithful, so the module never brackets two elements: the BCH product is
 Dynkin series are test oracles (``tests/reference_bracket.py``).  A
 :class:`LieElem` lives in the same series ring, so :func:`exp` and
 :func:`log` never convert; rationals appear only at parsing and printing.
+:func:`exp` is memoized on the element it is given, and :func:`bch` keeps
+its product as the exponential of its result, so a group element is
+computed once however often it is used.
 
 Every term's t-degree is at least 1, so all exponentials and logarithms
 terminate after at most N iterations (N // s for a logarithm of an element
@@ -33,7 +36,7 @@ congruent to the identity mod t^s) and every identity here is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -178,10 +181,6 @@ class LieElem:
             ctx,
         )
 
-    def truncate(self, order: int) -> "LieElem":
-        """Reduce to a lower truncation order (same frequency support)."""
-        return self.restrict(lambda k: k[2] <= order, TruncationContext(order, self.ctx.rank))
-
     def degree_part(self, j: int) -> "LieElem":
         return self.restrict(lambda k: k[2] == j)
 
@@ -243,12 +242,17 @@ class AutPair:
     ``sigma_images[i]`` is the image of z^{e_i} (of the form z^{e_i} times a
     unit congruent to 1 mod t); ``gauge`` is the matrix of the action on
     constant sections, congruent to the identity mod t.
+
+    An instance holds nothing else, so a memoized element stays as small as
+    its images and gauge.  The powers of the generator images that the
+    action needs live in a table owned by the caller: :func:`compose` and
+    :func:`log` pass one ``powers`` dict to every action they make, and
+    :meth:`apply_ring` called without one builds its own.
     """
 
     ctx: TruncationContext
     sigma_images: tuple[SeriesElem, SeriesElem]
     gauge: SeriesMatrix
-    _pow_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @staticmethod
     def identity(ctx: TruncationContext) -> "AutPair":
@@ -261,10 +265,24 @@ class AutPair:
     def is_identity(self) -> bool:
         return self == AutPair.identity(self.ctx)
 
-    def _gen_power(self, axis: int, e: int) -> SeriesElem:
-        """Cached power (including negative) of a generator image."""
+    def truncate(self, ctx: TruncationContext) -> "AutPair":
+        """The element modulo t^(ctx.order + 1), in ``ctx`` (same rank, order at most own).
+
+        Truncation is a ring homomorphism that commutes with the action, so
+        ``exp(x).truncate(ctx)`` is the exponential of ``x`` truncated there.
+        """
+        if ctx == self.ctx:
+            return self
+        if ctx.rank != self.ctx.rank or ctx.order > self.ctx.order:
+            raise ValueError(f"cannot truncate an element at {self.ctx} to {ctx}")
+        images = (self.sigma_images[0].truncate(ctx), self.sigma_images[1].truncate(ctx))
+        rows = tuple(tuple(f.truncate(ctx) for f in row) for row in self.gauge.rows)
+        return AutPair(ctx, images, SeriesMatrix(ctx, rows))
+
+    def _gen_power(self, axis: int, e: int, powers: dict) -> SeriesElem:
+        """A power (including negative) of a generator image, kept in ``powers``."""
         key = (axis, e)
-        cached = self._pow_cache.get(key)
+        cached = powers.get(key)
         if cached is not None:
             return cached
         if e == 0:
@@ -274,27 +292,29 @@ class AutPair:
         elif e == -1:
             val = self.sigma_images[axis].invert_unit()
         elif e > 0:
-            val = self._gen_power(axis, e - 1) * self.sigma_images[axis]
+            val = self._gen_power(axis, e - 1, powers) * self.sigma_images[axis]
         else:
-            val = self._gen_power(axis, e + 1) * self._gen_power(axis, -1)
-        self._pow_cache[key] = val
+            val = self._gen_power(axis, e + 1, powers) * self._gen_power(axis, -1, powers)
+        powers[key] = val
         return val
 
-    def apply_ring(self, f: SeriesElem) -> SeriesElem:
+    def apply_ring(self, f: SeriesElem, powers: dict | None = None) -> SeriesElem:
         """Apply the ring automorphism to a series (monomial-by-monomial).
 
         The images of the monomials of ``f`` are brought to the lcm of their
-        denominators once, and the sum runs on integer numerators.
+        denominators once, and the sum runs on integer numerators.  Monomial
+        images are kept in ``powers``, a table for this element only.
         """
         N = self.ctx.order
-        cache = self._pow_cache
+        if powers is None:
+            powers = {}
         images = []
         den = 1
         for (m1, m2, j), c in f.coeffs.items():
-            img = cache.get(("m", m1, m2))
+            img = powers.get(("m", m1, m2))
             if img is None:
-                img = self._gen_power(0, m1) * self._gen_power(1, m2)
-                cache[("m", m1, m2)] = img
+                img = self._gen_power(0, m1, powers) * self._gen_power(1, m2, powers)
+                powers[("m", m1, m2)] = img
             images.append((j, c, img))
             den = lcm(den, img.den)
         out: dict = {}
@@ -309,18 +329,34 @@ class AutPair:
                 out[k] = get(k, 0) + w * ci
         return SeriesElem._make(self.ctx, out, f.den * den)
 
-    def apply_matrix(self, mat: SeriesMatrix) -> SeriesMatrix:
+    def apply_matrix(self, mat: SeriesMatrix, powers: dict | None = None) -> SeriesMatrix:
         return SeriesMatrix(
-            self.ctx, tuple(tuple(self.apply_ring(a) for a in row) for row in mat.rows)
+            self.ctx, tuple(tuple(self.apply_ring(a, powers) for a in row) for row in mat.rows)
         )
 
-    def apply_section(self, vec: tuple[SeriesElem, ...]) -> tuple[SeriesElem, ...]:
+    def apply_section(
+        self, vec: tuple[SeriesElem, ...], powers: dict | None = None
+    ) -> tuple[SeriesElem, ...]:
         """The module action: apply sigma entrywise, then the gauge matrix."""
-        return self.gauge.matvec(tuple(self.apply_ring(f) for f in vec))
+        return self.gauge.matvec(tuple(self.apply_ring(f, powers) for f in vec))
 
 
 def exp(x: LieElem) -> AutPair:
-    """Exponential of a Lie algebra element, as an AutPair.
+    """Exponential of a Lie algebra element, as an AutPair; memoized per element.
+
+    A :class:`LieElem` is immutable, so the first call computes the
+    exponential and keeps it on ``x``, and every later call on the same
+    object returns it.  An equal element built separately (``-x``, a
+    restriction, a parsed copy) carries no memo and is computed afresh.
+    """
+    g = x.__dict__.get("_exp")
+    if g is None:
+        g = x.__dict__["_exp"] = _exponential(x)
+    return g
+
+
+def _exponential(x: LieElem) -> AutPair:
+    """The exponential of ``x``, computed.
 
     The generator images are the exponentiated derivation applied to
     z^{e_1}, z^{e_2}; the gauge columns are the exponentiated module action
@@ -356,8 +392,9 @@ def exp(x: LieElem) -> AutPair:
 def compose(g1: AutPair, g2: AutPair) -> AutPair:
     """The group product g1 o g2 (g2 acts first)."""
     _check_same_context(g1, g2)
-    images = (g1.apply_ring(g2.sigma_images[0]), g1.apply_ring(g2.sigma_images[1]))
-    gauge = g1.gauge * g1.apply_matrix(g2.gauge)
+    powers: dict = {}
+    images = tuple(g1.apply_ring(f, powers) for f in g2.sigma_images)
+    gauge = g1.gauge * g1.apply_matrix(g2.gauge, powers)
     return AutPair(g1.ctx, images, gauge)
 
 
@@ -386,13 +423,14 @@ def log(g: AutPair) -> LieElem:
     orders = [f.t_order() for f in dparts] + [gauge.t_order()]
     s = min((o for o in orders if o is not None), default=ctx.order + 1)
     steps = ctx.order // s
+    powers: dict = {}
 
     # Derivation part: log(sigma) evaluated on the generators.
     dlog = []
     for v in dparts:
         acc = v
         for k in range(2, steps + 1):
-            v = g.apply_ring(v) - v
+            v = g.apply_ring(v, powers) - v
             if v.is_zero():
                 break
             acc = acc + v.scale(Fraction((-1) ** (k + 1), k))
@@ -404,7 +442,7 @@ def log(g: AutPair) -> LieElem:
         v = tuple(gauge.rows[row][i] for row in range(r))
         acc = v
         for k in range(2, steps + 1):
-            v = tuple(a - b for a, b in zip(g.apply_section(v), v))
+            v = tuple(a - b for a, b in zip(g.apply_section(v, powers), v))
             if all(f.is_zero() for f in v):
                 break
             coeff = Fraction((-1) ** (k + 1), k)
@@ -431,6 +469,13 @@ def log(g: AutPair) -> LieElem:
 
 
 def bch(x: LieElem, y: LieElem) -> LieElem:
-    """Baker-Campbell-Hausdorff product log(exp(x) o exp(y))."""
-    return log(compose(exp(x), exp(y)))
+    """Baker-Campbell-Hausdorff product log(exp(x) o exp(y)).
+
+    The composed product is kept as the exponential of the result, since
+    exp(log g) = g exactly, so ``exp`` of a BCH product costs nothing.
+    """
+    g = compose(exp(x), exp(y))
+    z = log(g)
+    z.__dict__["_exp"] = g
+    return z
 

@@ -76,3 +76,8 @@ def rand_wall_log(ctx, rng, direction, terms=2, stype=None):
             continue
         acc[key] = (a, dvec)
     return LieElem.from_terms(ctx, acc)
+
+
+def truncated(x, ctx):
+    """The Lie element ``x`` reduced to the lower truncation order of ``ctx``."""
+    return x.restrict(lambda key: key[2] <= ctx.order, ctx)

@@ -6,14 +6,15 @@ path-ordered product is accumulated left to right at full truncation order,
 logarithm of it (:func:`reference_log`) and corrects its lowest-degree part.
 ``scattering`` instead accumulates right to left, truncates round k to
 t^(k+1) and takes a ``log`` that stops after one term there; both must give
-the same walls.
+the same walls.  The oracle orders the wall logs itself and exponentiates
+copies of them, so it never reads an automorphism the engine memoized.
 """
 
 from fractions import Fraction
 
 from wallcross.exceptions import ConventionError, SchemaError
-from wallcross.lattice import WallKind, primitive_decompose, primitive_part
-from wallcross.scattering import Diagram, Wall, _crossing_order, merge_wall
+from wallcross.lattice import WallKind, angular_sort, primitive_decompose, primitive_part
+from wallcross.scattering import Diagram, Wall, merge_wall
 from wallcross.series import SeriesElem
 from wallcross.vertexlie import AutPair, LieElem, compose, exp
 
@@ -61,22 +62,36 @@ def reference_log(g: AutPair) -> LieElem:
     return LieElem.from_terms(ctx, terms)
 
 
+def crossing_logs(d: Diagram) -> list[LieElem]:
+    """The ray logs counterclockwise from the positive x-axis; a line's -m ray carries -log."""
+    rays = {w.direction: w.logf for w in d.walls}
+    for w in d.walls:
+        if w.kind is WallKind.LINE:
+            rays[(-w.direction[0], -w.direction[1])] = -w.logf
+    return [rays[p] for p in angular_sort(list(rays))]
+
+
+def fresh_exp(x: LieElem) -> AutPair:
+    """exp(x) computed anew: a copy of ``x`` carries no memoized automorphism."""
+    return exp(LieElem(x.ctx, x.d1, x.d2, x.a))
+
+
 def reference_path_ordered_product(d: Diagram) -> AutPair:
     """theta_1 o ... o theta_s, composed left to right at full order."""
     total = AutPair.identity(d.ctx)
-    for _p, logf in _crossing_order(d):
-        total = compose(total, exp(logf))
+    for logf in crossing_logs(d):
+        total = compose(total, fresh_exp(logf))
     return total
 
 
 def loop_products(d: Diagram) -> list[AutPair]:
     """The path-ordered product for every loop start, composed left to right.
 
-    Entry i starts the loop just before the i-th ray of ``_crossing_order``,
+    Entry i starts the loop just before the i-th ray of :func:`crossing_logs`,
     so it is the product over that order rotated by i; entry 0 starts at the
     positive x-axis, like :func:`reference_path_ordered_product`.
     """
-    autos = [exp(logf) for _p, logf in _crossing_order(d)]
+    autos = [fresh_exp(logf) for logf in crossing_logs(d)]
     products = []
     for i in range(max(1, len(autos))):
         total = AutPair.identity(d.ctx)

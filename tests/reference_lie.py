@@ -51,10 +51,6 @@ def scale(x: dict, c, order: int) -> dict:
     return clean({k: (mat_scale(a, c), (c * d[0], c * d[1])) for k, (a, d) in x.items()}, order)
 
 
-def truncate(x: dict, order: int) -> dict:
-    return {k: v for k, v in x.items() if k[1] <= order}
-
-
 def degree_part(x: dict, j: int) -> dict:
     return {k: v for k, v in x.items() if k[1] == j}
 

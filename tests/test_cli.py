@@ -206,6 +206,17 @@ def test_unrecognized_2d_factor_exit_code(tmp_path, capsys):
     assert "unrecognized 2d factor" in err
 
 
+def test_complete_rejects_a_correction_that_cancels_an_initial_ray(tmp_path, capsys):
+    # a lone ray is its own defect at degree 1; the correction would cancel
+    # it and leave an empty diagram, which no longer holds the input's wall
+    p = tmp_path / "ray.json"
+    p.write_text(json.dumps(_walls(1, 3, ([1, 0], "ray", [_K_TERM]))))
+    code, out, err = run(capsys, "complete", str(p))
+    assert code == 3
+    assert "cancels the initial ray (1, 0)" in err
+    assert out == ""
+
+
 def test_order_override_flag(tmp_path, capsys):
     code, out, _ = run(capsys, "complete", str(FIXTURES / "pentagon.json"), "--order", "4")
     assert code == 0

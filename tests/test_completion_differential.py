@@ -4,7 +4,10 @@ The reference (``reference_completion.py``) composes left to right at full
 order and takes its unbounded ``reference_log`` every round; the engine
 composes right to left, truncates round k to t^(k+1) and takes a ``log``
 that stops after N // s terms.  Their serialized results must agree byte
-for byte, and the two logarithms must agree on any product.
+for byte, and the two logarithms must agree on any product.  A round's
+product, taken from the walls' full-order automorphisms truncated to
+t^(k+1), must equal the product of the diagram whose wall logs were
+truncated there first.
 """
 
 import random
@@ -12,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fixture_diagram, rand_lie, rand_wall_log
+from conftest import fixture_diagram, rand_lie, rand_wall_log, truncated
 from reference_bracket import bracket
 from reference_completion import (
     reference_complete,
@@ -38,11 +41,12 @@ def test_complete_matches_reference_on_fixtures(name):
     assert _dump(complete(d)) == _dump(reference_complete(d))
 
 
-def test_complete_matches_reference_on_random_two_line_diagrams():
-    rng = random.Random(20261018)
+def _random_two_line_diagrams(seed, count=40):
+    """``count`` diagrams of two lines with random nonzero logs, rank 1-3, N 2-6."""
+    rng = random.Random(seed)
     pairs = [((1, 0), (0, 1)), ((1, -1), (1, 1)), ((2, 1), (-1, 2)), ((0, -1), (1, 0))]
-    cases = inconsistent = 0
-    while cases < 40:
+    cases = 0
+    while cases < count:
         ctx = TruncationContext(rng.randint(2, 6), rng.randint(1, 3))
         da, db = rng.choice(pairs)
         la = rand_wall_log(ctx, rng, da)
@@ -50,12 +54,38 @@ def test_complete_matches_reference_on_random_two_line_diagrams():
         if la.is_zero() or lb.is_zero():
             continue
         cases += 1
-        d = Diagram(ctx, (Wall(da, WallKind.LINE, la), Wall(db, WallKind.LINE, lb)))
+        yield Diagram(ctx, (Wall(da, WallKind.LINE, la), Wall(db, WallKind.LINE, lb)))
+
+
+def test_complete_matches_reference_on_random_two_line_diagrams():
+    inconsistent = 0
+    for d in _random_two_line_diagrams(20261018):
         product = path_ordered_product(d)
         assert product == reference_path_ordered_product(d)
         inconsistent += not product.is_identity()
         assert _dump(complete(d)) == _dump(reference_complete(d))
     assert inconsistent >= 30
+
+
+def _assert_rounds_match_truncated_diagrams(d):
+    for k in range(1, d.ctx.order + 1):
+        ctx = TruncationContext(k, d.ctx.rank)
+        cut = Diagram(ctx, tuple(Wall(w.direction, w.kind, truncated(w.logf, ctx)) for w in d.walls))
+        assert path_ordered_product(d, k) == path_ordered_product(cut)
+
+
+@pytest.mark.parametrize("name", sorted(cli.FIXTURES))
+def test_round_products_match_the_truncated_diagrams_on_fixtures(name):
+    # the completed diagram's rays carry automorphisms that bch composed
+    d = fixture_diagram(name)
+    _assert_rounds_match_truncated_diagrams(d)
+    _assert_rounds_match_truncated_diagrams(complete(d))
+
+
+def test_round_products_match_the_truncated_diagrams_on_random_two_line_diagrams():
+    for d in _random_two_line_diagrams(20261019):
+        _assert_rounds_match_truncated_diagrams(d)
+        _assert_rounds_match_truncated_diagrams(complete(d))
 
 
 def _raise_order(x: LieElem, k: int) -> LieElem:

@@ -1,13 +1,14 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import fixture_diagram, rand_wall_log
+from conftest import FIXTURES, fixture_diagram, rand_wall_log
 from reference_bracket import bracket, mat_mul
 from reference_completion import loop_products
 from reference_trees import restrict_direction
-from wallcross import cli
+from wallcross import cli, scattering, vertexlie
 from wallcross.exceptions import ConventionError, SchemaError
 from wallcross.groupoid import KFactor, k_wall_log
 from wallcross.lattice import WallKind
@@ -68,6 +69,14 @@ def test_single_line_is_consistent():
     rng = random.Random(0)
     d2 = Diagram(ctx, (Wall((1, 1), WallKind.LINE, rand_wall_log(ctx, rng, (1, 1))),))
     assert is_consistent(d2)
+
+
+def test_round_product_needs_an_order_within_the_truncation():
+    # a wall's automorphism holds no data above N, so it cannot be raised
+    d = example1_diagram()
+    assert path_ordered_product(d, d.ctx.order) == path_ordered_product(d)
+    with pytest.raises(ValueError, match="cannot truncate"):
+        path_ordered_product(d, d.ctx.order + 1)
 
 
 def test_initial_example1_defect():
@@ -583,3 +592,81 @@ def test_pentagon_keeps_one_ray_at_order_16():
     assert [r.direction for r in new_rays(d, completed)] == [(1, 1)]
     _assert_central_ray(w, _log_series({1: 1}, order // 2), order)
     assert is_consistent(completed)
+
+
+# -- each wall's automorphism is computed once ------------------------------------
+
+
+def _kronecker_doc(omega1, omega2, order):
+    """K-type lines on (1,0) and (0,1) with log Omega * sum_l (1/l) t^l z^(l gamma)."""
+    walls = [
+        {
+            "direction": list(gamma),
+            "geometry": "line",
+            "terms": [{"t": l, "k": l, "derivation": str(Fraction(omega, l))}
+                      for l in range(1, order + 1)],
+        }
+        for gamma, omega in (((1, 0), omega1), ((0, 1), omega2))
+    ]
+    return {"rank": 1, "truncation": order, "walls": walls}
+
+
+_COUNTED_RUNS = {
+    "complete-kronecker-3-5": ("complete", _kronecker_doc(3, 5, 7)),
+    "wcf-example1": ("wcf", json.loads((FIXTURES / "example1.json").read_text())),
+}
+
+
+def _run_counted(monkeypatch, capsys, tmp_path, run):
+    """Run one of ``_COUNTED_RUNS``, counting computed exponentials and merges into a wall.
+
+    Returns the two counts and the diagrams ``complete`` returned.
+    """
+    command, doc = _COUNTED_RUNS[run]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    counts = {"exp": 0, "merges": 0}
+    completed = []
+    computed, merge, completion = vertexlie._exponential, scattering.merge_wall, scattering.complete
+
+    def counted_exp(x):
+        counts["exp"] += 1
+        return computed(x)
+
+    def counted_merge(d, w):
+        counts["merges"] += d.wall_in_direction(w.direction) is not None
+        return merge(d, w)
+
+    def recorded_complete(d):
+        completed.append(completion(d))
+        return completed[-1]
+
+    monkeypatch.setattr(vertexlie, "_exponential", counted_exp)
+    monkeypatch.setattr(scattering, "merge_wall", counted_merge)
+    monkeypatch.setattr(scattering, "complete", recorded_complete)
+    assert cli.main([command, str(path)]) == 0
+    capsys.readouterr()
+    return counts["exp"], counts["merges"], completed
+
+
+@pytest.mark.parametrize("run", sorted(_COUNTED_RUNS))
+def test_completion_exponentiates_each_wall_once(tmp_path, monkeypatch, capsys, run):
+    # one exponential per wall of the output, one per line's inverse ray and
+    # one per merge (the correction's; bch keeps the merged product): no
+    # wall is exponentiated again in a later round or in the consistency check
+    computed, merges, (completed,) = _run_counted(monkeypatch, capsys, tmp_path, run)
+    lines = sum(w.kind is WallKind.LINE for w in completed.walls)
+    assert computed <= len(completed.walls) + lines + merges
+
+
+@pytest.mark.parametrize("run", sorted(_COUNTED_RUNS))
+def test_cached_automorphisms_hold_no_power_table(tmp_path, monkeypatch, capsys, run):
+    # a wall keeps its automorphisms for as long as it lives, so the powers
+    # its action needs must not stay behind on them
+    _computed, _merges, (completed,) = _run_counted(monkeypatch, capsys, tmp_path, run)
+    for w in completed.walls:
+        autos = vars(w)["automorphisms"]
+        assert autos[0][1] is exp(w.logf)
+        assert len(autos) == (2 if w.kind is WallKind.LINE else 1)
+        for _ray, g in autos:
+            assert not getattr(g, "_pow_cache", None)
