@@ -21,8 +21,10 @@ product is accumulated right to left,
 automorphism acts on the dense partial product.
 
 Each wall computes its automorphism once, at the diagram's full order, and
-keeps it (:attr:`Wall.automorphisms`); a merged wall takes the product that
-:func:`~wallcross.vertexlie.bch` already composed.  ``complete`` performs
+keeps it (:attr:`Wall.automorphisms`); a wall merged through
+:func:`~wallcross.vertexlie.bch` takes the product that ``bch`` already
+composed, and one merged by addition exponentiates its sum when first
+used.  ``complete`` performs
 the order-by-order insertion of correction rays in truncated rounds
 k = 1..N.  Before round k the product is the identity modulo t^k; round k
 computes it modulo t^(k+1) only, from the walls' automorphisms truncated
@@ -31,8 +33,9 @@ commutes with the action, so this is exactly the product of the wall logs
 truncated there.  With Theta - Id of t-order k at truncation k, the bounded
 Mercator series of :func:`~wallcross.vertexlie.log` is one term, the
 degree-k part of Theta - Id.  The defect is split by
-primitive direction and cancelled by new rays (or merged into existing rays
-via BCH).  Corrections at one degree commute modulo the next, so the
+primitive direction and cancelled by new rays, or merged into existing
+rays (:func:`merge_wall`: by addition when the two logs commute, through
+BCH otherwise).  Corrections at one degree commute modulo the next, so the
 insertion order within a degree is immaterial and the completion is the
 unique minimal consistent enlargement.
 """
@@ -152,11 +155,16 @@ def is_consistent(d: Diagram) -> bool:
 
 
 def merge_wall(d: Diagram, w: Wall) -> Diagram:
-    """Insert a wall, BCH-merging into an existing same-direction wall.
+    """Insert a wall, merging it into an existing same-direction wall.
 
     Merge order is existing first: the merged log is
-    ``bch(existing.logf, w.logf)``.  A wall whose merged log vanishes is
-    dropped (minimality).
+    ``bch(existing.logf, w.logf)``.  Both logs live on one ray ``p``, so
+    their derivations are multiples of the normal of ``p`` and kill every
+    function of ``z^p``: their bracket is the commutator of the matrix
+    parts alone.  When those commute in the truncated ring the BCH product
+    is the sum, and the merged wall exponentiates it when first used;
+    otherwise :func:`~wallcross.vertexlie.bch` composes the product.  A
+    wall whose merged log vanishes is dropped (minimality).
     """
     existing = d.wall_in_direction(w.direction)
     if existing is None:
@@ -167,8 +175,9 @@ def merge_wall(d: Diagram, w: Wall) -> Diagram:
         raise ValueError(
             f"geometry conflict in direction {w.direction}: {existing.kind.value} vs {w.kind.value}"
         )
-    merged = bch(existing.logf, w.logf)
-    walls = tuple(x for x in d.walls if x.direction != w.direction)
+    x, y = existing.logf, w.logf
+    merged = x + y if x.a * y.a == y.a * x.a else bch(x, y)
+    walls = tuple(v for v in d.walls if v.direction != w.direction)
     if not merged.is_zero():
         walls = walls + (Wall(w.direction, w.kind, merged),)
     return replace(d, walls=walls)

@@ -51,6 +51,30 @@ def _check_same_context(a, b):
 _set = object.__setattr__
 
 
+def _mul_add(out: dict, a: dict, b: dict, w: int, order: int, shift: int = 0) -> None:
+    """Add ``w * t^shift * a * b`` to the integer numerators ``out``, in place.
+
+    ``a`` and ``b`` are numerator dicts keyed ``(m1, m2, j)``; terms above
+    t-degree ``order`` are dropped.  This is the one product kernel: a
+    series product, a matrix entry and a ring action each run it on one
+    ``out`` and normalize the sum once.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    get = out.get
+    for (a1, a2, ja), ca in a.items():
+        ja += shift
+        if ja > order:
+            continue
+        ca *= w
+        for (b1, b2, jb), cb in b.items():
+            j = ja + jb
+            if j > order:
+                continue
+            k = (a1 + b1, a2 + b2, j)
+            out[k] = get(k, 0) + ca * cb
+
+
 class SeriesElem:
     """A sparse element of Q[L][t]/(t^(N+1)).
 
@@ -157,19 +181,8 @@ class SeriesElem:
 
     def __mul__(self, other: "SeriesElem") -> "SeriesElem":
         _check_same_context(self, other)
-        N = self.ctx.order
-        a, b = self.coeffs, other.coeffs
-        if len(a) > len(b):
-            a, b = b, a
         out: dict[Key, int] = {}
-        get = out.get
-        for (a1, a2, ja), ca in a.items():
-            for (b1, b2, jb), cb in b.items():
-                j = ja + jb
-                if j > N:
-                    continue
-                k = (a1 + b1, a2 + b2, j)
-                out[k] = get(k, 0) + ca * cb
+        _mul_add(out, self.coeffs, other.coeffs, 1, self.ctx.order)
         return SeriesElem._make(self.ctx, out, self.den * other.den)
 
     def scale(self, c) -> "SeriesElem":
@@ -228,6 +241,22 @@ class SeriesElem:
 # -- matrices over the series ring ---------------------------------------------
 
 
+def _dot(ctx: TruncationContext, xs, ys) -> SeriesElem:
+    """The sum of the products ``x * y`` over ``zip(xs, ys)``, normalized once.
+
+    Every product is brought to the lcm of the products' denominators and
+    added into one integer dict.
+    """
+    pairs = [(x, y, x.den * y.den) for x, y in zip(xs, ys) if x.coeffs and y.coeffs]
+    den = 1
+    for _x, _y, d in pairs:
+        den = lcm(den, d)
+    out: dict[Key, int] = {}
+    for x, y, d in pairs:
+        _mul_add(out, x.coeffs, y.coeffs, den // d, ctx.order)
+    return SeriesElem._make(ctx, out, den)
+
+
 @dataclass(frozen=True)
 class SeriesMatrix:
     """An r x r matrix with SeriesElem entries."""
@@ -265,31 +294,13 @@ class SeriesMatrix:
 
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         _check_same_context(self, other)
-        r = self.ctx.rank
-        rows = []
-        for i in range(r):
-            row = []
-            for j in range(r):
-                acc = SeriesElem.zero(self.ctx)
-                for k in range(r):
-                    a, b = self.rows[i][k], other.rows[k][j]
-                    if a.coeffs and b.coeffs:
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return SeriesMatrix(self.ctx, tuple(rows))
+        cols = tuple(zip(*other.rows))
+        return SeriesMatrix(
+            self.ctx, tuple(tuple(_dot(self.ctx, row, col) for col in cols) for row in self.rows)
+        )
 
     def matvec(self, vec: tuple[SeriesElem, ...]) -> tuple[SeriesElem, ...]:
-        r = self.ctx.rank
-        out = []
-        for i in range(r):
-            acc = SeriesElem.zero(self.ctx)
-            for k in range(r):
-                a, b = self.rows[i][k], vec[k]
-                if a.coeffs and b.coeffs:
-                    acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
+        return tuple(_dot(self.ctx, row, vec) for row in self.rows)
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.rows for a in row)

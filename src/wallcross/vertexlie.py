@@ -27,7 +27,10 @@ Dynkin series are test oracles (``tests/reference_bracket.py``).  A
 :func:`log` never convert; rationals appear only at parsing and printing.
 :func:`exp` is memoized on the element it is given, and :func:`bch` keeps
 its product as the exponential of its result, so a group element is
-computed once however often it is used.
+computed once however often it is used.  The action of an element on a
+series maps each monomial to a product of two generator powers and adds
+all of them into one integer accumulator (:meth:`AutPair.apply_ring`), so
+an action builds no intermediate series beyond the generator powers.
 
 Every term's t-degree is at least 1, so all exponentials and logarithms
 terminate after at most N iterations (N // s for a logarithm of an element
@@ -44,7 +47,7 @@ from types import MappingProxyType
 
 from .exceptions import ConventionError
 from .lattice import Vec
-from .series import SeriesElem, SeriesMatrix, TruncationContext, _check_same_context
+from .series import SeriesElem, SeriesMatrix, TruncationContext, _check_same_context, _mul_add
 
 _ZERO = Fraction(0)
 
@@ -245,9 +248,12 @@ class AutPair:
 
     An instance holds nothing else, so a memoized element stays as small as
     its images and gauge.  The powers of the generator images that the
-    action needs live in a table owned by the caller: :func:`compose` and
-    :func:`log` pass one ``powers`` dict to every action they make, and
-    :meth:`apply_ring` called without one builds its own.
+    action needs live in a table owned by the caller, keyed ``(axis, e)``
+    for the e-th power (e may be negative) of ``sigma_images[axis]``; it
+    holds generator powers only, never the image of a monomial.
+    :func:`compose` and :func:`log` pass one ``powers`` dict to every
+    action they make, and :meth:`apply_ring` called without one builds its
+    own.
     """
 
     ctx: TruncationContext
@@ -299,34 +305,27 @@ class AutPair:
         return val
 
     def apply_ring(self, f: SeriesElem, powers: dict | None = None) -> SeriesElem:
-        """Apply the ring automorphism to a series (monomial-by-monomial).
+        """Apply the ring automorphism to a series.
 
-        The images of the monomials of ``f`` are brought to the lcm of their
-        denominators once, and the sum runs on integer numerators.  Monomial
-        images are kept in ``powers``, a table for this element only.
+        The term ``c z^m t^j`` of ``f`` maps to ``c t^j P1[m1] P2[m2]``, with
+        ``Pi[e]`` the e-th power of the i-th generator image, kept in
+        ``powers`` (a table of generator powers for this element only).
+        Every such product is brought to the lcm of the products'
+        denominators and added into one integer dict, normalized once.
         """
         N = self.ctx.order
         if powers is None:
             powers = {}
-        images = []
+        terms = []
         den = 1
         for (m1, m2, j), c in f.coeffs.items():
-            img = powers.get(("m", m1, m2))
-            if img is None:
-                img = self._gen_power(0, m1, powers) * self._gen_power(1, m2, powers)
-                powers[("m", m1, m2)] = img
-            images.append((j, c, img))
-            den = lcm(den, img.den)
+            p1, p2 = self._gen_power(0, m1, powers), self._gen_power(1, m2, powers)
+            d = p1.den * p2.den
+            terms.append((j, c, p1.coeffs, p2.coeffs, d))
+            den = lcm(den, d)
         out: dict = {}
-        get = out.get
-        for j, c, img in images:
-            w = c * (den // img.den)
-            for (a1, a2, ji), ci in img.coeffs.items():
-                jj = ji + j
-                if jj > N:
-                    continue
-                k = (a1, a2, jj)
-                out[k] = get(k, 0) + w * ci
+        for j, c, p1, p2, d in terms:
+            _mul_add(out, p1, p2, c * (den // d), N, j)
         return SeriesElem._make(self.ctx, out, f.den * den)
 
     def apply_matrix(self, mat: SeriesMatrix, powers: dict | None = None) -> SeriesMatrix:

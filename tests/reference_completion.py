@@ -7,14 +7,17 @@ logarithm of it (:func:`reference_log`) and corrects its lowest-degree part.
 ``scattering`` instead accumulates right to left, truncates round k to
 t^(k+1) and takes a ``log`` that stops after one term there; both must give
 the same walls.  The oracle orders the wall logs itself and exponentiates
-copies of them, so it never reads an automorphism the engine memoized.
+copies of them, so it never reads an automorphism the engine memoized, and
+it merges a correction into an existing ray as the full logarithm of the
+composed product (:func:`reference_merge`), never through the engine's
+``merge_wall``.
 """
 
 from fractions import Fraction
 
 from wallcross.exceptions import ConventionError, SchemaError
 from wallcross.lattice import WallKind, angular_sort, primitive_decompose, primitive_part
-from wallcross.scattering import Diagram, Wall, merge_wall
+from wallcross.scattering import Diagram, Wall
 from wallcross.series import SeriesElem
 from wallcross.vertexlie import AutPair, LieElem, compose, exp
 
@@ -76,6 +79,24 @@ def fresh_exp(x: LieElem) -> AutPair:
     return exp(LieElem(x.ctx, x.d1, x.d2, x.a))
 
 
+def reference_merge(d: Diagram, w: Wall) -> Diagram:
+    """Insert ``w``, merging it into a same-direction wall as log(exp(x) o exp(y)).
+
+    Existing log first; a geometry conflict raises and a wall whose merged
+    log vanishes is dropped, as in ``scattering.merge_wall``.
+    """
+    existing = d.wall_in_direction(w.direction)
+    if existing is None:
+        return d if w.logf.is_zero() else Diagram(d.ctx, d.walls + (w,))
+    if existing.kind is not w.kind:
+        raise ValueError(f"geometry conflict in direction {w.direction}")
+    merged = reference_log(compose(fresh_exp(existing.logf), fresh_exp(w.logf)))
+    walls = tuple(x for x in d.walls if x.direction != w.direction)
+    if not merged.is_zero():
+        walls = walls + (Wall(w.direction, w.kind, merged),)
+    return Diagram(d.ctx, walls)
+
+
 def reference_path_ordered_product(d: Diagram) -> AutPair:
     """theta_1 o ... o theta_s, composed left to right at full order."""
     total = AutPair.identity(d.ctx)
@@ -129,5 +150,5 @@ def reference_complete(d: Diagram) -> Diagram:
                     f"defect at degree {k0} lies on the line direction {p}; "
                     "single-vertex completion supports corrections on rays only"
                 )
-            current = merge_wall(current, Wall(p, WallKind.RAY, -by_direction[p]))
+            current = reference_merge(current, Wall(p, WallKind.RAY, -by_direction[p]))
     raise ConventionError("completion did not converge within the truncation order")

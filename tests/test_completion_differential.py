@@ -76,7 +76,8 @@ def _assert_rounds_match_truncated_diagrams(d):
 
 @pytest.mark.parametrize("name", sorted(cli.FIXTURES))
 def test_round_products_match_the_truncated_diagrams_on_fixtures(name):
-    # the completed diagram's rays carry automorphisms that bch composed
+    # the completed diagram's rays carry automorphisms that bch composed or
+    # that were exponentiated from a sum of commuting logs
     d = fixture_diagram(name)
     _assert_rounds_match_truncated_diagrams(d)
     _assert_rounds_match_truncated_diagrams(complete(d))

@@ -1,17 +1,28 @@
 import json
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, fixture_diagram, rand_wall_log
 from reference_bracket import bracket, mat_mul
-from reference_completion import loop_products
+from reference_completion import fresh_exp, loop_products, reference_log
 from reference_trees import restrict_direction
 from wallcross import cli, scattering, vertexlie
 from wallcross.exceptions import ConventionError, SchemaError
-from wallcross.groupoid import KFactor, k_wall_log
-from wallcross.lattice import WallKind
+from wallcross.groupoid import (
+    BpsContext,
+    BpsProblem,
+    KFactor,
+    SFactor,
+    build_initial_diagram,
+    factor_log,
+    k_wall_log,
+)
+from wallcross.lattice import WallKind, primitive_normal, primitive_part
 from wallcross.scattering import (
     Diagram,
     Wall,
@@ -25,6 +36,8 @@ from wallcross.series import TruncationContext
 from wallcross.vertexlie import (
     AutPair,
     LieElem,
+    bch,
+    compose,
     elementary,
     exp,
     log,
@@ -188,6 +201,110 @@ def test_merge_wall_cases():
         merge_wall(d2, Wall((1, 0), WallKind.RAY, w.logf))
     # merging the BCH inverse removes the wall entirely
     assert merge_wall(d2, Wall((1, 0), WallKind.LINE, -(w.logf + w2.logf))).walls == ()
+
+
+_RAY_DIRECTIONS = ((1, 0), (0, 1), (1, 1), (-1, 1), (2, 1), (1, -2))
+_RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _same_ray_logs(draw):
+    """Two logs on one ray, rank 2-3, with derivations along the ray's normal.
+
+    ``shape`` says how the matrix parts are drawn: ``diagonal`` and
+    ``multiple`` (scalar series times one fixed matrix) commute by
+    construction; ``free`` entries may or may not commute.
+    """
+    rank, order = draw(st.integers(2, 3)), draw(st.integers(1, 5))
+    ctx = TruncationContext(order, rank)
+    p = draw(st.sampled_from(_RAY_DIRECTIONS))
+    n = primitive_normal(p)
+    shape = draw(st.sampled_from(["diagonal", "multiple", "free"]))
+    cells = st.lists(_RATIONAL, min_size=rank * rank, max_size=rank * rank)
+    fixed = draw(cells)
+
+    def matrix():
+        if shape == "diagonal":
+            diag = draw(st.lists(_RATIONAL, min_size=rank, max_size=rank))
+            return tuple(tuple(diag[i] if i == k else 0 for k in range(rank)) for i in range(rank))
+        entries = fixed if shape == "multiple" else draw(cells)
+        c = draw(_RATIONAL) if shape == "multiple" else 1
+        return tuple(tuple(c * entries[i * rank + k] for k in range(rank)) for i in range(rank))
+
+    def element():
+        terms = {}
+        keys = st.tuples(st.integers(1, 3), st.integers(1, order))
+        for k, j in draw(st.lists(keys, min_size=1, max_size=3, unique=True)):
+            c = draw(_RATIONAL)
+            terms[((k * p[0], k * p[1]), j)] = (matrix(), (c * n[0], c * n[1]))
+        return LieElem.from_terms(ctx, terms)
+
+    return p, shape, element(), element()
+
+
+def _merged_with_bch_calls(d, w):
+    """``merge_wall(d, w)`` and the number of ``bch`` calls it made."""
+    with mock.patch.object(scattering, "bch", wraps=scattering.bch) as spy:
+        merged = merge_wall(d, w)
+    return merged, spy.call_count
+
+
+@given(_same_ray_logs())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_merge_wall_adds_commuting_logs_without_bch(case):
+    # both derivations are multiples of the normal of p, so the bracket is
+    # the matrix commutator alone; when it vanishes bch(x, y) = x + y
+    p, shape, x, y = case
+    d = Diagram(x.ctx, (Wall(p, WallKind.RAY, x),))
+    merged, calls = _merged_with_bch_calls(d, Wall(p, WallKind.RAY, y))
+    expected = bch(x, y)
+    commuting = x.a * y.a == y.a * x.a
+    assert commuting or shape == "free"
+    assert calls == (0 if commuting else 1)
+    if commuting:
+        assert expected == x + y
+    assert merged.walls == (() if expected.is_zero() else (Wall(p, WallKind.RAY, expected),))
+    if merged.walls:
+        # the merged wall's automorphism is the product, however it was merged
+        assert merged.walls[0].automorphisms[0][1] == compose(fresh_exp(x), fresh_exp(y))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("p", _RAY_DIRECTIONS)
+def test_merge_wall_sends_non_commuting_logs_through_bch(p, rank):
+    # [E_12 t z^p, E_21 t z^p] = (E_11 - E_22) t^2 z^(2p) is not zero at N >= 2
+    ctx = TruncationContext(3, rank)
+    n = primitive_normal(p)
+    x = LieElem.single(ctx, p, 1, matrix=elementary(rank, 0, 1), dvec=n)
+    y = LieElem.single(ctx, p, 1, matrix=elementary(rank, 1, 0, 2))
+    d = Diagram(ctx, (Wall(p, WallKind.RAY, x),))
+    merged, calls = _merged_with_bch_calls(d, Wall(p, WallKind.RAY, y))
+    assert calls == 1
+    assert merged.walls == (Wall(p, WallKind.RAY, bch(x, y)),)
+    assert merged.walls[0].logf != x + y
+    assert merged.walls[0].logf == reference_log(compose(fresh_exp(x), fresh_exp(y)))
+
+
+def test_initial_diagram_merges_factors_on_one_line_by_addition_or_bch():
+    # K and S factors on one line commute (the K log has no matrix part), as
+    # do two K factors; S factors on the pairs (a, b) and (b, a) do not
+    ctx = BpsContext(("a", "b", "c"), 4)
+    lie_ctx = TruncationContext(4, 3)
+    cases = [
+        ((SFactor(("a", "b"), (1, 0), 1), KFactor((1, 0), 2)), 0),
+        ((KFactor((1, 1), 1), SFactor(("b", "c"), (1, 1), -1), KFactor((2, 2), 1)), 0),
+        ((SFactor(("a", "b"), (1, 0), 1), SFactor(("b", "a"), (1, 0), 2)), 1),
+    ]
+    for factors, bch_calls in cases:
+        logs = [factor_log(ctx, lie_ctx, f) for f in factors]
+        with mock.patch.object(scattering, "bch", wraps=scattering.bch) as spy:
+            d = build_initial_diagram(BpsProblem(ctx, factors), lie_ctx)
+        assert spy.call_count == bch_calls
+        expected = logs[0]
+        for y in logs[1:]:
+            expected = bch(expected, y)
+        p = primitive_part(factors[0].gamma)
+        assert d.walls == (Wall(p, WallKind.LINE, expected),)
 
 
 def test_random_two_line_completions():
@@ -652,8 +769,9 @@ def _run_counted(monkeypatch, capsys, tmp_path, run):
 @pytest.mark.parametrize("run", sorted(_COUNTED_RUNS))
 def test_completion_exponentiates_each_wall_once(tmp_path, monkeypatch, capsys, run):
     # one exponential per wall of the output, one per line's inverse ray and
-    # one per merge (the correction's; bch keeps the merged product): no
-    # wall is exponentiated again in a later round or in the consistency check
+    # one per merge (the correction's, when bch composes and keeps the merged
+    # product; the sum's, when commuting logs merge by addition): no wall is
+    # exponentiated again in a later round or in the consistency check
     computed, merges, (completed,) = _run_counted(monkeypatch, capsys, tmp_path, run)
     lines = sum(w.kind is WallKind.LINE for w in completed.walls)
     assert computed <= len(completed.walls) + lines + merges
