@@ -14,6 +14,11 @@ Products and sums run on Python integers and take one gcd at the end; the
 rationals appear only at the boundary (the public constructor and
 :meth:`SeriesElem.fractions`).
 
+Zero is free: a sum or a scaling with a zero operand returns an operand
+unchanged, and a matrix product visits only the nonzero entries, so a
+gauge that is the identity plus a few nilpotent entries costs only the
+products of those entries.
+
 A :class:`TruncationContext` fixes the truncation order ``N`` and the rank
 ``r`` of the matrix factor used by the extended vertex algebra.
 """
@@ -106,8 +111,13 @@ class SeriesElem:
 
     @staticmethod
     def _make(ctx: TruncationContext, nums: dict, den: int) -> "SeriesElem":
-        """The element ``nums / den`` from integer numerators, brought to normal form."""
-        nums = {k: v for k, v in nums.items() if v}
+        """The element ``nums / den`` from integer numerators, brought to normal form.
+
+        ``nums`` must be a fresh dict: the result keeps it as its ``coeffs``
+        unless a numerator is 0 or a common factor divides out.
+        """
+        if 0 in nums.values():
+            nums = {k: v for k, v in nums.items() if v}
         if not nums:
             den = 1
         elif den != 1:
@@ -162,6 +172,10 @@ class SeriesElem:
 
     def __add__(self, other: "SeriesElem") -> "SeriesElem":
         _check_same_context(self, other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         da, db = self.den, other.den
         if da == db:
             den, sb, out = da, 1, dict(self.coeffs)
@@ -186,6 +200,8 @@ class SeriesElem:
         return SeriesElem._make(self.ctx, out, self.den * other.den)
 
     def scale(self, c) -> "SeriesElem":
+        if not self.coeffs:
+            return self
         if type(c) is not Fraction:
             c = Fraction(c)
         if not c:
@@ -241,25 +257,16 @@ class SeriesElem:
 # -- matrices over the series ring ---------------------------------------------
 
 
-def _dot(ctx: TruncationContext, xs, ys) -> SeriesElem:
-    """The sum of the products ``x * y`` over ``zip(xs, ys)``, normalized once.
-
-    Every product is brought to the lcm of the products' denominators and
-    added into one integer dict.
-    """
-    pairs = [(x, y, x.den * y.den) for x, y in zip(xs, ys) if x.coeffs and y.coeffs]
-    den = 1
-    for _x, _y, d in pairs:
-        den = lcm(den, d)
-    out: dict[Key, int] = {}
-    for x, y, d in pairs:
-        _mul_add(out, x.coeffs, y.coeffs, den // d, ctx.order)
-    return SeriesElem._make(ctx, out, den)
-
-
 @dataclass(frozen=True)
 class SeriesMatrix:
-    """An r x r matrix with SeriesElem entries."""
+    """An r x r matrix with SeriesElem entries.
+
+    :meth:`matvec` is the one product: ``a * b`` applies it to each column
+    of ``b``.  An output entry adds each product of two nonzero entries,
+    brought to the lcm of their denominators, into one integer dict and
+    normalizes it once; zero entries cost nothing, and an entry with no
+    nonzero product is one shared zero.
+    """
 
     ctx: TruncationContext
     rows: tuple[tuple[SeriesElem, ...], ...]
@@ -294,13 +301,28 @@ class SeriesMatrix:
 
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         _check_same_context(self, other)
-        cols = tuple(zip(*other.rows))
-        return SeriesMatrix(
-            self.ctx, tuple(tuple(_dot(self.ctx, row, col) for col in cols) for row in self.rows)
-        )
+        cols = [self.matvec(col) for col in zip(*other.rows)]
+        return SeriesMatrix(self.ctx, tuple(zip(*cols)))
 
     def matvec(self, vec: tuple[SeriesElem, ...]) -> tuple[SeriesElem, ...]:
-        return tuple(_dot(self.ctx, row, vec) for row in self.rows)
+        ctx = self.ctx
+        order = ctx.order
+        zero = SeriesElem.zero(ctx)
+        nonzero = [(k, y) for k, y in enumerate(vec) if y.coeffs]
+        out = []
+        for row in self.rows:
+            pairs = [(x, y, x.den * y.den) for k, y in nonzero if (x := row[k]).coeffs]
+            if not pairs:
+                out.append(zero)
+                continue
+            den = 1
+            for _x, _y, d in pairs:
+                den = lcm(den, d)
+            acc: dict[Key, int] = {}
+            for x, y, d in pairs:
+                _mul_add(acc, x.coeffs, y.coeffs, den // d, order)
+            out.append(SeriesElem._make(ctx, acc, den))
+        return tuple(out)
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.rows for a in row)

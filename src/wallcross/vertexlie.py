@@ -118,10 +118,15 @@ class LieElem:
             if len(a) != r:
                 raise ValueError("matrix part does not match context rank")
             key = (m[0], m[1], j)
-            d1[key], d2[key] = d
+            n1, n2 = d
+            if n1:
+                d1[key] = n1
+            if n2:
+                d2[key] = n2
             for i, row in enumerate(a):
                 for k, c in enumerate(row):
-                    mats[i][k][key] = c
+                    if c:
+                        mats[i][k][key] = c
         rows = tuple(tuple(SeriesElem(ctx, e) for e in row) for row in mats)
         return LieElem(ctx, SeriesElem(ctx, d1), SeriesElem(ctx, d2), SeriesMatrix(ctx, rows))
 
@@ -210,8 +215,10 @@ class LieElem:
         The derivation vectors are kept over one common denominator, so the
         accumulation runs on the integer numerators of ``f``.
         """
-        N = self.ctx.order
         den, derivations = self._derivations
+        if not derivations or not f.coeffs:
+            return SeriesElem.zero(self.ctx)
+        N = self.ctx.order
         out: dict = {}
         get = out.get
         for m1, m2, j, d1, d2 in derivations:
@@ -312,7 +319,11 @@ class AutPair:
         ``powers`` (a table of generator powers for this element only).
         Every such product is brought to the lcm of the products'
         denominators and added into one integer dict, normalized once.
+        A constant (every term has ``m = 0``) is fixed, since sigma fixes
+        z^0 and t: it is returned as it is, with no power built.
         """
+        if not any(m1 or m2 for m1, m2, _j in f.coeffs):
+            return f
         N = self.ctx.order
         if powers is None:
             powers = {}

@@ -8,6 +8,12 @@ through ``compose`` or ``apply_ring``, and must equal the engine's value in
 its normal form.  Exponents run negative, like the (-1, 1) direction that
 only the 2d-4d workloads reach, and denominators are mixed, so the lcm
 rescale and the final gcd both matter.
+
+The sparse operands are the ones the kernel skips work on: identity-plus-E_ij
+gauges, zero rows, columns and vectors, entries with one nonzero pair, and
+constant series, which the ring action returns as they are.  Separate tests
+pin that the skipping is real (kernel calls, the powers table) and that a
+zero operand still has its context checked.
 """
 
 import random
@@ -16,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 import reference_series as ref
-from wallcross.series import SeriesElem, SeriesMatrix, TruncationContext
+from wallcross.series import SeriesElem, SeriesMatrix, TruncationContext, _mul_add
 from wallcross.vertexlie import AutPair
 
 
@@ -43,6 +49,19 @@ def _assert_equal(got, expected):
     assert got.fractions() == expected
 
 
+def _assert_products(ctx, a, b, v):
+    """``A * B`` and ``A v`` against the ``Fraction`` model, entry by entry."""
+    r, N = ctx.rank, ctx.order
+    product = _matrix(ctx, a) * _matrix(ctx, b)
+    for i in range(r):
+        for j in range(r):
+            expected = _sum((ref.mul(a[i][k], b[k][j], N) for k in range(r)), N)
+            _assert_equal(product.rows[i][j], expected)
+    image = _matrix(ctx, a).matvec(tuple(SeriesElem(ctx, f) for f in v))
+    for i in range(r):
+        _assert_equal(image[i], _sum((ref.mul(a[i][k], v[k], N) for k in range(r)), N))
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_matrix_products_match_the_fraction_model(rank):
     rng = random.Random(1100 + rank)
@@ -51,15 +70,100 @@ def test_matrix_products_match_the_fraction_model(rank):
         N = rng.randint(1, 6)
         ctx = TruncationContext(N, r)
         a, b = ([[_coeffs(rng, N) for _ in range(r)] for _ in range(r)] for _ in range(2))
-        v = [_coeffs(rng, N) for _ in range(r)]
-        product = _matrix(ctx, a) * _matrix(ctx, b)
-        for i in range(r):
-            for j in range(r):
-                expected = _sum((ref.mul(a[i][k], b[k][j], N) for k in range(r)), N)
-                _assert_equal(product.rows[i][j], expected)
-        image = _matrix(ctx, a).matvec(tuple(SeriesElem(ctx, f) for f in v))
-        for i in range(r):
-            _assert_equal(image[i], _sum((ref.mul(a[i][k], v[k], N) for k in range(r)), N))
+        _assert_products(ctx, a, b, [_coeffs(rng, N) for _ in range(r)])
+
+
+# -- sparse operands: the gauges of the 2d-4d workloads ----------------------------
+
+
+def _monomial(rng, order):
+    """One term c z^m t^d with c != 0 and 1 <= d <= order."""
+    key = (rng.randint(-1, 1), rng.randint(-1, 1), rng.randint(1, order))
+    return {key: Fraction(rng.choice([-2, -1, 1, 2, 3]), rng.randint(1, 3))}
+
+
+def _identity(r):
+    return [[ref._one() if i == k else {} for k in range(r)] for i in range(r)]
+
+
+def _gauge(rng, r, order):
+    """I + sum c z^m t^d E_ij over one to three off-diagonal (i, j).
+
+    An S factor  -mu t^d E_ij z^gamma  exponentiates to I + mu t^d E_ij z^gamma
+    (E_ij squares to 0), so every gauge of a 2d-4d problem has this shape.
+    """
+    g = _identity(r)
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.sample(range(r), 2)
+        g[i][j] = ref.add(g[i][j], _monomial(rng, order), order)
+    return g
+
+
+def _sparse_cases(rng, r, order):
+    """Operand triples ``(A, B, v)`` of the sparse shapes the kernel skips over."""
+    g, h = _gauge(rng, r, order), _gauge(rng, r, order)
+    v = [_coeffs(rng, order) if rng.random() < 0.5 else {} for _ in range(r)]
+    yield g, h, v
+    # entries that cancel to zero: (I + c E_ij)(I - c E_ij) = I
+    one, inverse = _identity(r), _identity(r)
+    i, j = rng.sample(range(r), 2)
+    one[i][j] = _monomial(rng, order)
+    inverse[i][j] = ref.neg(one[i][j])
+    yield one, inverse, [{} for _ in range(r)]
+    # an all-zero row of A, an all-zero column of B, an all-zero vector
+    a = [[_coeffs(rng, order) for _ in range(r)] for _ in range(r)]
+    b = [[_coeffs(rng, order) for _ in range(r)] for _ in range(r)]
+    a[rng.randrange(r)] = [{} for _ in range(r)]
+    col = rng.randrange(r)
+    for row in b:
+        row[col] = {}
+    yield a, b, [{} for _ in range(r)]
+    # exactly one nonzero pair per entry: permutations scaled by nonzero series
+    for _ in range(2):
+        p, q = rng.sample(range(r), r), rng.sample(range(r), r)
+        a = [[_monomial(rng, order) if k == p[i] else {} for k in range(r)] for i in range(r)]
+        b = [[_monomial(rng, order) if k == q[i] else {} for k in range(r)] for i in range(r)]
+        yield a, b, [_monomial(rng, order) for _ in range(r)]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_sparse_matrix_products_match_the_fraction_model(rank):
+    rng = random.Random(1300 + rank)
+    for _ in range(25):
+        N = rng.randint(1, 6)
+        ctx = TruncationContext(N, rank)
+        for a, b, v in _sparse_cases(rng, rank, N):
+            _assert_products(ctx, a, b, v)
+
+
+def test_a_gauge_product_runs_the_kernel_once_per_nonzero_pair(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        _mul_add(*args)
+
+    monkeypatch.setattr("wallcross.series._mul_add", counted)
+    ctx = TruncationContext(6, 4)
+    a, b = _identity(4), _identity(4)
+    a[0][1] = {(1, 0, 1): Fraction(-1)}
+    b[1][2] = {(0, 1, 2): Fraction(2)}
+    b[3][0] = {(-1, 1, 1): Fraction(1, 2)}
+    pairs = sum(1 for i in range(4) for k in range(4) for j in range(4) if a[i][k] and b[k][j])
+    assert pairs == 8  # of the 64 entry pairs of a dense 4 x 4 product
+    _matrix(ctx, a) * _matrix(ctx, b)
+    assert len(calls) == pairs
+
+
+def test_a_sum_with_zero_still_checks_the_context():
+    zero, x = SeriesElem.zero(TruncationContext(3, 2)), SeriesElem.one(TruncationContext(4, 2))
+    with pytest.raises(ValueError, match="context mismatch"):
+        zero + x
+    with pytest.raises(ValueError, match="context mismatch"):
+        x + zero
+    ctx = TruncationContext(3, 2)
+    y = SeriesElem.monomial(ctx, (1, 0), 1, Fraction(1, 2))
+    assert y + SeriesElem.zero(ctx) is y and SeriesElem.zero(ctx) + y is y
 
 
 def _power(f, e, order):
@@ -80,6 +184,42 @@ def _apply(images, f, order):
     return _sum(terms, order)
 
 
+def _aut(rng, ctx):
+    """A random AutPair with its generator images and gauge as ``Fraction`` dicts."""
+    r, N = ctx.rank, ctx.order
+    # generator images z^(e_i) (1 + n_i), n_i of positive t-order
+    images = []
+    for e in ((1, 0), (0, 1)):
+        unit = ref.add(ref._one(), _coeffs(rng, N, min_order=1), N)
+        images.append({(m1 + e[0], m2 + e[1], j): c for (m1, m2, j), c in unit.items()})
+    gauge = [[ref.add(ref._one() if i == k else {}, _coeffs(rng, N, min_order=1), N)
+              for k in range(r)] for i in range(r)]
+    g = AutPair(ctx, (SeriesElem(ctx, images[0]), SeriesElem(ctx, images[1])), _matrix(ctx, gauge))
+    return g, images, gauge
+
+
+def _assert_actions(g, images, gauge, fs, powers=None):
+    """``apply_ring``, ``apply_matrix`` and ``apply_section`` on the series ``fs``.
+
+    Each is compared with the ``Fraction`` model; returns ``fs`` as ``SeriesElem``s.
+    """
+    ctx = g.ctx
+    r, N = ctx.rank, ctx.order
+    expected = [_apply(images, f, N) for f in fs]
+    elems = [SeriesElem(ctx, f) for f in fs]
+    for f, want in zip(elems, expected):
+        _assert_equal(g.apply_ring(f, powers), want)
+    rows = tuple(tuple(elems[(i + k) % r] for k in range(r)) for i in range(r))
+    mat = g.apply_matrix(SeriesMatrix(ctx, rows), powers)
+    for i in range(r):
+        for k in range(r):
+            _assert_equal(mat.rows[i][k], expected[(i + k) % r])
+    section = g.apply_section(tuple(elems), powers)
+    for i in range(r):
+        _assert_equal(section[i], _sum((ref.mul(gauge[i][k], expected[k], N) for k in range(r)), N))
+    return elems
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_ring_action_matches_the_fraction_model(rank):
     rng = random.Random(1200 + rank)
@@ -87,25 +227,11 @@ def test_ring_action_matches_the_fraction_model(rank):
     for _ in range(20):
         N = rng.randint(1, 5)
         ctx = TruncationContext(N, r)
-        # generator images z^(e_i) (1 + n_i), n_i of positive t-order
-        images = []
-        for e in ((1, 0), (0, 1)):
-            unit = ref.add(ref._one(), _coeffs(rng, N, min_order=1), N)
-            images.append({(m1 + e[0], m2 + e[1], j): c for (m1, m2, j), c in unit.items()})
-        gauge = [[ref.add(ref._one() if i == k else {}, _coeffs(rng, N, min_order=1), N)
-                  for k in range(r)] for i in range(r)]
+        g, images, gauge = _aut(rng, ctx)
         series = [_coeffs(rng, N) for _ in range(r)]
         # the (-1, 1) monomial needs the inverse of the first image
         series[0] = ref.add(series[0], {(-1, 1, 0): Fraction(rng.randint(1, 5), rng.randint(1, 6))}, N)
-
-        g = AutPair(ctx, (SeriesElem(ctx, images[0]), SeriesElem(ctx, images[1])), _matrix(ctx, gauge))
-        expected = [_apply(images, f, N) for f in series]
-        elems = [SeriesElem(ctx, f) for f in series]
-        for f, want in zip(elems, expected):
-            _assert_equal(g.apply_ring(f), want)
-        section = g.apply_section(tuple(elems))
-        for i in range(r):
-            _assert_equal(section[i], _sum((ref.mul(gauge[i][k], expected[k], N) for k in range(r)), N))
+        elems = _assert_actions(g, images, gauge, series)
 
         # one table shared by every action of g gives what fresh tables give,
         # and it holds generator powers only
@@ -117,3 +243,26 @@ def test_ring_action_matches_the_fraction_model(rank):
         for key, p in powers.items():
             axis, e = key
             _assert_equal(p, _power(images[axis], e, N))
+
+
+@pytest.mark.parametrize("rank", [1, 4])
+def test_constants_are_fixed_and_build_no_power(rank):
+    rng = random.Random(1400 + rank)
+    for _ in range(20):
+        N = rng.randint(1, 5)
+        ctx = TruncationContext(N, rank)
+        g, images, gauge = _aut(rng, ctx)
+        constants = [
+            ref.truncate({(0, 0, j): Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                          for j in range(rng.randint(0, N + 1))}, N)
+            for _ in range(rank)
+        ]
+        powers: dict = {}
+        for f in _assert_actions(g, images, gauge, constants, powers):
+            assert g.apply_ring(f, powers) is f
+        assert powers == {}
+        # a term z^(0, m2) is not constant: sigma moves it
+        mixed = [ref.add(f, {(0, rng.choice([-1, 1]), rng.randint(0, N)): Fraction(1)}, N)
+                 for f in constants]
+        _assert_actions(g, images, gauge, mixed, powers)
+        assert powers
