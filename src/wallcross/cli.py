@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: ``complete``, ``check``, ``wcf``, ``bch``, ``plot``, ``demo``.
-Exit codes: 0 success/consistent, 1 inconsistent, 2 input error, 3
-convention violation (among others, a completion that would correct an
-initial line or cancel an initial ray).  ``SCATTER_MAX_ORDER`` caps the truncation order
+Subcommands: ``complete``, ``check``, ``wcf``, ``bch``, ``plot``, ``demo``;
+every file format they read or write lives in :mod:`serialize`.  Exit codes:
+0 success/consistent, 1 inconsistent, 2 input error (an input that cannot be
+read or decoded, or an output that cannot be written, included), 3 convention
+violation (among others, a completion that would correct an initial line or
+cancel an initial ray).  ``SCATTER_MAX_ORDER`` caps the truncation order
 (default 16).  Outputs are byte-identical across runs for identical inputs.
 """
 
@@ -17,10 +19,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
-from . import groupoid, report, scattering, serialize
+from . import groupoid, report, scattering, serialize, vertexlie
 from .exceptions import ConventionError, SchemaError
-from .lattice import in_open_half_plane
-from .series import TruncationContext
 
 EXIT_OK = 0
 EXIT_INCONSISTENT = 1
@@ -63,10 +63,15 @@ def load_json(path: str) -> dict:
         raise SchemaError(f"no such file: {path}") from None
     except json.JSONDecodeError as e:
         raise SchemaError(f"bad JSON in {path}: {e}") from None
+    except (OSError, UnicodeDecodeError) as e:
+        raise SchemaError(f"cannot read {path}: {e}") from None
 
 
 def write_text(path: str, text: str):
-    Path(path).write_text(text)
+    try:
+        Path(path).write_text(text)
+    except OSError as e:
+        raise SchemaError(f"cannot write {path}: {e}") from None
 
 
 def convention_audit() -> str:
@@ -86,23 +91,36 @@ def convention_audit() -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_complete(args) -> int:
-    data = load_json(args.input)
-    d = serialize.diagram_from_json(data, args.order)
-    check_order(d.ctx.order)
+def _completion(d) -> tuple:
+    """Complete ``d``: the completed diagram, its report and its consistency."""
     completed = scattering.complete(d)
     consistent = scattering.is_consistent(completed)
-    text = report.completion_report(d, completed, consistent)
+    return completed, report.completion_report(d, completed, consistent), consistent
+
+
+def _solution(problem) -> tuple:
+    """Solve ``problem``: the completed diagram, its report and its consistency."""
+    sol = groupoid.solve_wcf(problem)
+    return sol.completed, report.wcf_report(sol), sol.consistent
+
+
+def _write_results(args, completed, text: str):
     sys.stdout.write(text)
     if args.output:
         write_text(args.output, serialize.dumps(serialize.diagram_to_json(completed)))
     _emit_plots(args, completed)
+
+
+def cmd_complete(args) -> int:
+    d = serialize.diagram_from_json(load_json(args.input), args.order)
+    check_order(d.ctx.order)
+    completed, text, _consistent = _completion(d)
+    _write_results(args, completed, text)
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
-    data = load_json(args.input)
-    d = serialize.diagram_from_json(data, args.order)
+    d = serialize.diagram_from_json(load_json(args.input), args.order)
     check_order(d.ctx.order)
     product = scattering.path_ordered_product(d)
     _emit_plots(args, d)
@@ -110,57 +128,22 @@ def cmd_check(args) -> int:
         sys.stdout.write("consistent\n")
         return EXIT_OK
     scattering.require_half_plane(d)
-    from .vertexlie import log
-
-    sys.stdout.write(report.defect_report(log(product)))
+    sys.stdout.write(report.defect_report(vertexlie.log(product)))
     return EXIT_INCONSISTENT
 
 
 def cmd_wcf(args) -> int:
-    data = load_json(args.input)
-    problem, n = serialize.bps_from_json(data, args.order)
+    problem, n = serialize.bps_from_json(load_json(args.input), args.order)
     check_order(n)
-    sol = groupoid.solve_wcf(problem)
-    sys.stdout.write(report.wcf_report(sol))
-    if args.output:
-        write_text(args.output, serialize.dumps(serialize.diagram_to_json(sol.completed)))
-    _emit_plots(args, sol.completed)
-    return EXIT_OK if sol.consistent else EXIT_INCONSISTENT
+    completed, text, consistent = _solution(problem)
+    _write_results(args, completed, text)
+    return EXIT_OK if consistent else EXIT_INCONSISTENT
 
 
 def cmd_bch(args) -> int:
-    data = load_json(args.input)
-    if not isinstance(data, dict):
-        raise SchemaError("bch input must be a JSON object")
-    try:
-        # without a truncation key, the order is the file's truncation
-        order = args.order
-        truncation = data["truncation"] if order is None else data.get("truncation", order)
-        rank = data["rank"]
-    except KeyError as e:
-        raise SchemaError(f"bch input missing key {e}") from None
-    truncation = serialize._int(truncation, "truncation")
-    n = serialize.read_order(truncation, order)
-    check_order(n)
-    try:
-        ctx = TruncationContext(n, serialize._int(rank, "rank"))
-    except ValueError as e:
-        raise SchemaError(str(e)) from None
-    from .vertexlie import bch
-
-    x = serialize.lie_terms_from_json(ctx, data.get("x", []), truncation)
-    y = serialize.lie_terms_from_json(ctx, data.get("y", []), truncation)
-    if not in_open_half_plane(list(x.frequencies() | y.frequencies())):
-        raise SchemaError(
-            "the frequencies of x and y must lie in one open half-plane, or the "
-            "product leaves the Lie algebra"
-        )
-    result = {
-        "rank": ctx.rank,
-        "truncation": ctx.order,
-        "result": serialize.lie_terms_to_json(bch(x, y)),
-    }
-    text = serialize.dumps(result)
+    x, y = serialize.bch_from_json(load_json(args.input), args.order)
+    check_order(x.ctx.order)
+    text = serialize.dumps(serialize.bch_to_json(vertexlie.bch(x, y)))
     sys.stdout.write(text)
     if args.output:
         write_text(args.output, text)
@@ -168,8 +151,7 @@ def cmd_bch(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    data = load_json(args.input)
-    d = serialize.diagram_from_json(data, args.order)
+    d = serialize.diagram_from_json(load_json(args.input), args.order)
     if not args.emit_svg and not args.emit_csv:
         raise SchemaError("plot needs --emit-svg and/or --emit-csv")
     _emit_plots(args, d)
@@ -183,27 +165,21 @@ def _emit_plots(args, d):
         write_text(args.emit_csv, report.diagram_csv(d))
 
 
-def fixture_text(name: str) -> str:
-    return resources.files("wallcross.fixtures").joinpath(name).read_text()
-
-
 def cmd_demo(args) -> int:
+    """Run every bundled fixture; the order cap does not apply to them."""
     outdir = Path(args.outdir) if args.outdir else None
     if outdir:
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as e:
+            raise SchemaError(f"cannot write {outdir}: {e}") from None
     worst = EXIT_OK
     for name, (kind, fname) in FIXTURES.items():
-        data = json.loads(fixture_text(fname))
+        data = json.loads(resources.files("wallcross.fixtures").joinpath(fname).read_text())
         if kind == "bps":
-            problem, _n = serialize.bps_from_json(data, None)
-            sol = groupoid.solve_wcf(problem)
-            text = report.wcf_report(sol)
-            ok = sol.consistent
+            _completed, text, ok = _solution(serialize.bps_from_json(data)[0])
         else:
-            d = serialize.diagram_from_json(data, None)
-            completed = scattering.complete(d)
-            ok = scattering.is_consistent(completed)
-            text = report.completion_report(d, completed, ok)
+            _completed, text, ok = _completion(serialize.diagram_from_json(data))
         sys.stdout.write(f"== {name}\n{text}")
         if outdir:
             write_text(str(outdir / f"{name}.report.txt"), text)

@@ -166,21 +166,22 @@ def _read_ray_factors(ctx: BpsContext, wall: Wall) -> list[ProducedFactor]:
     names = ctx.vacua
     out: list[ProducedFactor] = []
     s_parts: dict[tuple[int, int, Vec, int], Fraction] = {}
-    k_parts: dict[tuple[Vec, int], Fraction] = {}
-    for (m, j), (a, d) in sorted(wall.logf.terms.items()):
+    k_lowest = None
+    # terms come by t-degree, then frequency: the first K term is the lowest
+    for (m, j), (a, d) in wall.logf.terms.items():
         r = len(a)
         for row in range(r):
             for col in range(r):
                 if not a[row][col]:
                     continue
-                if row == col or row >= len(names) or col >= len(names):
+                if row == col:
                     raise ConventionError(
                         f"unrecognized 2d factor: matrix entry ({row},{col}) "
                         f"of the ray log at frequency {m}, degree {j}"
                     )
                 s_parts[(row, col, m, j)] = a[row][col]
-        if d != (_ZERO, _ZERO):
-            k_parts[(m, j)] = normal_coefficient(m, d)
+        if k_lowest is None and (d[0] or d[1]):
+            k_lowest = (m, j, normal_coefficient(m, d))
     for (row, col, m, j), c in sorted(s_parts.items()):
         out.append(
             ProducedFactor(
@@ -192,20 +193,16 @@ def _read_ray_factors(ctx: BpsContext, wall: Wall) -> list[ProducedFactor]:
                 strength=-UPSILON_MATRIX_SIGN * c,
             )
         )
-    if k_parts:
-        p = wall.direction
-        lowest = min(k_parts, key=lambda k: (k[1], k[0]))
-        (m1, j1) = lowest
-        c1 = k_parts[lowest]
-        pattern = _matches_dilog(wall.logf, m1, j1, c1)
+    if k_lowest is not None:
+        m1, j1, c1 = k_lowest
         out.append(
             ProducedFactor(
                 kind="K",
-                direction=p,
+                direction=wall.direction,
                 degree=j1,
                 charge=m1,
                 strength=c1,
-                dilog_pattern=pattern,
+                dilog_pattern=_matches_dilog(wall.logf, m1, j1, c1),
             )
         )
     return out

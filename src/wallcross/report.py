@@ -2,33 +2,25 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .groupoid import SFactor, WcfSolution
 from .lattice import WallKind, angular_sort, primitive_part
 from .scattering import Diagram, new_rays
 from .vertexlie import LieElem
 
-_ZERO = Fraction(0)
-
-
-def _fmt_coeff(c: Fraction) -> str:
-    return str(c)
-
 
 def format_term_lines(x: LieElem, indent: str = "") -> list[str]:
     """Human-readable one-line-per-component rendering of a Lie element."""
     lines = []
-    for (m, j), (a, d) in sorted(x.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
+    for (m, j), (a, d) in x.terms.items():
         r = len(a)
         for row in range(r):
             for col in range(r):
                 c = a[row][col]
                 if not c:
                     continue
-                coeff = "" if c == 1 else f"{_fmt_coeff(c)} * "
+                coeff = "" if c == 1 else f"{c} * "
                 lines.append(f"{indent}t^{j} * {coeff}E[{row + 1},{col + 1}] * z^({m[0]},{m[1]})")
-        if d != (_ZERO, _ZERO):
+        if d[0] or d[1]:
             lines.append(f"{indent}t^{j} * d({d[0]},{d[1]}) * z^({m[0]},{m[1]})")
     if not lines:
         lines.append(f"{indent}0")
@@ -119,19 +111,10 @@ def wcf_identity_string(sol: WcfSolution) -> str:
     initial_dirs = set(initial)
 
     def letter(direction, produced: bool) -> str:
-        labels = []
-        s_done = k_done = False
-        for p in sol.produced if produced else ():
-            if p.direction != direction:
-                continue
-            if p.kind == "S" and not s_done:
-                labels.append("S'")
-                s_done = True
-            if p.kind == "K" and not k_done:
-                labels.append("K'")
-                k_done = True
-        if labels:
-            return " ".join(labels)
+        # S' before K', the order in which the read-back lists a ray's factors
+        kinds = {p.kind for p in sol.produced if p.direction == direction} if produced else ()
+        if kinds:
+            return " ".join(f"{k}'" for k in "SK" if k in kinds)
         letters = [
             "S" if isinstance(f, SFactor) else "K"
             for f in sol.problem.factors

@@ -1,9 +1,11 @@
-"""JSON schemas for diagrams, BPS problems, and Lie elements.
+"""The file formats: diagrams, BPS problems, and ``bch`` inputs and results.
+
+Every text format the CLI reads or writes is parsed and emitted here.
 
 Rationals serialize as canonical lowest-terms strings (``"p/q"`` with q > 1,
 bare ``"p"`` for integers); exponents as integer pairs.  Dictionary keys are
-emitted in sorted order and wall/term lists in a canonical order, so equal
-values serialize byte-identically.
+emitted in sorted order, walls by direction and terms by t-degree, then
+frequency, so equal values serialize byte-identically.
 
 Diagram files::
 
@@ -16,12 +18,22 @@ Diagram files::
 The ``derivation`` coefficient is relative to the primitive normal of the
 wall direction.  The wall data stops at ``N``: a term above it is rejected,
 and an order override may lower the truncation (dropping the terms above
-the new order) but not raise it.  The ``bch`` input (``rank``,
-``truncation``, lists ``x`` and ``y`` of terms ``{"m", "t", "matrix",
-"derivation"}``) follows the same rule.  No two walls may cover the same ray (a
+the new order) but not raise it.  No two walls may cover the same ray (a
 line covers both of its rays).  Loops start at the positive x-axis, so a
 ``base_direction`` key, which older files used to choose the loop start, is
-rejected.  BPS problem files::
+rejected.  ``bch`` input files::
+
+    {"rank": r, "truncation": N,
+     "x": [{"m": [a, b], "t": j, "matrix": [["p/q", ...], ...],
+            "derivation": ["p/q", "p/q"]}],
+     "y": [...]}
+
+follow the same truncation rule; ``truncation`` may be left out when an
+order is passed, and is then that order.  Each derivation is a dual vector
+orthogonal to its frequency, and the frequencies of ``x`` and ``y`` together
+must lie in one open half-plane.  The result is written as
+``{"rank": r, "truncation": N, "result": [terms as in x]}``, the BCH
+product of ``x`` and ``y`` at order N.  BPS problem files::
 
     {"vacua": ["i", "j", ...], "basepoints": {"i": [x, y], ...},
      "factors": [{"type": "S", "pair": ["i", "j"], "gamma": [x, y], "mu": n},
@@ -43,17 +55,21 @@ from fractions import Fraction
 
 from .exceptions import SchemaError
 from .groupoid import BpsContext, BpsProblem, KFactor, SFactor
-from .lattice import WallKind, normal_coefficient, primitive_normal
+from .lattice import WallKind, content, in_open_half_plane, normal_coefficient, primitive_normal
 from .scattering import Diagram, Wall
 from .series import TruncationContext
 from .vertexlie import LieElem, mat_zero
 
+_ZERO = Fraction(0)
+
 
 def frac_str(c: Fraction) -> str:
-    return str(Fraction(c))
+    return str(Fraction(c)) if c else "0"
 
 
 def parse_frac(s) -> Fraction:
+    if s == "0":
+        return _ZERO
     try:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as e:
@@ -90,26 +106,24 @@ def _matrix(mat, rank: int):
     return tuple(tuple(parse_frac(x) for x in row) for row in mat)
 
 
+def _matrix_json(a) -> list[list[str]]:
+    return [[frac_str(c) for c in row] for row in a]
+
+
 # -- diagrams --------------------------------------------------------------------
 
 
 def wall_to_json(w: Wall) -> dict:
-    terms = []
-    for (m, j), (a, d) in sorted(w.logf.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        k = m[0] // w.direction[0] if w.direction[0] else m[1] // w.direction[1]
-        terms.append(
-            {
-                "t": j,
-                "k": k,
-                "matrix": [[frac_str(x) for x in row] for row in a],
-                "derivation": frac_str(normal_coefficient(w.direction, d)),
-            }
-        )
-    return {
-        "direction": list(w.direction),
-        "geometry": w.kind.value,
-        "terms": terms,
-    }
+    terms = [
+        {
+            "t": j,
+            "k": content(m),
+            "matrix": _matrix_json(a),
+            "derivation": frac_str(normal_coefficient(w.direction, d)),
+        }
+        for (m, j), (a, d) in w.logf.terms.items()
+    ]
+    return {"direction": list(w.direction), "geometry": w.kind.value, "terms": terms}
 
 
 def diagram_to_json(d: Diagram) -> dict:
@@ -245,18 +259,46 @@ def _factor_strength(f) -> int:
 # -- generic Lie elements (bch command) --------------------------------------------
 
 
-def lie_terms_to_json(x: LieElem) -> list[dict]:
-    out = []
-    for (m, j), (a, d) in sorted(x.terms.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-        out.append(
-            {
-                "m": list(m),
-                "t": j,
-                "matrix": [[frac_str(c) for c in row] for row in a],
-                "derivation": [frac_str(d[0]), frac_str(d[1])],
-            }
+def bch_from_json(data: dict, order: int | None) -> tuple[LieElem, LieElem]:
+    """The ``x`` and ``y`` of a bch input, read at ``order`` (``None``: its truncation)."""
+    if not isinstance(data, dict):
+        raise SchemaError("bch input must be a JSON object")
+    try:
+        # without a truncation key, the order is the file's truncation
+        truncation = data["truncation"] if order is None else data.get("truncation", order)
+        rank = data["rank"]
+    except KeyError as e:
+        raise SchemaError(f"bch input missing key {e}") from None
+    truncation = _int(truncation, "truncation")
+    try:
+        ctx = TruncationContext(read_order(truncation, order), _int(rank, "rank"))
+    except ValueError as e:
+        raise SchemaError(str(e)) from None
+    x = lie_terms_from_json(ctx, data.get("x", []), truncation)
+    y = lie_terms_from_json(ctx, data.get("y", []), truncation)
+    if not in_open_half_plane(list(x.frequencies() | y.frequencies())):
+        raise SchemaError(
+            "the frequencies of x and y must lie in one open half-plane, or the "
+            "product leaves the Lie algebra"
         )
-    return out
+    return x, y
+
+
+def bch_to_json(z: LieElem) -> dict:
+    """The bch result document of ``z``."""
+    return {"rank": z.ctx.rank, "truncation": z.ctx.order, "result": lie_terms_to_json(z)}
+
+
+def lie_terms_to_json(x: LieElem) -> list[dict]:
+    return [
+        {
+            "m": list(m),
+            "t": j,
+            "matrix": _matrix_json(a),
+            "derivation": [frac_str(d[0]), frac_str(d[1])],
+        }
+        for (m, j), (a, d) in x.terms.items()
+    ]
 
 
 def lie_terms_from_json(ctx: TruncationContext, data, truncation: int) -> LieElem:

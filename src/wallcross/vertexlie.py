@@ -137,7 +137,7 @@ class LieElem:
 
     @cached_property
     def terms(self) -> MappingProxyType:
-        """The rational view ``{(m, j): (A, d)}`` (read-only)."""
+        """The rational view ``{(m, j): (A, d)}`` (read-only), by t-degree, then frequency."""
         r = self.ctx.rank
         d1, d2 = self.d1.fractions(), self.d2.fractions()
         a = [[f.fractions() for f in row] for row in self.a.rows]
@@ -146,7 +146,7 @@ class LieElem:
                 tuple(tuple(a[i][col].get(k, _ZERO) for col in range(r)) for i in range(r)),
                 (d1.get(k, _ZERO), d2.get(k, _ZERO)),
             )
-            for k in dict.fromkeys(k for f in self._parts() for k in f.coeffs)
+            for k in sorted({k for f in self._parts() for k in f.coeffs}, key=lambda k: (k[2], k))
         })
 
     def _parts(self) -> tuple[SeriesElem, ...]:

@@ -1,12 +1,20 @@
 import json
+import os
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
-from wallcross import cli, groupoid, serialize
-from wallcross.lattice import primitive_normal
-from wallcross.series import TruncationContext
-from wallcross.vertexlie import LieElem, mat_zero
+# set before the package is first imported, here and in the interpreters the
+# tests start: a bytecode cache left in src/ would skew the import time that
+# the benchmark measures in this checkout
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+from wallcross import cli, groupoid, serialize  # noqa: E402
+from wallcross.lattice import primitive_normal  # noqa: E402
+from wallcross.series import TruncationContext  # noqa: E402
+from wallcross.vertexlie import LieElem, mat_zero  # noqa: E402
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
 

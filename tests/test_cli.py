@@ -416,6 +416,114 @@ def test_malformed_input_exit_code(tmp_path, capsys, monkeypatch, command, data,
     assert out == ""
 
 
+def _wall_term_file(*terms):
+    return _walls(2, 3, ([1, 0], "line", list(terms)), ([0, 1], "line", [_K_TERM]))
+
+
+_WALL_TERM = {"t": 1, "k": 1, "matrix": _UPPER}
+_BCH_TERM = {"m": [1, 0], "t": 1, "matrix": _UPPER}
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        pytest.param("complete", _wall_term_file(_WALL_TERM, _WALL_TERM),
+                     "duplicate term at frequency (1, 0), degree 1", id="wall-duplicate"),
+        pytest.param("bch", _bch([_BCH_TERM, _BCH_TERM], []),
+                     "duplicate term at ((1, 0), 1)", id="bch-duplicate"),
+        pytest.param("complete", _wall_term_file({"t": 1, "k": 1, "derivation": "1/x"}),
+                     "bad rational '1/x': Invalid literal for Fraction: '1/x'",
+                     id="wall-bad-rational"),
+        pytest.param("bch", _bch([{"m": [1, 0], "t": 1, "matrix": [["0", "1/x"], ["0", "0"]]}], []),
+                     "bad rational '1/x': Invalid literal for Fraction: '1/x'",
+                     id="bch-bad-rational"),
+        pytest.param("complete", _wall_term_file({"t": 1, "k": 1, "matrix": [["1"]]}),
+                     "matrix shape does not match rank", id="wall-matrix-shape"),
+        pytest.param("bch", _bch([{"m": [1, 0], "t": 1, "matrix": [["1"]]}], []),
+                     "matrix shape does not match rank", id="bch-matrix-shape"),
+        pytest.param("complete", _wall_term_file({"t": 4, "k": 1, "matrix": _UPPER}),
+                     "term at t-degree 4 exceeds the file's truncation 3", id="wall-t-above"),
+        pytest.param("bch", _bch([{"m": [1, 0], "t": 4, "matrix": _UPPER}], []),
+                     "term at t-degree 4 exceeds the file's truncation 3", id="bch-t-above"),
+        pytest.param("complete", _wall_term_file({"t": 1.0, "k": 1, "matrix": _UPPER}),
+                     "bad t-degree: 1.0 (expected an integer)", id="wall-t-float"),
+        pytest.param("bch", _bch([{"m": [1, 0], "t": 1.0, "matrix": _UPPER}], []),
+                     "bad t-degree: 1.0 (expected an integer)", id="bch-t-float"),
+        # a wall term's derivation is one rational, a bch term's a pair
+        pytest.param("complete", _wall_term_file({"t": 1, "k": 1, "derivation": ["1", "0"]}),
+                     "bad rational ['1', '0']", id="wall-derivation-pair"),
+        pytest.param("bch", _bch([{"m": [1, 0], "t": 1, "derivation": "1"}], []),
+                     "derivation must be a pair of rationals", id="bch-derivation-scalar"),
+    ],
+)
+def test_term_faults_in_both_file_kinds(tmp_path, capsys, command, data, message):
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {message}")
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        pytest.param("check", _fixture_with("pentagon.json"), id="check"),
+        pytest.param("wcf", _fixture_with("example1.json"), id="wcf"),
+        pytest.param("bch", {"rank": 1, "truncation": 8, "x": [], "y": []}, id="bch"),
+    ],
+)
+def test_order_cap_applies_to_every_command(tmp_path, capsys, monkeypatch, command, data):
+    # every file here is truncated above the cap
+    monkeypatch.setenv("SCATTER_MAX_ORDER", "6")
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, str(p))
+    assert (code, out) == (2, "")
+    assert "exceeds SCATTER_MAX_ORDER=6" in err
+
+
+@pytest.mark.parametrize("command", ["complete", "bch"])
+def test_term_fault_is_reported_before_the_order_cap(tmp_path, capsys, command):
+    # the whole file is read before its order is checked against SCATTER_MAX_ORDER
+    term = {"t": "x", "k": 1} if command == "complete" else {"m": [1, 0], "t": "x"}
+    data = _wall_term_file(term) if command == "complete" else _bch([term], [])
+    data["truncation"] = 20
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(data))
+    code, _, err = run(capsys, command, str(p))
+    assert code == 2
+    assert err.startswith("input error: bad t-degree")
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{"], ids=["directory", "not-utf8"])
+def test_unreadable_input_is_an_input_error(tmp_path, capsys, content):
+    path = tmp_path / "input.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot read {path}")
+
+
+@pytest.mark.parametrize("option", ["--output", "--emit-svg", "--emit-csv"])
+def test_unwritable_output_is_an_input_error(tmp_path, capsys, option):
+    target = tmp_path / "missing" / "x"
+    code, _, err = run(capsys, "complete", str(FIXTURES / "pentagon.json"), option, str(target))
+    assert code == 2
+    assert err.startswith(f"input error: cannot write {target}")
+    assert not target.parent.exists()
+
+
+def test_demo_outdir_that_is_a_file_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "file"
+    target.write_text("")
+    code, out, err = run(capsys, "demo", "--outdir", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot write {target}")
+
+
 def test_check_accepts_a_consistent_diagram_with_opposite_rays(tmp_path, capsys):
     # the completed pentagon with an empty ray opposite its produced ray
     completed = tmp_path / "completed.json"

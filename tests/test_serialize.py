@@ -8,10 +8,13 @@ from wallcross.exceptions import SchemaError
 from wallcross.lattice import WallKind
 from wallcross.scattering import Diagram, Wall
 from wallcross.serialize import (
+    bch_from_json,
+    bch_to_json,
     bps_from_json,
     diagram_from_json,
     diagram_to_json,
     dumps,
+    frac_str,
     lie_terms_from_json,
     lie_terms_to_json,
     parse_frac,
@@ -28,6 +31,13 @@ def test_fraction_strings():
         parse_frac("1/0")
     with pytest.raises(SchemaError):
         parse_frac("pi")
+    # every spelling of zero reads as zero, and zero prints as "0"
+    for zero in ("0", "0/3", "-0", 0, "0.0"):
+        assert parse_frac(zero) == 0
+    assert frac_str(Fraction(0)) == "0" and frac_str(Fraction(-6, 4)) == "-3/2"
+    for bad in ("0/0", "00x", " "):
+        with pytest.raises(SchemaError):
+            parse_frac(bad)
 
 
 def test_diagram_roundtrip_random():
@@ -127,3 +137,22 @@ def test_lie_terms_roundtrip():
     for _ in range(10):
         x = rand_lie(ctx, rng)
         assert lie_terms_from_json(ctx, lie_terms_to_json(x), ctx.order) == x
+
+
+def test_bch_file_roundtrip():
+    rng = random.Random(11)
+    from conftest import rand_lie
+
+    ctx = TruncationContext(4, 2)
+    for _ in range(10):
+        x = rand_lie(ctx, rng)
+        doc = bch_to_json(x)
+        assert (doc["rank"], doc["truncation"]) == (2, 4)
+        got, y = bch_from_json({**doc, "x": doc["result"]}, None)
+        assert got == x and y.is_zero()
+        # a lower order drops the terms above it; without a truncation key the order is used
+        low, _ = bch_from_json({"rank": 2, "x": doc["result"]}, 4)
+        assert low == x
+        assert bch_from_json({**doc, "x": doc["result"]}, 2)[0] == x.restrict(
+            lambda key: key[2] <= 2, TruncationContext(2, 2)
+        )

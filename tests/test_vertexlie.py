@@ -382,6 +382,8 @@ def test_lie_operations_match_the_fraction_model(operands):
     for got, expected in cases:
         _assert_parts_normal(got)
         assert dict(got.terms) == expected
+        # the view lists terms by t-degree, then frequency
+        assert list(got.terms) == sorted(expected, key=lambda key: (key[1], key[0]))
         assert got.t_order() == model.t_order(expected)
         assert got.is_zero() == (not expected)
         assert got.frequencies() == {m for m, _j in expected}
