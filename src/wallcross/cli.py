@@ -5,8 +5,9 @@ every file format they read or write lives in :mod:`serialize`.  Exit codes:
 0 success/consistent, 1 inconsistent, 2 input error (an input that cannot be
 read or decoded, or an output that cannot be written, included), 3 convention
 violation (among others, a completion that would correct an initial line or
-cancel an initial ray).  ``SCATTER_MAX_ORDER`` caps the truncation order
-(default 16).  Outputs are byte-identical across runs for identical inputs.
+cancel an initial ray).  Files are written before stdout, so a run that
+exits 2 or 3 writes nothing there.  ``SCATTER_MAX_ORDER`` caps the
+truncation order (default 16).  Outputs are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -105,10 +106,10 @@ def _solution(problem) -> tuple:
 
 
 def _write_results(args, completed, text: str):
-    sys.stdout.write(text)
     if args.output:
         write_text(args.output, serialize.dumps(serialize.diagram_to_json(completed)))
     _emit_plots(args, completed)
+    sys.stdout.write(text)
 
 
 def cmd_complete(args) -> int:
@@ -144,9 +145,9 @@ def cmd_bch(args) -> int:
     x, y = serialize.bch_from_json(load_json(args.input), args.order)
     check_order(x.ctx.order)
     text = serialize.dumps(serialize.bch_to_json(vertexlie.bch(x, y)))
-    sys.stdout.write(text)
     if args.output:
         write_text(args.output, text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -174,17 +175,19 @@ def cmd_demo(args) -> int:
         except OSError as e:
             raise SchemaError(f"cannot write {outdir}: {e}") from None
     worst = EXIT_OK
+    reports = []
     for name, (kind, fname) in FIXTURES.items():
         data = json.loads(resources.files("wallcross.fixtures").joinpath(fname).read_text())
         if kind == "bps":
             _completed, text, ok = _solution(serialize.bps_from_json(data)[0])
         else:
             _completed, text, ok = _completion(serialize.diagram_from_json(data))
-        sys.stdout.write(f"== {name}\n{text}")
         if outdir:
             write_text(str(outdir / f"{name}.report.txt"), text)
+        reports.append(f"== {name}\n{text}")
         if not ok:
             worst = EXIT_INCONSISTENT
+    sys.stdout.write("".join(reports))
     return worst
 
 

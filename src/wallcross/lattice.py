@@ -96,15 +96,22 @@ def angular_sort(directions: list[Vec]) -> list[Vec]:
     return sorted(directions, key=functools.cmp_to_key(cmp))
 
 
-def in_open_half_plane(vectors: list[Vec]) -> bool:
-    """Whether the nonzero vectors all lie strictly on one side of a line through 0.
+def half_plane_order(vectors: list[Vec]) -> list[Vec] | None:
+    """The primitive directions of ``vectors`` counterclockwise across their open half-plane.
 
     In counterclockwise order the directions leave such a half-plane free
     exactly when some cyclic gap between neighbours exceeds pi, which is
-    ``det2(u, v) < 0`` for the neighbours ``u, v``.  Anti-parallel vectors,
-    or three spanning the plane, leave no gap that wide.
+    ``det2(u, v) < 0`` for the neighbours ``u, v``; the order starts after
+    that gap.  Anti-parallel vectors, or three spanning the plane, leave no
+    gap that wide, and the result is None.
     """
     order = angular_sort(list({primitive_part(v) for v in vectors}))
-    if len(order) < 2:
-        return True
-    return any(det2(u, v) < 0 for u, v in zip(order, order[1:] + order[:1]))
+    for i in range(len(order)):
+        if det2(order[i - 1], order[i]) < 0:
+            return order[i:] + order[:i]
+    return order if len(order) < 2 else None
+
+
+def in_open_half_plane(vectors: list[Vec]) -> bool:
+    """Whether the nonzero vectors all lie strictly on one side of a line through 0."""
+    return half_plane_order(vectors) is not None

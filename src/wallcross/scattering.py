@@ -2,42 +2,28 @@
 
 A diagram is a finite set of walls through the origin, each a line or a ray
 with a primitive direction ``m`` and a log in the extended vertex Lie
-algebra supported on frequencies ``k * m`` (k >= 1).  A closed loop around
-the origin crosses the walls in angular order; the path-ordered product
-composes the wall automorphisms in crossing order, the first wall crossed
-acting last:
+algebra supported on frequencies ``k * m`` (k >= 1).  A loop around the
+origin, counterclockwise from the positive x-axis, crosses the walls in
+angular order; the path-ordered product composes their automorphisms in
+crossing order, Theta = theta_1 o ... o theta_s with theta_1 crossed first
+and acting last.  A line carries its automorphism on the ray ``+m`` and the
+inverse on ``-m``; no two walls may cover the same ray.  The diagram is
+consistent when Theta is the identity modulo t^(N+1); moving the loop's
+start conjugates Theta, which changes neither that nor the lowest-degree
+part of Theta - Id that the defect report reads.  Each wall computes its
+automorphisms once, at full order (:attr:`Wall.automorphisms`).
 
-    Theta = theta_1 o theta_2 o ... o theta_s     (theta_1 crossed first)
-
-with loops oriented counterclockwise from the positive x-axis.  A line
-contributes its automorphism on the ray in direction ``+m`` and the inverse
-automorphism on ``-m``; no two walls may cover the same ray.  The diagram is
-consistent when Theta is the identity modulo t^(N+1).  Where the loop starts
-does not matter for that: moving the start conjugates Theta by a factor that
-is the identity modulo t, which leaves the lowest-degree part of Theta - Id
-unchanged, and that part is all that completion and consistency read.  The
-product is accumulated right to left,
-``theta_i o (theta_(i+1) o ... o theta_s)``, so each sparse wall
-automorphism acts on the dense partial product.
-
-Each wall computes its automorphism once, at the diagram's full order, and
-keeps it (:attr:`Wall.automorphisms`); a wall merged through
-:func:`~wallcross.vertexlie.bch` takes the product that ``bch`` already
-composed, and one merged by addition exponentiates its sum when first
-used.  ``complete`` performs
-the order-by-order insertion of correction rays in truncated rounds
-k = 1..N.  Before round k the product is the identity modulo t^k; round k
-computes it modulo t^(k+1) only, from the walls' automorphisms truncated
-there, and takes its ``log``.  Truncation is a ring homomorphism that
-commutes with the action, so this is exactly the product of the wall logs
-truncated there.  With Theta - Id of t-order k at truncation k, the bounded
-Mercator series of :func:`~wallcross.vertexlie.log` is one term, the
-degree-k part of Theta - Id.  The defect is split by
-primitive direction and cancelled by new rays, or merged into existing
-rays (:func:`merge_wall`: by addition when the two logs commute, through
-BCH otherwise).  Corrections at one degree commute modulo the next, so the
-insertion order within a degree is immaterial and the completion is the
-unique minimal consistent enlargement.
+Completion is a factorization.  The wall directions lie in one open
+half-plane, and the *sector order* runs counterclockwise across it
+(:func:`~wallcross.lattice.half_plane_order`).  A loop started at the
+half-plane's edge crosses its walls in sector order and then the lines'
+``-m`` rays, so the diagram is consistent exactly when the product of the
+half-plane's walls in sector order is G = theta_(a_n) o ... o theta_(a_1),
+the lines in reverse sector order.  G factors uniquely as an ordered
+product exp(x_p1) o exp(x_p2) o ... over rays p1, p2, ... in sector order
+(Kontsevich-Soibelman, arXiv:0811.2435, section 2.1; Gross-Pandharipande-
+Siebert, arXiv:0902.0779, Theorem 1.4), and the factors are the completed
+walls.  Initial rays never enter G.
 """
 
 from __future__ import annotations
@@ -50,18 +36,16 @@ from .lattice import (
     Vec,
     WallKind,
     angular_sort,
+    half_plane_order,
     in_open_half_plane,
     is_primitive,
     primitive_part,
 )
-from .series import TruncationContext
+from .series import SeriesElem, SeriesMatrix, TruncationContext
 from .vertexlie import AutPair, LieElem, bch, compose, exp, log
 
-# The single global orientation choice, fixed at build time and validated by
-# the two-line worked examples: loops run counterclockwise from the positive
-# x-axis and the first wall crossed is the outermost (last-acting) factor
-# of the path-ordered product.  A line carries its automorphism on the +m ray
-# and the inverse automorphism on -m; produced walls are rays in direction +a.
+# The single global orientation choice, validated by the two-line worked
+# examples and printed by ``wallcross --convention-audit``.
 LOOP_ORIENTATION = "counterclockwise"
 FIRST_CROSSED = "acts last"
 LINE_EXPANSION = "+m ray carries theta, -m ray carries theta inverse"
@@ -127,26 +111,17 @@ class Diagram:
         return None
 
 
-def _crossing_order(d: Diagram) -> list[AutPair]:
-    """The rays' automorphisms, sorted counterclockwise from the positive x-axis."""
-    rays = dict(ray for w in d.walls for ray in w.automorphisms)
-    return [rays[p] for p in angular_sort(list(rays))]
-
-
-def path_ordered_product(d: Diagram, order: int | None = None) -> AutPair:
+def path_ordered_product(d: Diagram) -> AutPair:
     """Compose the wall automorphisms around a counterclockwise loop.
 
-    The first wall crossed is the outermost factor (it acts last); this is
-    the orientation under which the two-line examples reproduce their known
-    completions.  The walls are composed from the last crossed back to the
-    first, each acting on the product of the ones after it.  The product is
-    taken modulo t^(order + 1) (default: the diagram's truncation), from
-    each wall's automorphism truncated there.
+    The first wall crossed acts last.  The walls are composed from the last
+    crossed back to the first, so each sparse wall automorphism acts on the
+    dense product of the ones after it.
     """
-    ctx = d.ctx if order in (None, d.ctx.order) else TruncationContext(order, d.ctx.rank)
-    total = AutPair.identity(ctx)
-    for theta in reversed(_crossing_order(d)):
-        total = compose(theta.truncate(ctx), total)
+    rays = dict(ray for w in d.walls for ray in w.automorphisms)
+    total = AutPair.identity(d.ctx)
+    for p in reversed(angular_sort(list(rays))):
+        total = compose(rays[p], total)
     return total
 
 
@@ -157,14 +132,11 @@ def is_consistent(d: Diagram) -> bool:
 def merge_wall(d: Diagram, w: Wall) -> Diagram:
     """Insert a wall, merging it into an existing same-direction wall.
 
-    Merge order is existing first: the merged log is
-    ``bch(existing.logf, w.logf)``.  Both logs live on one ray ``p``, so
-    their derivations are multiples of the normal of ``p`` and kill every
-    function of ``z^p``: their bracket is the commutator of the matrix
-    parts alone.  When those commute in the truncated ring the BCH product
-    is the sum, and the merged wall exponentiates it when first used;
-    otherwise :func:`~wallcross.vertexlie.bch` composes the product.  A
-    wall whose merged log vanishes is dropped (minimality).
+    :func:`~wallcross.groupoid.build_initial_diagram` puts the factors on
+    one line together this way.  Logs on one ray commute exactly when their
+    matrix parts do (the derivations kill every function of z^p): then the
+    merged log is their sum, else ``bch(existing.logf, w.logf)``.  A wall
+    whose merged log vanishes is dropped.
     """
     existing = d.wall_in_direction(w.direction)
     if existing is None:
@@ -186,10 +158,7 @@ def merge_wall(d: Diagram, w: Wall) -> Diagram:
 def require_half_plane(d: Diagram) -> None:
     """Raise :class:`SchemaError` unless the wall directions lie in an open half-plane.
 
-    Every frequency of the defect is then a positive combination of wall
-    directions inside that half-plane, so none is zero.  Otherwise the
-    defect can have a term at frequency zero, outside the Lie algebra, and
-    neither completion nor the defect report applies.
+    Otherwise a defect term can sit at frequency zero, outside the Lie algebra.
     """
     if not in_open_half_plane([w.direction for w in d.walls]):
         raise SchemaError(
@@ -198,49 +167,91 @@ def require_half_plane(d: Diagram) -> None:
         )
 
 
-def complete(d: Diagram) -> Diagram:
-    """The minimal consistent completion (order-by-order ray insertion).
+def _parts(g: AutPair) -> list[tuple[SeriesElem, Vec]]:
+    """g's images and gauge entries, each with the offset of its relative frequencies.
 
-    Round k (k = 1..N) takes the path-ordered product modulo t^(k+1), from
-    the walls' full-order automorphisms truncated there (each wall
-    exponentiates its log once), and reads its degree-k defect as its
-    ``log``.  The previous rounds made Theta the identity modulo t^k, so
-    that ``log`` sums one Mercator term, the degree-k part of Theta - Id; a
-    term of the defect below degree k raises :class:`ConventionError`.
-    New walls are rays in
-    direction ``+a`` for each primitive ``a`` carrying part of the defect.
-    The wall directions lie in an open half-plane, so no defect reaches the
-    ``-m`` ray of a line ``m``.  Initial lines are never corrected: a defect
-    on a line's direction would need a one-sided factor and raises instead
-    (this cannot happen for two non-parallel initial lines).  Initial rays
-    may be corrected but never removed: a correction that cancels one
-    raises too.
+    These are the keys of the units sigma(z^(e_i)) / z^(e_i) and of the gauge.
+    """
+    rows = [(f, (0, 0)) for row in g.gauge.rows for f in row]
+    return [(g.sigma_images[0], (1, 0)), (g.sigma_images[1], (0, 1))] + rows
+
+
+def _on_ray(g: AutPair, p: Vec) -> AutPair:
+    """``g`` with only its relative frequencies parallel to ``p``."""
+    kept = [SeriesElem._make(g.ctx, {k: c for k, c in f.coeffs.items()
+                                     if (k[0] - e[0]) * p[1] == (k[1] - e[1]) * p[0]}, f.den)
+            for f, e in _parts(g)]
+    r = g.ctx.rank
+    rows = tuple(tuple(kept[i:i + r]) for i in range(2, len(kept), r))
+    return AutPair(g.ctx, (kept[0], kept[1]), SeriesMatrix(g.ctx, rows))
+
+
+def _cancel_degree(x: LieElem) -> int:
+    """The degree at which order-by-order corrections, lowest degree first, cancel log ``x``."""
+    g, k = exp(x), 0
+    while not g.is_identity():
+        y = log(g)
+        k = y.t_order()
+        g = compose(g, exp(-y.degree_part(k)))
+    return k
+
+
+def complete(d: Diagram) -> Diagram:
+    """The minimal consistent completion: the factors of G (see the module docstring).
+
+    They are peeled from the sector's first edge.  The elements supported
+    strictly after the first direction p of G - Id form a normal subgroup,
+    so G keeping only its relative frequencies k * p (k >= 0) is exp(x_p);
+    x_p is its ``log`` and keeps it as its exponential, and G becomes
+    exp(-x_p) o G.  A line whose factor is its log is peeled with the
+    inverse it keeps, and the peel stops at the last line.
+
+    Exit 3 (:class:`ConventionError`), lowest (k, p) first: a line between
+    the edges whose factor differs from its log at t-order k, or an initial
+    ray p with no factor, which order-by-order corrections would cancel at
+    degree k.  An initial ray with another factor takes it.  Output: the
+    initial walls whose log is kept, in input order, then the others by
+    (highest t-degree of the log, direction).
     """
     require_half_plane(d)
-    current = replace(d, walls=tuple(w for w in d.walls if not w.logf.is_zero()))
-    initial = {w.direction: w.kind for w in current.walls}
-    for k in range(1, d.ctx.order + 1):
-        defect = log(path_ordered_product(current, k))
-        low = defect.t_order()
-        if low is not None and low < k:
-            raise ConventionError(
-                f"not the identity modulo t^{k}: a term of degree {low} remains"
-            )
-        direction = {m: primitive_part(m) for m in defect.frequencies()}
-        for p in sorted(set(direction.values())):
-            if initial.get(p) is WallKind.LINE:
-                raise ConventionError(
-                    f"defect at degree {k} lies on the line direction {p}; "
-                    "single-vertex completion supports corrections on rays only"
-                )
-            piece = defect.restrict(lambda key: direction[key[:2]] == p, current.ctx)
-            current = merge_wall(current, Wall(p, WallKind.RAY, -piece))
-            if p in initial and current.wall_in_direction(p) is None:
-                raise ConventionError(
-                    f"the correction at degree {k} cancels the initial ray {p}; "
-                    "completion does not remove initial walls"
-                )
-    return current
+    walls = [w for w in d.walls if not w.logf.is_zero()]
+    lines = {w.direction: w for w in walls if w.kind is WallKind.LINE}
+    sector = half_plane_order(list(lines))
+    factors: dict[Vec, LieElem] = {}
+    errors = []
+    g = AutPair.identity(d.ctx)
+    for p in sector:
+        g = compose(lines[p].automorphisms[0][1], g)
+    while sector:
+        relative = {(k[0] - e[0], k[1] - e[1]) for f, e in _parts(g) for k in f.coeffs}
+        p = half_plane_order(list(relative - {(0, 0)}))[0]
+        if p == sector[-1]:
+            break
+        on_p, line = _on_ray(g, p), lines.get(p)
+        if line is not None and on_p == line.automorphisms[0][1]:
+            g = compose(line.automorphisms[1][1], g)
+            continue
+        x = log(on_p)
+        x.__dict__["_exp"] = on_p
+        if line is None:
+            factors[p] = x
+        else:
+            k = (x - line.logf).t_order()
+            errors.append((k, p, f"defect at degree {k} lies on the line direction {p}; "
+                           "single-vertex completion supports corrections on rays only"))
+        g = compose(exp(-x), g)
+    for w in walls:
+        if w.kind is WallKind.RAY and w.direction not in factors:
+            k, p = _cancel_degree(w.logf), w.direction
+            errors.append((k, p, f"the correction at degree {k} cancels the initial ray {p}; "
+                           "completion does not remove initial walls"))
+    if errors:
+        raise ConventionError(min(errors)[2])
+    kept = tuple(w for w in walls if w.kind is WallKind.LINE or factors[w.direction] == w.logf)
+    done = {w.direction for w in kept}
+    produced = sorted((Wall(p, WallKind.RAY, x) for p, x in factors.items() if p not in done),
+                      key=lambda w: (w.logf.t_degree(), w.direction))
+    return replace(d, walls=kept + tuple(produced))
 
 
 def new_rays(initial: Diagram, completed: Diagram) -> list[Wall]:

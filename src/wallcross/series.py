@@ -220,13 +220,6 @@ class SeriesElem:
             return None
         return min(j for (_, _, j) in self.coeffs)
 
-    def truncate(self, ctx: TruncationContext) -> "SeriesElem":
-        """Reduce to the lower truncation order of ``ctx`` (same lattice support)."""
-        order = ctx.order
-        return SeriesElem._make(
-            ctx, {k: v for k, v in self.coeffs.items() if k[2] <= order}, self.den
-        )
-
     # -- unit inversion ---------------------------------------------------------
 
     def invert_unit(self) -> "SeriesElem":
@@ -323,9 +316,6 @@ class SeriesMatrix:
                 _mul_add(acc, x.coeffs, y.coeffs, den // d, order)
             out.append(SeriesElem._make(ctx, acc, den))
         return tuple(out)
-
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.rows for a in row)
 
     def t_order(self) -> int | None:
         orders = [a.t_order() for row in self.rows for a in row if not a.is_zero()]

@@ -177,6 +177,9 @@ class LieElem:
     def t_order(self) -> int | None:
         return min((f.t_order() for f in self._parts() if f.coeffs), default=None)
 
+    def t_degree(self) -> int | None:
+        return max((k[2] for f in self._parts() for k in f.coeffs), default=None)
+
     def frequencies(self) -> set[Vec]:
         """The frequencies ``m`` that carry a nonzero term."""
         return {(k[0], k[1]) for f in self._parts() for k in f.coeffs}
@@ -277,20 +280,6 @@ class AutPair:
 
     def is_identity(self) -> bool:
         return self == AutPair.identity(self.ctx)
-
-    def truncate(self, ctx: TruncationContext) -> "AutPair":
-        """The element modulo t^(ctx.order + 1), in ``ctx`` (same rank, order at most own).
-
-        Truncation is a ring homomorphism that commutes with the action, so
-        ``exp(x).truncate(ctx)`` is the exponential of ``x`` truncated there.
-        """
-        if ctx == self.ctx:
-            return self
-        if ctx.rank != self.ctx.rank or ctx.order > self.ctx.order:
-            raise ValueError(f"cannot truncate an element at {self.ctx} to {ctx}")
-        images = (self.sigma_images[0].truncate(ctx), self.sigma_images[1].truncate(ctx))
-        rows = tuple(tuple(f.truncate(ctx) for f in row) for row in self.gauge.rows)
-        return AutPair(ctx, images, SeriesMatrix(ctx, rows))
 
     def _gen_power(self, axis: int, e: int, powers: dict) -> SeriesElem:
         """A power (including negative) of a generator image, kept in ``powers``."""
@@ -418,8 +407,7 @@ def log(g: AutPair) -> LieElem:
     If s is the t-order of g - 1, each further factor g - 1 raises the
     t-degree by at least s (sigma(z^m) - z^m = z^m((1 + O(t^s))^m - 1)), so
     the k-th term vanishes modulo t^(N+1) once k*s > N and at most N // s
-    terms are summed.  A completion round k truncates at t^(k+1) and its
-    product is the identity mod t^k, so there s = k = N: one linear term.
+    terms are summed.
     """
     ctx = g.ctx
     r = ctx.rank

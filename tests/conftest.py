@@ -13,8 +13,8 @@ os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 from wallcross import cli, groupoid, serialize  # noqa: E402
 from wallcross.lattice import primitive_normal  # noqa: E402
-from wallcross.series import TruncationContext  # noqa: E402
-from wallcross.vertexlie import LieElem, mat_zero  # noqa: E402
+from wallcross.series import SeriesElem, SeriesMatrix, TruncationContext  # noqa: E402
+from wallcross.vertexlie import AutPair, LieElem, mat_zero  # noqa: E402
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
 
@@ -89,3 +89,13 @@ def rand_wall_log(ctx, rng, direction, terms=2, stype=None):
 def truncated(x, ctx):
     """The Lie element ``x`` reduced to the lower truncation order of ``ctx``."""
     return x.restrict(lambda key: key[2] <= ctx.order, ctx)
+
+
+def truncated_aut(g, ctx):
+    """The group element ``g`` modulo t^(ctx.order + 1), in ``ctx`` (same rank)."""
+
+    def cut(f):
+        return SeriesElem(ctx, f.fractions())  # the constructor drops terms above N
+
+    rows = tuple(tuple(cut(f) for f in row) for row in g.gauge.rows)
+    return AutPair(ctx, (cut(g.sigma_images[0]), cut(g.sigma_images[1])), SeriesMatrix(ctx, rows))

@@ -1,12 +1,13 @@
 """Slow reference completion: the test oracle for ``scattering.complete``.
 
-The generic algorithm, written without the production shortcuts: the
+The order-by-order algorithm, written without the production shortcuts: the
 path-ordered product is accumulated left to right at full truncation order,
 ``(theta_1 o theta_2) o theta_3 ...``, and every round takes the full
-logarithm of it (:func:`reference_log`) and corrects its lowest-degree part.
-``scattering`` instead accumulates right to left, truncates round k to
-t^(k+1) and takes a ``log`` that stops after one term there; both must give
-the same walls.  The oracle orders the wall logs itself and exponentiates
+logarithm of it (:func:`reference_log`), splits its lowest-degree part by
+direction and cancels it with corrections on rays.  ``scattering`` instead
+factors the lines' product over the sector ray by ray, so the two are
+different algorithms that must give the same walls, in the same order, and
+the same errors.  The oracle orders the wall logs itself and exponentiates
 copies of them, so it never reads an automorphism the engine memoized, and
 it merges a correction into an existing ray as the full logarithm of the
 composed product (:func:`reference_merge`), never through the engine's
@@ -132,6 +133,7 @@ def reference_complete(d: Diagram) -> Diagram:
                 raise SchemaError("parallel initial walls: merge or reorient them first")
 
     current = Diagram(d.ctx, tuple(w for w in d.walls if not w.logf.is_zero()))
+    initial_rays = {w.direction for w in current.walls if w.kind is WallKind.RAY}
     for _round in range(d.ctx.order + 1):
         defect_log = reference_log(reference_path_ordered_product(current))
         if defect_log.is_zero():
@@ -151,4 +153,9 @@ def reference_complete(d: Diagram) -> Diagram:
                     "single-vertex completion supports corrections on rays only"
                 )
             current = reference_merge(current, Wall(p, WallKind.RAY, -by_direction[p]))
+            if p in initial_rays and current.wall_in_direction(p) is None:
+                raise ConventionError(
+                    f"the correction at degree {k0} cancels the initial ray {p}; "
+                    "completion does not remove initial walls"
+                )
     raise ConventionError("completion did not converge within the truncation order")

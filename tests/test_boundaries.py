@@ -20,10 +20,10 @@ from pathlib import Path
 
 from wallcross import cli, scattering, serialize
 from wallcross.groupoid import KFactor, k_wall_log
-from wallcross.lattice import WallKind
+from wallcross.lattice import WallKind, primitive_part
 from wallcross.scattering import Diagram, Wall
 from wallcross.series import TruncationContext
-from wallcross.vertexlie import LieElem, bch, log
+from wallcross.vertexlie import LieElem, bch, compose, log
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -78,25 +78,48 @@ def test_benchmark_rebuilds_bps_initial_walls(monkeypatch):
     assert all(w["geometry"] == "line" for w in walls)
 
 
-def test_completion_runs_truncated_rounds_without_log(monkeypatch, capsys):
-    # (no full-order log): one product per degree, and round k takes the log
-    # of the product at truncation k only; a return to full-order rounds, or
-    # a defect read without the hooked ``scattering.log``, fails here
+def _ray_directions(g):
+    """The primitive directions of the relative frequencies of g - Id."""
+    freqs = [(m1 - e[0], m2 - e[1]) for f, e in zip(g.sigma_images, ((1, 0), (0, 1)))
+             for m1, m2, _j in f.coeffs]
+    freqs += [(m1, m2) for row in g.gauge.rows for f in row for m1, m2, _j in f.coeffs]
+    return {primitive_part(m) for m in freqs if m != (0, 0)}
+
+
+def test_completion_peels_one_ray_per_compose(monkeypatch):
+    # the completion factors the lines' product ray by ray: the hooked
+    # ``scattering.log`` sees one ray at a time, each peeled ray costs one
+    # full-order compose, and no path-ordered product is taken; a return to
+    # whole-loop rounds, or a factor read without the hook, fails here
     monkeypatch.syspath_prepend(str(PERFBENCH))
     layertrace = importlib.import_module("layertrace")
-    orders = []
+    ctx = TruncationContext(6, 1)
+    d = Diagram(ctx, tuple(
+        Wall(g, WallKind.LINE, k_wall_log(ctx, KFactor(g, 2))) for g in ((1, 0), (0, 1))
+    ))
+    logged, composed = [], []
 
     def recording_log(g):
-        orders.append(g.ctx.order)
+        logged.append(_ray_directions(g))
         return log(g)
 
+    def recording_compose(g1, g2):
+        composed.append((g1.ctx.order, g2.ctx.order))
+        return compose(g1, g2)
+
     monkeypatch.setattr(scattering, "log", recording_log)
+    monkeypatch.setattr(scattering, "compose", recording_compose)
     tracer = layertrace.Tracer()
     with tracer.installed():
-        assert cli.main(["wcf", str(EXAMPLE1), "--order", "4"]) == 0
-    capsys.readouterr()
-    assert 1 <= tracer.counts["scattering.rounds"] <= 4
-    assert orders == [1, 2, 3, 4]
+        completed = scattering.complete(d)
+    rays = len(completed.walls) - 2
+    assert rays == 5
+    assert [len(directions) for directions in logged] == [1] * rays
+    # one compose per line for their product, then one per ray peeled: the
+    # first line and every new ray
+    assert composed == [(6, 6)] * (2 + 1 + rays)
+    assert tracer.stats["scattering.path_ordered_product"][0] == 0
+    assert tracer.counts["scattering.rounds"] == 0
     assert tracer.counts["scattering.defect_terms"] > 0
 
 

@@ -524,6 +524,33 @@ def test_demo_outdir_that_is_a_file_is_an_input_error(tmp_path, capsys):
     assert err.startswith(f"input error: cannot write {target}")
 
 
+@pytest.mark.parametrize("command, fixture", [("complete", "pentagon"), ("wcf", "example1")])
+def test_a_failed_write_leaves_stdout_empty(tmp_path, capsys, command, fixture):
+    # stdout is written last, so a report on stdout means every file was written
+    target = tmp_path / "nodir" / "x.json"
+    code, out, err = run(capsys, command, str(FIXTURES / f"{fixture}.json"),
+                         "--output", str(target), "--emit-csv", str(tmp_path / "p.csv"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot write {target}")
+
+
+def test_a_failed_bch_write_leaves_stdout_empty(tmp_path, capsys):
+    p = tmp_path / "bch.json"
+    p.write_text(json.dumps({"rank": 1, "truncation": 2, "x": [], "y": []}))
+    target = tmp_path / "nodir" / "x.json"
+    code, out, err = run(capsys, "bch", str(p), "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot write {target}")
+
+
+def test_a_failed_demo_report_write_leaves_stdout_empty(tmp_path, capsys):
+    # the first two fixtures' reports are written before the third fails
+    (tmp_path / "pentagon.report.txt").mkdir()
+    code, out, err = run(capsys, "demo", "--outdir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot write {tmp_path / 'pentagon.report.txt'}")
+
+
 def test_check_accepts_a_consistent_diagram_with_opposite_rays(tmp_path, capsys):
     # the completed pentagon with an empty ray opposite its produced ray
     completed = tmp_path / "completed.json"

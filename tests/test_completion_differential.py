@@ -1,13 +1,13 @@
 """``complete`` and ``path_ordered_product`` against the slow reference.
 
-The reference (``reference_completion.py``) composes left to right at full
-order and takes its unbounded ``reference_log`` every round; the engine
-composes right to left, truncates round k to t^(k+1) and takes a ``log``
-that stops after N // s terms.  Their serialized results must agree byte
-for byte, and the two logarithms must agree on any product.  A round's
-product, taken from the walls' full-order automorphisms truncated to
-t^(k+1), must equal the product of the diagram whose wall logs were
-truncated there first.
+The reference (``reference_completion.py``) completes order by order: it
+composes left to right at full order and takes its unbounded
+``reference_log`` every round.  The engine composes right to left and
+factors the lines' product over the sector, ray by ray, with a ``log`` of
+one ray at a time.  Their serialized results, wall order included, and
+their errors must agree, and the two logarithms must agree on any product.
+The product modulo t^(k+1) must equal the product of the diagram whose wall
+logs were truncated there first.
 """
 
 import random
@@ -15,16 +15,20 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fixture_diagram, rand_lie, rand_wall_log, truncated
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import fixture_diagram, rand_lie, rand_wall_log, truncated, truncated_aut
 from reference_bracket import bracket
 from reference_completion import (
     reference_complete,
     reference_log,
     reference_path_ordered_product,
 )
-from wallcross import cli, scattering, serialize
+from wallcross import cli, serialize
 from wallcross.exceptions import ConventionError
-from wallcross.lattice import WallKind
+from wallcross.groupoid import KFactor, k_wall_log
+from wallcross.lattice import WallKind, primitive_part
 from wallcross.scattering import Diagram, Wall, complete, path_ordered_product
 from wallcross.series import TruncationContext
 from wallcross.vertexlie import AutPair, LieElem, compose, elementary, exp, log
@@ -68,16 +72,19 @@ def test_complete_matches_reference_on_random_two_line_diagrams():
 
 
 def _assert_rounds_match_truncated_diagrams(d):
+    # for every k, the product modulo t^(k+1) is the product of the wall
+    # logs truncated there: truncation commutes with exp and compose
+    product = path_ordered_product(d)
     for k in range(1, d.ctx.order + 1):
         ctx = TruncationContext(k, d.ctx.rank)
         cut = Diagram(ctx, tuple(Wall(w.direction, w.kind, truncated(w.logf, ctx)) for w in d.walls))
-        assert path_ordered_product(d, k) == path_ordered_product(cut)
+        assert truncated_aut(product, ctx) == path_ordered_product(cut)
 
 
 @pytest.mark.parametrize("name", sorted(cli.FIXTURES))
 def test_round_products_match_the_truncated_diagrams_on_fixtures(name):
-    # the completed diagram's rays carry automorphisms that bch composed or
-    # that were exponentiated from a sum of commuting logs
+    # the completed diagram's rays carry the automorphisms that the peel
+    # reduced from the lines' product, or that bch composed for the lines
     d = fixture_diagram(name)
     _assert_rounds_match_truncated_diagrams(d)
     _assert_rounds_match_truncated_diagrams(complete(d))
@@ -135,8 +142,8 @@ def _count_calls(monkeypatch, *names):
 
 
 def test_log_of_a_round_product_is_its_linear_part(monkeypatch):
-    # g - 1 of t-order N: the series stops after its first term, which is
-    # read off the generator images and the gauge without applying g
+    # g - 1 of t-order s = N: the series stops after N // s = 1 term, which
+    # is read off the generator images and the gauge without applying g
     ctx = TruncationContext(3, 2)
     x = LieElem.single(ctx, (1, 0), 3, matrix=elementary(2, 0, 1, 1), dvec=(0, 2))
     y = LieElem.single(ctx, (1, 2), 3, matrix=elementary(2, 1, 0, -1))
@@ -169,10 +176,155 @@ def test_log_of_nilpotent_s_products_stops_on_a_zero_term(monkeypatch):
     assert log(compose(exp(x), exp(y))) == x + y + bracket(x, y).scale(Fraction(1, 2))
 
 
-def test_complete_rejects_a_round_that_is_not_the_identity_below_its_degree(monkeypatch):
-    # with every correction dropped, the degree-2 defect of round 2 is still
-    # there in round 3, whose product must be the identity modulo t^3
-    d = fixture_diagram("example1")
-    monkeypatch.setattr(scattering, "merge_wall", lambda d, w: d)
-    with pytest.raises(ConventionError, match=r"modulo t\^3: a term of degree 2"):
-        complete(d)
+# -- the peel against the order-by-order reference, wall order and errors included --
+
+
+def _outcome(complete_fn, d):
+    """The walls' directions in output order and the serialized diagram, or the error."""
+    try:
+        c = complete_fn(d)
+    except ConventionError as e:
+        return type(e), str(e)
+    return [w.direction for w in c.walls], _dump(c)
+
+
+def _assert_matches_reference(d):
+    expected = _outcome(reference_complete, d)
+    assert _outcome(complete, d) == expected
+    return expected
+
+
+_CONES = (((1, 0), (0, 1)), ((1, -1), (1, 1)), ((2, 1), (-1, 2)), ((0, -1), (1, 0)),
+          ((-1, -2), (1, -1)))
+
+
+@st.composite
+def _two_lines(draw, max_order):
+    """Two lines on a cone pair, det(a, b) > 0, random nonzero logs at rank 1-3."""
+    ctx = TruncationContext(draw(st.integers(2, max_order)), draw(st.integers(1, 3)))
+    a, b = draw(st.sampled_from(_CONES))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    la, lb = rand_wall_log(ctx, rng, a), rand_wall_log(ctx, rng, b)
+    assume(not la.is_zero() and not lb.is_zero())
+    if draw(st.booleans()):  # the lines in the other input order
+        return Diagram(ctx, (Wall(b, WallKind.LINE, lb), Wall(a, WallKind.LINE, la)))
+    return Diagram(ctx, (Wall(a, WallKind.LINE, la), Wall(b, WallKind.LINE, lb)))
+
+
+@given(_two_lines(max_order=6))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_peel_matches_the_reference_on_two_lines(d):
+    walls, _text = _assert_matches_reference(d)
+    # the lines keep their input order ahead of the produced rays
+    assert walls[:2] == [w.direction for w in d.walls]
+
+
+def _s_log(ctx, m, i, j, c, degree):
+    return LieElem.single(ctx, m, degree, matrix=elementary(ctx.rank, i, j, c))
+
+
+# (a, middle, b) with a + b on the middle line
+_THREE_LINES = (((1, 0), (1, 1), (0, 1)), ((1, -1), (1, 0), (1, 1)), ((2, 1), (1, 3), (-1, 2)),
+                ((0, -1), (1, -1), (1, 0)))
+_COEFF = st.sampled_from((-2, -1, Fraction(1, 2), 1, 3))
+
+
+@given(st.sampled_from(_THREE_LINES), _COEFF, _COEFF, _COEFF, st.integers(1, 2), st.integers(3, 5))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_peel_keeps_a_middle_line_that_matches_its_factor(lines, ca, cm, cb, degree, order):
+    # E_12 parts commute, and a K-type middle line moves them only off its
+    # own ray, so its factor is its log; new rays appear between the lines
+    a, mid, b = lines
+    ctx = TruncationContext(order, 3)
+    d = Diagram(ctx, (
+        Wall(a, WallKind.LINE, _s_log(ctx, a, 0, 1, ca, degree)),
+        Wall(mid, WallKind.LINE, k_wall_log(ctx, KFactor(mid, cm))),
+        Wall(b, WallKind.LINE, _s_log(ctx, b, 0, 1, cb, 1)),
+    ))
+    walls, _text = _assert_matches_reference(d)
+    assert walls[:3] == [a, mid, b] and len(walls) > 3
+
+
+@given(st.sampled_from(_THREE_LINES), _COEFF, _COEFF, _COEFF, st.integers(1, 2), st.integers(1, 2))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_peel_flags_a_middle_line_whose_factor_differs(lines, ca, cm, cb, ja, jb):
+    # [E_23 z^b, E_12 z^a] = -E_13 z^(a+b) lands on the middle line at
+    # degree ja + jb, where its K-type log has no matrix part
+    a, mid, b = lines
+    ctx = TruncationContext(ja + jb + 1, 3)
+    d = Diagram(ctx, (
+        Wall(mid, WallKind.LINE, k_wall_log(ctx, KFactor(mid, cm))),
+        Wall(a, WallKind.LINE, _s_log(ctx, a, 0, 1, ca, ja)),
+        Wall(b, WallKind.LINE, _s_log(ctx, b, 1, 2, cb, jb)),
+    ))
+    assert _assert_matches_reference(d) == (ConventionError, (
+        f"defect at degree {ja + jb} lies on the line direction {mid}; "
+        "single-vertex completion supports corrections on rays only"))
+
+
+@pytest.mark.parametrize("ray_degree, expected", [
+    (1, "the correction at degree 1 cancels the initial ray (1, -1)"),
+    (3, "defect at degree 2 lies on the line direction (1, 1)"),
+])
+def test_peel_raises_the_lowest_degree_error_first(ray_degree, expected):
+    # the middle line's defect appears at degree 2 and the ray outside the
+    # cone is cancelled at its own degree: the lower degree is reported, as
+    # the order-by-order reference meets it first
+    ctx = TruncationContext(4, 3)
+    d = Diagram(ctx, (
+        Wall((1, 0), WallKind.LINE, _s_log(ctx, (1, 0), 0, 1, 1, 1)),
+        Wall((1, 1), WallKind.LINE, k_wall_log(ctx, KFactor((1, 1), 1))),
+        Wall((0, 1), WallKind.LINE, _s_log(ctx, (0, 1), 1, 2, 1, 1)),
+        Wall((1, -1), WallKind.RAY, _s_log(ctx, (1, -1), 0, 2, 1, ray_degree)),
+    ))
+    error, message = _assert_matches_reference(d)
+    assert error is ConventionError and message.startswith(expected)
+
+
+def _without_ray_directions(d, completed):
+    """Primitive directions inside and outside the lines' cone that carry no wall."""
+    a, b = (w.direction for w in d.walls)
+    taken = {w.direction for w in completed.walls}
+    inside = [primitive_part((i * a[0] + j * b[0], i * a[1] + j * b[1]))
+              for i, j in ((1, 1), (2, 1), (1, 2), (3, 1), (1, 3))]
+    outside = [primitive_part((a[0] - b[0], a[1] - b[1])), primitive_part((b[0] - a[0], b[1] - a[1]))]
+    return [p for p in inside if p not in taken], outside
+
+
+@given(
+    _two_lines(max_order=4),
+    st.lists(st.sampled_from(["equal", "partial", "inside", "outside"]), min_size=1, max_size=2),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_peel_matches_the_reference_with_initial_rays(d, kinds, seed):
+    # a ray equal to its factor is kept in place; a partial one (the shape of
+    # test_recompletion_fixes_partial_ray: part of the factor's lowest
+    # degree) is replaced by the factor; a ray on a direction with no
+    # factor, inside or outside the cone, is cancelled (exit 3)
+    rng = random.Random(seed)
+    completed = complete(d)
+    produced = completed.walls[2:]
+    inside, outside = _without_ray_directions(d, completed)
+    rays = {}
+    for kind in kinds:
+        if kind in ("equal", "partial") and produced:
+            w = rng.choice(produced)
+            x = w.logf
+            if kind == "partial":
+                x = x.degree_part(x.t_order()).scale(rng.choice((Fraction(1, 2), -1, 2)))
+            rays[w.direction] = x
+        elif kind in ("inside", "outside"):
+            choices = inside if kind == "inside" else outside
+            if choices:
+                p = rng.choice(choices)
+                rays[p] = rand_wall_log(d.ctx, rng, p)
+                if kind == "outside":
+                    outside = []  # a - b and b - a together span no half-plane
+    rays = {p: x for p, x in rays.items() if not x.is_zero()}
+    seeded = Diagram(d.ctx, d.walls + tuple(Wall(p, WallKind.RAY, x) for p, x in rays.items()))
+    expected = _assert_matches_reference(seeded)
+    if expected[0] is ConventionError:
+        assert "cancels the initial ray" in expected[1]
+    else:
+        assert expected[1] == _dump(completed)

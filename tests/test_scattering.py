@@ -84,14 +84,6 @@ def test_single_line_is_consistent():
     assert is_consistent(d2)
 
 
-def test_round_product_needs_an_order_within_the_truncation():
-    # a wall's automorphism holds no data above N, so it cannot be raised
-    d = example1_diagram()
-    assert path_ordered_product(d, d.ctx.order) == path_ordered_product(d)
-    with pytest.raises(ValueError, match="cannot truncate"):
-        path_ordered_product(d, d.ctx.order + 1)
-
-
 def test_initial_example1_defect():
     # lowest term of the initial-loop log is minus the order-2 insertion
     d = example1_diagram()

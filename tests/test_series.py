@@ -85,8 +85,9 @@ def test_order_reduction_consistency():
         a = rand_series(big, rng)
         b = rand_series(big, rng)
         small = TruncationContext(3)
-        prod_then_cut = (a * b).truncate(small)
-        cut_then_prod = a.truncate(small) * b.truncate(small)
+        # the constructor drops the terms above the smaller order
+        prod_then_cut = SeriesElem(small, (a * b).fractions())
+        cut_then_prod = SeriesElem(small, a.fractions()) * SeriesElem(small, b.fractions())
         assert prod_then_cut == cut_then_prod
 
 
@@ -165,7 +166,7 @@ def test_ring_operations_match_the_fraction_model(operands):
         (x - y, ref.sub(a, b, N)),
         (x * y, ref.mul(a, b, N)),
         (x.scale(s), ref.scale(a, s, N)),
-        (x.truncate(TruncationContext(low)), ref.truncate(a, low)),
+        (SeriesElem(TruncationContext(low), a), ref.truncate(a, low)),
         (SeriesElem(ctx, unit).invert_unit(), ref.invert_unit(unit, N)),
     ]
     for got, expected in cases:
