@@ -36,6 +36,7 @@ from .lattice import (
     Vec,
     WallKind,
     angular_sort,
+    det2,
     half_plane_order,
     in_open_half_plane,
     is_primitive,
@@ -176,6 +177,21 @@ def _parts(g: AutPair) -> list[tuple[SeriesElem, Vec]]:
     return [(g.sigma_images[0], (1, 0)), (g.sigma_images[1], (0, 1))] + rows
 
 
+def _first_direction(g: AutPair) -> Vec:
+    """The most clockwise nonzero relative frequency of ``g``.
+
+    Every one lies in the cone of the lines, an open half-plane, where
+    ``det2(m, p) > 0`` says that ``m`` comes before ``p``.
+    """
+    p = None
+    for f, e in _parts(g):
+        for k in f.coeffs:
+            m = (k[0] - e[0], k[1] - e[1])
+            if m != (0, 0) and (p is None or det2(m, p) > 0):
+                p = m
+    return p
+
+
 def _on_ray(g: AutPair, p: Vec) -> AutPair:
     """``g`` with only its relative frequencies parallel to ``p``."""
     kept = [SeriesElem._make(g.ctx, {k: c for k, c in f.coeffs.items()
@@ -223,8 +239,7 @@ def complete(d: Diagram) -> Diagram:
     for p in sector:
         g = compose(lines[p].automorphisms[0][1], g)
     while sector:
-        relative = {(k[0] - e[0], k[1] - e[1]) for f, e in _parts(g) for k in f.coeffs}
-        p = half_plane_order(list(relative - {(0, 0)}))[0]
+        p = primitive_part(_first_direction(g))
         if p == sector[-1]:
             break
         on_p, line = _on_ray(g, p), lines.get(p)

@@ -42,7 +42,9 @@ product of ``x`` and ``y`` at order N.  BPS problem files::
 
 ``basepoints`` (default ``[0, 0]`` per vacuum) shift an S factor's charge to
 its coordinate ``gamma - e_i + e_j``; ``truncation`` may be left out when an
-order is passed.  The solver works in the untwisted groupoid ring, so a
+order is passed.  Every S factor needs ``mu`` and every K factor ``Omega``:
+a missing count is an error, not a zero, and a factor whose count is an
+explicit 0 is dropped.  The solver works in the untwisted groupoid ring, so a
 ``"twisting"`` key other than ``"trivial"`` is rejected.  Counts, orders and
 lattice coordinates must be JSON integers; every malformed value raises
 :class:`SchemaError`.
@@ -233,7 +235,7 @@ def bps_from_json(data: dict, order: int | None = None) -> tuple[BpsProblem, int
             raise SchemaError(f"unknown factor type {ftype!r}")
         gamma = _vec(fd.get("gamma"), "gamma")
         if ftype == "K":
-            factors.append(KFactor(gamma, _int(fd.get("Omega", 0), "Omega")))
+            factors.append(KFactor(gamma, _required_count(fd, "K", "Omega")))
             continue
         pair = fd.get("pair")
         if not isinstance(pair, list) or len(pair) != 2:
@@ -247,9 +249,16 @@ def bps_from_json(data: dict, order: int | None = None) -> tuple[BpsProblem, int
         g = (gamma[0] - ei[0] + ej[0], gamma[1] - ei[1] + ej[1])
         if g == (0, 0):
             raise SchemaError("S factor has zero charge coordinate")
-        factors.append(SFactor((i, j), g, _int(fd.get("mu", 0), "mu")))
+        factors.append(SFactor((i, j), g, _required_count(fd, "S", "mu")))
     problem = BpsProblem(ctx, tuple(f for f in factors if _factor_strength(f)))
     return problem, n
+
+
+def _required_count(fd: dict, ftype: str, key: str) -> int:
+    """The required count ``key`` of a factor of type ``ftype``."""
+    if key not in fd:
+        raise SchemaError(f"{ftype} factor missing key {key!r}")
+    return _int(fd[key], key)
 
 
 def _factor_strength(f) -> int:

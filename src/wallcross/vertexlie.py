@@ -32,6 +32,13 @@ series maps each monomial to a product of two generator powers and adds
 all of them into one integer accumulator (:meth:`AutPair.apply_ring`), so
 an action builds no intermediate series beyond the generator powers.
 
+Both maps act only on the terms an automorphism can move.  If sigma - id
+has t-order d on the generators, then sigma(z^m) = z^m (1 + O(t^d)) for
+every m, so sigma fixes each constant and each term above t-degree N - d
+modulo t^(N+1): the action copies those and builds no power for them.  The
+exponential's gauge column i starts at L(e_i) = A e_i, the i-th column of
+the matrix part, since the derivation kills constants.
+
 Every term's t-degree is at least 1, so all exponentials and logarithms
 terminate after at most N iterations (N // s for a logarithm of an element
 congruent to the identity mod t^s) and every identity here is exact.
@@ -256,8 +263,10 @@ class AutPair:
     unit congruent to 1 mod t); ``gauge`` is the matrix of the action on
     constant sections, congruent to the identity mod t.
 
-    An instance holds nothing else, so a memoized element stays as small as
-    its images and gauge.  The powers of the generator images that the
+    An instance holds nothing else but one integer, cached on first use:
+    d, the t-order of sigma - id on the generators (:attr:`_fixed_order`),
+    read from the images' numerators.  So a memoized element stays as small
+    as its images and gauge.  The powers of the generator images that the
     action needs live in a table owned by the caller, keyed ``(axis, e)``
     for the e-th power (e may be negative) of ``sigma_images[axis]``; it
     holds generator powers only, never the image of a monomial.
@@ -280,6 +289,23 @@ class AutPair:
 
     def is_identity(self) -> bool:
         return self == AutPair.identity(self.ctx)
+
+    @cached_property
+    def _fixed_order(self) -> int:
+        """d, the t-order of sigma - id on the generators; N + 1 for the identity.
+
+        The lowest t-degree of sigma(z^(e_i)) - z^(e_i), read off the images'
+        numerators: 0 if the t^0 coefficient of z^(e_i) is not 1.
+        """
+        d = self.ctx.order + 1
+        for f, e in zip(self.sigma_images, (_E1, _E2)):
+            lead = (e[0], e[1], 0)
+            if f.coeffs.get(lead) != f.den:
+                return 0
+            for k in f.coeffs:
+                if k[2] < d and k != lead:
+                    d = k[2]
+        return d
 
     def _gen_power(self, axis: int, e: int, powers: dict) -> SeriesElem:
         """A power (including negative) of a generator image, kept in ``powers``."""
@@ -308,22 +334,31 @@ class AutPair:
         ``powers`` (a table of generator powers for this element only).
         Every such product is brought to the lcm of the products'
         denominators and added into one integer dict, normalized once.
-        A constant (every term has ``m = 0``) is fixed, since sigma fixes
-        z^0 and t: it is returned as it is, with no power built.
+
+        Only the terms sigma can move cost a power or a kernel call.  A
+        constant is fixed, since sigma fixes z^0 and t; so is every term
+        with ``j > N - d`` (d is :attr:`_fixed_order`), since
+        sigma(z^m) = z^m (1 + O(t^d)) and the rest lies above t^N.  Those
+        terms are copied into the sum, and ``f`` with no other term is
+        returned as it is.
         """
-        if not any(m1 or m2 for m1, m2, _j in f.coeffs):
-            return f
         N = self.ctx.order
+        top = N - self._fixed_order
+        fixed, moving = [], []
+        for k, c in f.coeffs.items():
+            (moving if (k[0] or k[1]) and k[2] <= top else fixed).append((k, c))
+        if not moving:
+            return f
         if powers is None:
             powers = {}
         terms = []
         den = 1
-        for (m1, m2, j), c in f.coeffs.items():
+        for (m1, m2, j), c in moving:
             p1, p2 = self._gen_power(0, m1, powers), self._gen_power(1, m2, powers)
             d = p1.den * p2.den
             terms.append((j, c, p1.coeffs, p2.coeffs, d))
             den = lcm(den, d)
-        out: dict = {}
+        out = {k: c * den for k, c in fixed}
         for j, c, p1, p2, d in terms:
             _mul_add(out, p1, p2, c * (den // d), N, j)
         return SeriesElem._make(self.ctx, out, f.den * den)
@@ -359,7 +394,10 @@ def _exponential(x: LieElem) -> AutPair:
 
     The generator images are the exponentiated derivation applied to
     z^{e_1}, z^{e_2}; the gauge columns are the exponentiated module action
-    on the constant basis sections.  Both truncate after N applications.
+    L on the constant basis sections.  Both truncate after N applications.
+    Column i starts at its first step L(e_i) = A e_i, column i of the matrix
+    part, since the derivation kills constants: a zero matrix part gives the
+    identity gauge with no action at all.
     """
     ctx = x.ctx
     images = []
@@ -373,15 +411,15 @@ def _exponential(x: LieElem) -> AutPair:
             acc = acc + term
         images.append(acc)
     cols = []
-    zero = SeriesElem.zero(ctx)
+    one = SeriesElem.one(ctx)
     for i in range(ctx.rank):
-        s = tuple(SeriesElem.one(ctx) if k == i else zero for k in range(ctx.rank))
-        acc, term = s, s
-        for k in range(1, ctx.order + 1):
-            c = Fraction(1, k)
-            term = tuple(f.scale(c) for f in x.apply_section(term))
+        term = tuple(row[i] for row in x.a.rows)
+        acc = tuple(one + f if k == i else f for k, f in enumerate(term))
+        for k in range(2, ctx.order + 1):
             if all(f.is_zero() for f in term):
                 break
+            c = Fraction(1, k)
+            term = tuple(f.scale(c) for f in x.apply_section(term))
             acc = tuple(a + b for a, b in zip(acc, term))
         cols.append(acc)
     gauge = SeriesMatrix(ctx, tuple(tuple(cols[j][i] for j in range(ctx.rank)) for i in range(ctx.rank)))

@@ -22,8 +22,8 @@ from wallcross import cli, scattering, serialize
 from wallcross.groupoid import KFactor, k_wall_log
 from wallcross.lattice import WallKind, primitive_part
 from wallcross.scattering import Diagram, Wall
-from wallcross.series import TruncationContext
-from wallcross.vertexlie import LieElem, bch, compose, log
+from wallcross.series import SeriesElem, TruncationContext
+from wallcross.vertexlie import AutPair, LieElem, bch, compose, log
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -121,6 +121,46 @@ def test_completion_peels_one_ray_per_compose(monkeypatch):
     assert tracer.stats["scattering.path_ordered_product"][0] == 0
     assert tracer.counts["scattering.rounds"] == 0
     assert tracer.counts["scattering.defect_terms"] > 0
+
+
+def test_an_action_on_the_fixed_tail_builds_no_power(monkeypatch):
+    # sigma = id + O(t^d) on the generators fixes every term above t-degree
+    # N - d.  During a completion, each action builds only the generator
+    # powers that its other non-constant terms need (for an exponent e, the
+    # chain from +-1 to e), and an action with no such term returns its
+    # argument.  The completion's actions mix both kinds of term, so the
+    # test counts the fixed-term powers that were skipped.
+    ctx = TruncationContext(12, 1)
+    d = Diagram(ctx, tuple(
+        Wall(g, WallKind.LINE, k_wall_log(ctx, KFactor(g, 3))) for g in ((1, 0), (0, 1))
+    ))
+    apply_ring = AutPair.apply_ring
+    skipped = []
+
+    def recording(self, f, powers=None):
+        table = {} if powers is None else powers
+        before = set(table)
+        image = apply_ring(self, f, table)
+        moves = [(img - SeriesElem.monomial(ctx, e)).t_order()
+                 for img, e in zip(self.sigma_images, ((1, 0), (0, 1)))]
+        top = ctx.order - min((o for o in moves if o is not None), default=ctx.order + 1)
+        moving = [(m1, m2) for m1, m2, j in f.coeffs if (m1 or m2) and j <= top]
+        fixed = [(m1, m2) for m1, m2, j in f.coeffs if (m1 or m2) and j > top]
+        needed = set()
+        for axis in (0, 1):
+            es = [m[axis] for m in moving]
+            needed |= {(axis, e) for e in range(min(es + [0]), max(es + [0]) + 1)}
+        assert set(table) - before <= needed
+        if not moving:
+            assert image is f
+        skipped.extend(key for m in fixed for key in ((0, m[0]), (1, m[1]))
+                       if key not in needed | before)
+        return image
+
+    monkeypatch.setattr(AutPair, "apply_ring", recording)
+    completed = scattering.complete(d)
+    assert len(completed.walls) > 2
+    assert skipped
 
 
 def test_engine_runs_without_the_rational_boundary(monkeypatch):

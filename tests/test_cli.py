@@ -206,6 +206,41 @@ def test_unrecognized_2d_factor_exit_code(tmp_path, capsys):
     assert "unrecognized 2d factor" in err
 
 
+def _wcf_on_factors(tmp_path, capsys, *factors):
+    """``wcf`` on the given factors, two vacua, truncation 4: (code, stdout, stderr)."""
+    p = tmp_path / "factors.json"
+    p.write_text(json.dumps({"vacua": ["i", "j"], "truncation": 4, "factors": list(factors)}))
+    return run(capsys, "wcf", str(p))
+
+
+_K_OMEGA_1 = {"type": "K", "gamma": [0, 1], "Omega": 1}
+
+
+def test_a_k_factor_without_omega_is_an_input_error(tmp_path, capsys):
+    # a misspelled count is an error, not a zero that drops the factor
+    code, out, err = _wcf_on_factors(
+        tmp_path, capsys, {"type": "K", "gamma": [1, 0], "omega": 1}, _K_OMEGA_1)
+    assert code == 2
+    assert err.startswith("input error:") and "K factor missing key 'Omega'" in err
+    assert out == ""
+    # an explicit 0 still drops the factor
+    zero = _wcf_on_factors(tmp_path, capsys, {"type": "K", "gamma": [1, 0], "Omega": 0},
+                             _K_OMEGA_1)
+    assert zero == _wcf_on_factors(tmp_path, capsys, _K_OMEGA_1)
+    assert zero[0] == 0
+
+
+def test_an_s_factor_without_mu_is_an_input_error(tmp_path, capsys):
+    s_factor = {"type": "S", "pair": ["i", "j"], "gamma": [1, 0]}
+    code, out, err = _wcf_on_factors(tmp_path, capsys, s_factor, _K_OMEGA_1)
+    assert code == 2
+    assert err.startswith("input error:") and "S factor missing key 'mu'" in err
+    assert out == ""
+    zero = _wcf_on_factors(tmp_path, capsys, dict(s_factor, mu=0), _K_OMEGA_1)
+    assert zero == _wcf_on_factors(tmp_path, capsys, _K_OMEGA_1)
+    assert zero[0] == 0
+
+
 def test_complete_rejects_a_correction_that_cancels_an_initial_ray(tmp_path, capsys):
     # a lone ray is its own defect at degree 1; the correction would cancel
     # it and leave an empty diagram, which no longer holds the input's wall

@@ -11,9 +11,12 @@ rescale and the final gcd both matter.
 
 The sparse operands are the ones the kernel skips work on: identity-plus-E_ij
 gauges, zero rows, columns and vectors, entries with one nonzero pair, and
-constant series, which the ring action returns as they are.  Separate tests
-pin that the skipping is real (kernel calls, the powers table) and that a
-zero operand still has its context checked.
+the terms the ring action fixes (constants, and every term above t-degree
+N - d when sigma - id has t-order d), which it copies.  Separate tests pin
+that the skipping is real (kernel calls, the powers table) and that a zero
+operand still has its context checked.  The exponential, which starts its
+gauge columns at the matrix part, is compared with sum_k L^k / k! of the
+``reference_lie`` operator.
 """
 
 import random
@@ -21,9 +24,10 @@ from fractions import Fraction
 
 import pytest
 
+import reference_lie as lie
 import reference_series as ref
 from wallcross.series import SeriesElem, SeriesMatrix, TruncationContext, _mul_add
-from wallcross.vertexlie import AutPair
+from wallcross.vertexlie import AutPair, LieElem, _exponential, mat_zero
 
 
 def _coeffs(rng, order, min_order=0):
@@ -245,13 +249,25 @@ def test_ring_action_matches_the_fraction_model(rank):
             _assert_equal(p, _power(images[axis], e, N))
 
 
+def _fixed_order(images, order):
+    """The lowest t-degree of sigma(z^(e_i)) - z^(e_i) in the model; N + 1 for the identity."""
+    moved = [ref.sub(f, {(e[0], e[1], 0): Fraction(1)}, order)
+             for f, e in zip(images, ((1, 0), (0, 1)))]
+    return min((j for f in moved for (_m1, _m2, j) in f), default=order + 1)
+
+
 @pytest.mark.parametrize("rank", [1, 4])
 def test_constants_are_fixed_and_build_no_power(rank):
+    # sigma builds a power for a term exactly when it can move it: a
+    # non-constant term at t-degree j <= N - d, with d the t-order of
+    # sigma - id on the generators; every other series comes back as it is
     rng = random.Random(1400 + rank)
+    seen = set()
     for _ in range(20):
         N = rng.randint(1, 5)
         ctx = TruncationContext(N, rank)
         g, images, gauge = _aut(rng, ctx)
+        top = N - _fixed_order(images, N)
         constants = [
             ref.truncate({(0, 0, j): Fraction(rng.randint(-5, 5), rng.randint(1, 6))
                           for j in range(rng.randint(0, N + 1))}, N)
@@ -261,8 +277,134 @@ def test_constants_are_fixed_and_build_no_power(rank):
         for f in _assert_actions(g, images, gauge, constants, powers):
             assert g.apply_ring(f, powers) is f
         assert powers == {}
-        # a term z^(0, m2) is not constant: sigma moves it
-        mixed = [ref.add(f, {(0, rng.choice([-1, 1]), rng.randint(0, N)): Fraction(1)}, N)
-                 for f in constants]
-        _assert_actions(g, images, gauge, mixed, powers)
-        assert powers
+        # a term z^(0, +-1) is not constant: sigma moves it unless it lies above N - d
+        degrees = [rng.randint(0, N) for _ in constants]
+        mixed = [ref.add(f, {(0, rng.choice([-1, 1]), j): Fraction(1)}, N)
+                 for f, j in zip(constants, degrees)]
+        elems = _assert_actions(g, images, gauge, mixed, powers)
+        assert bool(powers) == any(j <= top for j in degrees)
+        for f, j in zip(elems, degrees):
+            own: dict = {}
+            image = g.apply_ring(f, own)
+            assert bool(own) == (j <= top)
+            assert (image is f) == (j > top)
+            seen.add(j <= top)
+    assert seen == {True, False}
+
+
+def _aut_of_order(rng, ctx, d):
+    """A random AutPair whose sigma - id has t-order exactly ``d`` on the generators.
+
+    ``d = 0`` scales one generator image by a constant other than 1, and
+    ``d = N + 1`` is the identity sigma; the gauge is random either way.
+    """
+    r, N = ctx.rank, ctx.order
+    lowest = rng.randrange(2)
+    images = []
+    for axis, e in enumerate(((1, 0), (0, 1))):
+        n = {k: c for k, c in _coeffs(rng, N, min_order=1).items() if k[2] > d}
+        if axis == lowest and 1 <= d <= N:
+            n[(rng.randint(-1, 1), rng.randint(-1, 1), d)] = Fraction(rng.choice([-2, -1, 1, 3]),
+                                                                      rng.randint(1, 3))
+        unit = ref.add(ref._one(), n, N)
+        if d == 0 and axis == lowest:
+            unit = ref.scale(unit, rng.choice([-1, 2, Fraction(1, 2), Fraction(-3, 2)]), N)
+        images.append({(m1 + e[0], m2 + e[1], j): c for (m1, m2, j), c in unit.items()})
+    gauge = [[ref.add(ref._one() if i == k else {}, _coeffs(rng, N, min_order=1), N)
+              for k in range(r)] for i in range(r)]
+    g = AutPair(ctx, (SeriesElem(ctx, images[0]), SeriesElem(ctx, images[1])), _matrix(ctx, gauge))
+    assert _fixed_order(images, N) == d
+    return g, images, gauge
+
+
+def _series_across(rng, order, top):
+    """A series with terms at t-degrees on both sides of ``top``, constants and z^(-1, 1) included."""
+    f = _coeffs(rng, order)
+    for j in {rng.randint(0, order), max(min(top, order), 0), min(max(top + 1, 0), order)}:
+        m = rng.choice([(0, 0), (1, 0), (0, -1), (-1, 1), (2, -1)])
+        f = ref.add(f, {(m[0], m[1], j): Fraction(rng.randint(1, 5), rng.randint(1, 4))}, order)
+    return f
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_the_action_builds_powers_only_for_the_terms_sigma_moves(rank):
+    # for every t-order d of sigma - id from 0 to N + 1: a term c z^m t^j is
+    # fixed when m = 0 or j > N - d, and the action builds a power exactly
+    # when some other term is present, else it returns its argument
+    rng = random.Random(1500 + rank)
+    for N in range(1, 6):
+        ctx = TruncationContext(N, rank)
+        for d in range(N + 2):
+            for _ in range(3):
+                g, images, gauge = _aut_of_order(rng, ctx, d)
+                assert g._fixed_order == d
+                top = N - d
+                fs = [_series_across(rng, N, top) for _ in range(rank)]
+                powers: dict = {}
+                elems = _assert_actions(g, images, gauge, fs, powers)
+                for f in elems:
+                    moves = any((m1 or m2) and j <= top for m1, m2, j in f.coeffs)
+                    own: dict = {}
+                    image = g.apply_ring(f, own)
+                    assert bool(own) == moves
+                    assert (image is f) == (not moves)
+                for (axis, e), p in powers.items():
+                    _assert_equal(p, _power(images[axis], e, N))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("case", ["zero-matrix", "nilpotent-matrix", "both-parts",
+                                  "non-orthogonal-derivation"])
+def test_the_exponential_is_the_series_of_its_operator(monkeypatch, rank, case):
+    # exp(x) against sum_k L^k / k! of the first-order operator L of
+    # reference_lie: the gauge's columns on the constant sections e_i and the
+    # generator images on z^(e_i); a zero matrix part runs no section action
+    rng = random.Random(f"exp-{rank}-{case}")
+    calls = []
+    apply_section = LieElem.apply_section
+
+    def counted(self, vec):
+        calls.append(vec)
+        return apply_section(self, vec)
+
+    monkeypatch.setattr(LieElem, "apply_section", counted)
+    for _ in range(6):
+        N = rng.randint(1, 5)
+        ctx = TruncationContext(N, rank)
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            m = rng.choice([(m1, m2) for m1 in range(-2, 3) for m2 in range(-2, 3) if m1 or m2])
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            a = tuple(tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(rank))
+                      for _ in range(rank))
+            dv = (-c * m[1], c * m[0])
+            if case == "zero-matrix":
+                a = mat_zero(rank)
+            elif case == "nilpotent-matrix":
+                a = tuple(tuple(v if k > i else Fraction(0) for k, v in enumerate(row))
+                          for i, row in enumerate(a))
+                dv = (0, 0)
+            elif case == "non-orthogonal-derivation":
+                dv = (dv[0] + m[0], dv[1] + m[1])
+            terms[(m, rng.randint(1, N))] = (a, dv)
+        model = lie.clean(terms, N)
+        x = LieElem.from_terms(ctx, model)
+        assert bool(x.non_orthogonal()) == (case == "non-orthogonal-derivation")
+        calls.clear()
+        g = _exponential(x)
+        if case == "zero-matrix":
+            assert calls == []
+        for i in range(rank):
+            term = [ref._one() if k == i else {} for k in range(rank)]
+            col = term
+            for k in range(1, N + 1):
+                term = [ref.scale(f, Fraction(1, k), N) for f in lie.apply_section(model, term, N)]
+                col = [ref.add(a, b, N) for a, b in zip(col, term)]
+            for row in range(rank):
+                _assert_equal(g.gauge.rows[row][i], col[row])
+        for axis, e in enumerate(((1, 0), (0, 1))):
+            term = image = {(e[0], e[1], 0): Fraction(1)}
+            for k in range(1, N + 1):
+                term = ref.scale(lie.apply_derivation(model, term, N), Fraction(1, k), N)
+                image = ref.add(image, term, N)
+            _assert_equal(g.sigma_images[axis], image)
