@@ -86,7 +86,7 @@ def convention_audit() -> str:
         f"  produced walls: {scattering.PRODUCED_WALLS}",
         f"  bridge matrix sign: {groupoid.UPSILON_MATRIX_SIGN:+d} "
         "(S generator maps to -mu t E[i,j] z^m)",
-        "  groupoid twisting default: dirac; wall-crossing pipeline: trivial",
+        "  wall-crossing ring: untwisted groupoid ring (twisting \"trivial\")",
         f"  max truncation order: {max_order()}",
     ]
     return "\n".join(lines) + "\n"
@@ -115,9 +115,9 @@ def _write_results(args, completed, text: str):
 def cmd_complete(args) -> int:
     d = serialize.diagram_from_json(load_json(args.input), args.order)
     check_order(d.ctx.order)
-    completed, text, _consistent = _completion(d)
+    completed, text, consistent = _completion(d)
     _write_results(args, completed, text)
-    return EXIT_OK
+    return EXIT_OK if consistent else EXIT_INCONSISTENT
 
 
 def cmd_check(args) -> int:

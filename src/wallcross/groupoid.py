@@ -101,7 +101,6 @@ class ProducedFactor:
 @dataclass(frozen=True)
 class WcfSolution:
     problem: BpsProblem
-    lie_ctx: TruncationContext
     initial: Diagram
     completed: Diagram
     produced: tuple[ProducedFactor, ...]
@@ -228,7 +227,6 @@ def solve_wcf(problem: BpsProblem) -> WcfSolution:
         produced.extend(_read_ray_factors(ctx, w))
     return WcfSolution(
         problem=problem,
-        lie_ctx=lie_ctx,
         initial=initial,
         completed=completed,
         produced=tuple(produced),

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .groupoid import SFactor, WcfSolution
-from .lattice import WallKind, angular_sort, primitive_part
+from .lattice import angular_sort, primitive_part
 from .scattering import Diagram, new_rays
 from .vertexlie import LieElem
 
@@ -141,11 +141,7 @@ def diagram_svg(d: Diagram) -> str:
         f'viewBox="0 0 {_CANVAS} {_CANVAS}">',
         f'<rect width="{_CANVAS}" height="{_CANVAS}" fill="white"/>',
     ]
-    segments = []
-    for w in sorted(d.walls, key=lambda w: w.direction):
-        segments.append((w.direction, w))
-        if w.kind is WallKind.LINE:
-            segments.append(((-w.direction[0], -w.direction[1]), w))
+    segments = [(p, w) for w in sorted(d.walls, key=lambda w: w.direction) for p in w.rays]
     for direction, w in segments:
         x, y = direction
         norm = (x * x + y * y) ** 0.5

@@ -42,7 +42,7 @@ from .lattice import (
     is_primitive,
     primitive_part,
 )
-from .series import SeriesElem, SeriesMatrix, TruncationContext
+from .series import TruncationContext
 from .vertexlie import AutPair, LieElem, bch, compose, exp, log
 
 # The single global orientation choice, validated by the two-line worked
@@ -75,17 +75,21 @@ class Wall:
                 f"wall derivation at {bad[0]} is not a multiple of the primitive normal"
             )
 
+    @property
+    def rays(self) -> tuple[Vec, ...]:
+        """The rays the wall covers: ``(m,)`` for a ray, ``(m, -m)`` for a line."""
+        m = self.direction
+        return (m,) if self.kind is WallKind.RAY else (m, (-m[0], -m[1]))
+
     @cached_property
     def automorphisms(self) -> tuple[tuple[Vec, AutPair], ...]:
-        """The rays the wall covers, each with the automorphism it carries.
+        """Each of :attr:`rays` with the automorphism it carries.
 
         The ``+m`` ray carries ``exp(logf)``; a line's ``-m`` ray carries the
         inverse ``exp(-logf)``.  Computed once per wall, at full order.
         """
-        theta = ((self.direction, exp(self.logf)),)
-        if self.kind is WallKind.RAY:
-            return theta
-        return theta + (((-self.direction[0], -self.direction[1]), exp(-self.logf)),)
+        return tuple((p, exp(self.logf if p == self.direction else -self.logf))
+                     for p in self.rays)
 
 
 @dataclass(frozen=True)
@@ -99,9 +103,7 @@ class Diagram:
         for w in self.walls:
             if w.logf.ctx != self.ctx:
                 raise ValueError("wall log context does not match diagram context")
-        rays = [w.direction for w in self.walls] + [
-            (-w.direction[0], -w.direction[1]) for w in self.walls if w.kind is WallKind.LINE
-        ]
+        rays = [p for w in self.walls for p in w.rays]
         if len(set(rays)) != len(rays):
             raise ValueError("two walls cover the same ray (a line covers both of its rays)")
 
@@ -168,15 +170,6 @@ def require_half_plane(d: Diagram) -> None:
         )
 
 
-def _parts(g: AutPair) -> list[tuple[SeriesElem, Vec]]:
-    """g's images and gauge entries, each with the offset of its relative frequencies.
-
-    These are the keys of the units sigma(z^(e_i)) / z^(e_i) and of the gauge.
-    """
-    rows = [(f, (0, 0)) for row in g.gauge.rows for f in row]
-    return [(g.sigma_images[0], (1, 0)), (g.sigma_images[1], (0, 1))] + rows
-
-
 def _first_direction(g: AutPair) -> Vec:
     """The most clockwise nonzero relative frequency of ``g``.
 
@@ -184,22 +177,10 @@ def _first_direction(g: AutPair) -> Vec:
     ``det2(m, p) > 0`` says that ``m`` comes before ``p``.
     """
     p = None
-    for f, e in _parts(g):
-        for k in f.coeffs:
-            m = (k[0] - e[0], k[1] - e[1])
-            if m != (0, 0) and (p is None or det2(m, p) > 0):
-                p = m
+    for m in g.relative_frequencies():
+        if m != (0, 0) and (p is None or det2(m, p) > 0):
+            p = m
     return p
-
-
-def _on_ray(g: AutPair, p: Vec) -> AutPair:
-    """``g`` with only its relative frequencies parallel to ``p``."""
-    kept = [SeriesElem._make(g.ctx, {k: c for k, c in f.coeffs.items()
-                                     if (k[0] - e[0]) * p[1] == (k[1] - e[1]) * p[0]}, f.den)
-            for f, e in _parts(g)]
-    r = g.ctx.rank
-    rows = tuple(tuple(kept[i:i + r]) for i in range(2, len(kept), r))
-    return AutPair(g.ctx, (kept[0], kept[1]), SeriesMatrix(g.ctx, rows))
 
 
 def _cancel_degree(x: LieElem) -> int:
@@ -217,14 +198,15 @@ def complete(d: Diagram) -> Diagram:
 
     They are peeled from the sector's first edge.  The elements supported
     strictly after the first direction p of G - Id form a normal subgroup,
-    so G keeping only its relative frequencies k * p (k >= 0) is exp(x_p);
-    x_p is its ``log`` and keeps it as its exponential, and G becomes
-    exp(-x_p) o G.  A line whose factor is its log is peeled with the
-    inverse it keeps, and the peel stops at the last line.
+    so G reduced to the ray through p (:meth:`~wallcross.vertexlie.AutPair.on_ray`)
+    is exp(x_p); x_p is its ``log``, which keeps it as the exponential of
+    x_p, and G becomes exp(-x_p) o G.  A line whose factor is its log is
+    peeled with the inverse it keeps, and the peel stops at the last line.
 
     Exit 3 (:class:`ConventionError`), lowest (k, p) first: a line between
-    the edges whose factor differs from its log at t-order k, or an initial
-    ray p with no factor, which order-by-order corrections would cancel at
+    the edges whose factor differs from its log at t-order k (a line the
+    peel never reaches has the identity as its factor), or an initial ray p
+    with no factor, which order-by-order corrections would cancel at
     degree k.  An initial ray with another factor takes it.  Output: the
     initial walls whose log is kept, in input order, then the others by
     (highest t-degree of the log, direction).
@@ -242,19 +224,19 @@ def complete(d: Diagram) -> Diagram:
         p = primitive_part(_first_direction(g))
         if p == sector[-1]:
             break
-        on_p, line = _on_ray(g, p), lines.get(p)
+        on_p, line = g.on_ray(p), lines.get(p)
         if line is not None and on_p == line.automorphisms[0][1]:
+            factors[p] = line.logf
             g = compose(line.automorphisms[1][1], g)
             continue
-        x = log(on_p)
-        x.__dict__["_exp"] = on_p
-        if line is None:
-            factors[p] = x
-        else:
-            k = (x - line.logf).t_order()
+        factors[p] = x = log(on_p)
+        g = compose(exp(-x), g)
+    for p in sector[1:-1]:
+        x = lines[p].logf
+        k = (factors[p] - x if p in factors else x).t_order()
+        if k is not None:
             errors.append((k, p, f"defect at degree {k} lies on the line direction {p}; "
                            "single-vertex completion supports corrections on rays only"))
-        g = compose(exp(-x), g)
     for w in walls:
         if w.kind is WallKind.RAY and w.direction not in factors:
             k, p = _cancel_degree(w.logf), w.direction

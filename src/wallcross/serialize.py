@@ -235,7 +235,8 @@ def bps_from_json(data: dict, order: int | None = None) -> tuple[BpsProblem, int
             raise SchemaError(f"unknown factor type {ftype!r}")
         gamma = _vec(fd.get("gamma"), "gamma")
         if ftype == "K":
-            factors.append(KFactor(gamma, _required_count(fd, "K", "Omega")))
+            if omega := _required_count(fd, "K", "Omega"):
+                factors.append(KFactor(gamma, omega))
             continue
         pair = fd.get("pair")
         if not isinstance(pair, list) or len(pair) != 2:
@@ -249,9 +250,9 @@ def bps_from_json(data: dict, order: int | None = None) -> tuple[BpsProblem, int
         g = (gamma[0] - ei[0] + ej[0], gamma[1] - ei[1] + ej[1])
         if g == (0, 0):
             raise SchemaError("S factor has zero charge coordinate")
-        factors.append(SFactor((i, j), g, _required_count(fd, "S", "mu")))
-    problem = BpsProblem(ctx, tuple(f for f in factors if _factor_strength(f)))
-    return problem, n
+        if mu := _required_count(fd, "S", "mu"):
+            factors.append(SFactor((i, j), g, mu))
+    return BpsProblem(ctx, tuple(factors)), n
 
 
 def _required_count(fd: dict, ftype: str, key: str) -> int:
@@ -259,10 +260,6 @@ def _required_count(fd: dict, ftype: str, key: str) -> int:
     if key not in fd:
         raise SchemaError(f"{ftype} factor missing key {key!r}")
     return _int(fd[key], key)
-
-
-def _factor_strength(f) -> int:
-    return f.mu if isinstance(f, SFactor) else f.omega
 
 
 # -- generic Lie elements (bch command) --------------------------------------------

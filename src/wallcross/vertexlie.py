@@ -25,12 +25,13 @@ faithful, so the module never brackets two elements: the BCH product is
 Dynkin series are test oracles (``tests/reference_bracket.py``).  A
 :class:`LieElem` lives in the same series ring, so :func:`exp` and
 :func:`log` never convert; rationals appear only at parsing and printing.
-:func:`exp` is memoized on the element it is given, and :func:`bch` keeps
-its product as the exponential of its result, so a group element is
-computed once however often it is used.  The action of an element on a
-series maps each monomial to a product of two generator powers and adds
-all of them into one integer accumulator (:meth:`AutPair.apply_ring`), so
-an action builds no intermediate series beyond the generator powers.
+:func:`exp` is memoized on the element it is given, and :func:`log` keeps
+its argument as the exponential of its result (exp(log g) = g exactly), so
+a group element is computed once however often it is used.  The action of
+an element on a series maps each monomial to a product of two generator
+powers and adds all of them into one integer accumulator
+(:meth:`AutPair.apply_ring`), so an action builds no intermediate series
+beyond the generator powers.
 
 Both maps act only on the terms an automorphism can move.  If sigma - id
 has t-order d on the generators, then sigma(z^m) = z^m (1 + O(t^d)) for
@@ -159,10 +160,15 @@ class LieElem:
     def _parts(self) -> tuple[SeriesElem, ...]:
         return (self.d1, self.d2, *(f for row in self.a.rows for f in row))
 
-    def _map(self, fn, ctx: TruncationContext) -> "LieElem":
-        """Apply ``fn`` to every part; the parts of the result live in ``ctx``."""
+    def _map(self, fn) -> "LieElem":
+        """Apply ``fn`` to every part."""
         rows = tuple(tuple(map(fn, row)) for row in self.a.rows)
-        return LieElem(ctx, fn(self.d1), fn(self.d2), SeriesMatrix(ctx, rows))
+        return LieElem(self.ctx, fn(self.d1), fn(self.d2), SeriesMatrix(self.ctx, rows))
+
+    @cached_property
+    def _exp(self) -> "AutPair":
+        """The exponential, computed on first use; :func:`log` sets it on its result."""
+        return _exponential(self)
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self._parts())
@@ -179,7 +185,7 @@ class LieElem:
 
     def scale(self, c) -> "LieElem":
         c = Fraction(c)
-        return self._map(lambda f: f.scale(c), self.ctx)
+        return self._map(lambda f: f.scale(c))
 
     def t_order(self) -> int | None:
         return min((f.t_order() for f in self._parts() if f.coeffs), default=None)
@@ -191,13 +197,10 @@ class LieElem:
         """The frequencies ``m`` that carry a nonzero term."""
         return {(k[0], k[1]) for f in self._parts() for k in f.coeffs}
 
-    def restrict(self, keep, ctx: TruncationContext | None = None) -> "LieElem":
-        """The terms whose key ``(m1, m2, j)`` passes ``keep``, in ``ctx`` (default: own)."""
-        ctx = ctx or self.ctx
-        return self._map(
-            lambda f: SeriesElem._make(ctx, {k: v for k, v in f.coeffs.items() if keep(k)}, f.den),
-            ctx,
-        )
+    def restrict(self, keep) -> "LieElem":
+        """The terms whose key ``(m1, m2, j)`` passes ``keep``."""
+        return self._map(lambda f: SeriesElem._make(
+            self.ctx, {k: v for k, v in f.coeffs.items() if keep(k)}, f.den))
 
     def degree_part(self, j: int) -> "LieElem":
         return self.restrict(lambda k: k[2] == j)
@@ -290,6 +293,28 @@ class AutPair:
     def is_identity(self) -> bool:
         return self == AutPair.identity(self.ctx)
 
+    def relative_frequencies(self):
+        """The frequencies of the units sigma(z^(e_i)) / z^(e_i) and of the gauge, with repeats."""
+        for f, (e1, e2) in zip(self.sigma_images, (_E1, _E2)):
+            for k in f.coeffs:
+                yield (k[0] - e1, k[1] - e2)
+        for row in self.gauge.rows:
+            for f in row:
+                for k in f.coeffs:
+                    yield (k[0], k[1])
+
+    def on_ray(self, p: Vec) -> "AutPair":
+        """The element reduced to the ray through ``p``: its relative frequencies parallel to ``p``."""
+        p1, p2 = p
+
+        def keep(f, e1=0, e2=0):
+            return SeriesElem._make(self.ctx, {k: c for k, c in f.coeffs.items()
+                                               if (k[0] - e1) * p2 == (k[1] - e2) * p1}, f.den)
+
+        images = (keep(self.sigma_images[0], *_E1), keep(self.sigma_images[1], *_E2))
+        rows = tuple(tuple(map(keep, row)) for row in self.gauge.rows)
+        return AutPair(self.ctx, images, SeriesMatrix(self.ctx, rows))
+
     @cached_property
     def _fixed_order(self) -> int:
         """d, the t-order of sigma - id on the generators; N + 1 for the identity.
@@ -380,13 +405,12 @@ def exp(x: LieElem) -> AutPair:
 
     A :class:`LieElem` is immutable, so the first call computes the
     exponential and keeps it on ``x``, and every later call on the same
-    object returns it.  An equal element built separately (``-x``, a
-    restriction, a parsed copy) carries no memo and is computed afresh.
+    object returns it.  :func:`log` keeps its argument as the exponential
+    of its result, so ``exp(log(g))`` is ``g`` itself.  An equal element
+    built separately (``-x``, a restriction, a parsed copy) carries no memo
+    and is computed afresh.
     """
-    g = x.__dict__.get("_exp")
-    if g is None:
-        g = x.__dict__["_exp"] = _exponential(x)
-    return g
+    return x._exp
 
 
 def _exponential(x: LieElem) -> AutPair:
@@ -445,7 +469,7 @@ def log(g: AutPair) -> LieElem:
     If s is the t-order of g - 1, each further factor g - 1 raises the
     t-degree by at least s (sigma(z^m) - z^m = z^m((1 + O(t^s))^m - 1)), so
     the k-th term vanishes modulo t^(N+1) once k*s > N and at most N // s
-    terms are summed.
+    terms are summed.  The result keeps ``g`` as its exponential.
     """
     ctx = g.ctx
     r = ctx.rank
@@ -501,17 +525,15 @@ def log(g: AutPair) -> LieElem:
             "recovered derivation not orthogonal to its frequency; "
             "input is not in the exponential image"
         )
+    x.__dict__["_exp"] = g  # exp(log g) = g exactly
     return x
 
 
 def bch(x: LieElem, y: LieElem) -> LieElem:
     """Baker-Campbell-Hausdorff product log(exp(x) o exp(y)).
 
-    The composed product is kept as the exponential of the result, since
-    exp(log g) = g exactly, so ``exp`` of a BCH product costs nothing.
+    :func:`log` keeps the composed product as the exponential of the
+    result, so ``exp`` of a BCH product costs nothing.
     """
-    g = compose(exp(x), exp(y))
-    z = log(g)
-    z.__dict__["_exp"] = g
-    return z
+    return log(compose(exp(x), exp(y)))
 

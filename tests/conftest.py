@@ -88,7 +88,7 @@ def rand_wall_log(ctx, rng, direction, terms=2, stype=None):
 
 def truncated(x, ctx):
     """The Lie element ``x`` reduced to the lower truncation order of ``ctx``."""
-    return x.restrict(lambda key: key[2] <= ctx.order, ctx)
+    return LieElem.from_terms(ctx, x.terms)  # from_terms drops the terms above N
 
 
 def truncated_aut(g, ctx):

@@ -61,12 +61,12 @@ def test_criterion_01_example1_reproduction():
     assert len(rays) == 1
     (w,) = rays
     assert w.direction == (1, 1) and w.kind is WallKind.RAY
-    expected = LieElem.single(sol.lie_ctx, (1, 1), 2, matrix=elementary(3, 0, 1, 1))
+    expected = LieElem.single(sol.completed.ctx, (1, 1), 2, matrix=elementary(3, 0, 1, 1))
     assert w.logf == expected  # zero derivation part, single matrix term
     assert sol.consistent
     # mu'(gamma_ij) = 1 (initial wall untouched), mu'(gamma + gamma_ij) = -1
     untouched = sol.completed.wall_in_direction((1, 0))
-    assert untouched is not None and untouched.logf == s_log(sol.lie_ctx, (1, 0), 0, 1)
+    assert untouched is not None and untouched.logf == s_log(sol.completed.ctx, (1, 0), 0, 1)
     assert len(sol.produced) == 1
     p = sol.produced[0]
     assert (p.kind, p.pair, p.charge, p.degree, p.strength) == (
@@ -78,7 +78,7 @@ def test_criterion_01_example1_reproduction():
     )
     # omega' = omega: the 4d wall is unchanged and no 4d factor is produced
     kwall = sol.completed.wall_in_direction((0, 1))
-    assert kwall is not None and kwall.logf == k_wall_log(sol.lie_ctx, KFactor((0, 1), 1))
+    assert kwall is not None and kwall.logf == k_wall_log(sol.completed.ctx, KFactor((0, 1), 1))
     elapsed = time.time() - t0
     assert elapsed < 5.0, f"runtime target exceeded: {elapsed:.2f}s"
     ok(1, "example-1 reproduction at N=8")
@@ -127,12 +127,12 @@ def test_criterion_03_example2_reproduction():
     assert len(rays) == 1
     (w,) = rays
     assert w.logf == LieElem.single(
-        sol.lie_ctx, (1, 1), 2, matrix=elementary(3, 0, 2, mu1 * mu2)
+        sol.completed.ctx, (1, 1), 2, matrix=elementary(3, 0, 2, mu1 * mu2)
     )
     assert sol.consistent
 
     # Full identity S1 S2 = S2 S3' S1 as group elements
-    lctx = sol.lie_ctx
+    lctx = sol.completed.ctx
     s1 = s_log(lctx, (0, 1), 0, 1)  # the (i,j) factor on the second-crossed wall
     s2 = s_log(lctx, (1, 0), 1, 2)
     s3 = LieElem.single(lctx, (1, 1), 2, matrix=elementary(3, 0, 2, mu1 * mu2))

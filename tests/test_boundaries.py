@@ -80,10 +80,7 @@ def test_benchmark_rebuilds_bps_initial_walls(monkeypatch):
 
 def _ray_directions(g):
     """The primitive directions of the relative frequencies of g - Id."""
-    freqs = [(m1 - e[0], m2 - e[1]) for f, e in zip(g.sigma_images, ((1, 0), (0, 1)))
-             for m1, m2, _j in f.coeffs]
-    freqs += [(m1, m2) for row in g.gauge.rows for f in row for m1, m2, _j in f.coeffs]
-    return {primitive_part(m) for m in freqs if m != (0, 0)}
+    return {primitive_part(m) for m in g.relative_frequencies() if m != (0, 0)}
 
 
 def test_completion_peels_one_ray_per_compose(monkeypatch):
@@ -261,3 +258,44 @@ def test_every_definition_is_referenced_by_the_package():
         if path.name != "__init__.py"
     }
     assert _unreferenced_definitions(sources) == []
+
+
+def _dict_writes(tree) -> list[int]:
+    """Lines that assign into an object's ``__dict__`` or call a method of it."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Subscript) and isinstance(t.value, ast.Attribute)
+                   and t.value.attr == "__dict__" for t in targets):
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Attribute) and node.func.value.attr == "__dict__"
+              and node.func.attr != "get"):
+            lines.append(node.lineno)
+    return lines
+
+
+def _foreign_private_attributes(tree) -> list[str]:
+    """``_``-prefixed, non-dunder attributes read that the module itself does not define."""
+    own = {node.name for node in ast.walk(tree)
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    return sorted(
+        f"{node.attr} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not node.attr.endswith("__") and node.attr not in own
+    )
+
+
+def test_each_type_owns_its_layout():
+    # the exponential memo lives where vertexlie puts it, and only vertexlie
+    # writes it; the front modules reach the engine's types through their
+    # public methods, never through another module's private names
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    writes = {name: lines for name, tree in trees.items()
+              if name != "vertexlie" and (lines := _dict_writes(tree))}
+    assert writes == {}
+    private = {name: names for name in ("scattering", "groupoid", "serialize", "report", "cli")
+               if (names := _foreign_private_attributes(trees[name]))}
+    assert private == {}

@@ -19,6 +19,9 @@ def test_convention_audit(capsys):
     assert code == 0
     assert "first wall crossed acts last" in out
     assert "dirac pairing: determinant" in out
+    # the solver's ring, not the Dirac-twisted ring of the test oracle
+    assert '  wall-crossing ring: untwisted groupoid ring (twisting "trivial")\n' in out
+    assert "twisting default" not in out
 
 
 def test_complete_pentagon_fixture(tmp_path, capsys):
@@ -249,6 +252,20 @@ def test_complete_rejects_a_correction_that_cancels_an_initial_ray(tmp_path, cap
     code, out, err = run(capsys, "complete", str(p))
     assert code == 3
     assert "cancels the initial ray (1, 0)" in err
+    assert out == ""
+
+
+def test_complete_rejects_a_middle_line_whose_factor_is_the_identity(tmp_path, capsys):
+    # the lines' product has no factor on (1,1), so the middle line's log
+    # t^2 z^(1,1) d(-1,1) is a defect at its own t-order: no diagram is
+    # written, where an unchecked line would give a FAIL report
+    outer = [{"t": l, "k": l, "derivation": f"1/{l}"} for l in (1, 2, 3)]
+    p = tmp_path / "middle.json"
+    p.write_text(json.dumps(_walls(1, 3, ([1, 0], "line", outer), ([0, 1], "line", outer),
+                                   ([1, 1], "line", [{"t": 2, "k": 1, "derivation": "1"}]))))
+    code, out, err = run(capsys, "complete", str(p))
+    assert code == 3
+    assert "defect at degree 2 lies on the line direction (1, 1)" in err
     assert out == ""
 
 

@@ -25,13 +25,13 @@ from reference_completion import (
     reference_log,
     reference_path_ordered_product,
 )
-from wallcross import cli, serialize
+from wallcross import cli, scattering, serialize
 from wallcross.exceptions import ConventionError
 from wallcross.groupoid import KFactor, k_wall_log
-from wallcross.lattice import WallKind, primitive_part
+from wallcross.lattice import WallKind, primitive_normal, primitive_part
 from wallcross.scattering import Diagram, Wall, complete, path_ordered_product
 from wallcross.series import TruncationContext
-from wallcross.vertexlie import AutPair, LieElem, compose, elementary, exp, log
+from wallcross.vertexlie import AutPair, LieElem, compose, elementary, exp, log, mat_zero
 
 
 def _dump(d: Diagram) -> str:
@@ -260,6 +260,37 @@ def test_peel_flags_a_middle_line_whose_factor_differs(lines, ca, cm, cb, ja, jb
     assert _assert_matches_reference(d) == (ConventionError, (
         f"defect at degree {ja + jb} lies on the line direction {mid}; "
         "single-vertex completion supports corrections on rays only"))
+
+
+@pytest.mark.parametrize("order, middle", [
+    (3, {1: 1}),
+    (8, {1: 1, 2: Fraction(-9, 2), 3: Fraction(136, 3), 4: Fraction(-2953, 4)}),
+])
+def test_peel_flags_a_middle_line_whose_factor_is_the_identity(monkeypatch, order, middle):
+    # lines (1,0) and (0,1) with log sum_l (1/l) t^l z^(l gamma) d_n and a
+    # middle line c_k t^(2k) z^(k,k) d_n, with c_k chosen so that the lines'
+    # product has no factor on (1,1): the peel never reaches the middle line,
+    # whose factor, the identity, differs from its log at t-order 2
+    ctx = TruncationContext(order, 1)
+    n = primitive_normal((1, 1))
+    mid = LieElem.from_terms(ctx, {((k, k), 2 * k): (mat_zero(1), (c * n[0], c * n[1]))
+                                   for k, c in middle.items()})
+    d = Diagram(ctx, (
+        Wall((1, 0), WallKind.LINE, k_wall_log(ctx, KFactor((1, 0), 1))),
+        Wall((1, 1), WallKind.LINE, mid),
+        Wall((0, 1), WallKind.LINE, k_wall_log(ctx, KFactor((0, 1), 1))),
+    ))
+    logged = []
+
+    def recording_log(g):
+        logged.extend(primitive_part(m) for m in g.relative_frequencies() if m != (0, 0))
+        return log(g)
+
+    monkeypatch.setattr(scattering, "log", recording_log)
+    assert _assert_matches_reference(d) == (ConventionError, (
+        "defect at degree 2 lies on the line direction (1, 1); "
+        "single-vertex completion supports corrections on rays only"))
+    assert logged and (1, 1) not in logged
 
 
 @pytest.mark.parametrize("ray_degree, expected", [

@@ -377,7 +377,7 @@ def test_solve_wcf_example2():
     assert (p.kind, p.pair, p.charge) == ("S", ("i", "l"), (1, 1))
     assert p.strength == -1  # mu'(gamma_il) = -mu(gamma_ij) mu(gamma_jl)
     (w,) = new_rays(sol.initial, sol.completed)
-    assert w.logf == LieElem.single(sol.lie_ctx, (1, 1), 2, matrix=elementary(3, 0, 2, 1))
+    assert w.logf == LieElem.single(sol.completed.ctx, (1, 1), 2, matrix=elementary(3, 0, 2, 1))
 
 
 def test_solve_wcf_zero_strength_is_empty():

@@ -703,6 +703,58 @@ def test_pentagon_keeps_one_ray_at_order_16():
     assert is_consistent(completed)
 
 
+def _binomial(e, s, n):
+    """Coefficients 1..n of (1 + s u)^e, for any integer e."""
+    coeffs, c = {}, Fraction(1)
+    for k in range(1, n + 1):
+        c = c * (e - k + 1) / k
+        coeffs[k] = c * s**k
+    return coeffs
+
+
+def _mirrored(rays):
+    return {(b, a): f for (a, b), f in rays.items()}
+
+
+# Gross-Pandharipande-Siebert, arXiv:0902.0779, Example 1.6: the completion
+# of the lines (1 + tx)^l1 and (1 + ty)^l2 for the finite types.  Each ray
+# (a, b) carries (1 + s t^(a+b) x^a y^b)^e, listed as {(a, b): (s, e)}, the
+# two lines included.  For (2, 2) the rays are (n+1, n) and (n, n+1) with
+# exponent 2, and (1 - t^2 xy)^-4 on (1, 1); those up to t^24 are listed.
+_B2 = {(1, 0): (1, 1), (0, 1): (1, 2), (1, 1): (1, 2), (1, 2): (1, 1)}
+_G2 = {(1, 0): (1, 1), (0, 1): (1, 3), (1, 1): (1, 3), (1, 2): (1, 3), (1, 3): (1, 1),
+       (2, 3): (1, 1)}
+_FINITE_TYPES = {
+    (1, 1): {(1, 0): (1, 1), (0, 1): (1, 1), (1, 1): (1, 1)},
+    (1, 2): _B2,
+    (2, 1): _mirrored(_B2),
+    (1, 3): _G2,
+    (3, 1): _mirrored(_G2),
+    (2, 2): {(1, 1): (-1, -4), **{r: (1, 2) for n in range(12) for r in ((n + 1, n), (n, n + 1))}},
+}
+
+
+@pytest.mark.parametrize("l1, l2", sorted(_FINITE_TYPES))
+def test_finite_type_rays_match_their_closed_forms(l1, l2):
+    # the engine's wall for f on the ray (a, b) carries c_l (b, -a) at
+    # frequency l (a, b) and t-degree l (a + b), where sum_l c_l u^l is
+    # log f under (x, y) -> (-x, -y), that is u -> (-1)^(a+b) u
+    order = 24
+    ctx = TruncationContext(order, 1)
+    d = Diagram(ctx, (k_wall(ctx, (1, 0), scale=l1), k_wall(ctx, (0, 1), scale=l2)))
+    completed = complete(d)
+    rays = _FINITE_TYPES[l1, l2]
+    assert sorted(w.direction for w in completed.walls) == sorted(rays)
+    for w in completed.walls:
+        (a, b), (s, e) = w.direction, rays[w.direction]
+        n = order // (a + b)
+        c = _log_series(_binomial(e, s * (-1) ** (a + b), n), n)
+        assert dict(w.logf.terms) == {
+            ((l * a, l * b), l * (a + b)): (mat_zero(1), (c[l] * b, -c[l] * a))
+            for l in range(1, n + 1)
+        }
+
+
 # -- each wall's automorphism is computed once ------------------------------------
 
 

@@ -20,6 +20,7 @@ from wallcross.serialize import (
     parse_frac,
 )
 from wallcross.series import TruncationContext
+from wallcross.vertexlie import LieElem
 
 
 def test_fraction_strings():
@@ -153,6 +154,6 @@ def test_bch_file_roundtrip():
         # a lower order drops the terms above it; without a truncation key the order is used
         low, _ = bch_from_json({"rank": 2, "x": doc["result"]}, 4)
         assert low == x
-        assert bch_from_json({**doc, "x": doc["result"]}, 2)[0] == x.restrict(
-            lambda key: key[2] <= 2, TruncationContext(2, 2)
+        assert bch_from_json({**doc, "x": doc["result"]}, 2)[0] == LieElem.from_terms(
+            TruncationContext(2, 2), x.terms
         )

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import rand_lie, truncated, truncated_aut
 from reference_bracket import bch_reference, bracket
+from reference_completion import fresh_exp
 from wallcross.exceptions import ConventionError
 from wallcross.groupoid import KFactor, k_wall_log
 from wallcross.series import SeriesElem, SeriesMatrix, TruncationContext
@@ -184,7 +185,9 @@ def test_log_exp_roundtrip_group_side():
     rng = random.Random(9)
     for _ in range(10):
         g = exp(rand_lie(ctx, rng))
-        assert exp(log(g)) == g
+        x = log(g)
+        assert exp(x) is g  # log keeps its argument as the exponential
+        assert fresh_exp(x) == g
 
 
 def test_compose_identity_and_inverse():
@@ -426,9 +429,9 @@ def _algebra_operands(draw):
 @given(_algebra_operands())
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_exp_commutes_with_truncation_and_inverts_log(operands):
-    # the identities the memoized automorphisms rest on: bch keeps its
-    # product as the exponential of its result, and the completion keeps a
-    # factor's reduced product as its exponential
+    # the identities the memoized automorphisms rest on: log keeps its
+    # argument as the exponential of its result, which bch and the
+    # completion's factors read back
     ctx, x, y, low = operands
     small = TruncationContext(low, ctx.rank)
     g = exp(x)
@@ -438,5 +441,7 @@ def test_exp_commutes_with_truncation_and_inverts_log(operands):
     assert exp(LieElem(ctx, x.d1, x.d2, x.a)) == g
     assert compose(g, exp(-x)).is_identity()
     product = compose(g, exp(y))
-    assert exp(log(product)) == product
+    z = log(product)
+    assert exp(z) is product
+    assert fresh_exp(z) == product
     assert exp(bch(x, y)) == product
