@@ -4,10 +4,11 @@ Subcommands: ``complete``, ``check``, ``wcf``, ``bch``, ``plot``, ``demo``;
 every file format they read or write lives in :mod:`serialize`.  Exit codes:
 0 success/consistent, 1 inconsistent, 2 input error (an input that cannot be
 read or decoded, or an output that cannot be written, included), 3 convention
-violation (among others, a completion that would correct an initial line or
-cancel an initial ray).  Files are written before stdout, so a run that
-exits 2 or 3 writes nothing there.  ``SCATTER_MAX_ORDER`` caps the
-truncation order (default 16).  Outputs are byte-identical across runs.
+violation (among others, a completion that would change an initial wall).
+The plots are written first, ``--output`` next and stdout last, so a run
+that exits 2 leaves no ``--output`` file and nothing on stdout, and one that
+exits 3 writes nothing.  ``SCATTER_MAX_ORDER`` caps the truncation order
+(default 16).  Outputs are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -106,9 +107,9 @@ def _solution(problem) -> tuple:
 
 
 def _write_results(args, completed, text: str):
+    _emit_plots(args, completed)
     if args.output:
         write_text(args.output, serialize.dumps(serialize.diagram_to_json(completed)))
-    _emit_plots(args, completed)
     sys.stdout.write(text)
 
 

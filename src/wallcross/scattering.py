@@ -23,7 +23,7 @@ the lines in reverse sector order.  G factors uniquely as an ordered
 product exp(x_p1) o exp(x_p2) o ... over rays p1, p2, ... in sector order
 (Kontsevich-Soibelman, arXiv:0811.2435, section 2.1; Gross-Pandharipande-
 Siebert, arXiv:0902.0779, Theorem 1.4), and the factors are the completed
-walls.  Initial rays never enter G.
+walls.  Initial rays never enter G; a completion changes no initial wall.
 """
 
 from __future__ import annotations
@@ -183,16 +183,6 @@ def _first_direction(g: AutPair) -> Vec:
     return p
 
 
-def _cancel_degree(x: LieElem) -> int:
-    """The degree at which order-by-order corrections, lowest degree first, cancel log ``x``."""
-    g, k = exp(x), 0
-    while not g.is_identity():
-        y = log(g)
-        k = y.t_order()
-        g = compose(g, exp(-y.degree_part(k)))
-    return k
-
-
 def complete(d: Diagram) -> Diagram:
     """The minimal consistent completion: the factors of G (see the module docstring).
 
@@ -201,28 +191,27 @@ def complete(d: Diagram) -> Diagram:
     so G reduced to the ray through p (:meth:`~wallcross.vertexlie.AutPair.on_ray`)
     is exp(x_p); x_p is its ``log``, which keeps it as the exponential of
     x_p, and G becomes exp(-x_p) o G.  A line whose factor is its log is
-    peeled with the inverse it keeps, and the peel stops at the last line.
+    peeled with the inverse it keeps.  The peel stops at the last line,
+    whose factor is its log, like the first line's (G reduced to an edge).
 
-    Exit 3 (:class:`ConventionError`), lowest (k, p) first: a line between
-    the edges whose factor differs from its log at t-order k (a line the
-    peel never reaches has the identity as its factor), or an initial ray p
-    with no factor, which order-by-order corrections would cancel at
-    degree k.  An initial ray with another factor takes it.  Output: the
-    initial walls whose log is kept, in input order, then the others by
-    (highest t-degree of the log, direction).
+    Exit 3 (:class:`ConventionError`), lowest (k, p) first, as a completion
+    changes no initial wall: a nonzero initial wall on direction p whose
+    factor differs from its log at t-order k (a direction the peel never
+    reaches has the identity as its factor).  Output: the nonzero initial
+    walls in input order, then the rest by (log's t-degree, direction).
     """
     require_half_plane(d)
-    walls = [w for w in d.walls if not w.logf.is_zero()]
+    walls = tuple(w for w in d.walls if not w.logf.is_zero())
     lines = {w.direction: w for w in walls if w.kind is WallKind.LINE}
     sector = half_plane_order(list(lines))
     factors: dict[Vec, LieElem] = {}
-    errors = []
     g = AutPair.identity(d.ctx)
     for p in sector:
         g = compose(lines[p].automorphisms[0][1], g)
     while sector:
         p = primitive_part(_first_direction(g))
         if p == sector[-1]:
+            factors[p] = lines[p].logf
             break
         on_p, line = g.on_ray(p), lines.get(p)
         if line is not None and on_p == line.automorphisms[0][1]:
@@ -231,24 +220,23 @@ def complete(d: Diagram) -> Diagram:
             continue
         factors[p] = x = log(on_p)
         g = compose(exp(-x), g)
-    for p in sector[1:-1]:
-        x = lines[p].logf
-        k = (factors[p] - x if p in factors else x).t_order()
-        if k is not None:
+    errors = []
+    for w in walls:
+        p, x, y = w.direction, w.logf, factors.get(w.direction)
+        if y is x or (k := (x if y is None else y - x).t_order()) is None:
+            continue
+        if w.kind is WallKind.LINE:
             errors.append((k, p, f"defect at degree {k} lies on the line direction {p}; "
                            "single-vertex completion supports corrections on rays only"))
-    for w in walls:
-        if w.kind is WallKind.RAY and w.direction not in factors:
-            k, p = _cancel_degree(w.logf), w.direction
-            errors.append((k, p, f"the correction at degree {k} cancels the initial ray {p}; "
-                           "completion does not remove initial walls"))
+        else:
+            errors.append((k, p, f"the correction at degree {k} changes the initial ray {p}; "
+                           "completion does not change initial walls"))
     if errors:
         raise ConventionError(min(errors)[2])
-    kept = tuple(w for w in walls if w.kind is WallKind.LINE or factors[w.direction] == w.logf)
-    done = {w.direction for w in kept}
+    done = {w.direction for w in walls}
     produced = sorted((Wall(p, WallKind.RAY, x) for p, x in factors.items() if p not in done),
                       key=lambda w: (w.logf.t_degree(), w.direction))
-    return replace(d, walls=kept + tuple(produced))
+    return replace(d, walls=walls + tuple(produced))
 
 
 def new_rays(initial: Diagram, completed: Diagram) -> list[Wall]:

@@ -42,12 +42,18 @@ product of ``x`` and ``y`` at order N.  BPS problem files::
 
 ``basepoints`` (default ``[0, 0]`` per vacuum) shift an S factor's charge to
 its coordinate ``gamma - e_i + e_j``; ``truncation`` may be left out when an
-order is passed.  Every S factor needs ``mu`` and every K factor ``Omega``:
-a missing count is an error, not a zero, and a factor whose count is an
-explicit 0 is dropped.  The solver works in the untwisted groupoid ring, so a
-``"twisting"`` key other than ``"trivial"`` is rejected.  Counts, orders and
-lattice coordinates must be JSON integers; every malformed value raises
-:class:`SchemaError`.
+order is passed.  A factor whose count is an explicit 0 is dropped.  The
+solver works in the untwisted groupoid ring, so a ``"twisting"`` key other
+than ``"trivial"`` is rejected.  Counts, orders and lattice coordinates must
+be JSON integers; every malformed value raises :class:`SchemaError`.
+
+Each object takes the keys shown (a BPS file also ``twisting``) and no other,
+so a misspelled key is an error, not an absent one; a missing key is named
+before an unknown one.  Optional are a wall's ``geometry`` (``"line"``) and
+``terms``, a term's ``matrix`` and ``derivation`` (zero), a BPS file's
+``twisting``, ``basepoints`` and ``factors``, a ``bch`` input's ``x`` and
+``y``, and ``truncation`` as noted.  A wall whose log is zero is read as
+given; ``complete`` drops it.
 """
 
 from __future__ import annotations
@@ -88,6 +94,20 @@ def _vec(v, what="vector") -> tuple[int, int]:
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise SchemaError(f"bad {what}: {v!r} (expected a pair of integers)")
     return (_int(v[0], what), _int(v[1], what))
+
+
+def _fields(obj: dict, what: str, required: tuple, **optional) -> list:
+    """The values of ``obj`` at its ``required`` keys, then at ``optional`` ones or their defaults.
+
+    No other key is allowed; a missing key is reported before an unknown one.
+    """
+    for key in required:
+        if key not in obj:
+            raise SchemaError(f"{what} missing key {key!r}")
+    for key in obj:
+        if key not in optional and key not in required:
+            raise SchemaError(f"{what} has unknown key {key!r}")
+    return [obj[key] for key in required] + [obj.get(k, v) for k, v in optional.items()]
 
 
 def _objects(v, what) -> list[dict]:
@@ -140,14 +160,11 @@ def diagram_from_json(data: dict, order: int | None = None) -> Diagram:
     """Parse a diagram file; ``order`` may lower its truncation, never raise it."""
     if not isinstance(data, dict):
         raise SchemaError("diagram file must be a JSON object")
-    try:
-        rank, truncation, walls_data = data["rank"], data["truncation"], data["walls"]
-    except KeyError as e:
-        raise SchemaError(f"diagram file missing key {e}") from None
     if "base_direction" in data:
         raise SchemaError(
             "base_direction is no longer accepted: every loop starts at the positive x-axis"
         )
+    rank, truncation, walls_data = _fields(data, "diagram file", ("rank", "truncation", "walls"))
     truncation = _int(truncation, "truncation")
     try:
         ctx = TruncationContext(read_order(truncation, order), _int(rank, "rank"))
@@ -168,28 +185,27 @@ def read_order(truncation: int, order: int | None) -> int:
     return truncation if order is None else order
 
 
-def _t_degree(td: dict, truncation: int) -> int:
-    j = _int(td.get("t"), "t-degree")
+def _t_degree(j, truncation: int) -> int:
+    j = _int(j, "t-degree")
     if j > truncation:
         raise SchemaError(f"term at t-degree {j} exceeds the file's truncation {truncation}")
     return j
 
 
 def _wall_from_json(ctx: TruncationContext, wd: dict, truncation: int) -> Wall:
-    direction = _vec(wd.get("direction"), "direction")
-    geometry = wd.get("geometry", "line")
+    direction, geometry, terms_data = _fields(wd, "wall", ("direction",), geometry="line", terms=[])
+    direction = _vec(direction, "direction")
     if geometry not in ("line", "ray"):
         raise SchemaError(f"bad geometry {geometry!r}")
     nrm = primitive_normal(direction)
     terms = {}
-    for td in _objects(wd.get("terms", []), "terms"):
-        j = _t_degree(td, truncation)
-        k = _int(td.get("k"), "frequency multiple k")
+    for td in _objects(terms_data, "terms"):
+        j, k, mat, dc = _fields(td, "wall term", ("t", "k"), matrix=None, derivation="0")
+        j, k = _t_degree(j, truncation), _int(k, "frequency multiple k")
         if k < 1:
             raise SchemaError("frequency multiple k must be >= 1")
         m = (k * direction[0], k * direction[1])
-        a = _matrix(td.get("matrix"), ctx.rank)
-        dc = parse_frac(td.get("derivation", "0"))
+        a, dc = _matrix(mat, ctx.rank), parse_frac(dc)
         key = (m, j)
         if key in terms:
             raise SchemaError(f"duplicate term at frequency {m}, degree {j}")
@@ -203,21 +219,21 @@ def _wall_from_json(ctx: TruncationContext, wd: dict, truncation: int) -> Wall:
 def bps_from_json(data: dict, order: int | None = None) -> tuple[BpsProblem, int]:
     if not isinstance(data, dict):
         raise SchemaError("BPS file must be a JSON object")
-    vacua = data.get("vacua")
+    vacua, twisting, truncation, basepoints, factors_data = _fields(
+        data, "BPS file", ("vacua",),
+        twisting="trivial", truncation=None, basepoints={}, factors=[])
     if not isinstance(vacua, list) or not all(isinstance(v, str) for v in vacua):
         raise SchemaError("vacua must be a list of names")
-    if data.get("twisting", "trivial") != "trivial":
+    if twisting != "trivial":
         raise SchemaError(
-            f"unsupported twisting {data['twisting']!r}: the solver works in the "
+            f"unsupported twisting {twisting!r}: the solver works in the "
             'untwisted ring, so only "trivial" is accepted'
         )
-    truncation = data.get("truncation")
     if truncation is not None:
         _int(truncation, "truncation")
     n = order if order is not None else truncation
     if n is None:
         raise SchemaError("no truncation order: set \"truncation\" or pass --order")
-    basepoints = data.get("basepoints", {})
     if not isinstance(basepoints, dict):
         raise SchemaError("basepoints must map vacuum names to charge pairs")
     for name in basepoints:
@@ -229,16 +245,18 @@ def bps_from_json(data: dict, order: int | None = None) -> tuple[BpsProblem, int
     except ValueError as e:
         raise SchemaError(str(e)) from None
     factors = []
-    for fd in _objects(data.get("factors", []), "factors"):
+    for fd in _objects(factors_data, "factors"):
         ftype = fd.get("type")
         if ftype not in ("S", "K"):
             raise SchemaError(f"unknown factor type {ftype!r}")
-        gamma = _vec(fd.get("gamma"), "gamma")
+        keys = ("type", "pair", "gamma", "mu") if ftype == "S" else ("type", "gamma", "Omega")
+        *_, gamma, count = _fields(fd, f"{ftype} factor", keys)
+        gamma, count = _vec(gamma, "gamma"), _int(count, keys[-1])
         if ftype == "K":
-            if omega := _required_count(fd, "K", "Omega"):
-                factors.append(KFactor(gamma, omega))
+            if count:
+                factors.append(KFactor(gamma, count))
             continue
-        pair = fd.get("pair")
+        pair = fd["pair"]
         if not isinstance(pair, list) or len(pair) != 2:
             raise SchemaError("S factor needs a pair of vacua")
         i, j = pair
@@ -250,16 +268,9 @@ def bps_from_json(data: dict, order: int | None = None) -> tuple[BpsProblem, int
         g = (gamma[0] - ei[0] + ej[0], gamma[1] - ei[1] + ej[1])
         if g == (0, 0):
             raise SchemaError("S factor has zero charge coordinate")
-        if mu := _required_count(fd, "S", "mu"):
-            factors.append(SFactor((i, j), g, mu))
+        if count:
+            factors.append(SFactor((i, j), g, count))
     return BpsProblem(ctx, tuple(factors)), n
-
-
-def _required_count(fd: dict, ftype: str, key: str) -> int:
-    """The required count ``key`` of a factor of type ``ftype``."""
-    if key not in fd:
-        raise SchemaError(f"{ftype} factor missing key {key!r}")
-    return _int(fd[key], key)
 
 
 # -- generic Lie elements (bch command) --------------------------------------------
@@ -269,19 +280,17 @@ def bch_from_json(data: dict, order: int | None) -> tuple[LieElem, LieElem]:
     """The ``x`` and ``y`` of a bch input, read at ``order`` (``None``: its truncation)."""
     if not isinstance(data, dict):
         raise SchemaError("bch input must be a JSON object")
-    try:
-        # without a truncation key, the order is the file's truncation
-        truncation = data["truncation"] if order is None else data.get("truncation", order)
-        rank = data["rank"]
-    except KeyError as e:
-        raise SchemaError(f"bch input missing key {e}") from None
+    # without a truncation key, the order is the file's truncation
+    rank, truncation, x, y = _fields(data, "bch input", ("rank",), truncation=order, x=[], y=[])
+    if order is None and "truncation" not in data:
+        raise SchemaError("bch input missing key 'truncation'")
     truncation = _int(truncation, "truncation")
     try:
         ctx = TruncationContext(read_order(truncation, order), _int(rank, "rank"))
     except ValueError as e:
         raise SchemaError(str(e)) from None
-    x = lie_terms_from_json(ctx, data.get("x", []), truncation)
-    y = lie_terms_from_json(ctx, data.get("y", []), truncation)
+    x = lie_terms_from_json(ctx, x, truncation)
+    y = lie_terms_from_json(ctx, y, truncation)
     if not in_open_half_plane(list(x.frequencies() | y.frequencies())):
         raise SchemaError(
             "the frequencies of x and y must lie in one open half-plane, or the "
@@ -311,10 +320,8 @@ def lie_terms_from_json(ctx: TruncationContext, data, truncation: int) -> LieEle
     """A Lie element read at ``ctx.order`` from a file truncated at ``truncation``."""
     terms = {}
     for td in _objects(data, "terms"):
-        m = _vec(td.get("m"), "frequency")
-        j = _t_degree(td, truncation)
-        a = _matrix(td.get("matrix"), ctx.rank)
-        dv = td.get("derivation", ["0", "0"])
+        m, j, mat, dv = _fields(td, "bch term", ("m", "t"), matrix=None, derivation=["0", "0"])
+        m, j, a = _vec(m, "frequency"), _t_degree(j, truncation), _matrix(mat, ctx.rank)
         if not isinstance(dv, list) or len(dv) != 2:
             raise SchemaError("derivation must be a pair of rationals")
         key = (m, j)

@@ -34,6 +34,20 @@ def fixture_diagram(name, order=None):
     )
 
 
+def kronecker_doc(omega1, omega2, order):
+    """K-type lines on (1,0) and (0,1) with log Omega * sum_l (1/l) t^l z^(l gamma)."""
+    walls = [
+        {
+            "direction": list(gamma),
+            "geometry": "line",
+            "terms": [{"t": l, "k": l, "derivation": str(Fraction(omega, l))}
+                      for l in range(1, order + 1)],
+        }
+        for gamma, omega in (((1, 0), omega1), ((0, 1), omega2))
+    ]
+    return {"rank": 1, "truncation": order, "walls": walls}
+
+
 def rand_matrix(r, rng, span=2):
     return tuple(
         tuple(Fraction(rng.randint(-span, span), rng.randint(1, 2)) for _ in range(r))

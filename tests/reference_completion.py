@@ -11,7 +11,9 @@ the same errors.  The oracle orders the wall logs itself and exponentiates
 copies of them, so it never reads an automorphism the engine memoized, and
 it merges a correction into an existing ray as the full logarithm of the
 composed product (:func:`reference_merge`), never through the engine's
-``merge_wall``.
+``merge_wall``.  A correction on the direction of an initial line or of an
+initial ray is an error at its degree (a completion changes no initial
+wall); corrections merge only into the rays the oracle itself produced.
 """
 
 from fractions import Fraction
@@ -152,10 +154,10 @@ def reference_complete(d: Diagram) -> Diagram:
                     f"defect at degree {k0} lies on the line direction {p}; "
                     "single-vertex completion supports corrections on rays only"
                 )
-            current = reference_merge(current, Wall(p, WallKind.RAY, -by_direction[p]))
-            if p in initial_rays and current.wall_in_direction(p) is None:
+            if p in initial_rays:
                 raise ConventionError(
-                    f"the correction at degree {k0} cancels the initial ray {p}; "
-                    "completion does not remove initial walls"
+                    f"the correction at degree {k0} changes the initial ray {p}; "
+                    "completion does not change initial walls"
                 )
+            current = reference_merge(current, Wall(p, WallKind.RAY, -by_direction[p]))
     raise ConventionError("completion did not converge within the truncation order")

@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from wallcross import cli
+from conftest import kronecker_doc
+from reference_completion import reference_complete
+from wallcross import cli, serialize
+from wallcross.exceptions import ConventionError
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
 
@@ -245,14 +248,69 @@ def test_an_s_factor_without_mu_is_an_input_error(tmp_path, capsys):
 
 
 def test_complete_rejects_a_correction_that_cancels_an_initial_ray(tmp_path, capsys):
-    # a lone ray is its own defect at degree 1; the correction would cancel
-    # it and leave an empty diagram, which no longer holds the input's wall
+    # a lone ray has the identity as its factor, which differs from its log at
+    # degree 1; the correction would cancel it and leave an empty diagram
     p = tmp_path / "ray.json"
     p.write_text(json.dumps(_walls(1, 3, ([1, 0], "ray", [_K_TERM]))))
     code, out, err = run(capsys, "complete", str(p))
     assert code == 3
-    assert "cancels the initial ray (1, 0)" in err
+    assert "the correction at degree 1 changes the initial ray (1, 0)" in err
     assert out == ""
+
+
+def _with_ray(tmp_path, doc, direction, terms):
+    """``doc`` with a ray appended, written to a file."""
+    p = tmp_path / "seeded.json"
+    p.write_text(json.dumps(dict(doc, walls=doc["walls"] + [
+        {"direction": direction, "geometry": "ray", "terms": terms}])))
+    return p
+
+
+@pytest.mark.parametrize("derivation", ["1", "5/3", "-7"])
+def test_complete_rejects_an_initial_ray_that_differs_from_its_factor(tmp_path, capsys,
+                                                                      derivation):
+    # the completion of Kronecker Omega = 2 carries -4 t^2 z^(1,1) d_n - 2 t^4
+    # z^(2,2) d_n ... on (1,1); an initial ray there with another log is an
+    # error at the first degree where the two differ
+    p = _with_ray(tmp_path, kronecker_doc(2, 2, 8), [1, 1],
+                  [{"t": 2, "k": 1, "derivation": derivation}])
+    assert run(capsys, "complete", str(p)) == (3, "", (
+        "convention violation: the correction at degree 2 changes the initial ray (1, 1); "
+        "completion does not change initial walls\n"))
+
+
+def test_complete_accepts_the_completions_own_ray(tmp_path, capsys):
+    # the same ray as the completion's is kept as given: the output is that of
+    # the run without it, byte for byte
+    k = tmp_path / "k.json"
+    k.write_text(json.dumps(kronecker_doc(2, 2, 8)))
+    plain = tmp_path / "plain.json"
+    assert run(capsys, "complete", str(k), "--output", str(plain))[0] == 0
+    (ray,) = [w for w in json.loads(plain.read_text())["walls"] if w["direction"] == [1, 1]]
+    assert ray["terms"][:2] == [
+        {"t": 2, "k": 1, "matrix": [["0"]], "derivation": "-4"},
+        {"t": 4, "k": 2, "matrix": [["0"]], "derivation": "-2"},
+    ]
+    seeded = tmp_path / "seeded-out.json"
+    p = _with_ray(tmp_path, kronecker_doc(2, 2, 8), [1, 1], ray["terms"])
+    code, out, _ = run(capsys, "complete", str(p), "--output", str(seeded))
+    assert code == 0 and "initial walls: 3" in out
+    assert seeded.read_bytes() == plain.read_bytes()
+
+
+def test_complete_names_the_lowest_degree_of_an_outside_ray(tmp_path, capsys):
+    # (1,-1) lies outside the lines' cone, where the factor is the identity;
+    # the ray's log differs from it at its t-order 1, the degree the
+    # order-by-order reference names too
+    p = _with_ray(tmp_path, kronecker_doc(1, 1, 4), [1, -1],
+                  [{"t": 1, "k": 1, "derivation": "1"}, {"t": 3, "k": 1, "derivation": "2"}])
+    code, out, err = run(capsys, "complete", str(p))
+    message = ("the correction at degree 1 changes the initial ray (1, -1); "
+               "completion does not change initial walls")
+    assert (code, out, err) == (3, "", f"convention violation: {message}\n")
+    with pytest.raises(ConventionError) as exc:
+        reference_complete(serialize.diagram_from_json(json.loads(p.read_text())))
+    assert str(exc.value) == message
 
 
 def test_complete_rejects_a_middle_line_whose_factor_is_the_identity(tmp_path, capsys):
@@ -456,6 +514,25 @@ def _bch(x, y, truncation=3):
         pytest.param("bch", _bch([{"m": [1, 0], "t": 1, "matrix": _UPPER}], [], truncation=2),
                      ("--order", "4"), "exceeds the file's truncation",
                      id="order-above-truncation-bch"),
+        # every object kind has one closed key set: an unknown key is not ignored
+        pytest.param("complete", _fixture_with("pentagon.json", ("order", 3)), (),
+                     "diagram file has unknown key 'order'", id="unknown-key-diagram"),
+        pytest.param("complete", _fixture_with("pentagon.json", ("walls", 0, "kind", "ray")), (),
+                     "wall has unknown key 'kind'", id="unknown-key-wall"),
+        # a misspelled derivation is not read as an absent, zero one
+        pytest.param("complete", _walls(1, 3, ([1, 0], "line", [_K_TERM]),
+                                        ([0, 1], "line", [{"t": 1, "k": 1, "derivaton": "1"}])),
+                     (), "wall term has unknown key 'derivaton'", id="unknown-key-wall-term"),
+        pytest.param("wcf", _fixture_with("example1.json", ("basepoint", {"i": [1, 0]})), (),
+                     "BPS file has unknown key 'basepoint'", id="unknown-key-bps-file"),
+        pytest.param("wcf", _fixture_with("example1.json", ("factors", 0, "Omega", 1)), (),
+                     "S factor has unknown key 'Omega'", id="unknown-key-s-factor"),
+        pytest.param("wcf", _fixture_with("example1.json", ("factors", 1, "mu", 1)), (),
+                     "K factor has unknown key 'mu'", id="unknown-key-k-factor"),
+        pytest.param("bch", dict(_bch([], []), z=[]), (), "bch input has unknown key 'z'",
+                     id="unknown-key-bch-input"),
+        pytest.param("bch", _bch([{"m": [1, 0], "t": 1, "k": 1, "matrix": _UPPER}], []), (),
+                     "bch term has unknown key 'k'", id="unknown-key-bch-term"),
     ],
 )
 def test_malformed_input_exit_code(tmp_path, capsys, monkeypatch, command, data, extra, message):
@@ -584,6 +661,22 @@ def test_a_failed_write_leaves_stdout_empty(tmp_path, capsys, command, fixture):
                          "--output", str(target), "--emit-csv", str(tmp_path / "p.csv"))
     assert (code, out) == (2, "")
     assert err.startswith(f"input error: cannot write {target}")
+
+
+@pytest.mark.parametrize("option", ["--emit-svg", "--emit-csv"])
+@pytest.mark.parametrize("command, data", [
+    pytest.param("complete", kronecker_doc(2, 2, 8), id="complete"),
+    pytest.param("wcf", _fixture_with("example1.json"), id="wcf"),
+])
+def test_a_failed_plot_write_leaves_no_output_file(tmp_path, capsys, command, data, option):
+    # the plots are written before --output, so exit 2 never leaves a result file
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(data))
+    result, plot = tmp_path / "ok.json", tmp_path / "nodir" / "p"
+    code, out, err = run(capsys, command, str(p), "--output", str(result), option, str(plot))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot write {plot}")
+    assert not result.exists()
 
 
 def test_a_failed_bch_write_leaves_stdout_empty(tmp_path, capsys):

@@ -294,13 +294,14 @@ def test_peel_flags_a_middle_line_whose_factor_is_the_identity(monkeypatch, orde
 
 
 @pytest.mark.parametrize("ray_degree, expected", [
-    (1, "the correction at degree 1 cancels the initial ray (1, -1)"),
+    (1, "the correction at degree 1 changes the initial ray (1, -1)"),
     (3, "defect at degree 2 lies on the line direction (1, 1)"),
 ])
 def test_peel_raises_the_lowest_degree_error_first(ray_degree, expected):
-    # the middle line's defect appears at degree 2 and the ray outside the
-    # cone is cancelled at its own degree: the lower degree is reported, as
-    # the order-by-order reference meets it first
+    # the middle line's defect appears at degree 2, and the ray outside the
+    # cone, whose factor is the identity, differs from it at its own degree:
+    # the lower degree is reported, as the order-by-order reference meets it
+    # first
     ctx = TruncationContext(4, 3)
     d = Diagram(ctx, (
         Wall((1, 0), WallKind.LINE, _s_log(ctx, (1, 0), 0, 1, 1, 1)),
@@ -329,10 +330,11 @@ def _without_ray_directions(d, completed):
 )
 @settings(max_examples=50, deadline=None, derandomize=True)
 def test_peel_matches_the_reference_with_initial_rays(d, kinds, seed):
-    # a ray equal to its factor is kept in place; a partial one (the shape of
-    # test_recompletion_fixes_partial_ray: part of the factor's lowest
-    # degree) is replaced by the factor; a ray on a direction with no
-    # factor, inside or outside the cone, is cancelled (exit 3)
+    # a ray equal to its factor is kept in place; a completion changes no
+    # initial wall, so a partial one (the shape of
+    # test_recompletion_rejects_partial_ray: part of the factor's lowest
+    # degree) and a ray on a direction with no factor, inside or outside
+    # the cone, are errors (exit 3)
     rng = random.Random(seed)
     completed = complete(d)
     produced = completed.walls[2:]
@@ -344,18 +346,23 @@ def test_peel_matches_the_reference_with_initial_rays(d, kinds, seed):
             x = w.logf
             if kind == "partial":
                 x = x.degree_part(x.t_order()).scale(rng.choice((Fraction(1, 2), -1, 2)))
-            rays[w.direction] = x
+            rays[w.direction] = kind, x
         elif kind in ("inside", "outside"):
             choices = inside if kind == "inside" else outside
             if choices:
                 p = rng.choice(choices)
-                rays[p] = rand_wall_log(d.ctx, rng, p)
+                rays[p] = kind, rand_wall_log(d.ctx, rng, p)
                 if kind == "outside":
                     outside = []  # a - b and b - a together span no half-plane
-    rays = {p: x for p, x in rays.items() if not x.is_zero()}
-    seeded = Diagram(d.ctx, d.walls + tuple(Wall(p, WallKind.RAY, x) for p, x in rays.items()))
+    rays = {p: (kind, x) for p, (kind, x) in rays.items() if not x.is_zero()}
+    seeded = Diagram(d.ctx, d.walls + tuple(Wall(p, WallKind.RAY, x)
+                                            for p, (_kind, x) in rays.items()))
     expected = _assert_matches_reference(seeded)
-    if expected[0] is ConventionError:
-        assert "cancels the initial ray" in expected[1]
+    if any(kind != "equal" for kind, _x in rays.values()):
+        assert expected[0] is ConventionError
+        assert "changes the initial ray" in expected[1]
     else:
+        # the initial walls first, in input order, then the other produced rays
+        walls = [w.direction for w in seeded.walls]
+        assert expected[0] == walls + [w.direction for w in produced if w.direction not in rays]
         assert expected[1] == _dump(completed)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, fixture_diagram, rand_wall_log
+from conftest import FIXTURES, fixture_diagram, kronecker_doc, rand_wall_log
 from reference_bracket import bracket, mat_mul
 from reference_completion import fresh_exp, loop_products, reference_log
 from reference_trees import restrict_direction
@@ -615,20 +615,25 @@ def test_dense_two_wall_fan():
     assert dirs == [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2)]
 
 
-def test_recompletion_fixes_partial_ray():
-    # a diagram seeded with half of the correct correction: completion
-    # merges the missing half into the existing ray (uniqueness)
+def test_recompletion_rejects_partial_ray():
+    # a diagram seeded with half of the correct correction: the completion's
+    # factor on (1,1) differs from the initial ray at degree 2, and a
+    # completion changes no initial wall; the full correction is accepted
     d = example1_diagram(order=6)
     half = Wall(
         (1, 1),
         WallKind.RAY,
         LieElem.single(d.ctx, (1, 1), 2, matrix=elementary(3, 0, 1, Fraction(1, 2))),
     )
-    seeded = Diagram(d.ctx, d.walls + (half,))
-    completed = complete(seeded)
-    assert is_consistent(completed)
-    w = completed.wall_in_direction((1, 1))
-    assert w.logf == LieElem.single(d.ctx, (1, 1), 2, matrix=elementary(3, 0, 1, 1))
+    with pytest.raises(ConventionError, match=r"^the correction at degree 2 changes the "
+                       r"initial ray \(1, 1\); completion does not change initial walls$"):
+        complete(Diagram(d.ctx, d.walls + (half,)))
+    full = complete(d).wall_in_direction((1, 1))
+    assert full.logf == LieElem.single(d.ctx, (1, 1), 2, matrix=elementary(3, 0, 1, 1))
+    recompleted = complete(Diagram(d.ctx, d.walls + (full,)))
+    assert recompleted.walls[2] is full
+    assert ({w.direction: (w.kind, w.logf) for w in recompleted.walls}
+            == {w.direction: (w.kind, w.logf) for w in complete(d).walls})
 
 
 def test_random_completions_rotated_cone():
@@ -758,22 +763,8 @@ def test_finite_type_rays_match_their_closed_forms(l1, l2):
 # -- each wall's automorphism is computed once ------------------------------------
 
 
-def _kronecker_doc(omega1, omega2, order):
-    """K-type lines on (1,0) and (0,1) with log Omega * sum_l (1/l) t^l z^(l gamma)."""
-    walls = [
-        {
-            "direction": list(gamma),
-            "geometry": "line",
-            "terms": [{"t": l, "k": l, "derivation": str(Fraction(omega, l))}
-                      for l in range(1, order + 1)],
-        }
-        for gamma, omega in (((1, 0), omega1), ((0, 1), omega2))
-    ]
-    return {"rank": 1, "truncation": order, "walls": walls}
-
-
 _COUNTED_RUNS = {
-    "complete-kronecker-3-5": ("complete", _kronecker_doc(3, 5, 7)),
+    "complete-kronecker-3-5": ("complete", kronecker_doc(3, 5, 7)),
     "wcf-example1": ("wcf", json.loads((FIXTURES / "example1.json").read_text())),
 }
 
