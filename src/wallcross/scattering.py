@@ -240,6 +240,6 @@ def complete(d: Diagram) -> Diagram:
 
 
 def new_rays(initial: Diagram, completed: Diagram) -> list[Wall]:
-    """Walls of ``completed`` that are not walls of the initial diagram."""
-    seen = {w.direction for w in initial.walls}
+    """Walls of ``completed`` on no direction of a nonzero initial wall."""
+    seen = {w.direction for w in initial.walls if not w.logf.is_zero()}
     return [w for w in completed.walls if w.direction not in seen]

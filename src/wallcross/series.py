@@ -225,26 +225,36 @@ class SeriesElem:
     def invert_unit(self) -> "SeriesElem":
         """Invert ``c * z^m0 * (1 + n)`` with ``n`` of positive t-order.
 
-        Uses the finite geometric series for ``(1 + n)^{-1}``; the product
-        with the result is exactly 1 modulo t^(N+1).
+        ``(1 + n)^{-1} = 1 + sum_k (-n)^k`` is summed by :func:`_operator_series`;
+        the product with the result is exactly 1 modulo t^(N+1).
         """
         lead = [(k, v) for k, v in self.coeffs.items() if k[2] == 0]
         if len(lead) != 1:
             raise ValueError("not a unit: t-degree-0 part is not a single monomial")
         (m1, m2, _), c0 = lead[0]
         head_inv = SeriesElem.monomial(self.ctx, (-m1, -m2), 0, Fraction(self.den, c0))
-        n = head_inv * self - SeriesElem.one(self.ctx)
-        # (1 + n)^{-1} = 1 - n + n^2 - ...
-        acc = SeriesElem.one(self.ctx)
-        term = SeriesElem.one(self.ctx)
-        sign = -1
-        for _ in range(self.ctx.order):
-            term = term * n
-            if term.is_zero():
-                break
-            acc = acc + term.scale(sign)
-            sign = -sign
-        return acc * head_inv
+        neg = SeriesElem.one(self.ctx) - head_inv * self
+        (tail,) = _operator_series(lambda v: (v[0] * neg,), (neg,), lambda k: 1, self.ctx.order)
+        return (SeriesElem.one(self.ctx) + tail) * head_inv
+
+
+def _operator_series(step, v: tuple, coeff, steps: int) -> tuple:
+    """The entrywise sum of ``coeff(k) * step^(k-1)(v)`` over ``k = 1..steps``.
+
+    ``v`` is a tuple of series and ``step`` a linear map on such tuples that
+    raises the t-order by s >= 1, so at most N // s terms are nonzero modulo
+    t^(N+1) and the sum is exact.  A zero term ends the sum before the next
+    step, so a zero ``v`` costs no step.  Every exponential and logarithm of
+    the engine, and the inverse of a unit, is such a series.
+    """
+    acc = v
+    for k in range(2, steps + 1):
+        if not any(f.coeffs for f in v):
+            break
+        v = step(v)
+        c = coeff(k)
+        acc = tuple(a + b.scale(c) for a, b in zip(acc, v))
+    return acc
 
 
 # -- matrices over the series ring ---------------------------------------------

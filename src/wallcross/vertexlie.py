@@ -40,9 +40,9 @@ modulo t^(N+1): the action copies those and builds no power for them.  The
 exponential's gauge column i starts at L(e_i) = A e_i, the i-th column of
 the matrix part, since the derivation kills constants.
 
-Every term's t-degree is at least 1, so all exponentials and logarithms
-terminate after at most N iterations (N // s for a logarithm of an element
-congruent to the identity mod t^s) and every identity here is exact.
+Every term's t-degree is at least 1, so :func:`exp` and :func:`log` are
+finite operator series, summed by :func:`~wallcross.series._operator_series`,
+and every identity here is exact.
 """
 
 from __future__ import annotations
@@ -50,12 +50,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import factorial, lcm
 from types import MappingProxyType
 
 from .exceptions import ConventionError
 from .lattice import Vec
-from .series import SeriesElem, SeriesMatrix, TruncationContext, _check_same_context, _mul_add
+from .series import (
+    SeriesElem, SeriesMatrix, TruncationContext, _check_same_context, _mul_add, _operator_series,
+)
 
 _ZERO = Fraction(0)
 
@@ -414,40 +416,28 @@ def exp(x: LieElem) -> AutPair:
 
 
 def _exponential(x: LieElem) -> AutPair:
-    """The exponential of ``x``, computed.
+    """The exponential of ``x``, computed by :func:`~wallcross.series._operator_series`.
 
-    The generator images are the exponentiated derivation applied to
-    z^{e_1}, z^{e_2}; the gauge columns are the exponentiated module action
-    L on the constant basis sections.  Both truncate after N applications.
-    Column i starts at its first step L(e_i) = A e_i, column i of the matrix
-    part, since the derivation kills constants: a zero matrix part gives the
-    identity gauge with no action at all.
+    The generator images are z^{e_i} plus the series of the derivation D
+    from D z^{e_i}; the gauge is I plus, in column i, the series of the
+    module action L from L(e_i) = A e_i, column i of the matrix part, since
+    the derivation kills constants.  Both take the coefficients 1/k!.  A
+    zero matrix part gives the identity gauge with no action at all.
     """
     ctx = x.ctx
-    images = []
-    for e in (_E1, _E2):
-        f = SeriesElem.monomial(ctx, e)
-        acc, term = f, f
-        for k in range(1, ctx.order + 1):
-            term = x.apply_derivation(term).scale(Fraction(1, k))
-            if term.is_zero():
-                break
-            acc = acc + term
-        images.append(acc)
-    cols = []
-    one = SeriesElem.one(ctx)
-    for i in range(ctx.rank):
-        term = tuple(row[i] for row in x.a.rows)
-        acc = tuple(one + f if k == i else f for k, f in enumerate(term))
-        for k in range(2, ctx.order + 1):
-            if all(f.is_zero() for f in term):
-                break
-            c = Fraction(1, k)
-            term = tuple(f.scale(c) for f in x.apply_section(term))
-            acc = tuple(a + b for a, b in zip(acc, term))
-        cols.append(acc)
-    gauge = SeriesMatrix(ctx, tuple(tuple(cols[j][i] for j in range(ctx.rank)) for i in range(ctx.rank)))
-    return AutPair(ctx, (images[0], images[1]), gauge)
+
+    def coeff(k):
+        return Fraction(1, factorial(k))
+
+    def derive(v):
+        return tuple(map(x.apply_derivation, v))
+
+    gens = (SeriesElem.monomial(ctx, _E1), SeriesElem.monomial(ctx, _E2))
+    tails = _operator_series(derive, derive(gens), coeff, ctx.order)
+    cols = [_operator_series(x.apply_section, col, coeff, ctx.order) for col in zip(*x.a.rows)]
+    gauge = tuple(tuple(SeriesElem.one(ctx) + f if i == j else f for j, f in enumerate(row))
+                  for i, row in enumerate(zip(*cols)))
+    return AutPair(ctx, (gens[0] + tails[0], gens[1] + tails[1]), SeriesMatrix(ctx, gauge))
 
 
 def compose(g1: AutPair, g2: AutPair) -> AutPair:
@@ -463,18 +453,14 @@ def log(g: AutPair) -> LieElem:
     """Logarithm of a pro-unipotent AutPair; exact inverse of :func:`exp`.
 
     The derivation part is log(sigma) evaluated on the two generators, the
-    matrix part the operator logarithm on the constant sections, both from
-    the Mercator series  sum_k (-1)^(k+1)/k (g - 1)^k.  Its first term is
-    g - 1 itself: the generator images minus z^(e_i) and the gauge minus I.
-    If s is the t-order of g - 1, each further factor g - 1 raises the
-    t-degree by at least s (sigma(z^m) - z^m = z^m((1 + O(t^s))^m - 1)), so
-    the k-th term vanishes modulo t^(N+1) once k*s > N and at most N // s
-    terms are summed.  The result keeps ``g`` as its exponential.
+    matrix part the operator logarithm on the constant sections: the
+    Mercator series  sum_k (-1)^(k+1)/k (g - 1)^k  from g - 1 itself, summed
+    by :func:`~wallcross.series._operator_series` over N // s terms, s the
+    t-order of g - 1 (sigma(z^m) - z^m = z^m((1 + O(t^s))^m - 1)).  The
+    result keeps ``g`` as its exponential.
     """
     ctx = g.ctx
-    r = ctx.rank
-    dparts = [g.sigma_images[axis] - SeriesElem.monomial(ctx, e)
-              for axis, e in enumerate((_E1, _E2))]
+    dparts = tuple(f - SeriesElem.monomial(ctx, e) for f, e in zip(g.sigma_images, (_E1, _E2)))
     if any(f.t_order() == 0 for f in dparts):
         raise ValueError("not pro-unipotent: generator image is not z^e*(1 + O(t))")
     gauge = g.gauge - SeriesMatrix.identity(ctx)
@@ -485,29 +471,17 @@ def log(g: AutPair) -> LieElem:
     steps = ctx.order // s
     powers: dict = {}
 
-    # Derivation part: log(sigma) evaluated on the generators.
-    dlog = []
-    for v in dparts:
-        acc = v
-        for k in range(2, steps + 1):
-            v = g.apply_ring(v, powers) - v
-            if v.is_zero():
-                break
-            acc = acc + v.scale(Fraction((-1) ** (k + 1), k))
-        dlog.append(acc)
+    def coeff(k):
+        return Fraction((-1) ** (k + 1), k)
 
-    # Matrix part: operator logarithm on constant basis sections.
-    cols = []
-    for i in range(r):
-        v = tuple(gauge.rows[row][i] for row in range(r))
-        acc = v
-        for k in range(2, steps + 1):
-            v = tuple(a - b for a, b in zip(g.apply_section(v, powers), v))
-            if all(f.is_zero() for f in v):
-                break
-            coeff = Fraction((-1) ** (k + 1), k)
-            acc = tuple(a + b.scale(coeff) for a, b in zip(acc, v))
-        cols.append(acc)
+    def ring_step(v):
+        return tuple(g.apply_ring(f, powers) - f for f in v)
+
+    def section_step(v):
+        return tuple(a - b for a, b in zip(g.apply_section(v, powers), v))
+
+    dlog = _operator_series(ring_step, dparts, coeff, steps)
+    cols = [_operator_series(section_step, col, coeff, steps) for col in zip(*gauge.rows)]
 
     # The generator series carry d_i z^(m + e_i); shift them back to z^m.
     d1, d2 = (
@@ -516,8 +490,7 @@ def log(g: AutPair) -> LieElem:
         )
         for f, e in zip(dlog, (_E1, _E2))
     )
-    a = SeriesMatrix(ctx, tuple(tuple(col[row] for col in cols) for row in range(r)))
-    x = LieElem(ctx, d1, d2, a)
+    x = LieElem(ctx, d1, d2, SeriesMatrix(ctx, tuple(zip(*cols))))
     if (0, 0) in x.frequencies():
         raise ValueError("logarithm has a term outside the Lie algebra")
     if x.non_orthogonal():

@@ -18,12 +18,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from wallcross import cli, scattering, serialize
+from wallcross import cli, scattering, serialize, series, vertexlie
 from wallcross.groupoid import KFactor, k_wall_log
 from wallcross.lattice import WallKind, primitive_part
 from wallcross.scattering import Diagram, Wall
 from wallcross.series import SeriesElem, TruncationContext
-from wallcross.vertexlie import AutPair, LieElem, bch, compose, log
+from wallcross.vertexlie import AutPair, LieElem, bch, compose, elementary, exp, log
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -158,6 +158,40 @@ def test_an_action_on_the_fixed_tail_builds_no_power(monkeypatch):
     completed = scattering.complete(d)
     assert len(completed.walls) > 2
     assert skipped
+
+
+def test_every_truncated_series_is_summed_by_one_routine(monkeypatch):
+    # exp, log and the inverse of a unit are truncated operator series, all
+    # summed by series._operator_series: once for the generator images and
+    # once per gauge column, or once for the unit; the values invert each
+    # other exactly
+    ctx = TruncationContext(6, 2)
+    x = LieElem.single(ctx, (1, 0), 1, matrix=elementary(2, 0, 1, 1), dvec=(0, 2))
+    y = LieElem.single(ctx, (0, 1), 2, matrix=elementary(2, 1, 0, -1), dvec=(-3, 0))
+    g = compose(exp(x), exp(y))
+    unit = SeriesElem.one(ctx) - SeriesElem.monomial(ctx, (1, 1), 1, 2)
+    cases = {
+        "exp": (lambda: vertexlie._exponential(x + y), 1 + ctx.rank),
+        "log": (lambda: log(g), 1 + ctx.rank),
+        "invert_unit": (unit.invert_unit, 1),
+    }
+    calls, values = [], {}
+    routine = series._operator_series
+
+    def counted(*args):
+        calls.append(args)
+        return routine(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(series, "_operator_series", counted)
+        patch.setattr(vertexlie, "_operator_series", counted)
+        for name, (fn, count) in cases.items():
+            calls.clear()
+            values[name] = fn()
+            assert len(calls) == count, name
+    assert log(values["exp"]) == x + y
+    assert vertexlie._exponential(values["log"]) == g
+    assert unit * values["invert_unit"] == SeriesElem.one(ctx)
 
 
 def test_engine_runs_without_the_rational_boundary(monkeypatch):

@@ -298,6 +298,16 @@ def test_complete_accepts_the_completions_own_ray(tmp_path, capsys):
     assert seeded.read_bytes() == plain.read_bytes()
 
 
+def test_complete_reports_the_ray_on_a_zero_initial_wall(tmp_path, capsys):
+    # a zero initial ray is dropped, so the completion's own (1,1) ray there
+    # is a new ray of the report
+    doc = json.loads((FIXTURES / "pentagon.json").read_text())
+    code, out, _ = run(capsys, "complete", str(_with_ray(tmp_path, doc, [1, 1], [])))
+    assert code == 0
+    assert "initial walls: 3\n  completed walls: 3\n" in out
+    assert "new rays: 1\n    direction (1,1) [ray]\n" in out
+
+
 def test_complete_names_the_lowest_degree_of_an_outside_ray(tmp_path, capsys):
     # (1,-1) lies outside the lines' cone, where the factor is the identity;
     # the ray's log differs from it at its t-order 1, the degree the
