@@ -9,7 +9,10 @@ vertex Lie algebra of rank ``len(vacua)``:
     K:  (0, Omega sum_l (1/l) t^(l d) w^(l gamma) d_n)
 
 ``solve_wcf`` puts these on lines, completes the diagram, and reads every
-produced ray back as S'/K' factors.  These wall logs are the bridge images of
+produced ray back as S'/K' factors.  The two directions are one codec:
+:func:`factor_log` writes a factor as its wall log and :func:`ray_factors`
+reads a ray log back, with one sign ``_S_SIGN`` for mu and one K series,
+:func:`k_wall_log`.  These wall logs are the bridge images of
 the S/K generators of the untwisted groupoid ring; the ring and the bridge
 are a test oracle (``tests/reference_groupoid_ring.py``) that checks them.
 """
@@ -27,8 +30,6 @@ from .scattering import Diagram, Wall
 from .series import TruncationContext
 from .vertexlie import LieElem, elementary, mat_zero
 
-_ZERO = Fraction(0)
-
 # The groupoid's base point object; no vacuum may take its name.
 BASEPOINT_OBJECT = "o"
 
@@ -36,6 +37,9 @@ BASEPOINT_OBJECT = "o"
 # log(theta_S) = (-mu t E_ij w^m, 0) for the S generator; -1 is the variant
 # sign kept for auditability.
 UPSILON_MATRIX_SIGN = 1
+
+# The sign of mu in an S-factor wall log, and of a matrix entry read back as mu'.
+_S_SIGN = -UPSILON_MATRIX_SIGN
 
 
 @dataclass(frozen=True)
@@ -92,9 +96,9 @@ class ProducedFactor:
     kind: str  # "S" or "K"
     direction: Vec
     degree: int
-    pair: tuple[str, str] | None = None
-    charge: Vec | None = None
-    strength: Fraction = _ZERO  # mu' for S, Omega' for K
+    pair: tuple[str, str] | None  # S only
+    charge: Vec
+    strength: Fraction  # mu' for S, Omega' for K
     dilog_pattern: bool | None = None  # K only: full series matches the standard shape
 
 
@@ -107,39 +111,31 @@ class WcfSolution:
     consistent: bool
 
 
-def s_wall_log(lie_ctx: TruncationContext, index: dict, f: SFactor) -> LieElem:
-    """(-mu t^d E_ij w^gamma, 0), the S-factor wall log."""
-    i, j = f.pair
-    a = elementary(lie_ctx.rank, index[i], index[j], -UPSILON_MATRIX_SIGN * f.mu)
-    return LieElem.single(lie_ctx, f.gamma, f.degree, matrix=a)
-
-
 def k_wall_log(lie_ctx: TruncationContext, f: KFactor) -> LieElem:
     """(0, Omega sum_l (1/l) t^(l d) w^(l gamma) d_n), the K-factor wall log."""
     n = primitive_normal(f.gamma)
     terms = {}
-    l = 1
-    while l * f.degree <= lie_ctx.order:
+    for l in range(1, lie_ctx.order // f.degree + 1):
         c = Fraction(f.omega, l)
         terms[((l * f.gamma[0], l * f.gamma[1]), l * f.degree)] = (
             mat_zero(lie_ctx.rank),
             (c * n[0], c * n[1]),
         )
-        l += 1
     return LieElem.from_terms(lie_ctx, terms)
 
 
 def factor_log(ctx: BpsContext, lie_ctx: TruncationContext, f: Factor) -> LieElem:
-    """The wall log of one BPS factor.
+    """The wall log of one BPS factor; :func:`ray_factors` reads it back.
 
-    Equals the bridge image of the factor's infinitesimal generator (the
-    test suite checks this against the upsilon route); constructed directly
-    so that K charges need no context-level index table.
+    An S factor gives (_S_SIGN mu t^d E_ij w^gamma, 0), a K factor
+    :func:`k_wall_log`: the bridge image of the factor's generator, which
+    the test suite checks against the upsilon route.
     """
-    index = {name: k for k, name in enumerate(ctx.vacua)}
-    if isinstance(f, SFactor):
-        return s_wall_log(lie_ctx, index, f)
-    return k_wall_log(lie_ctx, f)
+    if isinstance(f, KFactor):
+        return k_wall_log(lie_ctx, f)
+    i, j = (ctx.vacua.index(v) for v in f.pair)
+    a = elementary(lie_ctx.rank, i, j, _S_SIGN * f.mu)
+    return LieElem.single(lie_ctx, f.gamma, f.degree, matrix=a)
 
 
 def build_initial_diagram(problem: BpsProblem, lie_ctx: TruncationContext) -> Diagram:
@@ -160,60 +156,44 @@ def build_initial_diagram(problem: BpsProblem, lie_ctx: TruncationContext) -> Di
     return d
 
 
-def _read_ray_factors(ctx: BpsContext, wall: Wall) -> list[ProducedFactor]:
-    """Translate a produced ray log back into S/K factor data."""
-    names = ctx.vacua
-    out: list[ProducedFactor] = []
-    s_parts: dict[tuple[int, int, Vec, int], Fraction] = {}
+def ray_factors(ctx: BpsContext, wall: Wall) -> list[ProducedFactor]:
+    """Read a ray log back as S'/K' factors; the inverse of :func:`factor_log`.
+
+    Each off-diagonal matrix entry c of the term at ``(m, j)`` is an S'
+    factor with mu' = _S_SIGN c, since the sign is its own inverse; the S'
+    factors come sorted by (row, column, frequency, degree).  The lowest
+    derivation term gives one K' factor, whose ``dilog_pattern`` says
+    whether the whole derivation part is :func:`k_wall_log` of it.  A
+    diagonal entry has no S/K reading and raises :class:`ConventionError`
+    naming the lowest (degree, frequency, row) one.
+    """
+    s_parts = []
     k_lowest = None
     # terms come by t-degree, then frequency: the first K term is the lowest
     for (m, j), (a, d) in wall.logf.terms.items():
-        r = len(a)
-        for row in range(r):
-            for col in range(r):
-                if not a[row][col]:
+        for row, entries in enumerate(a):
+            for col, c in enumerate(entries):
+                if not c:
                     continue
                 if row == col:
                     raise ConventionError(
                         f"unrecognized 2d factor: matrix entry ({row},{col}) "
                         f"of the ray log at frequency {m}, degree {j}"
                     )
-                s_parts[(row, col, m, j)] = a[row][col]
+                s_parts.append((row, col, m, j, c))
         if k_lowest is None and (d[0] or d[1]):
             k_lowest = (m, j, normal_coefficient(m, d))
-    for (row, col, m, j), c in sorted(s_parts.items()):
-        out.append(
-            ProducedFactor(
-                kind="S",
-                direction=wall.direction,
-                degree=j,
-                pair=(names[row], names[col]),
-                charge=m,
-                strength=-UPSILON_MATRIX_SIGN * c,
-            )
-        )
+    out = [
+        ProducedFactor("S", wall.direction, j, (ctx.vacua[row], ctx.vacua[col]), m, _S_SIGN * c)
+        for row, col, m, j, c in sorted(s_parts)
+    ]
     if k_lowest is not None:
         m1, j1, c1 = k_lowest
-        out.append(
-            ProducedFactor(
-                kind="K",
-                direction=wall.direction,
-                degree=j1,
-                charge=m1,
-                strength=c1,
-                dilog_pattern=_matches_dilog(wall.logf, m1, j1, c1),
-            )
-        )
+        logf = wall.logf
+        expected = k_wall_log(logf.ctx, KFactor(m1, 1, j1)).scale(c1)
+        dilog = (logf.d1, logf.d2) == (expected.d1, expected.d2)
+        out.append(ProducedFactor("K", wall.direction, j1, None, m1, c1, dilog))
     return out
-
-
-def _matches_dilog(logf: LieElem, m1: Vec, j1: int, c1: Fraction) -> bool:
-    """Is the derivation part of ``logf`` the K-factor log with Omega' = c1,
-
-    Omega' * sum_l (1/l) t^(l j1) w^(l m1) d_n ?
-    """
-    expected = k_wall_log(logf.ctx, KFactor(m1, 1, j1)).scale(c1)
-    return (logf.d1, logf.d2) == (expected.d1, expected.d2)
 
 
 def solve_wcf(problem: BpsProblem) -> WcfSolution:
@@ -222,9 +202,7 @@ def solve_wcf(problem: BpsProblem) -> WcfSolution:
     lie_ctx = TruncationContext(ctx.order, max(1, len(ctx.vacua)))
     initial = build_initial_diagram(problem, lie_ctx)
     completed = scattering.complete(initial)
-    produced: list[ProducedFactor] = []
-    for w in scattering.new_rays(initial, completed):
-        produced.extend(_read_ray_factors(ctx, w))
+    produced = [p for w in scattering.new_rays(initial, completed) for p in ray_factors(ctx, w)]
     return WcfSolution(
         problem=problem,
         initial=initial,

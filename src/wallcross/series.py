@@ -299,9 +299,6 @@ class SeriesMatrix:
     def __neg__(self) -> "SeriesMatrix":
         return SeriesMatrix(self.ctx, tuple(tuple(-a for a in row) for row in self.rows))
 
-    def __sub__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        return self + (-other)
-
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         _check_same_context(self, other)
         cols = [self.matvec(col) for col in zip(*other.rows)]

@@ -103,8 +103,10 @@ class LieElem:
     Elements of the vertex algebra proper additionally have every derivation
     orthogonal to its frequency (``<m, d> = 0``).  The class does not enforce
     that cut, because the test oracle of the 2d-4d bridge brackets elements
-    outside it; the engine's entry points do: wall construction, the ``bch``
-    input parser and :func:`log`, through :meth:`non_orthogonal`.
+    outside it; the engine's entry points do.  Wall construction and
+    :func:`log` call :meth:`non_orthogonal`; the ``bch`` input parser
+    (``serialize.lie_terms_from_json``) checks each term itself, before
+    ``from_terms`` drops the terms above a lowered order.
     """
 
     ctx: TruncationContext
@@ -463,7 +465,9 @@ def log(g: AutPair) -> LieElem:
     dparts = tuple(f - SeriesElem.monomial(ctx, e) for f, e in zip(g.sigma_images, (_E1, _E2)))
     if any(f.t_order() == 0 for f in dparts):
         raise ValueError("not pro-unipotent: generator image is not z^e*(1 + O(t))")
-    gauge = g.gauge - SeriesMatrix.identity(ctx)
+    one = SeriesElem.one(ctx)
+    gauge = SeriesMatrix(ctx, tuple(tuple(f - one if i == j else f for j, f in enumerate(row))
+                                    for i, row in enumerate(g.gauge.rows)))
     if gauge.t_order() == 0:
         raise ValueError("not pro-unipotent: gauge constant term is not the identity")
     orders = [f.t_order() for f in dparts] + [gauge.t_order()]

@@ -209,7 +209,10 @@ def test_unrecognized_2d_factor_exit_code(tmp_path, capsys):
     p.write_text(json.dumps(data))
     code, _, err = run(capsys, "wcf", str(p))
     assert code == 3
-    assert "unrecognized 2d factor" in err
+    assert (
+        "unrecognized 2d factor: matrix entry (0,0) of the ray log at frequency (1, 1), degree 2"
+        in err
+    )
 
 
 def _wcf_on_factors(tmp_path, capsys, *factors):

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_bracket import bracket as lie_bracket
 from reference_groupoid_ring import (
@@ -24,10 +26,19 @@ from reference_groupoid_ring import (
 )
 from wallcross.exceptions import ConventionError
 from wallcross.exceptions import SchemaError
-from wallcross.groupoid import BpsContext, BpsProblem, KFactor, SFactor, factor_log, solve_wcf
-from wallcross.lattice import primitive_normal
+from wallcross.groupoid import (
+    BpsContext,
+    BpsProblem,
+    KFactor,
+    ProducedFactor,
+    SFactor,
+    factor_log,
+    ray_factors,
+    solve_wcf,
+)
+from wallcross.lattice import WallKind, primitive_normal
 from wallcross.report import wcf_report
-from wallcross.scattering import is_consistent, new_rays
+from wallcross.scattering import Wall, is_consistent, new_rays
 from wallcross.series import TruncationContext
 from wallcross.vertexlie import LieElem, elementary
 
@@ -448,6 +459,42 @@ def test_k_factor_with_multiple_charge():
             for l in range(1, 7)
         },
     )
+
+
+@st.composite
+def _factors_on_one_ray(draw):
+    """A context, a ray p, distinct S factors and at most one K factor on p."""
+    vacua = tuple(draw(st.permutations("ijkl"))[: draw(st.integers(1, 4))])
+    order = draw(st.integers(2, 8))
+    p = draw(st.sampled_from(((1, 0), (0, 1), (1, 1), (-1, 2), (2, -1), (-1, -1))))
+    charge = st.integers(1, 3).map(lambda k: (k * p[0], k * p[1]))
+    degree = st.integers(1, order)
+    strength = st.integers(-3, 3).filter(bool)
+    pair = st.permutations(vacua).map(lambda v: tuple(v[:2]))
+    keys = st.lists(st.tuples(pair, charge, degree), max_size=4 if len(vacua) > 1 else 0,
+                    unique=True)
+    factors = [SFactor(v, g, draw(strength), d) for v, g, d in draw(keys)]
+    if not factors or draw(st.booleans()):
+        factors.append(KFactor(draw(charge), draw(strength), draw(degree)))
+    return BpsContext(vacua, order), p, factors
+
+
+@given(_factors_on_one_ray())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_ray_factors_inverts_factor_log(case):
+    # a ray carrying the sum of the factors' wall logs reads back as exactly
+    # those factors: S by (row, column, charge, degree), then K with the
+    # standard series
+    ctx, p, factors = case
+    lie_ctx = TruncationContext(ctx.order, len(ctx.vacua))
+    logf = sum((factor_log(ctx, lie_ctx, f) for f in factors), LieElem.from_terms(lie_ctx, {}))
+    row = ctx.vacua.index
+    s_factors = sorted((f for f in factors if isinstance(f, SFactor)),
+                       key=lambda f: (row(f.pair[0]), row(f.pair[1]), f.gamma, f.degree))
+    expected = [ProducedFactor("S", p, f.degree, f.pair, f.gamma, f.mu) for f in s_factors]
+    expected += [ProducedFactor("K", p, f.degree, None, f.gamma, f.omega, True)
+                 for f in factors if isinstance(f, KFactor)]
+    assert ray_factors(ctx, Wall(p, WallKind.RAY, logf)) == expected
 
 
 def test_custom_twisting_table():
