@@ -43,7 +43,7 @@ from .lattice import (
     primitive_part,
 )
 from .series import TruncationContext
-from .vertexlie import AutPair, LieElem, bch, compose, exp, log
+from .vertexlie import AutPair, LieElem, bch, compose, exp, exp_pair, log
 
 # The single global orientation choice, validated by the two-line worked
 # examples and printed by ``wallcross --convention-audit``.
@@ -86,10 +86,12 @@ class Wall:
         """Each of :attr:`rays` with the automorphism it carries.
 
         The ``+m`` ray carries ``exp(logf)``; a line's ``-m`` ray carries the
-        inverse ``exp(-logf)``.  Computed once per wall, at full order.
+        inverse ``exp(-logf)``, and :func:`~wallcross.vertexlie.exp_pair` gets
+        both from one series.  Computed once per wall, at full order.
         """
-        return tuple((p, exp(self.logf if p == self.direction else -self.logf))
-                     for p in self.rays)
+        if self.kind is WallKind.RAY:
+            return ((self.direction, exp(self.logf)),)
+        return tuple(zip(self.rays, exp_pair(self.logf)))
 
 
 @dataclass(frozen=True)
@@ -190,9 +192,11 @@ def complete(d: Diagram) -> Diagram:
     strictly after the first direction p of G - Id form a normal subgroup,
     so G reduced to the ray through p (:meth:`~wallcross.vertexlie.AutPair.on_ray`)
     is exp(x_p); x_p is its ``log``, which keeps it as the exponential of
-    x_p, and G becomes exp(-x_p) o G.  A line whose factor is its log is
-    peeled with the inverse it keeps.  The peel stops at the last line,
-    whose factor is its log, like the first line's (G reduced to an edge).
+    x_p and its inverse, summed over the same powers, as that of -x_p, so
+    G becomes exp(-x_p) o G with no exponential computed.  A line whose
+    factor is its log is peeled with the inverse it keeps.  The peel stops
+    at the last line, whose factor is its log, like the first line's (G
+    reduced to an edge).
 
     Exit 3 (:class:`ConventionError`), lowest (k, p) first, as a completion
     changes no initial wall: a nonzero initial wall on direction p whose

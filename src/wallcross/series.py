@@ -171,17 +171,24 @@ class SeriesElem:
     # -- ring structure --------------------------------------------------------
 
     def __add__(self, other: "SeriesElem") -> "SeriesElem":
+        return self._plus(other, 1)
+
+    def __sub__(self, other: "SeriesElem") -> "SeriesElem":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "SeriesElem", sign: int) -> "SeriesElem":
+        """``self + sign * other`` for ``sign`` 1 or -1, with no negated copy of ``other``."""
         _check_same_context(self, other)
         if not other.coeffs:
             return self
         if not self.coeffs:
-            return other
+            return other if sign == 1 else -other
         da, db = self.den, other.den
         if da == db:
-            den, sb, out = da, 1, dict(self.coeffs)
+            den, sb, out = da, sign, dict(self.coeffs)
         else:
             den = lcm(da, db)
-            sa, sb = den // da, den // db
+            sa, sb = den // da, sign * (den // db)
             out = {k: v * sa for k, v in self.coeffs.items()}
         for k, v in other.coeffs.items():
             out[k] = out.get(k, 0) + v * sb
@@ -189,9 +196,6 @@ class SeriesElem:
 
     def __neg__(self) -> "SeriesElem":
         return SeriesElem._normal(self.ctx, {k: -v for k, v in self.coeffs.items()}, self.den)
-
-    def __sub__(self, other: "SeriesElem") -> "SeriesElem":
-        return self + (-other)
 
     def __mul__(self, other: "SeriesElem") -> "SeriesElem":
         _check_same_context(self, other)
@@ -234,27 +238,41 @@ class SeriesElem:
         (m1, m2, _), c0 = lead[0]
         head_inv = SeriesElem.monomial(self.ctx, (-m1, -m2), 0, Fraction(self.den, c0))
         neg = SeriesElem.one(self.ctx) - head_inv * self
-        (tail,) = _operator_series(lambda v: (v[0] * neg,), (neg,), lambda k: 1, self.ctx.order)
+        ((tail,),) = _operator_series(
+            lambda v: (v[0] * neg,), (neg,), (lambda k: 1,), self.ctx.order)
         return (SeriesElem.one(self.ctx) + tail) * head_inv
 
 
-def _operator_series(step, v: tuple, coeff, steps: int) -> tuple:
-    """The entrywise sum of ``coeff(k) * step^(k-1)(v)`` over ``k = 1..steps``.
+def _add_scaled(acc: tuple, v: tuple, c) -> tuple:
+    """``acc + c * v`` entrywise; ``c = 1`` and ``c = -1`` scale nothing."""
+    if c == 1:
+        return tuple(a + b for a, b in zip(acc, v))
+    if c == -1:
+        return tuple(a - b for a, b in zip(acc, v))
+    return tuple(a + b.scale(c) for a, b in zip(acc, v))
 
-    ``v`` is a tuple of series and ``step`` a linear map on such tuples that
-    raises the t-order by s >= 1, so at most N // s terms are nonzero modulo
-    t^(N+1) and the sum is exact.  A zero term ends the sum before the next
-    step, so a zero ``v`` costs no step.  Every exponential and logarithm of
-    the engine, and the inverse of a unit, is such a series.
+
+def _operator_series(step, v: tuple, coeffs: tuple, steps: int) -> tuple:
+    """One entrywise sum of ``coeff(k) * step^(k-1)(v)`` over ``k = 1..steps`` per ``coeff``.
+
+    ``v`` is a nonempty tuple of series and ``step`` a linear map on such
+    tuples that raises the t-order by s >= 1, so at most N // s terms are
+    nonzero modulo t^(N+1) and the sum is exact.  ``steps`` is at least 1
+    unless ``v`` is zero.  ``coeffs`` is a tuple of coefficient functions.
+    The powers ``step^(k-1)(v)`` are formed once for all the sums, which are
+    kept term by term; a zero term ends them before the next step, so a
+    zero ``v`` costs no step.  Every exponential and logarithm of the
+    engine, the inverse of a group element and the inverse of a unit is
+    such a series.
     """
-    acc = v
+    zero = (SeriesElem.zero(v[0].ctx),) * len(v)
+    accs = [_add_scaled(zero, v, coeff(1)) for coeff in coeffs]
     for k in range(2, steps + 1):
         if not any(f.coeffs for f in v):
             break
         v = step(v)
-        c = coeff(k)
-        acc = tuple(a + b.scale(c) for a, b in zip(acc, v))
-    return acc
+        accs = [_add_scaled(acc, v, coeff(k)) for acc, coeff in zip(accs, coeffs)]
+    return tuple(accs)
 
 
 # -- matrices over the series ring ---------------------------------------------

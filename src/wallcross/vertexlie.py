@@ -25,9 +25,13 @@ faithful, so the module never brackets two elements: the BCH product is
 Dynkin series are test oracles (``tests/reference_bracket.py``).  A
 :class:`LieElem` lives in the same series ring, so :func:`exp` and
 :func:`log` never convert; rationals appear only at parsing and printing.
-:func:`exp` is memoized on the element it is given, and :func:`log` keeps
-its argument as the exponential of its result (exp(log g) = g exactly), so
-a group element is computed once however often it is used.  The action of
+:func:`exp` is memoized on the element it is given, and an element keeps
+its negation.  Every inverse comes from the series that made its element:
+:func:`log` keeps its argument g as the exponential of its result x
+(exp(log g) = g exactly) and g^-1, summed over the same powers of g - 1,
+as the exponential of -x; :func:`exp_pair` gets exp(x) and exp(-x) from one
+series.  So a group element is computed once however often it is used, and
+its inverse costs no series of its own.  The action of
 an element on a series maps each monomial to a product of two generator
 powers and adds all of them into one integer accumulator
 (:meth:`AutPair.apply_ring`), so an action builds no intermediate series
@@ -40,16 +44,17 @@ modulo t^(N+1): the action copies those and builds no power for them.  The
 exponential's gauge column i starts at L(e_i) = A e_i, the i-th column of
 the matrix part, since the derivation kills constants.
 
-Every term's t-degree is at least 1, so :func:`exp` and :func:`log` are
-finite operator series, summed by :func:`~wallcross.series._operator_series`,
-and every identity here is exact.
+Every term's t-degree is at least 1, so :func:`exp`, :func:`log` and the
+inverses are finite operator series, summed by
+:func:`~wallcross.series._operator_series`, and every identity here is
+exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import factorial, lcm
 from types import MappingProxyType
 
@@ -171,8 +176,13 @@ class LieElem:
 
     @cached_property
     def _exp(self) -> "AutPair":
-        """The exponential, computed on first use; :func:`log` sets it on its result."""
+        """The exponential, computed on first use; :func:`log` and :func:`exp_pair` set it."""
         return _exponential(self)
+
+    @cached_property
+    def _neg(self) -> "LieElem":
+        """The negation, built on first use and kept, so its exponential is kept too."""
+        return LieElem(self.ctx, -self.d1, -self.d2, -self.a)
 
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self._parts())
@@ -182,7 +192,7 @@ class LieElem:
         return LieElem(self.ctx, self.d1 + other.d1, self.d2 + other.d2, self.a + other.a)
 
     def __neg__(self) -> "LieElem":
-        return LieElem(self.ctx, -self.d1, -self.d2, -self.a)
+        return self._neg
 
     def __sub__(self, other: "LieElem") -> "LieElem":
         return self + (-other)
@@ -409,35 +419,72 @@ def exp(x: LieElem) -> AutPair:
 
     A :class:`LieElem` is immutable, so the first call computes the
     exponential and keeps it on ``x``, and every later call on the same
-    object returns it.  :func:`log` keeps its argument as the exponential
-    of its result, so ``exp(log(g))`` is ``g`` itself.  An equal element
-    built separately (``-x``, a restriction, a parsed copy) carries no memo
-    and is computed afresh.
+    object returns it.  ``-x`` is kept on ``x`` (one way: ``-x`` does not
+    point back), so ``exp(-x)`` is also computed at most once.  :func:`log`
+    keeps its argument g as the exponential of its result x and g^-1 as
+    that of ``-x``, and :func:`exp_pair` fills both memos from one series.
+    An equal element built separately (a restriction, a parsed copy)
+    carries no memo and is computed afresh.
     """
     return x._exp
 
 
-def _exponential(x: LieElem) -> AutPair:
-    """The exponential of ``x``, computed by :func:`~wallcross.series._operator_series`.
+def exp_pair(x: LieElem) -> tuple[AutPair, AutPair]:
+    """``(exp(x), exp(-x))``, memoized like :func:`exp`; a line's two automorphisms.
 
-    The generator images are z^{e_i} plus the series of the derivation D
-    from D z^{e_i}; the gauge is I plus, in column i, the series of the
+    If neither is memoized yet, both come from one series: -x has the
+    operators -D and -L, so the powers D^k and L^k that exp(x) sums with
+    1/k! give exp(-x) with (-1)^k/k!.
+    """
+    neg = -x
+    if "_exp" not in x.__dict__ and "_exp" not in neg.__dict__:
+        x.__dict__["_exp"], neg.__dict__["_exp"] = _exponential_series(
+            x, (_exp_coeff, _exp_neg_coeff))
+    return exp(x), exp(neg)
+
+
+@cache
+def _exp_coeff(k):
+    return Fraction(1, factorial(k))
+
+
+@cache
+def _exp_neg_coeff(k):
+    return Fraction((-1) ** k, factorial(k))
+
+
+def _exponential(x: LieElem) -> AutPair:
+    """The exponential of ``x``, computed afresh (:func:`exp` keeps it)."""
+    (g,) = _exponential_series(x, (_exp_coeff,))
+    return g
+
+
+def _exponential_series(x: LieElem, coeffs: tuple) -> tuple[AutPair, ...]:
+    """One group element per coefficient function, from the operator series of ``x``.
+
+    Each generator image is z^{e_i} plus the series of the derivation D
+    from D z^{e_i}; each gauge is I plus, in column i, the series of the
     module action L from L(e_i) = A e_i, column i of the matrix part, since
-    the derivation kills constants.  Both take the coefficients 1/k!.  A
-    zero matrix part gives the identity gauge with no action at all.
+    the derivation kills constants.  The coefficients 1/k! give exp(x).
+    :func:`~wallcross.series._operator_series` forms the powers once for
+    all ``coeffs``.  A zero matrix part gives the identity gauge with no
+    action at all.
     """
     ctx = x.ctx
-
-    def coeff(k):
-        return Fraction(1, factorial(k))
 
     def derive(v):
         return tuple(map(x.apply_derivation, v))
 
     gens = (SeriesElem.monomial(ctx, _E1), SeriesElem.monomial(ctx, _E2))
-    tails = _operator_series(derive, derive(gens), coeff, ctx.order)
-    cols = [_operator_series(x.apply_section, col, coeff, ctx.order) for col in zip(*x.a.rows)]
-    gauge = tuple(tuple(SeriesElem.one(ctx) + f if i == j else f for j, f in enumerate(row))
+    tails = _operator_series(derive, derive(gens), coeffs, ctx.order)
+    cols = [_operator_series(x.apply_section, col, coeffs, ctx.order) for col in zip(*x.a.rows)]
+    return tuple(_group_element(ctx, gens, t, [c[i] for c in cols]) for i, t in enumerate(tails))
+
+
+def _group_element(ctx: TruncationContext, gens: tuple, tails: tuple, cols: list) -> AutPair:
+    """The AutPair with images ``gens[i] + tails[i]`` and gauge I + the columns ``cols``."""
+    one = SeriesElem.one(ctx)
+    gauge = tuple(tuple(one + f if i == j else f for j, f in enumerate(row))
                   for i, row in enumerate(zip(*cols)))
     return AutPair(ctx, (gens[0] + tails[0], gens[1] + tails[1]), SeriesMatrix(ctx, gauge))
 
@@ -459,10 +506,13 @@ def log(g: AutPair) -> LieElem:
     Mercator series  sum_k (-1)^(k+1)/k (g - 1)^k  from g - 1 itself, summed
     by :func:`~wallcross.series._operator_series` over N // s terms, s the
     t-order of g - 1 (sigma(z^m) - z^m = z^m((1 + O(t^s))^m - 1)).  The
-    result keeps ``g`` as its exponential.
+    same call sums the Neumann series  g^-1 = sum_k (-1)^k (g - 1)^k  over
+    the same powers.  The result x keeps ``g`` as its exponential and
+    g^-1 as the exponential of ``-x``.
     """
     ctx = g.ctx
-    dparts = tuple(f - SeriesElem.monomial(ctx, e) for f, e in zip(g.sigma_images, (_E1, _E2)))
+    gens = (SeriesElem.monomial(ctx, _E1), SeriesElem.monomial(ctx, _E2))
+    dparts = tuple(f - e for f, e in zip(g.sigma_images, gens))
     if any(f.t_order() == 0 for f in dparts):
         raise ValueError("not pro-unipotent: generator image is not z^e*(1 + O(t))")
     one = SeriesElem.one(ctx)
@@ -475,17 +525,15 @@ def log(g: AutPair) -> LieElem:
     steps = ctx.order // s
     powers: dict = {}
 
-    def coeff(k):
-        return Fraction((-1) ** (k + 1), k)
-
     def ring_step(v):
         return tuple(g.apply_ring(f, powers) - f for f in v)
 
     def section_step(v):
         return tuple(a - b for a, b in zip(g.apply_section(v, powers), v))
 
-    dlog = _operator_series(ring_step, dparts, coeff, steps)
-    cols = [_operator_series(section_step, col, coeff, steps) for col in zip(*gauge.rows)]
+    coeffs = (_mercator_coeff, _neumann_coeff)
+    dlog, dinv = _operator_series(ring_step, dparts, coeffs, steps)
+    cols = [_operator_series(section_step, col, coeffs, steps) for col in zip(*gauge.rows)]
 
     # The generator series carry d_i z^(m + e_i); shift them back to z^m.
     d1, d2 = (
@@ -494,7 +542,7 @@ def log(g: AutPair) -> LieElem:
         )
         for f, e in zip(dlog, (_E1, _E2))
     )
-    x = LieElem(ctx, d1, d2, SeriesMatrix(ctx, tuple(zip(*cols))))
+    x = LieElem(ctx, d1, d2, SeriesMatrix(ctx, tuple(zip(*(c[0] for c in cols)))))
     if (0, 0) in x.frequencies():
         raise ValueError("logarithm has a term outside the Lie algebra")
     if x.non_orthogonal():
@@ -503,7 +551,17 @@ def log(g: AutPair) -> LieElem:
             "input is not in the exponential image"
         )
     x.__dict__["_exp"] = g  # exp(log g) = g exactly
+    (-x).__dict__["_exp"] = _group_element(ctx, gens, dinv, [c[1] for c in cols])
     return x
+
+
+@cache
+def _mercator_coeff(k):
+    return Fraction((-1) ** (k + 1), k)
+
+
+def _neumann_coeff(k):
+    return (-1) ** k
 
 
 def bch(x: LieElem, y: LieElem) -> LieElem:

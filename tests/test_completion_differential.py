@@ -18,9 +18,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_diagram, rand_lie, rand_wall_log, truncated, truncated_aut
+from conftest import (
+    fixture_diagram, kronecker_doc, rand_lie, rand_wall_log, truncated, truncated_aut,
+)
 from reference_bracket import bracket
 from reference_completion import (
+    fresh_exp,
     reference_complete,
     reference_log,
     reference_path_ordered_product,
@@ -94,6 +97,46 @@ def test_round_products_match_the_truncated_diagrams_on_random_two_line_diagrams
     for d in _random_two_line_diagrams(20261019):
         _assert_rounds_match_truncated_diagrams(d)
         _assert_rounds_match_truncated_diagrams(complete(d))
+
+
+def _assert_inverses_are_exact(d):
+    # each wall of the completion carries exactly the fresh exponentials:
+    # a produced ray the element log peeled, with the inverse log summed
+    # alongside it; a line both of its automorphisms, from one series
+    for w in complete(d).walls:
+        x = w.logf
+        autos = [g for _ray, g in w.automorphisms]
+        assert autos[0] == fresh_exp(x)
+        inverse = exp(-x)
+        assert inverse == fresh_exp(-x)
+        assert compose(inverse, autos[0]).is_identity()
+        if w.kind is WallKind.LINE:
+            assert autos[1] is inverse
+
+
+@pytest.mark.parametrize("name", sorted(cli.FIXTURES))
+def test_kept_inverses_are_exact_on_fixtures(name):
+    _assert_inverses_are_exact(fixture_diagram(name))
+
+
+@pytest.mark.parametrize("order", [4, 7, 10])
+@pytest.mark.parametrize("omegas", [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)])
+def test_kept_inverses_are_exact_on_kronecker_lines(omegas, order):
+    _assert_inverses_are_exact(serialize.diagram_from_json(kronecker_doc(*omegas, order)))
+
+
+def test_log_keeps_the_exact_inverse_of_a_path_ordered_product():
+    # the product of two rays (every frequency in one open half-plane, so
+    # it has a log) is no ray's element
+    for d in _random_two_line_diagrams(20261022, count=20):
+        rays = Diagram(d.ctx, tuple(Wall(w.direction, WallKind.RAY, w.logf) for w in d.walls))
+        g = path_ordered_product(rays)
+        x = log(g)
+        assert len({primitive_part(m) for m in x.frequencies()}) > 1
+        inverse = exp(-x)
+        assert inverse == fresh_exp(-x)
+        assert compose(inverse, g).is_identity()
+        assert compose(g, inverse).is_identity()
 
 
 def _raise_order(x: LieElem, k: int) -> LieElem:

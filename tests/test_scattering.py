@@ -770,7 +770,9 @@ _COUNTED_RUNS = {
 
 
 def _run_counted(monkeypatch, capsys, tmp_path, run):
-    """Run one of ``_COUNTED_RUNS``, counting computed exponentials and merges into a wall.
+    """Run one of ``_COUNTED_RUNS``, counting exponential series and merges into a wall.
+
+    One exponential series gives one element, or a line's two.
 
     Returns the two counts and the diagrams ``complete`` returned.
     """
@@ -779,11 +781,12 @@ def _run_counted(monkeypatch, capsys, tmp_path, run):
     path.write_text(json.dumps(doc))
     counts = {"exp": 0, "merges": 0}
     completed = []
-    computed, merge, completion = vertexlie._exponential, scattering.merge_wall, scattering.complete
+    computed, merge, completion = (
+        vertexlie._exponential_series, scattering.merge_wall, scattering.complete)
 
-    def counted_exp(x):
+    def counted_exp(*args):
         counts["exp"] += 1
-        return computed(x)
+        return computed(*args)
 
     def counted_merge(d, w):
         counts["merges"] += d.wall_in_direction(w.direction) is not None
@@ -793,7 +796,7 @@ def _run_counted(monkeypatch, capsys, tmp_path, run):
         completed.append(completion(d))
         return completed[-1]
 
-    monkeypatch.setattr(vertexlie, "_exponential", counted_exp)
+    monkeypatch.setattr(vertexlie, "_exponential_series", counted_exp)
     monkeypatch.setattr(scattering, "merge_wall", counted_merge)
     monkeypatch.setattr(scattering, "complete", recorded_complete)
     assert cli.main([command, str(path)]) == 0
@@ -803,13 +806,14 @@ def _run_counted(monkeypatch, capsys, tmp_path, run):
 
 @pytest.mark.parametrize("run", sorted(_COUNTED_RUNS))
 def test_completion_exponentiates_each_wall_once(tmp_path, monkeypatch, capsys, run):
-    # one exponential per wall of the output, one per line's inverse ray and
-    # one per merge (the correction's, when bch composes and keeps the merged
-    # product; the sum's, when commuting logs merge by addition): no wall is
-    # exponentiated again in a later round or in the consistency check
+    # one exponential series per line, for both of its rays, and one per
+    # merge (the correction's, when bch composes and keeps the merged
+    # product; the sum's, when commuting logs merge by addition); none per
+    # produced ray, whose log keeps the peeled element and its inverse, and
+    # none again in the consistency check
     computed, merges, (completed,) = _run_counted(monkeypatch, capsys, tmp_path, run)
     lines = sum(w.kind is WallKind.LINE for w in completed.walls)
-    assert computed <= len(completed.walls) + lines + merges
+    assert computed <= lines + merges
 
 
 @pytest.mark.parametrize("run", sorted(_COUNTED_RUNS))
@@ -821,5 +825,7 @@ def test_cached_automorphisms_hold_no_power_table(tmp_path, monkeypatch, capsys,
         autos = vars(w)["automorphisms"]
         assert autos[0][1] is exp(w.logf)
         assert len(autos) == (2 if w.kind is WallKind.LINE else 1)
+        if w.kind is WallKind.LINE:
+            assert autos[1][1] is exp(-w.logf)
         for _ray, g in autos:
             assert not getattr(g, "_pow_cache", None)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross.series import SeriesElem, TruncationContext
+from wallcross.series import SeriesElem, TruncationContext, _operator_series
 
 
 def rand_series(ctx, rng, min_order=0, terms=4, span=2):
@@ -174,3 +174,40 @@ def test_ring_operations_match_the_fraction_model(operands):
         assert got.fractions() == expected
         # the normal form is unique: equal values are equal elements
         assert got == SeriesElem(got.ctx, expected)
+
+
+# coefficient functions with coeff(1) = 1, -1 and 2
+_COEFFS = (lambda k: Fraction(1, k), lambda k: (-1) ** k, lambda k: k + 1)
+
+
+@st.composite
+def _series_operands(draw):
+    order = draw(st.integers(1, 6))
+    vs = draw(st.lists(_coeff_dicts(order), min_size=1, max_size=2))
+    return TruncationContext(order), vs, draw(_coeff_dicts(order, min_order=1)), draw(
+        st.integers(1, order + 1))
+
+
+@given(_series_operands())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_operator_series_sums_every_coefficient(operands):
+    # the sum of coeff(k) * n^(k-1) * v over k = 1..steps, its first term
+    # scaled by coeff(1) too; several coefficient functions in one call give
+    # exactly what separate calls give
+    ctx, vs, n, steps = operands
+    N = ctx.order
+    v, factor = tuple(SeriesElem(ctx, f) for f in vs), SeriesElem(ctx, n)
+
+    def step(u):
+        return tuple(f * factor for f in u)
+
+    joint = _operator_series(step, v, _COEFFS, steps)
+    assert joint == tuple(_operator_series(step, v, (coeff,), steps)[0] for coeff in _COEFFS)
+    for coeff, sums in zip(_COEFFS, joint):
+        for got, f in zip(sums, vs):
+            expected, term = {}, ref.truncate(f, N)
+            for k in range(1, steps + 1):
+                expected = ref.add(expected, ref.scale(term, coeff(k), N), N)
+                term = ref.mul(term, ref.truncate(n, N), N)
+            ref.assert_normal(got)
+            assert got.fractions() == expected

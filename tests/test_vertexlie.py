@@ -16,6 +16,7 @@ from wallcross.vertexlie import (
     compose,
     elementary,
     exp,
+    exp_pair,
     log,
 )
 
@@ -445,3 +446,20 @@ def test_exp_commutes_with_truncation_and_inverts_log(operands):
     assert exp(z) is product
     assert fresh_exp(z) == product
     assert exp(bch(x, y)) == product
+
+
+@given(_algebra_operands())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_log_and_exp_pair_keep_exact_inverses(operands):
+    # log sums g^-1 alongside log g and keeps it as exp(-log g); exp_pair
+    # gets exp(x) and exp(-x) from one series: each equals the fresh
+    # exponential, on single elements and on bch's products alike
+    ctx, x, y, _low = operands
+    assert exp_pair(x) == (fresh_exp(x), fresh_exp(-x))
+    for g in (fresh_exp(y), compose(fresh_exp(x), fresh_exp(y))):
+        z = log(g)
+        inverse = exp(-z)
+        assert "_neg" not in vars(-z)  # one way: -z does not point back to z
+        assert inverse == fresh_exp(-z)
+        assert compose(inverse, g).is_identity()
+        assert compose(g, inverse).is_identity()
