@@ -161,44 +161,49 @@ def merge_wall(d: Diagram, w: Wall) -> Diagram:
 
 
 def require_half_plane(d: Diagram) -> None:
-    """Raise :class:`SchemaError` unless the wall directions lie in an open half-plane.
+    """Raise :class:`SchemaError` unless the nonzero walls' directions lie in an open half-plane.
 
-    Otherwise a defect term can sit at frequency zero, outside the Lie algebra.
+    Otherwise a defect term can sit at frequency zero, outside the Lie
+    algebra.  A zero log has no frequency, so it cannot put one there.
     """
-    if not in_open_half_plane([w.direction for w in d.walls]):
+    if not in_open_half_plane([w.direction for w in d.walls if not w.logf.is_zero()]):
         raise SchemaError(
             "parallel initial walls, or walls on every side of the origin: wall "
             "directions must lie in one open half-plane; merge or reorient them first"
         )
 
 
-def _first_direction(g: AutPair) -> Vec:
-    """The most clockwise nonzero relative frequency of ``g``.
+def _first_direction(g: AutPair) -> Vec | None:
+    """The first ray of ``g``: the most clockwise direction of its nonzero relative frequencies.
 
     Every one lies in the cone of the lines, an open half-plane, where
-    ``det2(m, p) > 0`` says that ``m`` comes before ``p``.
+    ``det2(m, p) > 0`` says that ``m`` comes before ``p``.  None when ``g``
+    has no nonzero relative frequency, as for the identity.
     """
     p = None
     for m in g.relative_frequencies():
         if m != (0, 0) and (p is None or det2(m, p) > 0):
             p = m
-    return p
+    return None if p is None else primitive_part(p)
 
 
 def complete(d: Diagram) -> Diagram:
     """The minimal consistent completion: the factors of G (see the module docstring).
 
-    They are peeled from the sector's first edge.  The elements supported
-    strictly after the first direction p of G - Id form a normal subgroup,
-    so G reduced to the ray through p (:meth:`~wallcross.vertexlie.AutPair.on_ray`)
-    is exp(x_p); x_p is its ``log``, which keeps it as the exponential of
-    x_p and its inverse, summed over the same powers, as that of -x_p, so
-    G becomes exp(-x_p) o G with no exponential computed.  A line whose
-    factor is its log is peeled with the inverse it keeps.  The peel stops
-    at the last line, whose factor is its log, like the first line's (G
-    reduced to an edge).
+    They are peeled from the sector's first edge, one step per ray.  The
+    elements supported strictly after the first ray p of G form a normal
+    subgroup, so G reduced to the ray through p
+    (:meth:`~wallcross.vertexlie.AutPair.on_ray`) is exp(x_p).  x_p is the
+    log of the line on p when that element is the line's automorphism, else
+    its ``log``.  The peel stops when G lies on the one ray p, which is then the last line's;
+    else G becomes exp(-x_p) o G, with the inverse that ``log`` or the line
+    keeps, so no exponential is computed.
 
-    Exit 3 (:class:`ConventionError`), lowest (k, p) first, as a completion
+    Exit 3 (:class:`ConventionError`) when a step does not advance: G has
+    no ray, or its first ray is not strictly counterclockwise of the last
+    step's (the factor peeled there was wrong).  The rays of G lie in
+    finitely many directions of the lines' cone, so the peel ends either
+    way.  Exit 3 also, lowest (k, p) first, as a completion
     changes no initial wall: a nonzero initial wall on direction p whose
     factor differs from its log at t-order k (a direction the peel never
     reaches has the identity as its factor).  Output: the nonzero initial
@@ -207,23 +212,22 @@ def complete(d: Diagram) -> Diagram:
     require_half_plane(d)
     walls = tuple(w for w in d.walls if not w.logf.is_zero())
     lines = {w.direction: w for w in walls if w.kind is WallKind.LINE}
-    sector = half_plane_order(list(lines))
     factors: dict[Vec, LieElem] = {}
     g = AutPair.identity(d.ctx)
-    for p in sector:
+    for p in half_plane_order(list(lines)):
         g = compose(lines[p].automorphisms[0][1], g)
-    while sector:
-        p = primitive_part(_first_direction(g))
-        if p == sector[-1]:
-            factors[p] = lines[p].logf
-            break
+    last = None
+    while lines:
+        p = _first_direction(g)
+        if p is None or last is not None and det2(last, p) <= 0:
+            raise ConventionError(f"the peel does not advance past the ray {last}: "
+                                  "the factor peeled there does not cancel G on it")
         on_p, line = g.on_ray(p), lines.get(p)
-        if line is not None and on_p == line.automorphisms[0][1]:
-            factors[p] = line.logf
-            g = compose(line.automorphisms[1][1], g)
-            continue
-        factors[p] = x = log(on_p)
-        g = compose(exp(-x), g)
+        on_line = line is not None and on_p == line.automorphisms[0][1]
+        factors[p] = x = line.logf if on_line else log(on_p)
+        if on_p == g:
+            break
+        g, last = compose(exp(-x), g), p
     errors = []
     for w in walls:
         p, x, y = w.direction, w.logf, factors.get(w.direction)

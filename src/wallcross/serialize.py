@@ -53,7 +53,7 @@ before an unknown one.  Optional are a wall's ``geometry`` (``"line"``) and
 ``terms``, a term's ``matrix`` and ``derivation`` (zero), a BPS file's
 ``twisting``, ``basepoints`` and ``factors``, a ``bch`` input's ``x`` and
 ``y``, and ``truncation`` as noted.  A wall whose log is zero is read as
-given; ``complete`` drops it.
+given; it does not count for the half-plane rule, and ``complete`` drops it.
 """
 
 from __future__ import annotations

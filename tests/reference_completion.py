@@ -127,14 +127,14 @@ def loop_products(d: Diagram) -> list[AutPair]:
 
 def reference_complete(d: Diagram) -> Diagram:
     """Order-by-order completion from the full log of the full-order product."""
-    for wa in d.walls:
-        for wb in d.walls:
+    current = Diagram(d.ctx, tuple(w for w in d.walls if not w.logf.is_zero()))
+    for wa in current.walls:
+        for wb in current.walls:
             if wa is not wb and primitive_part(wa.direction) == tuple(
                 -c for c in wb.direction
             ):
                 raise SchemaError("parallel initial walls: merge or reorient them first")
 
-    current = Diagram(d.ctx, tuple(w for w in d.walls if not w.logf.is_zero()))
     initial_rays = {w.direction for w in current.walls if w.kind is WallKind.RAY}
     for _round in range(d.ctx.order + 1):
         defect_log = reference_log(reference_path_ordered_product(current))

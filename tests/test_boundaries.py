@@ -20,7 +20,7 @@ from pathlib import Path
 
 from wallcross import cli, scattering, serialize, series, vertexlie
 from wallcross.groupoid import KFactor, k_wall_log
-from wallcross.lattice import WallKind, primitive_part
+from wallcross.lattice import WallKind, det2, primitive_part
 from wallcross.scattering import Diagram, Wall
 from wallcross.series import SeriesElem, TruncationContext
 from wallcross.vertexlie import AutPair, LieElem, bch, compose, elementary, exp, log
@@ -85,9 +85,10 @@ def _ray_directions(g):
 
 def test_completion_peels_one_ray_per_compose(monkeypatch):
     # the completion factors the lines' product ray by ray: the hooked
-    # ``scattering.log`` sees one ray at a time, each peeled ray costs one
-    # full-order compose, and no path-ordered product is taken; a return to
-    # whole-loop rounds, or a factor read without the hook, fails here
+    # ``scattering.log`` sees one ray at a time, in counterclockwise order,
+    # each peeled ray costs one full-order compose, and no path-ordered
+    # product is taken; a return to whole-loop rounds, or a factor read
+    # without the hook, fails here
     monkeypatch.syspath_prepend(str(PERFBENCH))
     layertrace = importlib.import_module("layertrace")
     ctx = TruncationContext(6, 1)
@@ -112,6 +113,9 @@ def test_completion_peels_one_ray_per_compose(monkeypatch):
     rays = len(completed.walls) - 2
     assert rays == 5
     assert [len(directions) for directions in logged] == [1] * rays
+    # each step moves strictly counterclockwise past the ray peeled before it
+    peeled = [p for (p,) in logged]
+    assert all(det2(p, q) > 0 for p, q in zip(peeled, peeled[1:]))
     # one compose per line for their product, then one per ray peeled: the
     # first line and every new ray
     assert composed == [(6, 6)] * (2 + 1 + rays)

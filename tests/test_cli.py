@@ -720,6 +720,25 @@ def test_check_accepts_a_consistent_diagram_with_opposite_rays(tmp_path, capsys)
     assert run(capsys, "check", str(p)) == (0, "consistent\n", "")
 
 
+def test_a_zero_wall_does_not_count_for_the_half_plane_rule(tmp_path, capsys):
+    # the pentagon's lines with an empty ray on (-1,-1): a zero log has no
+    # frequency, so the walls on every side of the origin put no defect term
+    # at frequency zero; the ray is read as given and the completion drops it
+    data = json.loads((FIXTURES / "pentagon.json").read_text())
+    data["walls"].append({"direction": [-1, -1], "geometry": "ray", "terms": []})
+    p = tmp_path / "empty_ray.json"
+    p.write_text(json.dumps(data))
+    runs = []
+    for src in (FIXTURES / "pentagon.json", p):
+        out_json = tmp_path / f"{src.stem}.completed.json"
+        code, _, _ = run(capsys, "complete", str(src), "--output", str(out_json))
+        runs.append((code, out_json.read_bytes(), run(capsys, "check", str(src))))
+    assert runs[0] == runs[1]
+    code, _, (check_code, report, _) = runs[1]
+    assert (code, check_code) == (0, 1)
+    assert report.startswith("inconsistent: lowest defect at t-degree 2\n")
+
+
 def test_consecutive_main_calls_parse_independently(tmp_path, capsys):
     # the parser is built once per process; no option of one call leaks into the next
     out_json = tmp_path / "completed.json"

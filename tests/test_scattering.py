@@ -1,5 +1,7 @@
 import json
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -634,6 +636,47 @@ def test_recompletion_rejects_partial_ray():
     assert recompleted.walls[2] is full
     assert ({w.direction: (w.kind, w.logf) for w in recompleted.walls}
             == {w.direction: (w.kind, w.logf) for w in complete(d).walls})
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time have passed."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# a wrong peel: exp(x) where exp(-x) is asked for, or twice the factor
+_WRONG_PEELS = {
+    "inverse": ("exp", lambda x: vertexlie.exp(-x)),
+    "factor": ("log", lambda g: vertexlie.log(g).scale(2)),
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(_WRONG_PEELS))
+def test_a_wrong_peel_fails_at_once(wrong, monkeypatch, capsys):
+    # a factor that does not cancel G on its ray leaves the next step on the
+    # same ray: the peel must not advance, so it raises instead of looping
+    name, patched = _WRONG_PEELS[wrong]
+    ctx = TruncationContext(6, 1)
+    diagrams = [fixture_diagram(f) for f in sorted(cli.FIXTURES)]
+    diagrams.append(Diagram(ctx, (k_wall(ctx, (1, 0), scale=2), k_wall(ctx, (0, 1), scale=2))))
+    monkeypatch.setattr(scattering, name, patched)
+    for d in diagrams:
+        with _time_limit(1), pytest.raises(ConventionError, match="^the peel does not advance"):
+            complete(d)
+    with _time_limit(1):
+        code = cli.main(["complete", str(FIXTURES / "pentagon.json")])
+    out = capsys.readouterr()
+    assert (code, out.out) == (3, "")
+    assert out.err.startswith("convention violation: the peel does not advance past the ray ")
 
 
 def test_random_completions_rotated_cone():
