@@ -149,10 +149,7 @@ def build_initial_diagram(problem: BpsProblem, lie_ctx: TruncationContext) -> Di
                 f"anti-parallel factor directions {p} and {anti}: "
                 "these cannot be merged into one wall"
             )
-        logf = factor_log(ctx, lie_ctx, f)
-        if logf.is_zero():
-            continue
-        d = scattering.merge_wall(d, Wall(p, WallKind.LINE, logf))
+        d = scattering.merge_wall(d, Wall(p, WallKind.LINE, factor_log(ctx, lie_ctx, f)))
     return d
 
 

@@ -22,8 +22,6 @@ def format_term_lines(x: LieElem, indent: str = "") -> list[str]:
                 lines.append(f"{indent}t^{j} * {coeff}E[{row + 1},{col + 1}] * z^({m[0]},{m[1]})")
         if d[0] or d[1]:
             lines.append(f"{indent}t^{j} * d({d[0]},{d[1]}) * z^({m[0]},{m[1]})")
-    if not lines:
-        lines.append(f"{indent}0")
     return lines
 
 
@@ -164,18 +162,14 @@ def diagram_svg(d: Diagram) -> str:
 
 
 def _lowest_term_summary(x: LieElem) -> str:
-    if x.is_zero():
-        return "0"
-    k0 = x.t_order()
-    return format_term_lines(x.degree_part(k0))[0]
+    return format_term_lines(x.degree_part(x.t_order()))[0]
 
 
 def diagram_csv(d: Diagram) -> str:
     rows = ["dir_x,dir_y,kind,lowest_degree,summary"]
     for w in sorted(d.walls, key=lambda w: w.direction):
-        k0 = w.logf.t_order()
         rows.append(
             f"{w.direction[0]},{w.direction[1]},{w.kind.value},"
-            f"{k0 if k0 is not None else ''},{_lowest_term_summary(w.logf)}"
+            f"{w.logf.t_order()},{_lowest_term_summary(w.logf)}"
         )
     return "\n".join(rows) + "\n"

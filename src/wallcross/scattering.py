@@ -96,7 +96,13 @@ class Wall:
 
 @dataclass(frozen=True)
 class Diagram:
-    """A scattering diagram: walls through the origin, at one truncation."""
+    """A scattering diagram: walls through the origin, at one truncation.
+
+    No two walls as given may cover the same ray.  A wall whose log is zero
+    carries the identity, which changes no product and no completion, so the
+    diagram then drops it: :attr:`walls` holds only nonzero walls, in the
+    order given.
+    """
 
     ctx: TruncationContext
     walls: tuple[Wall, ...]
@@ -108,6 +114,7 @@ class Diagram:
         rays = [p for w in self.walls for p in w.rays]
         if len(set(rays)) != len(rays):
             raise ValueError("two walls cover the same ray (a line covers both of its rays)")
+        object.__setattr__(self, "walls", tuple(w for w in self.walls if not w.logf.is_zero()))
 
     def wall_in_direction(self, p: Vec) -> Wall | None:
         for w in self.walls:
@@ -140,33 +147,26 @@ def merge_wall(d: Diagram, w: Wall) -> Diagram:
     :func:`~wallcross.groupoid.build_initial_diagram` puts the factors on
     one line together this way.  Logs on one ray commute exactly when their
     matrix parts do (the derivations kill every function of z^p): then the
-    merged log is their sum, else ``bch(existing.logf, w.logf)``.  A wall
-    whose merged log vanishes is dropped.
+    merged log is their sum, else ``bch(existing.logf, w.logf)``.  The
+    inserted or merged wall goes last; the diagram drops it if its log is zero.
     """
     existing = d.wall_in_direction(w.direction)
-    if existing is None:
-        if w.logf.is_zero():
-            return d
-        return replace(d, walls=d.walls + (w,))
-    if existing.kind is not w.kind:
-        raise ValueError(
-            f"geometry conflict in direction {w.direction}: {existing.kind.value} vs {w.kind.value}"
-        )
-    x, y = existing.logf, w.logf
-    merged = x + y if x.a * y.a == y.a * x.a else bch(x, y)
-    walls = tuple(v for v in d.walls if v.direction != w.direction)
-    if not merged.is_zero():
-        walls = walls + (Wall(w.direction, w.kind, merged),)
-    return replace(d, walls=walls)
+    if existing is not None:
+        if existing.kind is not w.kind:
+            raise ValueError(f"geometry conflict in direction {w.direction}: "
+                             f"{existing.kind.value} vs {w.kind.value}")
+        x, y = existing.logf, w.logf
+        w = Wall(w.direction, w.kind, x + y if x.a * y.a == y.a * x.a else bch(x, y))
+    return replace(d, walls=tuple(v for v in d.walls if v.direction != w.direction) + (w,))
 
 
 def require_half_plane(d: Diagram) -> None:
-    """Raise :class:`SchemaError` unless the nonzero walls' directions lie in an open half-plane.
+    """Raise :class:`SchemaError` unless the walls' directions lie in an open half-plane.
 
     Otherwise a defect term can sit at frequency zero, outside the Lie
-    algebra.  A zero log has no frequency, so it cannot put one there.
+    algebra.
     """
-    if not in_open_half_plane([w.direction for w in d.walls if not w.logf.is_zero()]):
+    if not in_open_half_plane([w.direction for w in d.walls]):
         raise SchemaError(
             "parallel initial walls, or walls on every side of the origin: wall "
             "directions must lie in one open half-plane; merge or reorient them first"
@@ -204,14 +204,13 @@ def complete(d: Diagram) -> Diagram:
     step's (the factor peeled there was wrong).  The rays of G lie in
     finitely many directions of the lines' cone, so the peel ends either
     way.  Exit 3 also, lowest (k, p) first, as a completion
-    changes no initial wall: a nonzero initial wall on direction p whose
+    changes no initial wall: an initial wall on direction p whose
     factor differs from its log at t-order k (a direction the peel never
-    reaches has the identity as its factor).  Output: the nonzero initial
+    reaches has the identity as its factor).  Output: the initial
     walls in input order, then the rest by (log's t-degree, direction).
     """
     require_half_plane(d)
-    walls = tuple(w for w in d.walls if not w.logf.is_zero())
-    lines = {w.direction: w for w in walls if w.kind is WallKind.LINE}
+    lines = {w.direction: w for w in d.walls if w.kind is WallKind.LINE}
     factors: dict[Vec, LieElem] = {}
     g = AutPair.identity(d.ctx)
     for p in half_plane_order(list(lines)):
@@ -229,7 +228,7 @@ def complete(d: Diagram) -> Diagram:
             break
         g, last = compose(exp(-x), g), p
     errors = []
-    for w in walls:
+    for w in d.walls:
         p, x, y = w.direction, w.logf, factors.get(w.direction)
         if y is x or (k := (x if y is None else y - x).t_order()) is None:
             continue
@@ -241,13 +240,13 @@ def complete(d: Diagram) -> Diagram:
                            "completion does not change initial walls"))
     if errors:
         raise ConventionError(min(errors)[2])
-    done = {w.direction for w in walls}
+    done = {w.direction for w in d.walls}
     produced = sorted((Wall(p, WallKind.RAY, x) for p, x in factors.items() if p not in done),
                       key=lambda w: (w.logf.t_degree(), w.direction))
-    return replace(d, walls=walls + tuple(produced))
+    return replace(d, walls=d.walls + tuple(produced))
 
 
 def new_rays(initial: Diagram, completed: Diagram) -> list[Wall]:
-    """Walls of ``completed`` on no direction of a nonzero initial wall."""
-    seen = {w.direction for w in initial.walls if not w.logf.is_zero()}
+    """Walls of ``completed`` on no direction of an initial wall."""
+    seen = {w.direction for w in initial.walls}
     return [w for w in completed.walls if w.direction not in seen]

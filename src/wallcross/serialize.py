@@ -52,8 +52,8 @@ so a misspelled key is an error, not an absent one; a missing key is named
 before an unknown one.  Optional are a wall's ``geometry`` (``"line"``) and
 ``terms``, a term's ``matrix`` and ``derivation`` (zero), a BPS file's
 ``twisting``, ``basepoints`` and ``factors``, a ``bch`` input's ``x`` and
-``y``, and ``truncation`` as noted.  A wall whose log is zero is read as
-given; it does not count for the half-plane rule, and ``complete`` drops it.
+``y``, and ``truncation`` as noted.  A wall whose log is zero counts for the
+same-ray rule only: :class:`~wallcross.scattering.Diagram` then drops it.
 """
 
 from __future__ import annotations

@@ -347,22 +347,28 @@ class AutPair:
         return d
 
     def _gen_power(self, axis: int, e: int, powers: dict) -> SeriesElem:
-        """A power (including negative) of a generator image, kept in ``powers``."""
-        key = (axis, e)
-        cached = powers.get(key)
-        if cached is not None:
-            return cached
-        if e == 0:
-            val = SeriesElem.one(self.ctx)
-        elif e == 1:
-            val = self.sigma_images[axis]
-        elif e == -1:
-            val = self.sigma_images[axis].invert_unit()
-        elif e > 0:
-            val = self._gen_power(axis, e - 1, powers) * self.sigma_images[axis]
-        else:
-            val = self._gen_power(axis, e + 1, powers) * self._gen_power(axis, -1, powers)
-        powers[key] = val
+        """A power (including negative) of a generator image, kept in ``powers``.
+
+        Built in a loop from the nearest kept power of the same sign:
+        P^k = P^(k-1) P and P^(-k) = P^(-(k-1)) P^(-1), keeping each step.
+        """
+        val = powers.get((axis, e))
+        if val is not None:
+            return val
+        if -1 <= e <= 1:
+            image = self.sigma_images[axis]
+            val = image if e == 1 else image.invert_unit() if e else SeriesElem.one(self.ctx)
+            powers[(axis, e)] = val
+            return val
+        step = 1 if e > 0 else -1
+        unit = self._gen_power(axis, step, powers)
+        k = e - step
+        while k != step and (axis, k) not in powers:
+            k -= step
+        val = powers[(axis, k)]
+        while k != e:
+            k += step
+            val = powers[(axis, k)] = val * unit
         return val
 
     def apply_ring(self, f: SeriesElem, powers: dict | None = None) -> SeriesElem:

@@ -337,3 +337,32 @@ def test_each_type_owns_its_layout():
     private = {name: names for name in ("scattering", "groupoid", "serialize", "report", "cli")
                if (names := _foreign_private_attributes(trees[name]))}
     assert private == {}
+
+
+def _zero_log_tests(tree) -> list[str]:
+    """``Class.function`` (or ``function``) of each ``logf.is_zero()`` call in a module."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "is_zero"):
+                owner = child.func.value
+                if (isinstance(owner, ast.Name) and owner.id == "logf"
+                        or isinstance(owner, ast.Attribute) and owner.attr == "logf"):
+                    found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_one_place_asks_whether_a_wall_is_zero():
+    # a zero wall carries the identity; the diagram drops it where it is
+    # built, so no other code needs a zero-wall case
+    reads = {path.stem: names for path in sorted(PACKAGE.glob("*.py"))
+             if (names := _zero_log_tests(ast.parse(path.read_text())))}
+    assert reads == {"scattering": ["Diagram.__post_init__"]}

@@ -302,12 +302,12 @@ def test_complete_accepts_the_completions_own_ray(tmp_path, capsys):
 
 
 def test_complete_reports_the_ray_on_a_zero_initial_wall(tmp_path, capsys):
-    # a zero initial ray is dropped, so the completion's own (1,1) ray there
-    # is a new ray of the report
+    # a zero initial ray is dropped, so the report counts the two lines only
+    # and the completion's own (1,1) ray there is a new ray
     doc = json.loads((FIXTURES / "pentagon.json").read_text())
     code, out, _ = run(capsys, "complete", str(_with_ray(tmp_path, doc, [1, 1], [])))
     assert code == 0
-    assert "initial walls: 3\n  completed walls: 3\n" in out
+    assert "initial walls: 2\n  completed walls: 3\n" in out
     assert "new rays: 1\n    direction (1,1) [ray]\n" in out
 
 
@@ -407,6 +407,9 @@ def _fixture_with(name, *edits):
 
 
 _OPPOSITE_LINES = ("walls", 1, "direction", [-1, 0])
+_PENTAGON_WITH_EMPTY_RAY_ON_A_LINE = _fixture_with("pentagon.json")
+_PENTAGON_WITH_EMPTY_RAY_ON_A_LINE["walls"].append(
+    {"direction": [1, 0], "geometry": "ray", "terms": []})
 _OPPOSITE_RAYS = (
     ("walls", 0, "geometry", "ray"),
     ("walls", 1, "geometry", "ray"),
@@ -468,6 +471,11 @@ def _bch(x, y, truncation=3):
                      "same ray", id="opposite-lines-complete"),
         pytest.param("check", _fixture_with("pentagon.json", _OPPOSITE_LINES), (),
                      "same ray", id="opposite-lines-check"),
+        # the same-ray rule reads the walls as written, a zero one too
+        pytest.param("complete", _PENTAGON_WITH_EMPTY_RAY_ON_A_LINE, (),
+                     "same ray", id="empty-ray-on-a-line-complete"),
+        pytest.param("check", _PENTAGON_WITH_EMPTY_RAY_ON_A_LINE, (),
+                     "same ray", id="empty-ray-on-a-line-check"),
         pytest.param("complete", _fixture_with("pentagon.json", *_OPPOSITE_RAYS), (),
                      "parallel initial walls", id="opposite-rays-complete"),
         # an inconsistent diagram with anti-parallel rays: its defect has a term
@@ -723,18 +731,22 @@ def test_check_accepts_a_consistent_diagram_with_opposite_rays(tmp_path, capsys)
 def test_a_zero_wall_does_not_count_for_the_half_plane_rule(tmp_path, capsys):
     # the pentagon's lines with an empty ray on (-1,-1): a zero log has no
     # frequency, so the walls on every side of the origin put no defect term
-    # at frequency zero; the ray is read as given and the completion drops it
+    # at frequency zero; the diagram drops the ray, so no command sees it
     data = json.loads((FIXTURES / "pentagon.json").read_text())
     data["walls"].append({"direction": [-1, -1], "geometry": "ray", "terms": []})
     p = tmp_path / "empty_ray.json"
     p.write_text(json.dumps(data))
     runs = []
     for src in (FIXTURES / "pentagon.json", p):
-        out_json = tmp_path / f"{src.stem}.completed.json"
+        out_json, svg, csv, check_csv = (tmp_path / f"{src.stem}.{name}" for name in
+                                         ("completed.json", "svg", "csv", "check.csv"))
         code, _, _ = run(capsys, "complete", str(src), "--output", str(out_json))
-        runs.append((code, out_json.read_bytes(), run(capsys, "check", str(src))))
+        check = run(capsys, "check", str(src), "--emit-csv", str(check_csv))
+        plot = run(capsys, "plot", str(src), "--emit-svg", str(svg), "--emit-csv", str(csv))
+        runs.append((code, out_json.read_bytes(), check, plot,
+                     svg.read_bytes(), csv.read_bytes(), check_csv.read_bytes()))
     assert runs[0] == runs[1]
-    code, _, (check_code, report, _) = runs[1]
+    code, _, (check_code, report, _), *_ = runs[1]
     assert (code, check_code) == (0, 1)
     assert report.startswith("inconsistent: lowest defect at t-degree 2\n")
 

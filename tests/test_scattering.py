@@ -3,6 +3,7 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -13,7 +14,7 @@ from conftest import FIXTURES, fixture_diagram, kronecker_doc, rand_wall_log
 from reference_bracket import bracket, mat_mul
 from reference_completion import fresh_exp, loop_products, reference_log
 from reference_trees import restrict_direction
-from wallcross import cli, scattering, vertexlie
+from wallcross import cli, report, scattering, vertexlie
 from wallcross.exceptions import ConventionError, SchemaError
 from wallcross.groupoid import (
     BpsContext,
@@ -677,6 +678,37 @@ def test_a_wrong_peel_fails_at_once(wrong, monkeypatch, capsys):
     out = capsys.readouterr()
     assert (code, out.out) == (3, "")
     assert out.err.startswith("convention violation: the peel does not advance past the ray ")
+
+
+@pytest.mark.parametrize("c", [400, 999, 1000])
+def test_a_long_direction_completes_and_checks(c, tmp_path, capsys):
+    # lines (1,0) and (1,c) with t d_n each: a generator power of order c
+    # is built step by step, with no recursion as deep as c; the one new
+    # ray carries t^2 d(c^2, -2c) z^(2,c)
+    p, out = tmp_path / "long.json", tmp_path / "long.completed.json"
+    p.write_text(json.dumps({"rank": 1, "truncation": 2, "walls": [
+        {"direction": d, "geometry": "line", "terms": [{"t": 1, "k": 1, "derivation": "1"}]}
+        for d in ([1, 0], [1, c])]}))
+    with _time_limit(10):
+        code = cli.main(["complete", str(p), "--output", str(out)])
+        completion = capsys.readouterr().out
+        assert (code, cli.main(["check", str(out)])) == (0, 0)
+    assert capsys.readouterr().out == "consistent\n"
+    a, b = primitive_part((2, c))
+    assert completion.endswith(f"  new rays: 1\n    direction ({a},{b}) [ray]\n"
+                           f"      t^2 * d({c * c},{-2 * c}) * z^(2,{c})\n")
+
+
+def test_readme_library_example():
+    # the README's Python block runs, and its comment is what it computes
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(block, names)
+    initial = Diagram(names["ctx"], (names["s_wall"], names["k_wall"]))
+    (ray,) = new_rays(initial, names["d"])
+    assert (ray.direction, ray.kind) == ((1, 1), WallKind.RAY)
+    assert report.format_term_lines(ray.logf) == ["t^2 * E[1,2] * z^(1,1)"]
 
 
 def test_random_completions_rotated_cone():
