@@ -4,7 +4,9 @@ Subcommands: ``complete``, ``check``, ``wcf``, ``bch``, ``plot``, ``demo``;
 every file format they read or write lives in :mod:`serialize`.  Exit codes:
 0 success/consistent, 1 inconsistent, 2 input error (an input that cannot be
 read or decoded, or an output that cannot be written, included), 3 convention
-violation (among others, a completion that would change an initial wall).
+violation (among others, a completion that would change an initial wall),
+5 internal error (any other exception, reported as one ``internal error:``
+line on stderr).
 The plots are written first, ``--output`` next and stdout last, so a run
 that exits 2 leaves no ``--output`` file and nothing on stdout, and one that
 exits 3 writes nothing.  ``SCATTER_MAX_ORDER`` caps the truncation order
@@ -28,6 +30,7 @@ EXIT_OK = 0
 EXIT_INCONSISTENT = 1
 EXIT_SCHEMA = 2
 EXIT_CONVENTION = 3
+EXIT_INTERNAL = 5  # 4 is kept for budget limits
 
 DEFAULT_MAX_ORDER = 16
 
@@ -124,13 +127,13 @@ def cmd_complete(args) -> int:
 def cmd_check(args) -> int:
     d = serialize.diagram_from_json(load_json(args.input), args.order)
     check_order(d.ctx.order)
-    product = scattering.path_ordered_product(d)
+    consistent = scattering.is_consistent(d)
     _emit_plots(args, d)
-    if product.is_identity():
+    if consistent:
         sys.stdout.write("consistent\n")
         return EXIT_OK
     scattering.require_half_plane(d)
-    sys.stdout.write(report.defect_report(vertexlie.log(product)))
+    sys.stdout.write(report.defect_report(vertexlie.log(scattering.path_ordered_product(d))))
     return EXIT_INCONSISTENT
 
 
@@ -245,6 +248,9 @@ def main(argv=None) -> int:
     except ConventionError as e:
         sys.stderr.write(f"convention violation: {e}\n")
         return EXIT_CONVENTION
+    except Exception as e:
+        sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -13,17 +13,23 @@ start conjugates Theta, which changes neither that nor the lowest-degree
 part of Theta - Id that the defect report reads.  Each wall computes its
 automorphisms once, at full order (:attr:`Wall.automorphisms`).
 
+When the wall directions lie in one open half-plane, the *sector order*
+runs counterclockwise across it (:func:`~wallcross.lattice.half_plane_order`).
+A loop started at the half-plane's edge crosses its walls in sector order
+and then the lines' ``-m`` rays, so it composes H o G^-1, with H the
+product of every wall's own automorphism in sector order and
+G = theta_(a_n) o ... o theta_(a_1) the lines in reverse sector order.
+The diagram is consistent exactly when H == G, and :func:`is_consistent`
+tests that, with no inverse; a diagram with no such half-plane takes the
+whole loop.
+
 Completion is a factorization.  The wall directions lie in one open
-half-plane, and the *sector order* runs counterclockwise across it
-(:func:`~wallcross.lattice.half_plane_order`).  A loop started at the
-half-plane's edge crosses its walls in sector order and then the lines'
-``-m`` rays, so the diagram is consistent exactly when the product of the
-half-plane's walls in sector order is G = theta_(a_n) o ... o theta_(a_1),
-the lines in reverse sector order.  G factors uniquely as an ordered
-product exp(x_p1) o exp(x_p2) o ... over rays p1, p2, ... in sector order
+half-plane, and G factors uniquely as an ordered product
+exp(x_p1) o exp(x_p2) o ... over rays p1, p2, ... in sector order
 (Kontsevich-Soibelman, arXiv:0811.2435, section 2.1; Gross-Pandharipande-
-Siebert, arXiv:0902.0779, Theorem 1.4), and the factors are the completed
-walls.  Initial rays never enter G; a completion changes no initial wall.
+Siebert, arXiv:0902.0779, Theorem 1.4).  The factors are the completed
+walls, so their H is G.  Initial rays never enter G; a completion changes
+no initial wall.
 """
 
 from __future__ import annotations
@@ -123,22 +129,42 @@ class Diagram:
         return None
 
 
-def path_ordered_product(d: Diagram) -> AutPair:
-    """Compose the wall automorphisms around a counterclockwise loop.
+def _product(ctx: TruncationContext, factors: list[AutPair]) -> AutPair:
+    """g_1 o g_2 o ... o g_k, the identity for no factors.
 
-    The first wall crossed acts last.  The walls are composed from the last
-    crossed back to the first, so each sparse wall automorphism acts on the
-    dense product of the ones after it.
+    Composed from the last factor, which acts first, back to the first, so
+    each sparse factor acts on the dense product of the ones after it.
     """
-    rays = dict(ray for w in d.walls for ray in w.automorphisms)
-    total = AutPair.identity(d.ctx)
-    for p in reversed(angular_sort(list(rays))):
-        total = compose(rays[p], total)
+    if not factors:
+        return AutPair.identity(ctx)
+    total = factors[-1]
+    for g in reversed(factors[:-1]):
+        total = compose(g, total)
     return total
 
 
+def path_ordered_product(d: Diagram) -> AutPair:
+    """Compose the wall automorphisms around a counterclockwise loop; the first crossed acts last."""
+    rays = dict(ray for w in d.walls for ray in w.automorphisms)
+    return _product(d.ctx, [rays[p] for p in angular_sort(list(rays))])
+
+
 def is_consistent(d: Diagram) -> bool:
-    return path_ordered_product(d).is_identity()
+    """Whether the path-ordered product is the identity (see the module docstring).
+
+    With the wall directions in one open half-plane, this is H == G: the
+    walls' own automorphisms in sector order against the lines in reverse
+    sector order, each ``exp(w.logf)``, so no line's inverse is computed.
+    With no such half-plane, the whole loop is composed.
+    """
+    order = half_plane_order([w.direction for w in d.walls])
+    if order is None:
+        return path_ordered_product(d).is_identity()
+    walls = {w.direction: w for w in d.walls}
+    h = _product(d.ctx, [exp(walls[p].logf) for p in order])
+    g = _product(d.ctx, [exp(walls[p].logf) for p in reversed(order)
+                         if walls[p].kind is WallKind.LINE])
+    return h == g
 
 
 def merge_wall(d: Diagram, w: Wall) -> Diagram:
@@ -212,9 +238,8 @@ def complete(d: Diagram) -> Diagram:
     require_half_plane(d)
     lines = {w.direction: w for w in d.walls if w.kind is WallKind.LINE}
     factors: dict[Vec, LieElem] = {}
-    g = AutPair.identity(d.ctx)
-    for p in half_plane_order(list(lines)):
-        g = compose(lines[p].automorphisms[0][1], g)
+    order = half_plane_order(list(lines))
+    g = _product(d.ctx, [lines[p].automorphisms[0][1] for p in reversed(order)])
     last = None
     while lines:
         p = _first_direction(g)

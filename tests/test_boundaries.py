@@ -116,9 +116,9 @@ def test_completion_peels_one_ray_per_compose(monkeypatch):
     # each step moves strictly counterclockwise past the ray peeled before it
     peeled = [p for (p,) in logged]
     assert all(det2(p, q) > 0 for p, q in zip(peeled, peeled[1:]))
-    # one compose per line for their product, then one per ray peeled: the
-    # first line and every new ray
-    assert composed == [(6, 6)] * (2 + 1 + rays)
+    # one compose for the lines' product, which starts at its first factor,
+    # then one per ray peeled: the first line and every new ray
+    assert composed == [(6, 6)] * (1 + 1 + rays)
     assert tracer.stats["scattering.path_ordered_product"][0] == 0
     assert tracer.counts["scattering.rounds"] == 0
     assert tracer.counts["scattering.defect_terms"] > 0

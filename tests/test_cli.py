@@ -5,7 +5,7 @@ import pytest
 
 from conftest import kronecker_doc
 from reference_completion import reference_complete
-from wallcross import cli, serialize
+from wallcross import cli, scattering, serialize
 from wallcross.exceptions import ConventionError
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
@@ -94,6 +94,18 @@ def test_check_empty_diagram(tmp_path, capsys):
     p.write_text(json.dumps({"rank": 1, "truncation": 3, "walls": []}))
     code, out, _ = run(capsys, "check", str(p))
     assert code == 0
+
+
+def test_an_internal_error_exits_5_with_one_line(monkeypatch, capsys):
+    # an exception that is neither an input error nor a convention violation
+    # is a crash, not an inconsistent diagram (exit 1)
+    def crash(d):
+        raise RuntimeError("peel failed")
+
+    monkeypatch.setattr(scattering, "complete", crash)
+    code, out, err = run(capsys, "complete", str(FIXTURES / "pentagon.json"))
+    assert (code, out, err) == (cli.EXIT_INTERNAL, "", "internal error: RuntimeError: peel failed\n")
+    assert cli.EXIT_INTERNAL == 5
 
 
 def test_schema_error_exit_code(tmp_path, capsys):

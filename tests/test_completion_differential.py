@@ -28,11 +28,11 @@ from reference_completion import (
     reference_log,
     reference_path_ordered_product,
 )
-from wallcross import cli, scattering, serialize
+from wallcross import cli, report, scattering, serialize
 from wallcross.exceptions import ConventionError
 from wallcross.groupoid import KFactor, k_wall_log
-from wallcross.lattice import WallKind, primitive_normal, primitive_part
-from wallcross.scattering import Diagram, Wall, complete, path_ordered_product
+from wallcross.lattice import WallKind, half_plane_order, primitive_normal, primitive_part
+from wallcross.scattering import Diagram, Wall, complete, is_consistent, path_ordered_product
 from wallcross.series import TruncationContext
 from wallcross.vertexlie import AutPair, LieElem, compose, elementary, exp, log, mat_zero
 
@@ -409,3 +409,111 @@ def test_peel_matches_the_reference_with_initial_rays(d, kinds, seed):
         walls = [w.direction for w in seeded.walls]
         assert expected[0] == walls + [w.direction for w in produced if w.direction not in rays]
         assert expected[1] == _dump(completed)
+
+
+# -- is_consistent, H == G over the half-plane, against the whole loop --
+
+
+def _consistent_both_ways(d):
+    """``is_consistent(d)``, asserted equal to the whole loop's verdict."""
+    consistent = is_consistent(d)
+    assert consistent == path_ordered_product(d).is_identity()
+    return consistent
+
+
+def _with_top_term_changed(completed, p):
+    """``completed`` with the top-degree term of the ray on ``p`` doubled."""
+    walls = []
+    for w in completed.walls:
+        if w.direction == p:
+            x = w.logf
+            w = Wall(p, w.kind, x + x.degree_part(x.t_degree()))
+        walls.append(w)
+    return Diagram(completed.ctx, tuple(walls))
+
+
+@pytest.mark.parametrize("name", sorted(cli.FIXTURES))
+def test_consistency_matches_the_loop_on_fixtures(name):
+    d = fixture_diagram(name)
+    completed = complete(d)
+    assert _consistent_both_ways(completed)
+    assert not _consistent_both_ways(d)
+    for w in completed.walls[len(d.walls):]:
+        assert not _consistent_both_ways(_with_top_term_changed(completed, w.direction))
+
+
+@given(_two_lines(max_order=6))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_consistency_matches_the_loop_on_two_lines(d):
+    # the cones include (1,-1)/(1,1), which holds the +x axis: the sector
+    # order then starts elsewhere than the loop
+    _consistent_both_ways(d)
+    completed = complete(d)
+    assert _consistent_both_ways(completed)
+    produced = completed.walls[2:]
+    if produced:
+        changed = _with_top_term_changed(completed, produced[-1].direction)
+        assert not _consistent_both_ways(changed)
+        assert not _consistent_both_ways(Diagram(d.ctx, completed.walls[:-1]))
+
+
+@given(_two_lines(max_order=4), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_consistency_matches_the_loop_with_initial_rays(d, seed):
+    # a produced ray alone beside the lines, and a ray off the lines' cone
+    # (a - b, still in one half-plane with them) beside the completion
+    rng = random.Random(seed)
+    completed = complete(d)
+    for w in completed.walls[2:]:
+        _consistent_both_ways(Diagram(d.ctx, d.walls + (w,)))
+    a, b = (w.direction for w in d.walls)
+    p = primitive_part((a[0] - b[0], a[1] - b[1]))
+    x = rand_wall_log(d.ctx, rng, p)
+    assume(not x.is_zero())
+    seeded = Diagram(d.ctx, completed.walls + (Wall(p, WallKind.RAY, x),))
+    assert half_plane_order([w.direction for w in seeded.walls]) is not None
+    assert not _consistent_both_ways(seeded)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_consistency_matches_the_loop_with_no_half_plane(rank):
+    # three lines around the origin span no half-plane, so is_consistent
+    # takes the whole loop: diagonal matrix parts with no derivation commute,
+    # and the loop crosses each line's theta and its inverse
+    ctx = TruncationContext(4, rank)
+    directions = ((1, 0), (0, 1), (-1, -1))
+    diagonal = tuple(tuple(Fraction(i + 1) if i == j else 0 for j in range(rank))
+                     for i in range(rank))
+    commuting = Diagram(ctx, tuple(
+        Wall(m, WallKind.LINE, LieElem.single(ctx, m, j, matrix=diagonal))
+        for j, m in enumerate(directions, 1)))
+    assert half_plane_order(list(directions)) is None
+    assert _consistent_both_ways(commuting)
+    k_lines = Diagram(ctx, tuple(Wall(m, WallKind.LINE, k_wall_log(ctx, KFactor(m, 1)))
+                                 for m in directions))
+    assert not _consistent_both_ways(k_lines)
+    assert _consistent_both_ways(Diagram(ctx, ()))
+
+
+def _inconsistent_inputs():
+    for name in ("pentagon", "rand1", "rand2", "rand3"):
+        yield name, fixture_diagram(name)
+    for i, d in enumerate(_random_two_line_diagrams(20261025, count=12)):
+        yield f"two-lines-{i}", d
+
+
+def test_check_reports_the_defect_of_the_whole_loop(tmp_path, capsys):
+    # check decides by H == G and reads its defect report off the whole
+    # loop's log, as it did before: the reference loop gives the same text
+    seen = 0
+    for name, d in _inconsistent_inputs():
+        if reference_path_ordered_product(d).is_identity():
+            continue
+        path = tmp_path / f"{name}.json"
+        path.write_text(_dump(d))
+        code = cli.main(["check", str(path)])
+        out = capsys.readouterr().out
+        expected = report.defect_report(log(reference_path_ordered_product(d)))
+        assert (code, out) == (cli.EXIT_INCONSISTENT, expected)
+        seen += 1
+    assert seen >= 14

@@ -893,14 +893,34 @@ def test_completion_exponentiates_each_wall_once(tmp_path, monkeypatch, capsys, 
 
 @pytest.mark.parametrize("run", sorted(_COUNTED_RUNS))
 def test_cached_automorphisms_hold_no_power_table(tmp_path, monkeypatch, capsys, run):
-    # a wall keeps its automorphisms for as long as it lives, so the powers
-    # its action needs must not stay behind on them
+    # a log keeps its exponential for as long as it lives, and a line's
+    # negated log the inverse, so the powers their action needs must not
+    # stay behind on them
     _computed, _merges, (completed,) = _run_counted(monkeypatch, capsys, tmp_path, run)
     for w in completed.walls:
-        autos = vars(w)["automorphisms"]
-        assert autos[0][1] is exp(w.logf)
-        assert len(autos) == (2 if w.kind is WallKind.LINE else 1)
-        if w.kind is WallKind.LINE:
-            assert autos[1][1] is exp(-w.logf)
-        for _ray, g in autos:
+        logs = (w.logf, -w.logf) if w.kind is WallKind.LINE else (w.logf,)
+        for x in logs:
+            g = vars(x)["_exp"]
+            assert g is exp(x)
             assert not getattr(g, "_pow_cache", None)
+
+
+@pytest.mark.parametrize("run", sorted(_COUNTED_RUNS))
+def test_check_of_a_completion_computes_no_inverse_exponential(tmp_path, monkeypatch, capsys, run):
+    # check tests H == G on the completed diagram: every exponential series
+    # it computes sums one coefficient function, exp(x), never exp(-x)
+    command, doc = _COUNTED_RUNS[run]
+    src, out = tmp_path / "input.json", tmp_path / "completed.json"
+    src.write_text(json.dumps(doc))
+    assert cli.main([command, str(src), "--output", str(out)]) == 0
+    computed = vertexlie._exponential_series
+    coeffs = []
+
+    def recorded(x, fns):
+        coeffs.append(len(fns))
+        return computed(x, fns)
+
+    monkeypatch.setattr(vertexlie, "_exponential_series", recorded)
+    assert cli.main(["check", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("consistent\n")
+    assert coeffs and coeffs == [1] * len(coeffs)
