@@ -127,13 +127,13 @@ def cmd_complete(args) -> int:
 def cmd_check(args) -> int:
     d = serialize.diagram_from_json(load_json(args.input), args.order)
     check_order(d.ctx.order)
-    consistent = scattering.is_consistent(d)
+    defect = scattering.defect(d)
     _emit_plots(args, d)
-    if consistent:
+    if defect is None:
         sys.stdout.write("consistent\n")
         return EXIT_OK
     scattering.require_half_plane(d)
-    sys.stdout.write(report.defect_report(vertexlie.log(scattering.path_ordered_product(d))))
+    sys.stdout.write(report.defect_report(defect))
     return EXIT_INCONSISTENT
 
 

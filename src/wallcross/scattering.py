@@ -19,9 +19,9 @@ A loop started at the half-plane's edge crosses its walls in sector order
 and then the lines' ``-m`` rays, so it composes H o G^-1, with H the
 product of every wall's own automorphism in sector order and
 G = theta_(a_n) o ... o theta_(a_1) the lines in reverse sector order.
-The diagram is consistent exactly when H == G, and :func:`is_consistent`
-tests that, with no inverse; a diagram with no such half-plane takes the
-whole loop.
+The diagram is consistent exactly when H == G, and :func:`defect` tests
+that, with no inverse, and reads the defect off H - G; a diagram with no
+such half-plane takes the whole loop.
 
 Completion is a factorization.  The wall directions lie in one open
 half-plane, and G factors uniquely as an ordered product
@@ -150,21 +150,41 @@ def path_ordered_product(d: Diagram) -> AutPair:
 
 
 def is_consistent(d: Diagram) -> bool:
-    """Whether the path-ordered product is the identity (see the module docstring).
+    """Whether the path-ordered product is the identity: :func:`defect` finds none."""
+    return defect(d) is None
 
-    With the wall directions in one open half-plane, this is H == G: the
-    walls' own automorphisms in sector order against the lines in reverse
-    sector order, each ``exp(w.logf)``, so no line's inverse is computed.
-    With no such half-plane, the whole loop is composed.
+
+def defect(d: Diagram) -> LieElem | None:
+    """None for a consistent diagram, else the lowest-degree part of its defect.
+
+    With the wall directions in one open half-plane, this builds H and G
+    once (see the module docstring): the walls' own automorphisms in sector
+    order against the lines in reverse sector order, each ``exp(w.logf)``,
+    so no line's inverse is computed.  With no such half-plane, H is the
+    whole loop and G the identity.  The diagram is consistent when H == G.
+    Else H - G first differs from zero at some t-order k0, and there it is
+    the degree-k0 part of H o G^-1 - Id, hence of the log of the loop from
+    any start: the images' differences, shifted by -e_i, give the
+    derivation and the gauges' difference the matrix part
+    (:meth:`~wallcross.vertexlie.LieElem.from_operator`).  So the defect
+    costs no log and no inverse, and a consistent diagram no subtraction.
     """
     order = half_plane_order([w.direction for w in d.walls])
     if order is None:
-        return path_ordered_product(d).is_identity()
-    walls = {w.direction: w for w in d.walls}
-    h = _product(d.ctx, [exp(walls[p].logf) for p in order])
-    g = _product(d.ctx, [exp(walls[p].logf) for p in reversed(order)
-                         if walls[p].kind is WallKind.LINE])
-    return h == g
+        h = path_ordered_product(d)
+        if h.is_identity():
+            return None
+        g = AutPair.identity(d.ctx)
+    else:
+        walls = {w.direction: w for w in d.walls}
+        h = _product(d.ctx, [exp(walls[p].logf) for p in order])
+        g = _product(d.ctx, [exp(walls[p].logf) for p in reversed(order)
+                             if walls[p].kind is WallKind.LINE])
+        if h == g:
+            return None
+    x = LieElem.from_operator(
+        d.ctx, tuple(a - b for a, b in zip(h.sigma_images, g.sigma_images)), h.gauge + -g.gauge)
+    return x.degree_part(x.t_order())
 
 
 def merge_wall(d: Diagram, w: Wall) -> Diagram:

@@ -10,9 +10,12 @@ The coefficients of one element are stored as integer numerators over one
 shared positive denominator, in lowest terms: ``den > 0``, the gcd of
 ``den`` and every numerator is 1, and ``den == 1`` for zero.  Equal elements
 therefore have equal numerators and denominators, so ``==`` is structural.
-Products and sums run on Python integers and take one gcd at the end; the
-rationals appear only at the boundary (the public constructor and
-:meth:`SeriesElem.fractions`).
+Products and sums run on Python integers and take one gcd at the end: a
+product entry, a matrix entry and each entry of an operator series
+(:func:`_operator_series`, the exponentials, logarithms and inverses) add
+all their terms into one integer dict over one common denominator and are
+normalized once.  The rationals appear only at the boundary (the public
+constructor and :meth:`SeriesElem.fractions`).
 
 Zero is free: a sum or a scaling with a zero operand returns an operand
 unchanged, and a matrix product visits only the nonzero entries, so a
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .lattice import Vec
@@ -46,6 +50,11 @@ class TruncationContext:
             raise ValueError("truncation order must be >= 1")
         if self.rank < 1:
             raise ValueError("matrix rank must be >= 1")
+
+    @cached_property
+    def generators(self) -> tuple["SeriesElem", "SeriesElem"]:
+        """z^(e_1) and z^(e_2) in this context, built on first use and kept."""
+        return SeriesElem.monomial(self, (1, 0)), SeriesElem.monomial(self, (0, 1))
 
 
 def _check_same_context(a, b):
@@ -243,36 +252,88 @@ class SeriesElem:
         return (SeriesElem.one(self.ctx) + tail) * head_inv
 
 
-def _add_scaled(acc: tuple, v: tuple, c) -> tuple:
-    """``acc + c * v`` entrywise; ``c = 1`` and ``c = -1`` scale nothing."""
-    if c == 1:
-        return tuple(a + b for a, b in zip(acc, v))
-    if c == -1:
-        return tuple(a - b for a, b in zip(acc, v))
-    return tuple(a + b.scale(c) for a, b in zip(acc, v))
-
-
 def _operator_series(step, v: tuple, coeffs: tuple, steps: int) -> tuple:
     """One entrywise sum of ``coeff(k) * step^(k-1)(v)`` over ``k = 1..steps`` per ``coeff``.
 
     ``v`` is a nonempty tuple of series and ``step`` a linear map on such
     tuples that raises the t-order by s >= 1, so at most N // s terms are
     nonzero modulo t^(N+1) and the sum is exact.  ``steps`` is at least 1
-    unless ``v`` is zero.  ``coeffs`` is a tuple of coefficient functions.
-    The powers ``step^(k-1)(v)`` are formed once for all the sums, which are
-    kept term by term; a zero term ends them before the next step, so a
-    zero ``v`` costs no step.  Every exponential and logarithm of the
-    engine, the inverse of a group element and the inverse of a unit is
-    such a series.
+    unless ``v`` is zero.  ``coeffs`` is a tuple of coefficient functions
+    with integer or Fraction values.  The powers ``step^(k-1)(v)`` are
+    formed once for all the sums, and a zero power ends them before the
+    next step, so a zero ``v`` costs no step.  Each entry of a sum is then
+    one linear combination of the powers' entries (:func:`_combination`),
+    normalized once.  Every exponential and logarithm of the engine, the
+    inverse of a group element and the inverse of a unit is such a series.
     """
-    zero = (SeriesElem.zero(v[0].ctx),) * len(v)
-    accs = [_add_scaled(zero, v, coeff(1)) for coeff in coeffs]
-    for k in range(2, steps + 1):
-        if not any(f.coeffs for f in v):
-            break
+    powers = [v]
+    while len(powers) < steps and any(f.coeffs for f in v):
         v = step(v)
-        accs = [_add_scaled(acc, v, coeff(k)) for acc, coeff in zip(accs, coeffs)]
-    return tuple(accs)
+        powers.append(v)
+    zero = SeriesElem.zero(v[0].ctx)
+    entries = list(zip(*powers))  # the powers of each entry of v
+    sums = []
+    for coeff in coeffs:
+        cs = [coeff(k) for k in range(1, len(powers) + 1)]
+        sums.append(tuple(_combination(zero, zip(cs, entry)) for entry in entries))
+    return tuple(sums)
+
+
+def _combination(zero: SeriesElem, terms) -> SeriesElem:
+    """The sum of ``c * f`` over the pairs ``(c, f)`` in ``terms``, normalized once.
+
+    ``c`` is an integer or a Fraction.  Every nonzero term is brought to the
+    lcm of the terms' denominators and added into one integer dict.  With
+    no nonzero term the sum is ``zero``, and one term is scaled once (by
+    nothing when ``c`` is 1 or -1).
+    """
+    terms = [(c, f) for c, f in terms if f.coeffs and c]
+    if not terms:
+        return zero
+    if len(terms) == 1:
+        c, f = terms[0]
+        return f if c == 1 else -f if c == -1 else f.scale(c)
+    den = 1
+    for c, f in terms:
+        den = lcm(den, c.denominator * f.den)
+    out: dict[Key, int] = {}
+    get = out.get
+    for c, f in terms:
+        w = c.numerator * (den // (c.denominator * f.den))
+        for k, x in f.coeffs.items():
+            out[k] = get(k, 0) + w * x
+    return SeriesElem._make(zero.ctx, out, den)
+
+
+def _row_sums(ctx: TruncationContext, rows, vec: tuple, extras=None) -> tuple[SeriesElem, ...]:
+    """The entries ``sum_k rows[i][k] * vec[k]``, each plus ``extras[i]`` if given.
+
+    An entry adds each product of two nonzero entries, brought to the lcm
+    of the denominators, into one integer dict and normalizes it once; an
+    entry with nothing to add is one shared zero.  ``extras[i]`` is None or
+    one more summand ``(den, add)``: ``add(out, w)`` adds ``w`` times its
+    numerators over ``den`` into ``out``.
+    """
+    order = ctx.order
+    zero = SeriesElem.zero(ctx)
+    nonzero = [(k, y) for k, y in enumerate(vec) if y.coeffs]
+    out = []
+    for i, row in enumerate(rows):
+        pairs = [(x, y, x.den * y.den) for k, y in nonzero if (x := row[k]).coeffs]
+        extra = extras[i] if extras else None
+        if not pairs and extra is None:
+            out.append(zero)
+            continue
+        den = 1 if extra is None else extra[0]
+        for _x, _y, d in pairs:
+            den = lcm(den, d)
+        acc: dict[Key, int] = {}
+        if extra is not None:
+            extra[1](acc, den // extra[0])
+        for x, y, d in pairs:
+            _mul_add(acc, x.coeffs, y.coeffs, den // d, order)
+        out.append(SeriesElem._make(ctx, acc, den))
+    return tuple(out)
 
 
 # -- matrices over the series ring ---------------------------------------------
@@ -283,10 +344,8 @@ class SeriesMatrix:
     """An r x r matrix with SeriesElem entries.
 
     :meth:`matvec` is the one product: ``a * b`` applies it to each column
-    of ``b``.  An output entry adds each product of two nonzero entries,
-    brought to the lcm of their denominators, into one integer dict and
-    normalizes it once; zero entries cost nothing, and an entry with no
-    nonzero product is one shared zero.
+    of ``b``, and each entry is one :func:`_row_sums` entry, so zero
+    entries cost nothing.
     """
 
     ctx: TruncationContext
@@ -323,24 +382,7 @@ class SeriesMatrix:
         return SeriesMatrix(self.ctx, tuple(zip(*cols)))
 
     def matvec(self, vec: tuple[SeriesElem, ...]) -> tuple[SeriesElem, ...]:
-        ctx = self.ctx
-        order = ctx.order
-        zero = SeriesElem.zero(ctx)
-        nonzero = [(k, y) for k, y in enumerate(vec) if y.coeffs]
-        out = []
-        for row in self.rows:
-            pairs = [(x, y, x.den * y.den) for k, y in nonzero if (x := row[k]).coeffs]
-            if not pairs:
-                out.append(zero)
-                continue
-            den = 1
-            for _x, _y, d in pairs:
-                den = lcm(den, d)
-            acc: dict[Key, int] = {}
-            for x, y, d in pairs:
-                _mul_add(acc, x.coeffs, y.coeffs, den // d, order)
-            out.append(SeriesElem._make(ctx, acc, den))
-        return tuple(out)
+        return _row_sums(self.ctx, self.rows, vec)
 
     def t_order(self) -> int | None:
         orders = [a.t_order() for row in self.rows for a in row if not a.is_zero()]

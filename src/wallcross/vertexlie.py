@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from math import factorial, lcm
 from types import MappingProxyType
 
@@ -62,6 +62,7 @@ from .exceptions import ConventionError
 from .lattice import Vec
 from .series import (
     SeriesElem, SeriesMatrix, TruncationContext, _check_same_context, _mul_add, _operator_series,
+    _row_sums,
 )
 
 _ZERO = Fraction(0)
@@ -146,6 +147,21 @@ class LieElem:
                         mats[i][k][key] = c
         rows = tuple(tuple(SeriesElem(ctx, e) for e in row) for row in mats)
         return LieElem(ctx, SeriesElem(ctx, d1), SeriesElem(ctx, d2), SeriesMatrix(ctx, rows))
+
+    @staticmethod
+    def from_operator(ctx: TruncationContext, derived: tuple, a: SeriesMatrix) -> "LieElem":
+        """The element whose derivation maps z^(e_i) to ``derived[i]``, with matrix part ``a``.
+
+        D(z^(e_i)) carries d_i z^(m + e_i) at each term; shifted back to z^m,
+        it is the i-th coordinate series of the derivation vectors.
+        """
+        d1, d2 = (
+            SeriesElem._normal(
+                ctx, {(m1 - e[0], m2 - e[1], j): c for (m1, m2, j), c in f.coeffs.items()}, f.den
+            )
+            for f, e in zip(derived, (_E1, _E2))
+        )
+        return LieElem(ctx, d1, d2, a)
 
     @staticmethod
     def single(ctx, m: Vec, j: int, matrix=None, dvec=(0, 0)) -> "LieElem":
@@ -236,6 +252,27 @@ class LieElem:
         """The frequencies whose derivation vector is not orthogonal to them."""
         return [(m1, m2) for m1, m2, _j, n1, n2 in self._derivations[1] if m1 * n1 + m2 * n2]
 
+    def _derive_into(self, f: dict, out: dict, w: int) -> None:
+        """Add ``w`` times the numerators of D(f) into ``out``: the one derivation loop.
+
+        ``f`` is a numerator dict; D(f) is over ``f``'s denominator times
+        that of :attr:`_derivations`.  D(c z^m' t^j') is the sum over the
+        terms (d, m, j) of  c <m', d> z^(m' + m) t^(j' + j).
+        """
+        N = self.ctx.order
+        get = out.get
+        for m1, m2, j, n1, n2 in self._derivations[1]:
+            n1 *= w
+            n2 *= w
+            for (f1, f2, jf), cf in f.items():
+                jj = j + jf
+                if jj > N:
+                    continue
+                c = cf * (f1 * n1 + f2 * n2)
+                if c:
+                    k = (f1 + m1, f2 + m2, jj)
+                    out[k] = get(k, 0) + c
+
     def apply_derivation(self, f: SeriesElem) -> SeriesElem:
         """The ring-derivation part applied to a series.
 
@@ -245,25 +282,21 @@ class LieElem:
         den, derivations = self._derivations
         if not derivations or not f.coeffs:
             return SeriesElem.zero(self.ctx)
-        N = self.ctx.order
         out: dict = {}
-        get = out.get
-        for m1, m2, j, d1, d2 in derivations:
-            for (f1, f2, jf), cf in f.coeffs.items():
-                jj = j + jf
-                if jj > N:
-                    continue
-                w = cf * (f1 * d1 + f2 * d2)
-                if w:
-                    k = (f1 + m1, f2 + m2, jj)
-                    out[k] = get(k, 0) + w
+        self._derive_into(f.coeffs, out, 1)
         return SeriesElem._make(self.ctx, out, f.den * den)
 
     def apply_section(self, vec: tuple[SeriesElem, ...]) -> tuple[SeriesElem, ...]:
-        """The full first-order operator on a section of the free module."""
-        derived = tuple(self.apply_derivation(f) for f in vec)
-        mat_part = self.a.matvec(vec)
-        return tuple(a + b for a, b in zip(derived, mat_part))
+        """The full first-order operator on a section of the free module: D(v_i) + (A v)_i.
+
+        Each entry adds the derivation of ``v_i`` and the products of row i
+        of the matrix part with ``v`` into one integer dict, normalized once
+        (:func:`~wallcross.series._row_sums`).
+        """
+        den, derivations = self._derivations
+        extras = [(f.den * den, partial(self._derive_into, f.coeffs)) if f.coeffs else None
+                  for f in vec] if derivations else None
+        return _row_sums(self.ctx, self.a.rows, vec, extras)
 
 
 # -- the exponential group -------------------------------------------------------
@@ -298,11 +331,7 @@ class AutPair:
 
     @staticmethod
     def identity(ctx: TruncationContext) -> "AutPair":
-        return AutPair(
-            ctx,
-            (SeriesElem.monomial(ctx, _E1), SeriesElem.monomial(ctx, _E2)),
-            SeriesMatrix.identity(ctx),
-        )
+        return AutPair(ctx, ctx.generators, SeriesMatrix.identity(ctx))
 
     def is_identity(self) -> bool:
         return self == AutPair.identity(self.ctx)
@@ -470,20 +499,24 @@ def _exponential_series(x: LieElem, coeffs: tuple) -> tuple[AutPair, ...]:
 
     Each generator image is z^{e_i} plus the series of the derivation D
     from D z^{e_i}; each gauge is I plus, in column i, the series of the
-    module action L from L(e_i) = A e_i, column i of the matrix part, since
-    the derivation kills constants.  The coefficients 1/k! give exp(x).
+    module action L (:meth:`LieElem.apply_section`) from L(e_i) = A e_i,
+    column i of the matrix part, since the derivation kills constants.  The
+    coefficients 1/k! give exp(x).  With s the t-order of ``x``, the k-th
+    term of either series has t-order at least k s, so each series stops at
+    N // s terms, as in :func:`log`: an element with 2s > N makes no step.
     :func:`~wallcross.series._operator_series` forms the powers once for
     all ``coeffs``.  A zero matrix part gives the identity gauge with no
     action at all.
     """
     ctx = x.ctx
+    steps = ctx.order // (x.t_order() or ctx.order + 1)
 
     def derive(v):
         return tuple(map(x.apply_derivation, v))
 
-    gens = (SeriesElem.monomial(ctx, _E1), SeriesElem.monomial(ctx, _E2))
-    tails = _operator_series(derive, derive(gens), coeffs, ctx.order)
-    cols = [_operator_series(x.apply_section, col, coeffs, ctx.order) for col in zip(*x.a.rows)]
+    gens = ctx.generators
+    tails = _operator_series(derive, derive(gens), coeffs, steps)
+    cols = [_operator_series(x.apply_section, col, coeffs, steps) for col in zip(*x.a.rows)]
     return tuple(_group_element(ctx, gens, t, [c[i] for c in cols]) for i, t in enumerate(tails))
 
 
@@ -517,7 +550,7 @@ def log(g: AutPair) -> LieElem:
     g^-1 as the exponential of ``-x``.
     """
     ctx = g.ctx
-    gens = (SeriesElem.monomial(ctx, _E1), SeriesElem.monomial(ctx, _E2))
+    gens = ctx.generators
     dparts = tuple(f - e for f, e in zip(g.sigma_images, gens))
     if any(f.t_order() == 0 for f in dparts):
         raise ValueError("not pro-unipotent: generator image is not z^e*(1 + O(t))")
@@ -541,14 +574,7 @@ def log(g: AutPair) -> LieElem:
     dlog, dinv = _operator_series(ring_step, dparts, coeffs, steps)
     cols = [_operator_series(section_step, col, coeffs, steps) for col in zip(*gauge.rows)]
 
-    # The generator series carry d_i z^(m + e_i); shift them back to z^m.
-    d1, d2 = (
-        SeriesElem._normal(
-            ctx, {(m1 - e[0], m2 - e[1], j): c for (m1, m2, j), c in f.coeffs.items()}, f.den
-        )
-        for f, e in zip(dlog, (_E1, _E2))
-    )
-    x = LieElem(ctx, d1, d2, SeriesMatrix(ctx, tuple(zip(*(c[0] for c in cols)))))
+    x = LieElem.from_operator(ctx, dlog, SeriesMatrix(ctx, tuple(zip(*(c[0] for c in cols)))))
     if (0, 0) in x.frequencies():
         raise ValueError("logarithm has a term outside the Lie algebra")
     if x.non_orthogonal():

@@ -28,7 +28,7 @@ from reference_completion import (
     reference_log,
     reference_path_ordered_product,
 )
-from wallcross import cli, report, scattering, serialize
+from wallcross import cli, report, scattering, serialize, series, vertexlie
 from wallcross.exceptions import ConventionError
 from wallcross.groupoid import KFactor, k_wall_log
 from wallcross.lattice import WallKind, half_plane_order, primitive_normal, primitive_part
@@ -415,9 +415,20 @@ def test_peel_matches_the_reference_with_initial_rays(d, kinds, seed):
 
 
 def _consistent_both_ways(d):
-    """``is_consistent(d)``, asserted equal to the whole loop's verdict."""
+    """``is_consistent(d)``, asserted equal to the whole loop's verdict.
+
+    ``defect(d)`` is asserted to agree: None exactly for a consistent
+    diagram, and with a half-plane the lowest-degree part of the loop's
+    log, so ``check``'s report reads the same from either.
+    """
     consistent = is_consistent(d)
-    assert consistent == path_ordered_product(d).is_identity()
+    loop = path_ordered_product(d)
+    found = scattering.defect(d)
+    assert consistent == loop.is_identity() == (found is None)
+    if found is not None and half_plane_order([w.direction for w in d.walls]) is not None:
+        x = log(loop)
+        assert found == x.degree_part(x.t_order())
+        assert report.defect_report(found) == report.defect_report(x)
     return consistent
 
 
@@ -502,18 +513,49 @@ def _inconsistent_inputs():
         yield f"two-lines-{i}", d
 
 
-def test_check_reports_the_defect_of_the_whole_loop(tmp_path, capsys):
-    # check decides by H == G and reads its defect report off the whole
-    # loop's log, as it did before: the reference loop gives the same text
+def _quick_inconsistent_inputs():
+    """Small diagrams whose ``check`` exits 1: a lone ray, two lines, two gauge lines."""
+    ctx = TruncationContext(4, 1)
+    yield "lone-ray", Diagram(ctx, (Wall((1, 0), WallKind.RAY, k_wall_log(ctx, KFactor((1, 0), 1))),))
+    yield "opposite-quadrant-lines", Diagram(ctx, tuple(
+        Wall(m, WallKind.LINE, k_wall_log(ctx, KFactor(m, 1))) for m in ((-1, 0), (0, -1))))
+    ctx = TruncationContext(3, 2)
+    yield "rank-2-gauge-lines", Diagram(ctx, (
+        Wall((1, 0), WallKind.LINE, LieElem.single(ctx, (1, 0), 1, matrix=elementary(2, 0, 1))),
+        Wall((0, 1), WallKind.LINE, LieElem.single(ctx, (0, 1), 1, matrix=elementary(2, 1, 0))),
+    ))
+
+
+def test_check_reports_the_defect_of_the_whole_loop(tmp_path, capsys, monkeypatch):
+    # check decides by H == G and reads its defect report off H - G: the
+    # reference loop's log gives the same text.  It computes no loop, no
+    # log and no exp(-x): every exponential series has one coefficient.
+    widths = []
+    routine = series._operator_series
+
+    def recorded(step, v, coeffs, steps):
+        widths.append(len(coeffs))
+        return routine(step, v, coeffs, steps)
+
+    def forbidden(*_args):
+        raise AssertionError("an inconsistent check composed the whole loop or took a log")
+
+    monkeypatch.setattr(series, "_operator_series", recorded)
+    monkeypatch.setattr(vertexlie, "_operator_series", recorded)
+    monkeypatch.setattr(scattering, "path_ordered_product", forbidden)
+    monkeypatch.setattr(vertexlie, "log", forbidden)
     seen = 0
-    for name, d in _inconsistent_inputs():
-        if reference_path_ordered_product(d).is_identity():
+    for name, d in [*_quick_inconsistent_inputs(), *_inconsistent_inputs()]:
+        reference = reference_path_ordered_product(d)
+        if reference.is_identity():
             continue
+        expected = report.defect_report(log(reference))
         path = tmp_path / f"{name}.json"
         path.write_text(_dump(d))
+        widths.clear()
         code = cli.main(["check", str(path)])
         out = capsys.readouterr().out
-        expected = report.defect_report(log(reference_path_ordered_product(d)))
-        assert (code, out) == (cli.EXIT_INCONSISTENT, expected)
+        assert (code, out) == (cli.EXIT_INCONSISTENT, expected), name
+        assert widths and set(widths) == {1}, name
         seen += 1
-    assert seen >= 14
+    assert seen >= 17

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, fixture_diagram, kronecker_doc, rand_wall_log
 from reference_bracket import bracket, mat_mul
 from reference_completion import fresh_exp, loop_products, reference_log
+from reference_quiver import central_ray_normal_coefficients
 from reference_trees import restrict_direction
-from wallcross import cli, report, scattering, vertexlie
+from wallcross import cli, report, scattering, serialize, vertexlie
 from wallcross.exceptions import ConventionError, SchemaError
 from wallcross.groupoid import (
     BpsContext,
@@ -924,3 +925,16 @@ def test_check_of_a_completion_computes_no_inverse_exponential(tmp_path, monkeyp
     assert cli.main(["check", str(out)]) == 0
     assert capsys.readouterr().out.endswith("consistent\n")
     assert coeffs and coeffs == [1] * len(coeffs)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_kronecker_central_ray_matches_its_closed_form_at_order_32(m):
+    # every term of the (1,1) ray of the m-Kronecker diagram up to t^32,
+    # against a closed form computed with no engine code (reference_quiver):
+    # an order the benchmark's workloads (N <= 7) never reach
+    N = 32
+    completed = complete(serialize.diagram_from_json(kronecker_doc(m, m, N)))
+    n = primitive_normal((1, 1))
+    expected = {((k, k), 2 * k): (mat_zero(1), (c * n[0], c * n[1]))
+                for k, c in central_ray_normal_coefficients(m, N // 2).items()}
+    assert dict(completed.wall_in_direction((1, 1)).logf.terms) == expected

@@ -211,3 +211,40 @@ def test_operator_series_sums_every_coefficient(operands):
                 term = ref.mul(term, ref.truncate(n, N), N)
             ref.assert_normal(got)
             assert got.fractions() == expected
+
+
+def test_operator_series_keeps_zero_entries_shared_and_one_term_sums_scaled_once():
+    # each entry of a sum is one integer accumulator normalized once: an
+    # entry whose powers are all zero is the one shared zero, and an entry
+    # with a single nonzero term is that term scaled by its coefficient
+    ctx = TruncationContext(4)
+    zero = SeriesElem.zero(ctx)
+    lone = SeriesElem(ctx, {(1, 0, 1): Fraction(3, 2), (0, 1, 2): -2})
+    dense = SeriesElem(ctx, {(1, 1, 1): Fraction(1, 3), (2, 0, 1): 5})
+    nilpotent = SeriesElem.monomial(ctx, (0, 1), 1, Fraction(2, 5))
+    v = (zero, lone, dense, zero)
+
+    def step(u):
+        # kills the second entry: its only nonzero power is the first
+        return (u[0] * nilpotent, zero, u[2] * nilpotent, u[3] * nilpotent)
+
+    coeffs = (lambda k: 1, lambda k: (-1) ** k, lambda k: Fraction(2, k), lambda k: Fraction(0))
+    sums = _operator_series(step, v, coeffs, 4)
+    for coeff, (z0, one, many, z3) in zip(coeffs, sums):
+        assert z0 is z3 and z0.is_zero()
+        c = coeff(1)
+        assert one.fractions() == ref.scale(lone.fractions(), c, ctx.order)
+        expected, term = {}, dense.fractions()
+        for k in range(1, 5):
+            expected = ref.add(expected, ref.scale(term, coeff(k), ctx.order), ctx.order)
+            term = ref.mul(term, nilpotent.fractions(), ctx.order)
+        assert many.fractions() == expected
+        for f in (z0, one, many):
+            ref.assert_normal(f)
+    # a coefficient of 1 on a one-term sum returns the term itself
+    assert sums[0][1] is lone
+    # a zero v costs no step
+    calls = []
+    assert _operator_series(lambda u: calls.append(u) or u, (zero, zero), coeffs, 4) == (
+        (zero, zero),) * len(coeffs)
+    assert calls == []

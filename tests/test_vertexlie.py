@@ -9,6 +9,7 @@ from reference_completion import fresh_exp
 from wallcross.exceptions import ConventionError
 from wallcross.groupoid import KFactor, k_wall_log
 from wallcross.series import SeriesElem, SeriesMatrix, TruncationContext
+from wallcross import vertexlie
 from wallcross.vertexlie import (
     AutPair,
     LieElem,
@@ -463,3 +464,69 @@ def test_log_and_exp_pair_keep_exact_inverses(operands):
         assert inverse == fresh_exp(-z)
         assert compose(inverse, g).is_identity()
         assert compose(g, inverse).is_identity()
+
+
+def test_apply_section_adds_derivation_and_matrix_parts_like_the_model():
+    # each entry D(v_i) + (A v)_i is one accumulator: elements on several
+    # rays whose derivations are not orthogonal to their frequencies, so
+    # D(v_i) != 0, with zero entries in v and a zero row in A
+    rng = random.Random(2606)
+    seen = {"derived": 0, "zero row": 0, "zero entry": 0}
+    for rank in (1, 2, 3):
+        ctx = TruncationContext(5, rank)
+        N = ctx.order
+        for _trial in range(8):
+            zero_row = rng.randrange(rank) if rank > 1 or rng.random() < 0.5 else None
+            terms = {}
+            for m in rng.sample([(1, 0), (0, 1), (1, 1), (2, -1), (-1, 2)], 3):
+                mat = tuple(
+                    tuple(0 if i == zero_row or rng.random() < 0.3
+                          else Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _k in range(rank))
+                    for i in range(rank))
+                d = (Fraction(rng.randint(1, 3), rng.randint(1, 2)), Fraction(rng.randint(-2, 2), 3))
+                terms[(m, rng.randint(1, 3))] = (mat, d)
+            x = LieElem.from_terms(ctx, terms)
+            assert x.non_orthogonal()
+            vec = [{} if rng.random() < 0.25 else {
+                (rng.randint(-1, 2), rng.randint(-1, 2), rng.randint(0, 3)):
+                    Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4)) for _ in range(3)}
+                for _ in range(rank)]
+            a = model.clean(terms, N)
+            got = x.apply_section(tuple(SeriesElem(ctx, f) for f in vec))
+            for f, g, e in zip(vec, got, model.apply_section(a, vec, N)):
+                ref.assert_normal(g)
+                assert g.fractions() == e
+                seen["derived"] += bool(model.apply_derivation(a, f, N))
+                seen["zero entry"] += not f
+            seen["zero row"] += zero_row is not None
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("order, s", [(6, 1), (6, 2), (6, 3), (6, 4), (5, 3), (7, 7)])
+def test_an_exponential_of_t_order_s_makes_n_over_s_terms(monkeypatch, order, s):
+    # the k-th term of exp's series, D^k z^(e_i) / k! for the images and
+    # L^(k-1)(A e_i) / k! for the gauge columns, has t-order at least k s,
+    # so each series stops at N // s terms and calls its step N // s - 1
+    # times: none when 2s > N.  This element's powers stay nonzero up to
+    # t^N, so no series ends early.
+    ctx = TruncationContext(order, 2)
+    swap = ((0, 1), (1, 0))
+    x = LieElem.single(ctx, (1, 0), s, matrix=swap, dvec=(0, 1))
+    calls = {"apply_derivation": 0, "apply_section": 0}
+    for name in calls:
+        method = getattr(LieElem, name)
+
+        def counted(self, arg, method=method, name=name):
+            calls[name] += 1
+            return method(self, arg)
+
+        monkeypatch.setattr(LieElem, name, counted)
+    g = vertexlie._exponential(x)
+    steps = order // s - 1
+    # the first image terms D(z^(e_i)) take one call each, every step two
+    assert calls == {"apply_derivation": 2 + 2 * steps, "apply_section": ctx.rank * steps}
+    monkeypatch.undo()
+    # the value is the exponential at a higher order, truncated
+    big = TruncationContext(3 * order, 2)
+    assert truncated_aut(vertexlie._exponential(LieElem.single(big, (1, 0), s, matrix=swap,
+                                                                dvec=(0, 1))), ctx) == g
