@@ -3,7 +3,9 @@
 Subcommands: ``complete``, ``check``, ``wcf``, ``bch``, ``plot``, ``demo``;
 every file format they read or write lives in :mod:`serialize`.  Exit codes:
 0 success/consistent, 1 inconsistent, 2 input error (an input that cannot be
-read or decoded, or an output that cannot be written, included), 3 convention
+read or decoded, bad JSON, a JSON integer longer than Python's digit limit
+or nesting deeper than its recursion limit, a malformed value or rational,
+and an output that cannot be written, included), 3 convention
 violation (among others, a completion that would change an initial wall),
 5 internal error (any other exception, reported as one ``internal error:``
 line on stderr).
@@ -66,10 +68,11 @@ def load_json(path: str) -> dict:
             return json.load(f)
     except FileNotFoundError:
         raise SchemaError(f"no such file: {path}") from None
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"bad JSON in {path}: {e}") from None
     except (OSError, UnicodeDecodeError) as e:
         raise SchemaError(f"cannot read {path}: {e}") from None
+    except (ValueError, RecursionError) as e:
+        # besides JSONDecodeError: an integer over Python's digit limit, or nesting too deep
+        raise SchemaError(f"bad JSON in {path}: {e}") from None
 
 
 def write_text(path: str, text: str):

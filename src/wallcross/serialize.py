@@ -5,7 +5,22 @@ Every text format the CLI reads or writes is parsed and emitted here.
 Rationals serialize as canonical lowest-terms strings (``"p/q"`` with q > 1,
 bare ``"p"`` for integers); exponents as integer pairs.  Dictionary keys are
 emitted in sorted order, walls by direction and terms by t-degree, then
-frequency, so equal values serialize byte-identically.
+frequency, so equal values serialize byte-identically.  A diagram file is
+written from each part's integer numerators and denominator, and files are
+read into integer pairs (:meth:`~wallcross.vertexlie.LieElem.from_ratios`),
+so no ``Fraction`` lies between a canonical file and the series ring.
+
+A rational is read from any spelling ``Fraction`` reads on Python 3.10 and
+3.11: ``"p"``, ``"-p"`` and ``"p/q"`` (read with ``int``, the common case),
+and also surrounding whitespace, a ``+`` sign, leading zeros, underscores
+between digits, decimals and exponents (``"0.5"``, ``"1e-3"``), non-ASCII
+decimal digits and JSON numbers.  There is no whitespace beside ``/``
+(``"2 / 3"`` is an error on every Python version).  No number may have more
+digits than Python's limit on a digit string, ``sys.get_int_max_str_digits()``
+(4300 by default): a longer digit string is an error, and so is a decimal
+or exponent spelling whose numerator or denominator as written would be
+longer, which is checked before the number is expanded, so ``"1e10000000"``
+fails at once.  A zero denominator is an error.
 
 Diagram files::
 
@@ -58,30 +73,118 @@ same-ray rule only: :class:`~wallcross.scattering.Diagram` then drops it.
 
 from __future__ import annotations
 
-import json
+import re
+import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .exceptions import SchemaError
 from .groupoid import BpsContext, BpsProblem, KFactor, SFactor
-from .lattice import WallKind, content, in_open_half_plane, normal_coefficient, primitive_normal
+from .lattice import WallKind, content, in_open_half_plane, primitive_normal
 from .scattering import Diagram, Wall
 from .series import TruncationContext
-from .vertexlie import LieElem, mat_zero
+from .vertexlie import LieElem
 
 _ZERO = Fraction(0)
+_ZERO_RATIO = (0, 1)
+
+# Fraction's spellings without "/": integer digits, decimal places, exponent
+_DECIMAL = (r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
+            r"(?:\.(\d*|\d+(?:_\d+)*))?(?:[eE]([-+]?\d+(?:_\d+)*))?\s*")
 
 
-def frac_str(c: Fraction) -> str:
-    return str(Fraction(c)) if c else "0"
+def ratio_str(p: int, q: int) -> str:
+    """The rational p/q (q != 0) in lowest terms: ``"p/q"``, or ``"p"`` for an integer."""
+    if q != 1:
+        if q < 0:
+            p, q = -p, -q
+        g = gcd(p, q)
+        if g != 1:
+            p //= g
+            q //= g
+        if q != 1:
+            return f"{p}/{q}"
+    return int.__repr__(p)
+
+
+def frac_str(c) -> str:
+    """The rational ``c`` as :func:`ratio_str` writes it."""
+    c = Fraction(c)
+    return ratio_str(c.numerator, c.denominator)
 
 
 def parse_frac(s) -> Fraction:
+    """The rational spelled ``s``, in any spelling ``Fraction`` reads, bar two.
+
+    Whitespace beside ``/`` is rejected, as Python 3.10 and 3.11 do and
+    3.12 does not.  A decimal or exponent spelling is rejected when its
+    numerator or its denominator as written, or its run of decimal places,
+    has more digits than the limit Python puts on a digit string
+    (``sys.get_int_max_str_digits()``); that is checked before the number
+    is expanded.
+    """
     if s == "0":
         return _ZERO
+    text = str(s)
+    before, slash, after = text.partition("/")
+    if slash and (before[-1:].isspace() or after[:1].isspace()):
+        raise SchemaError(f"bad rational {s!r}: Invalid literal for Fraction: {text!r}")
+    # no limit, and no such function, before Python 3.10.7
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and _over_digit_limit(text, limit):
+        raise SchemaError(f"bad rational {s!r}: more digits than Python's limit of {limit}")
     try:
-        return Fraction(str(s))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise SchemaError(f"bad rational {s!r}: {e}") from None
+
+
+def _over_digit_limit(text: str, limit: int) -> bool:
+    """Whether the decimal or exponent spelling ``text`` names a number over ``limit`` digits.
+
+    The mantissa's digits, from its first digit other than 0, times
+    10^shift (shift: the exponent less the decimal places) give the
+    numerator as written; 10^-shift is the denominator.
+    """
+    m = re.fullmatch(_DECIMAL, text)
+    if m is None or m.group(2) is None and m.group(3) is None:
+        return False
+    num, dec, exp = m.groups(default="")
+    dec = dec.replace("_", "")
+    try:
+        shift = (int(exp) if exp else 0) - len(dec)
+    except ValueError:  # an exponent over the limit, which Fraction reports
+        return False
+    digits = len((num.replace("_", "") + dec).lstrip("0"))
+    return len(dec) > limit or digits + max(shift, 0) > limit or -shift >= limit
+
+
+def _parse_ratio(s) -> tuple[int, int]:
+    """The rational spelled ``s`` as a lowest-terms pair ``(p, q)``, q > 0.
+
+    ``p``, ``-p`` and ``p/q`` in ASCII digits are read with ``int``; every
+    other spelling, and digits over the limit ``int`` reads, by
+    :func:`parse_frac`, so its errors stay those of ``parse_frac``.
+    """
+    if s == "0":
+        return _ZERO_RATIO
+    if type(s) is str and s.isascii():
+        num, slash, den = s.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
+            try:
+                p = int(num)
+                q = int(den) if slash else 1
+            except ValueError:
+                pass
+            else:
+                if q == 1:
+                    return p, 1
+                if q:
+                    g = gcd(p, q)
+                    return p // g, q // g
+    c = parse_frac(s)
+    return c.numerator, c.denominator
 
 
 def _int(v, what) -> int:
@@ -117,34 +220,42 @@ def _objects(v, what) -> list[dict]:
 
 
 def _matrix(mat, rank: int):
+    """The matrix ``mat`` as rows of integer pairs (:func:`_parse_ratio`); None is zero."""
     if mat is None:
-        return mat_zero(rank)
+        return ((_ZERO_RATIO,) * rank,) * rank
     if (
         not isinstance(mat, list)
         or len(mat) != rank
         or any(not isinstance(row, list) or len(row) != rank for row in mat)
     ):
         raise SchemaError("matrix shape does not match rank")
-    return tuple(tuple(parse_frac(x) for x in row) for row in mat)
-
-
-def _matrix_json(a) -> list[list[str]]:
-    return [[frac_str(c) for c in row] for row in a]
+    return tuple(tuple(map(_parse_ratio, row)) for row in mat)
 
 
 # -- diagrams --------------------------------------------------------------------
 
 
 def wall_to_json(w: Wall) -> dict:
-    terms = [
-        {
-            "t": j,
-            "k": content(m),
-            "matrix": _matrix_json(a),
-            "derivation": frac_str(normal_coefficient(w.direction, d)),
-        }
-        for (m, j), (a, d) in w.logf.terms.items()
-    ]
+    """The file entry of a wall, from its parts' numerators and denominators.
+
+    The derivation coefficient is the derivation over the primitive normal
+    n: its coordinate at a nonzero component of n, divided by that component.
+    """
+    x = w.logf
+    n = primitive_normal(w.direction)
+    axis = 0 if n[0] else 1
+    dpart = x.d2 if axis else x.d1
+    dnums, dden = dpart.coeffs, dpart.den * n[axis]
+    rows = [[(f.coeffs, f.den) for f in row] for row in x.a.rows]
+    terms = []
+    for key in x.term_keys():
+        terms.append({
+            "t": key[2],
+            "k": content((key[0], key[1])),
+            "matrix": [[ratio_str(nums[key], den) if key in nums else "0" for nums, den in row]
+                       for row in rows],
+            "derivation": ratio_str(dnums[key], dden) if key in dnums else "0",
+        })
     return {"direction": list(w.direction), "geometry": w.kind.value, "terms": terms}
 
 
@@ -205,12 +316,12 @@ def _wall_from_json(ctx: TruncationContext, wd: dict, truncation: int) -> Wall:
         if k < 1:
             raise SchemaError("frequency multiple k must be >= 1")
         m = (k * direction[0], k * direction[1])
-        a, dc = _matrix(mat, ctx.rank), parse_frac(dc)
+        a, (p, q) = _matrix(mat, ctx.rank), _parse_ratio(dc)
         key = (m, j)
         if key in terms:
             raise SchemaError(f"duplicate term at frequency {m}, degree {j}")
-        terms[key] = (a, (dc * nrm[0], dc * nrm[1]))
-    return Wall(direction, WallKind(geometry), LieElem.from_terms(ctx, terms))
+        terms[key] = (a, ((p * nrm[0], q), (p * nrm[1], q)))
+    return Wall(direction, WallKind(geometry), LieElem.from_ratios(ctx, terms))
 
 
 # -- BPS problems -----------------------------------------------------------------
@@ -309,7 +420,7 @@ def lie_terms_to_json(x: LieElem) -> list[dict]:
         {
             "m": list(m),
             "t": j,
-            "matrix": _matrix_json(a),
+            "matrix": [[frac_str(c) for c in row] for row in a],
             "derivation": [frac_str(d[0]), frac_str(d[1])],
         }
         for (m, j), (a, d) in x.terms.items()
@@ -327,15 +438,53 @@ def lie_terms_from_json(ctx: TruncationContext, data, truncation: int) -> LieEle
         key = (m, j)
         if key in terms:
             raise SchemaError(f"duplicate term at {key}")
-        d = (parse_frac(dv[0]), parse_frac(dv[1]))
-        if m[0] * d[0] + m[1] * d[1] != 0:
+        (p1, q1), (p2, q2) = d = (_parse_ratio(dv[0]), _parse_ratio(dv[1]))
+        if m[0] * p1 * q2 + m[1] * p2 * q1:
             raise SchemaError(f"derivation at frequency {m} is not orthogonal to it")
         terms[key] = (a, d)
     try:
-        return LieElem.from_terms(ctx, terms)
+        return LieElem.from_ratios(ctx, terms)
     except ValueError as e:
         raise SchemaError(str(e)) from None
 
 
 def dumps(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(data, sort_keys=True, indent=2)`` and a newline, for the documents here.
+
+    The values are str, int, list and dict (with str keys); any other type
+    raises ``TypeError``.  The text is written in one pass into one list,
+    with no encoder object.
+    """
+    out: list[str] = []
+    _write(out, data, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(out: list, v, newline: str) -> None:
+    """Append the JSON text of ``v``, its lines after the first indented as ``newline``."""
+    t = type(v)
+    if t is str:
+        out.append(encode_basestring_ascii(v))
+    elif t is int:
+        out.append(int.__repr__(v))
+    elif t is list and v:
+        inner = newline + "  "
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _write(out, x, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif t is dict and v:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(v):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(out, v[key], inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif t is list or t is dict:
+        out.append("[]" if t is list else "{}")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")

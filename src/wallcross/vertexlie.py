@@ -24,7 +24,7 @@ faithful, so the module never brackets two elements: the BCH product is
 ``log(compose(exp x, exp y))``.  The bracket formula above and a low-order
 Dynkin series are test oracles (``tests/reference_bracket.py``).  A
 :class:`LieElem` lives in the same series ring, so :func:`exp` and
-:func:`log` never convert; rationals appear only at parsing and printing.
+:func:`log` never convert.
 :func:`exp` is memoized on the element it is given, and an element keeps
 its negation.  Every inverse comes from the series that made its element:
 :func:`log` keeps its argument g as the exponential of its result x
@@ -77,15 +77,18 @@ def mat_zero(r: int) -> Mat:
     return tuple(tuple(_ZERO for _ in range(r)) for _ in range(r))
 
 
-def mat_is_zero(a: Mat) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
 def elementary(r: int, i: int, j: int, c=1) -> Mat:
     """E_ij scaled by c (0-based indices)."""
     return tuple(
         tuple(Fraction(c) if (a, b) == (i, j) else _ZERO for b in range(r)) for a in range(r)
     )
+
+
+def _ratio(c) -> tuple[int, int]:
+    """The rational ``c`` as its lowest-terms pair (numerator, denominator)."""
+    if type(c) is not int and type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator, c.denominator
 
 
 # -- Lie algebra elements --------------------------------------------------------
@@ -102,9 +105,12 @@ class LieElem:
     group law never leaves the ring.  Invariants: every key ``(m1, m2, j)``
     of a part has ``m != 0`` and ``1 <= j <= N``.
 
-    ``from_terms`` and ``terms`` are the rational boundary, for parsing,
-    printing and tests: ``terms`` maps ``(m, j)`` to a pair ``(A, d)`` of an
-    r x r rational matrix and a rational dual vector.
+    The files are read through :meth:`from_ratios`, on integer pairs, and a
+    diagram file is written from the parts' numerators and denominators
+    (:meth:`term_keys` orders its terms).  ``from_terms`` and ``terms`` are
+    the rational boundary, for the ``bch`` result, the reports and tests:
+    ``terms`` maps ``(m, j)`` to a pair ``(A, d)`` of an r x r rational
+    matrix and a rational dual vector.
 
     Elements of the vertex algebra proper additionally have every derivation
     orthogonal to its frequency (``<m, d> = 0``).  The class does not enforce
@@ -112,7 +118,7 @@ class LieElem:
     outside it; the engine's entry points do.  Wall construction and
     :func:`log` call :meth:`non_orthogonal`; the ``bch`` input parser
     (``serialize.lie_terms_from_json``) checks each term itself, before
-    ``from_terms`` drops the terms above a lowered order.
+    ``from_ratios`` drops the terms above a lowered order.
     """
 
     ctx: TruncationContext
@@ -121,13 +127,23 @@ class LieElem:
     a: SeriesMatrix
 
     @staticmethod
-    def from_terms(ctx: TruncationContext, terms) -> "LieElem":
-        """The element with rational terms ``{(m, j): (A, d)}``, dropping those above N."""
+    def from_ratios(ctx: TruncationContext, terms) -> "LieElem":
+        """The element with terms ``{(m, j): (A, d)}`` of integer pairs, dropping those above N.
+
+        Each entry of the r x r matrix ``A`` and of the dual vector ``d`` is
+        a pair ``(p, q)``, ``q > 0``, for the rational p/q.  Every part puts
+        its numerators over the lcm of its denominators and is normalized
+        once.  This is the one constructor from coefficients: diagram and
+        ``bch`` files are read through it, and :meth:`from_terms` converts
+        rationals onto it.
+        """
         r = ctx.rank
         d1, d2 = {}, {}
         mats = [[{} for _ in range(r)] for _ in range(r)]
         for (m, j), (a, d) in terms.items():
-            if j > ctx.order or (mat_is_zero(a) and not d[0] and not d[1]):
+            c1, c2 = d
+            if j > ctx.order or (not c1[0] and not c2[0]
+                                 and not any(c[0] for row in a for c in row)):
                 continue
             if j < 1:
                 raise ValueError("Lie algebra terms need t-degree >= 1")
@@ -136,17 +152,32 @@ class LieElem:
             if len(a) != r:
                 raise ValueError("matrix part does not match context rank")
             key = (m[0], m[1], j)
-            n1, n2 = d
-            if n1:
-                d1[key] = n1
-            if n2:
-                d2[key] = n2
+            if c1[0]:
+                d1[key] = c1
+            if c2[0]:
+                d2[key] = c2
             for i, row in enumerate(a):
                 for k, c in enumerate(row):
-                    if c:
+                    if c[0]:
                         mats[i][k][key] = c
-        rows = tuple(tuple(SeriesElem(ctx, e) for e in row) for row in mats)
-        return LieElem(ctx, SeriesElem(ctx, d1), SeriesElem(ctx, d2), SeriesMatrix(ctx, rows))
+        zero = SeriesElem.zero(ctx)
+
+        def part(coeffs: dict) -> SeriesElem:
+            if not coeffs:
+                return zero
+            den = lcm(*(q for _p, q in coeffs.values()))
+            return SeriesElem._make(ctx, {k: p * (den // q) for k, (p, q) in coeffs.items()}, den)
+
+        rows = tuple(tuple(map(part, row)) for row in mats)
+        return LieElem(ctx, part(d1), part(d2), SeriesMatrix(ctx, rows))
+
+    @staticmethod
+    def from_terms(ctx: TruncationContext, terms) -> "LieElem":
+        """The element with rational terms ``{(m, j): (A, d)}``, through :meth:`from_ratios`."""
+        return LieElem.from_ratios(ctx, {
+            key: (tuple(tuple(map(_ratio, row)) for row in a), (_ratio(d[0]), _ratio(d[1])))
+            for key, (a, d) in terms.items()
+        })
 
     @staticmethod
     def from_operator(ctx: TruncationContext, derived: tuple, a: SeriesMatrix) -> "LieElem":
@@ -179,8 +210,12 @@ class LieElem:
                 tuple(tuple(a[i][col].get(k, _ZERO) for col in range(r)) for i in range(r)),
                 (d1.get(k, _ZERO), d2.get(k, _ZERO)),
             )
-            for k in sorted({k for f in self._parts() for k in f.coeffs}, key=lambda k: (k[2], k))
+            for k in self.term_keys()
         })
+
+    def term_keys(self) -> list[tuple[int, int, int]]:
+        """The keys ``(m1, m2, j)`` of the nonzero terms, by t-degree, then frequency."""
+        return sorted({k for f in self._parts() for k in f.coeffs}, key=lambda k: (k[2], k))
 
     def _parts(self) -> tuple[SeriesElem, ...]:
         return (self.d1, self.d2, *(f for row in self.a.rows for f in row))

@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from wallcross.exceptions import ConventionError
 from wallcross.series import _check_same_context
-from reference_lie import mat_add, mat_scale
-from wallcross.vertexlie import LieElem, mat_is_zero
+from reference_lie import mat_add, mat_is_zero, mat_scale
+from wallcross.vertexlie import LieElem
 
 _ZERO = Fraction(0)
 

@@ -24,6 +24,10 @@ def mat_scale(a, c):
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def mat_is_zero(a):
+    return all(x == 0 for row in a for x in row)
+
+
 def clean(terms: dict, order: int) -> dict:
     """Rational entries, with zero terms and terms above ``order`` dropped."""
     out = {}

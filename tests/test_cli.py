@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -599,6 +600,14 @@ _BCH_TERM = {"m": [1, 0], "t": 1, "matrix": _UPPER}
         pytest.param("bch", _bch([{"m": [1, 0], "t": 1, "matrix": [["0", "1/x"], ["0", "0"]]}], []),
                      "bad rational '1/x': Invalid literal for Fraction: '1/x'",
                      id="bch-bad-rational"),
+        # Python 3.12 and later read "2 / 3"; 3.10 and 3.11 do not, and neither does a file
+        pytest.param("complete", _wall_term_file({"t": 1, "k": 1, "derivation": "2 / 3"}),
+                     "bad rational '2 / 3': Invalid literal for Fraction: '2 / 3'",
+                     id="wall-space-beside-slash"),
+        pytest.param("bch", _bch([{"m": [1, 0], "t": 1, "matrix": [["0", "1 /2"], ["0", "0"]]}],
+                                 []),
+                     "bad rational '1 /2': Invalid literal for Fraction: '1 /2'",
+                     id="bch-space-beside-slash"),
         pytest.param("complete", _wall_term_file({"t": 1, "k": 1, "matrix": [["1"]]}),
                      "matrix shape does not match rank", id="wall-matrix-shape"),
         pytest.param("bch", _bch([{"m": [1, 0], "t": 1, "matrix": [["1"]]}], []),
@@ -667,6 +676,30 @@ def test_unreadable_input_is_an_input_error(tmp_path, capsys, content):
     code, out, err = run(capsys, "check", str(path))
     assert (code, out) == (2, "")
     assert err.startswith(f"input error: cannot read {path}")
+
+
+@pytest.mark.parametrize("text, message", [
+    # 4300 digits is Python's default limit on an int string
+    pytest.param('{"rank": ' + "1" * 5000 + "}", "Exceeds the limit", id="int-over-digit-limit"),
+    pytest.param("[" * 100000 + "]" * 100000, "maximum recursion depth", id="nesting-too-deep"),
+])
+def test_json_the_decoder_refuses_is_bad_json(tmp_path, capsys, text, message):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: bad JSON in {path}: ") and message in err
+
+
+def test_an_exponent_over_the_digit_limit_exits_2_at_once(tmp_path, capsys):
+    # Fraction alone takes seconds to expand this, and its 10000001 digits cannot be printed
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(_wall_term_file({"t": 1, "k": 1, "derivation": "1e10000000"})))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == "input error: bad rational '1e10000000': more digits than Python's limit of 4300\n"
 
 
 @pytest.mark.parametrize("option", ["--output", "--emit-svg", "--emit-csv"])

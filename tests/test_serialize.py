@@ -1,13 +1,19 @@
+import gc
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import rand_wall_log
+from conftest import fixture_diagram, rand_lie, rand_wall_log
+from wallcross import cli, scattering
 from wallcross.exceptions import SchemaError
-from wallcross.lattice import WallKind
+from wallcross.lattice import WallKind, content, normal_coefficient
 from wallcross.scattering import Diagram, Wall
 from wallcross.serialize import (
+    _parse_ratio,
     bch_from_json,
     bch_to_json,
     bps_from_json,
@@ -18,14 +24,13 @@ from wallcross.serialize import (
     lie_terms_from_json,
     lie_terms_to_json,
     parse_frac,
+    ratio_str,
 )
 from wallcross.series import TruncationContext
-from wallcross.vertexlie import LieElem
+from wallcross.vertexlie import LieElem, bch
 
 
 def test_fraction_strings():
-    from fractions import Fraction
-
     assert parse_frac("2/4") == Fraction(1, 2)
     assert parse_frac("-3") == Fraction(-3)
     with pytest.raises(SchemaError):
@@ -132,8 +137,6 @@ def test_bps_schema_errors():
 
 def test_lie_terms_roundtrip():
     rng = random.Random(7)
-    from conftest import rand_lie
-
     ctx = TruncationContext(4, 2)
     for _ in range(10):
         x = rand_lie(ctx, rng)
@@ -142,8 +145,6 @@ def test_lie_terms_roundtrip():
 
 def test_bch_file_roundtrip():
     rng = random.Random(11)
-    from conftest import rand_lie
-
     ctx = TruncationContext(4, 2)
     for _ in range(10):
         x = rand_lie(ctx, rng)
@@ -159,3 +160,141 @@ def test_bch_file_roundtrip():
         assert bch_from_json(back, 2)[0] == LieElem.from_terms(
             TruncationContext(2, 2), x.terms
         )
+
+
+# -- the integer reader and writer --------------------------------------------------
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+@st.composite
+def _spelled(draw):
+    """A spelling built from the parts Fraction's grammar names, valid or not."""
+    digits = st.text("0123456789", min_size=0, max_size=4)
+    num = draw(st.sampled_from(["", "0", "00"])) + draw(digits)
+    if draw(st.booleans()):
+        num = num[:1] + "_" + num[1:]
+    tail = draw(st.sampled_from(["", "/", "."]))
+    if tail:
+        tail += draw(digits)
+    if tail != "/" and draw(st.booleans()):
+        tail += draw(st.sampled_from(["e", "E"])) + draw(st.sampled_from(["", "+", "-"]))
+        tail += draw(st.text("0123456789", min_size=0, max_size=2))
+    s = draw(st.sampled_from(["", "-", "+", "--"])) + num + tail
+    if draw(st.booleans()):
+        s = s.translate(_ARABIC_INDIC)
+    pad = st.sampled_from(["", " ", "\t", "\n"])
+    return draw(pad) + s + draw(pad)
+
+
+_SPELLINGS = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**6)).map(lambda pq: "%d/%d" % pq),
+    st.sampled_from(["007", "-007/09", "-0", "0/3", "0/0", "1/0", "-0/5", "+3", "+1/2", " 1/2 ",
+                     "0.5", "-.25", "1.", ".", "1e3", "2.5E-2", "1e+2", "1_000", "1__0", "_1",
+                     "1_", "١٢/٣", "1/2/3", "1/-2", "pi", "", " ", "inf", "nan", "1.dd"]),
+    _spelled(),
+    st.integers(-10**30, 10**30),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([None, True, [1], {"p": 1}]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SPELLINGS)
+def test_the_reader_reads_what_fraction_reads(s):
+    # whitespace beside "/" (read by Python 3.12 and later) is rejected on every
+    # version, and exponents stay far below the digit limit: both are tested apart
+    text = str(s)
+    before, slash, after = text.partition("/")
+    if slash and (before[-1:].isspace() or after[:1].isspace()):
+        return
+    try:
+        want = Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        with pytest.raises(SchemaError) as info:
+            _parse_ratio(s)
+        assert str(info.value) == f"bad rational {s!r}: {e}"
+    else:
+        assert _parse_ratio(s) == (want.numerator, want.denominator)
+        assert parse_frac(s) == want
+
+
+@pytest.mark.parametrize("s", ["2 / 3", "2 /3", "2/ 3", "2/\t3", " 1 / 2 "])
+def test_whitespace_beside_the_slash_is_rejected_on_every_version(s):
+    with pytest.raises(SchemaError) as info:
+        _parse_ratio(s)
+    assert str(info.value) == f"bad rational {s!r}: Invalid literal for Fraction: {s!r}"
+
+
+@pytest.mark.parametrize("s", ["1e10000000", "1e-10000000", "0e10000000", "1.5e4300",
+                               "1" * 4000 + "e400", "1e-4300", "0." + "0" * 4301 + "1"])
+def test_a_spelling_over_the_digit_limit_is_rejected_before_it_is_expanded(s):
+    with pytest.raises(SchemaError, match="more digits than Python's limit of 4300"):
+        parse_frac(s)
+
+
+def test_spellings_at_the_digit_limit_are_read():
+    assert parse_frac("1e4299") == 10**4299
+    assert parse_frac("1e-4299") == Fraction(1, 10**4299)
+    assert parse_frac("0e4300") == 0
+
+
+def _old_wall_to_json(w):
+    """The writer through the rational view ``LieElem.terms``: the oracle for the integer one."""
+    def frac(c):
+        return str(Fraction(c)) if c else "0"
+
+    terms = [
+        {"t": j, "k": content(m), "matrix": [[frac(c) for c in row] for row in a],
+         "derivation": frac(normal_coefficient(w.direction, d))}
+        for (m, j), (a, d) in w.logf.terms.items()
+    ]
+    return {"direction": list(w.direction), "geometry": w.kind.value, "terms": terms}
+
+
+def _random_diagram(rng, directions=((1, 2), (2, 1), (-1, 3), (3, -2))):
+    ctx = TruncationContext(rng.randint(2, 5), rng.randint(1, 3))
+    walls = [Wall(p, rng.choice(list(WallKind)), rand_wall_log(ctx, rng, p)) for p in directions]
+    return Diagram(ctx, tuple(walls))
+
+
+def test_the_writer_matches_the_rational_view():
+    # normals with a negative or non-unit component: (-2,1), (-1,2), (-3,-1), (2,3)
+    rng = random.Random(5)
+    for _ in range(20):
+        d = _random_diagram(rng)
+        assert diagram_to_json(d)["walls"] == [
+            _old_wall_to_json(w) for w in sorted(d.walls, key=lambda w: w.direction)]
+    assert ratio_str(3, -6) == "-1/2" and ratio_str(0, 5) == "0" and ratio_str(-4, 2) == "-2"
+
+
+def _documents():
+    for name in cli.FIXTURES:
+        yield diagram_to_json(scattering.complete(fixture_diagram(name)))
+    rng = random.Random(3)
+    for _ in range(5):
+        yield diagram_to_json(_random_diagram(rng))
+        ctx = TruncationContext(rng.randint(2, 4), rng.randint(1, 3))
+        yield bch_to_json(bch(rand_lie(ctx, rng), rand_lie(ctx, rng)))
+    yield {"empty": [], "nested": {}, "text": "é\"\\\n", "n": -12}
+
+
+def test_dumps_writes_what_json_writes():
+    for doc in _documents():
+        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    for bad in (1.5, None, True, (1, 2), {1: "a"}):
+        with pytest.raises(TypeError):
+            dumps({"x": bad})
+
+
+def test_dumps_leaves_nothing_for_the_cyclic_collector():
+    doc = diagram_to_json(scattering.complete(fixture_diagram("rand3")))
+    gc.disable()
+    try:
+        gc.collect()
+        dumps(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
