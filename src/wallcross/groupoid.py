@@ -30,9 +30,6 @@ from .scattering import Diagram, Wall
 from .series import TruncationContext
 from .vertexlie import LieElem, elementary, mat_zero
 
-# The groupoid's base point object; no vacuum may take its name.
-BASEPOINT_OBJECT = "o"
-
 # Appendix-style sign for the matrix-part image of upsilon.  +1 reproduces
 # log(theta_S) = (-mu t E_ij w^m, 0) for the S generator; -1 is the variant
 # sign kept for auditability.
@@ -52,8 +49,6 @@ class BpsContext:
     def __post_init__(self):
         if len(set(self.vacua)) != len(self.vacua):
             raise ValueError("duplicate vacuum names")
-        if BASEPOINT_OBJECT in self.vacua:
-            raise ValueError(f"vacuum name {BASEPOINT_OBJECT!r} is reserved")
 
 
 @dataclass(frozen=True)
@@ -167,22 +162,22 @@ def ray_factors(ctx: BpsContext, wall: Wall) -> list[ProducedFactor]:
     s_parts = []
     k_lowest = None
     # terms come by t-degree, then frequency: the first K term is the lowest
-    for (m, j), (a, d) in wall.logf.terms.items():
+    for (m, j), (a, d) in wall.logf.ratios().items():
         for row, entries in enumerate(a):
-            for col, c in enumerate(entries):
-                if not c:
+            for col, (p, q) in enumerate(entries):
+                if not p:
                     continue
                 if row == col:
                     raise ConventionError(
                         f"unrecognized 2d factor: matrix entry ({row},{col}) "
                         f"of the ray log at frequency {m}, degree {j}"
                     )
-                s_parts.append((row, col, m, j, c))
-        if k_lowest is None and (d[0] or d[1]):
-            k_lowest = (m, j, normal_coefficient(m, d))
+                s_parts.append((row, col, m, j, Fraction(_S_SIGN * p, q)))
+        if k_lowest is None and (d[0][0] or d[1][0]):
+            k_lowest = (m, j, Fraction(*normal_coefficient(m, d)))
     out = [
-        ProducedFactor("S", wall.direction, j, (ctx.vacua[row], ctx.vacua[col]), m, _S_SIGN * c)
-        for row, col, m, j, c in sorted(s_parts)
+        ProducedFactor("S", wall.direction, j, (ctx.vacua[row], ctx.vacua[col]), m, mu)
+        for row, col, m, j, mu in sorted(s_parts)
     ]
     if k_lowest is not None:
         m1, j1, c1 = k_lowest

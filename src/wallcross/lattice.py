@@ -65,10 +65,17 @@ def primitive_normal(m: Vec) -> Vec:
     return primitive_part((-m[1], m[0]))
 
 
-def normal_coefficient(m: Vec, d):
-    """The scalar ``c`` with ``d == c * primitive_normal(m)``, for ``d`` orthogonal to ``m``."""
+def normal_coefficient(m: Vec, d) -> tuple[int, int]:
+    """The pair ``(p, q)``, q > 0, with ``d == (p/q) * primitive_normal(m)``.
+
+    ``d`` is a dual vector orthogonal to ``m`` whose coordinates are integer
+    pairs ``(p, q)``, q > 0, for p/q; the coefficient is read at a nonzero
+    component of the normal and divided by it.
+    """
     n = primitive_normal(m)
-    return d[0] / n[0] if n[0] else d[1] / n[1]
+    axis = 0 if n[0] else 1
+    (p, q), c = d[axis], n[axis]
+    return (p, q * c) if c > 0 else (-p, -q * c)
 
 
 def _angle_class(v: Vec) -> int:

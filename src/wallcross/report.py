@@ -5,23 +5,23 @@ from __future__ import annotations
 from .groupoid import SFactor, WcfSolution
 from .lattice import angular_sort, primitive_part
 from .scattering import Diagram, new_rays
+from .serialize import ratio_str
 from .vertexlie import LieElem
 
 
 def format_term_lines(x: LieElem, indent: str = "") -> list[str]:
     """Human-readable one-line-per-component rendering of a Lie element."""
     lines = []
-    for (m, j), (a, d) in x.terms.items():
-        r = len(a)
-        for row in range(r):
-            for col in range(r):
-                c = a[row][col]
-                if not c:
+    for (m, j), (a, d) in x.ratios().items():
+        for row, entries in enumerate(a):
+            for col, (p, q) in enumerate(entries):
+                if not p:
                     continue
-                coeff = "" if c == 1 else f"{c} * "
+                coeff = "" if p == q else f"{ratio_str(p, q)} * "
                 lines.append(f"{indent}t^{j} * {coeff}E[{row + 1},{col + 1}] * z^({m[0]},{m[1]})")
-        if d[0] or d[1]:
-            lines.append(f"{indent}t^{j} * d({d[0]},{d[1]}) * z^({m[0]},{m[1]})")
+        if d[0][0] or d[1][0]:
+            lines.append(f"{indent}t^{j} * d({ratio_str(*d[0])},{ratio_str(*d[1])}) * "
+                         f"z^({m[0]},{m[1]})")
     return lines
 
 

@@ -5,10 +5,10 @@ Every text format the CLI reads or writes is parsed and emitted here.
 Rationals serialize as canonical lowest-terms strings (``"p/q"`` with q > 1,
 bare ``"p"`` for integers); exponents as integer pairs.  Dictionary keys are
 emitted in sorted order, walls by direction and terms by t-degree, then
-frequency, so equal values serialize byte-identically.  A diagram file is
-written from each part's integer numerators and denominator, and files are
-read into integer pairs (:meth:`~wallcross.vertexlie.LieElem.from_ratios`),
-so no ``Fraction`` lies between a canonical file and the series ring.
+frequency, so equal values serialize byte-identically.  Files are read into
+integer pairs (:meth:`~wallcross.vertexlie.LieElem.from_ratios`) and written
+from the integer pairs of :meth:`~wallcross.vertexlie.LieElem.ratios`, its
+inverse, so no ``Fraction`` lies between a canonical file and the series ring.
 
 A rational is read from any spelling ``Fraction`` reads on Python 3.10 and
 3.11: ``"p"``, ``"-p"`` and ``"p/q"`` (read with ``int``, the common case),
@@ -81,7 +81,7 @@ from math import gcd
 
 from .exceptions import SchemaError
 from .groupoid import BpsContext, BpsProblem, KFactor, SFactor
-from .lattice import WallKind, content, in_open_half_plane, primitive_normal
+from .lattice import WallKind, content, in_open_half_plane, normal_coefficient, primitive_normal
 from .scattering import Diagram, Wall
 from .series import TruncationContext
 from .vertexlie import LieElem
@@ -96,7 +96,7 @@ _DECIMAL = (r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
 
 def ratio_str(p: int, q: int) -> str:
     """The rational p/q (q != 0) in lowest terms: ``"p/q"``, or ``"p"`` for an integer."""
-    if q != 1:
+    if q != 1 and p:
         if q < 0:
             p, q = -p, -q
         g = gcd(p, q)
@@ -108,12 +108,6 @@ def ratio_str(p: int, q: int) -> str:
     return int.__repr__(p)
 
 
-def frac_str(c) -> str:
-    """The rational ``c`` as :func:`ratio_str` writes it."""
-    c = Fraction(c)
-    return ratio_str(c.numerator, c.denominator)
-
-
 def parse_frac(s) -> Fraction:
     """The rational spelled ``s``, in any spelling ``Fraction`` reads, bar two.
 
@@ -122,17 +116,21 @@ def parse_frac(s) -> Fraction:
     numerator or its denominator as written, or its run of decimal places,
     has more digits than the limit Python puts on a digit string
     (``sys.get_int_max_str_digits()``); that is checked before the number
-    is expanded.
+    is expanded.  Both, and a spelling with no ``/`` that is no decimal or
+    exponent spelling (such as ``"1.d"``, whose message from ``Fraction``
+    differs between Python versions), get one message on every version.
     """
     if s == "0":
         return _ZERO
     text = str(s)
     before, slash, after = text.partition("/")
-    if slash and (before[-1:].isspace() or after[:1].isspace()):
+    m = None if slash else re.fullmatch(_DECIMAL, text)
+    # whitespace beside "/", or neither "/" nor a decimal spelling
+    if (before[-1:].isspace() or after[:1].isspace()) if slash else m is None:
         raise SchemaError(f"bad rational {s!r}: Invalid literal for Fraction: {text!r}")
     # no limit, and no such function, before Python 3.10.7
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and _over_digit_limit(text, limit):
+    if limit and m and _over_digit_limit(m, limit):
         raise SchemaError(f"bad rational {s!r}: more digits than Python's limit of {limit}")
     try:
         return Fraction(text)
@@ -140,15 +138,14 @@ def parse_frac(s) -> Fraction:
         raise SchemaError(f"bad rational {s!r}: {e}") from None
 
 
-def _over_digit_limit(text: str, limit: int) -> bool:
-    """Whether the decimal or exponent spelling ``text`` names a number over ``limit`` digits.
+def _over_digit_limit(m: re.Match, limit: int) -> bool:
+    """Whether the spelling ``m`` of :data:`_DECIMAL` names a number over ``limit`` digits.
 
     The mantissa's digits, from its first digit other than 0, times
     10^shift (shift: the exponent less the decimal places) give the
     numerator as written; 10^-shift is the denominator.
     """
-    m = re.fullmatch(_DECIMAL, text)
-    if m is None or m.group(2) is None and m.group(3) is None:
+    if m.group(2) is None and m.group(3) is None:
         return False
     num, dec, exp = m.groups(default="")
     dec = dec.replace("_", "")
@@ -236,26 +233,12 @@ def _matrix(mat, rank: int):
 
 
 def wall_to_json(w: Wall) -> dict:
-    """The file entry of a wall, from its parts' numerators and denominators.
-
-    The derivation coefficient is the derivation over the primitive normal
-    n: its coordinate at a nonzero component of n, divided by that component.
-    """
-    x = w.logf
-    n = primitive_normal(w.direction)
-    axis = 0 if n[0] else 1
-    dpart = x.d2 if axis else x.d1
-    dnums, dden = dpart.coeffs, dpart.den * n[axis]
-    rows = [[(f.coeffs, f.den) for f in row] for row in x.a.rows]
-    terms = []
-    for key in x.term_keys():
-        terms.append({
-            "t": key[2],
-            "k": content((key[0], key[1])),
-            "matrix": [[ratio_str(nums[key], den) if key in nums else "0" for nums, den in row]
-                       for row in rows],
-            "derivation": ratio_str(dnums[key], dden) if key in dnums else "0",
-        })
+    """The file entry of a wall; the derivation is written over the primitive normal."""
+    terms = [
+        {"t": j, "k": content(m), "matrix": [[ratio_str(*c) for c in row] for row in a],
+         "derivation": ratio_str(*normal_coefficient(w.direction, d))}
+        for (m, j), (a, d) in w.logf.ratios().items()
+    ]
     return {"direction": list(w.direction), "geometry": w.kind.value, "terms": terms}
 
 
@@ -420,10 +403,10 @@ def lie_terms_to_json(x: LieElem) -> list[dict]:
         {
             "m": list(m),
             "t": j,
-            "matrix": [[frac_str(c) for c in row] for row in a],
-            "derivation": [frac_str(d[0]), frac_str(d[1])],
+            "matrix": [[ratio_str(*c) for c in row] for row in a],
+            "derivation": [ratio_str(*d[0]), ratio_str(*d[1])],
         }
-        for (m, j), (a, d) in x.terms.items()
+        for (m, j), (a, d) in x.ratios().items()
     ]
 
 

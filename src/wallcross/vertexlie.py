@@ -105,12 +105,12 @@ class LieElem:
     group law never leaves the ring.  Invariants: every key ``(m1, m2, j)``
     of a part has ``m != 0`` and ``1 <= j <= N``.
 
-    The files are read through :meth:`from_ratios`, on integer pairs, and a
-    diagram file is written from the parts' numerators and denominators
-    (:meth:`term_keys` orders its terms).  ``from_terms`` and ``terms`` are
-    the rational boundary, for the ``bch`` result, the reports and tests:
-    ``terms`` maps ``(m, j)`` to a pair ``(A, d)`` of an r x r rational
-    matrix and a rational dual vector.
+    The coefficients enter through :meth:`from_ratios` and leave through its
+    inverse :meth:`ratios`, both on integer pairs, so the files, the reports
+    and the 2d-4d read-back never see the parts' numerator layout.
+    ``from_terms`` and ``terms`` are the rational boundary, for library use
+    and tests: ``terms`` maps ``(m, j)`` to a pair ``(A, d)`` of an r x r
+    rational matrix and a rational dual vector.
 
     Elements of the vertex algebra proper additionally have every derivation
     orthogonal to its frequency (``<m, d> = 0``).  The class does not enforce
@@ -199,23 +199,31 @@ class LieElem:
         a = matrix if matrix is not None else mat_zero(ctx.rank)
         return LieElem.from_terms(ctx, {(tuple(m), j): (a, dvec)})
 
+    def ratios(self) -> dict:
+        """The terms ``{(m, j): (A, d)}`` of integer pairs, by t-degree, then frequency.
+
+        The inverse of :meth:`from_ratios`: each entry of ``A`` and ``d`` is
+        a pair ``(p, q)``, q > 0, for p/q, not always in lowest terms (a zero
+        entry may be ``(0, q)``), and ``from_ratios(x.ctx, x.ratios()) == x``.
+        """
+        keys = sorted({k for f in self._parts() for k in f.coeffs}, key=lambda k: (k[2], k))
+        d1, d2, rows = self.d1, self.d2, self.a.rows
+        return {
+            ((k[0], k[1]), k[2]): (
+                tuple(tuple((f.coeffs.get(k, 0), f.den) for f in row) for row in rows),
+                ((d1.coeffs.get(k, 0), d1.den), (d2.coeffs.get(k, 0), d2.den)),
+            )
+            for k in keys
+        }
+
     @cached_property
     def terms(self) -> MappingProxyType:
-        """The rational view ``{(m, j): (A, d)}`` (read-only), by t-degree, then frequency."""
-        r = self.ctx.rank
-        d1, d2 = self.d1.fractions(), self.d2.fractions()
-        a = [[f.fractions() for f in row] for row in self.a.rows]
+        """The rational view of :meth:`ratios` (read-only)."""
         return MappingProxyType({
-            ((k[0], k[1]), k[2]): (
-                tuple(tuple(a[i][col].get(k, _ZERO) for col in range(r)) for i in range(r)),
-                (d1.get(k, _ZERO), d2.get(k, _ZERO)),
-            )
-            for k in self.term_keys()
+            key: (tuple(tuple(Fraction(*c) for c in row) for row in a),
+                  (Fraction(*d[0]), Fraction(*d[1])))
+            for key, (a, d) in self.ratios().items()
         })
-
-    def term_keys(self) -> list[tuple[int, int, int]]:
-        """The keys ``(m1, m2, j)`` of the nonzero terms, by t-degree, then frequency."""
-        return sorted({k for f in self._parts() for k in f.coeffs}, key=lambda k: (k[2], k))
 
     def _parts(self) -> tuple[SeriesElem, ...]:
         return (self.d1, self.d2, *(f for row in self.a.rows for f in row))

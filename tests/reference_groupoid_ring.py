@@ -46,13 +46,16 @@ from typing import Callable, Union
 
 from reference_lie import mat_add
 from wallcross.exceptions import ConventionError, SchemaError
-from wallcross.groupoid import BASEPOINT_OBJECT, UPSILON_MATRIX_SIGN, BpsContext
+from wallcross.groupoid import UPSILON_MATRIX_SIGN, BpsContext
 from wallcross.lattice import Vec, det2, is_primitive, primitive_normal
 from wallcross.series import TruncationContext
 from wallcross.vertexlie import LieElem, elementary, mat_zero
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# The groupoid's base point object; no vacuum may take its name.
+BASEPOINT_OBJECT = "o"
 
 TwistFn = Callable[[Vec, Vec], int]
 Twisting = Union[str, dict, TwistFn]
@@ -134,6 +137,8 @@ class GroupoidContext(BpsContext):
 
     def __post_init__(self):
         super().__post_init__()
+        if BASEPOINT_OBJECT in self.vacua:
+            raise ValueError(f"vacuum name {BASEPOINT_OBJECT!r} is reserved")
         for name, _ in self.basepoints:
             if name not in self.vacua:
                 raise ValueError(f"basepoint for unknown vacuum {name!r}")

@@ -198,26 +198,72 @@ def test_every_truncated_series_is_summed_by_one_routine(monkeypatch):
     assert unit * values["invert_unit"] == SeriesElem.one(ctx)
 
 
-def test_engine_runs_without_the_rational_boundary(monkeypatch):
+def test_engine_runs_without_the_rational_boundary(monkeypatch, tmp_path, capsys):
     # Fraction appears only at parsing and printing: once the inputs are
     # parsed, completion, consistency, bch and the path-ordered product
-    # neither build a Lie element from rational terms nor read its rational view
+    # neither build a Lie element from rational terms nor read its rational
+    # view, and no command reads that view to write a file, a report, a plot
+    # or the 2d-4d factors
     rand1 = serialize.diagram_from_json(json.loads((EXAMPLE1.parent / "rand1.json").read_text()))
     ctx = TruncationContext(8, 1)
     kronecker = Diagram(ctx, tuple(
         Wall(g, WallKind.LINE, k_wall_log(ctx, KFactor(g, 3))) for g in ((1, 0), (0, 1))
     ))
+    bch_input = tmp_path / "bch.json"
+    bch_input.write_text(json.dumps({"rank": 2, "truncation": 3, "x": [
+        {"m": [1, 0], "t": 1, "matrix": [["1/2", "1"], ["0", "0"]], "derivation": ["0", "2"]},
+    ], "y": [
+        {"m": [0, 1], "t": 1, "matrix": [["0", "0"], ["3", "0"]], "derivation": ["-1/3", "0"]},
+    ]}))
+    k_pair = tmp_path / "k.json"
+    k_pair.write_text(json.dumps({"vacua": ["i"], "truncation": 4, "factors": [
+        {"type": "K", "gamma": [1, 0], "Omega": 1}, {"type": "K", "gamma": [0, 1], "Omega": 2}]}))
+    monkeypatch.chdir(tmp_path)
 
     def crossed(*_args):
         raise AssertionError("the engine crossed the rational boundary")
 
     monkeypatch.setattr(LieElem, "terms", property(crossed))
+    fixtures = EXAMPLE1.parent
+    runs = [
+        (0, ["complete", str(fixtures / "rand1.json"), "--output", "out.json",
+             "--emit-svg", "out.svg", "--emit-csv", "out.csv"]),
+        (0, ["check", "out.json"]),
+        (1, ["check", str(fixtures / "rand2.json")]),
+        (0, ["wcf", str(EXAMPLE1), "--output", "wcf.json"]),
+        (0, ["wcf", str(k_pair)]),
+        (0, ["bch", str(bch_input), "--output", "bch_out.json"]),
+        (0, ["plot", "out.json", "--emit-svg", "plot.svg", "--emit-csv", "plot.csv"]),
+    ]
+    for code, argv in runs:
+        assert cli.main(argv) == code, argv
+    out = capsys.readouterr().out
+    assert "lowest defect" in out and "S'[i,j]" in out and "K' charge=(1,1)" in out
+    assert all((tmp_path / f).stat().st_size for f in ("out.svg", "plot.csv", "bch_out.json"))
+
+    # the engine builds no element from rational terms either
     monkeypatch.setattr(LieElem, "from_terms", staticmethod(crossed))
     completed = scattering.complete(rand1)
     assert scattering.is_consistent(completed)
     first, second = completed.walls[:2]
     assert not bch(first.logf, second.logf).is_zero()
     assert not scattering.path_ordered_product(kronecker).is_identity()
+
+
+def _layout_reads(tree) -> list[str]:
+    """Lines that read the attribute ``coeffs`` or ``den`` of a series."""
+    return sorted(f"{node.attr} (line {node.lineno})" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in ("coeffs", "den"))
+
+
+def test_only_the_ring_modules_read_a_series_numerators():
+    # a series' numerators and denominator are the layout of series and
+    # vertexlie; the front modules read a Lie element's terms as integer
+    # pairs through LieElem.ratios
+    reads = {path.stem: names for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem not in ("series", "vertexlie")
+             and (names := _layout_reads(ast.parse(path.read_text())))}
+    assert reads == {}
 
 
 def _unused_imports(source: str) -> list[str]:

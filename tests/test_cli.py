@@ -137,6 +137,23 @@ def test_wcf_example1_report_content(capsys):
     assert "consistency: PASS" in out
 
 
+def test_a_vacuum_may_take_any_name(tmp_path, capsys):
+    # "o" names the base point of the groupoid only in the test oracle's ring;
+    # the solver reads the problem of example1 the same under any two names
+    outs = []
+    for i, j in (("a", "b"), ("o", "p")):
+        p = tmp_path / f"{i}{j}.json"
+        p.write_text(json.dumps({"vacua": [i, j], "truncation": 4, "factors": [
+            {"type": "S", "pair": [i, j], "gamma": [1, 0], "mu": 1},
+            {"type": "K", "gamma": [0, 1], "Omega": 1}]}))
+        code, out, err = run(capsys, "wcf", str(p))
+        assert (code, err) == (0, "")
+        outs.append(out)
+    renamed = outs[0].replace("vacua: a, b", "vacua: o, p").replace("[a,b]", "[o,p]")
+    assert outs[1] == renamed != outs[0]
+    assert "identity: K S = S S' K" in outs[1] and "S'[o,p]" in outs[1]
+
+
 def test_bch_command(tmp_path, capsys):
     data = {
         "rank": 2,

@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from wallcross.lattice import (
     angular_sort,
     det2,
     in_open_half_plane,
+    normal_coefficient,
     primitive_decompose,
     primitive_normal,
 )
@@ -20,6 +23,19 @@ def test_primitive_normal_convention():
     assert primitive_normal((2, 4)) == (-2, 1)
     with pytest.raises(ValueError):
         primitive_normal((0, 0))
+
+
+@pytest.mark.parametrize("m, c", [((1, 2), (3, 5)), ((3, -2), (-7, 4)), ((0, 1), (5, 1)),
+                                  ((-2, 0), (-1, 3)), ((2, 4), (0, 1))])
+def test_normal_coefficient_reads_pairs(m, c):
+    # normals (-2,1), (2,3), (-1,0), (0,-1), (-2,1): negative and non-unit components
+    n = primitive_normal(m)
+    p, q = c
+    for scale in (1, 6):  # the pairs of d need not be in lowest terms
+        d = ((p * n[0] * scale, q * scale), (p * n[1] * scale, q * scale))
+        got = normal_coefficient(m, d)
+        assert got[1] > 0
+        assert Fraction(*got) == Fraction(p, q)
 
 
 def test_primitive_normal_orthogonal_and_primitive_exhaustive():

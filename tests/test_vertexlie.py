@@ -408,6 +408,30 @@ def test_lie_operations_match_the_fraction_model(operands):
         assert got.fractions() == expected
 
 
+def test_ratios_invert_from_ratios():
+    # the integer view reads back as the element, zero parts and all: every
+    # entry a pair (p, q) with q > 0, terms by t-degree, then frequency
+    rng = random.Random(28)
+    directions = ((1, 0), (0, 1), (1, 1), (-1, 2), (3, -2))
+    for _ in range(60):
+        ctx = TruncationContext(rng.randint(1, 5), rng.randint(1, 3))
+        x = rand_lie(ctx, rng, directions, terms=rng.randint(0, 4))
+        if rng.random() < 0.3:
+            x = x.restrict(lambda k: k[2] % 2)  # often no matrix or no derivation part
+        ratios = x.ratios()
+        assert LieElem.from_ratios(ctx, ratios) == x
+        assert list(ratios) == sorted(ratios, key=lambda key: (key[1], key[0]))
+        for (a, d) in ratios.values():
+            entries = [*d, *(c for row in a for c in row)]
+            assert all(q > 0 for _p, q in entries) and any(p for p, _q in entries)
+        assert dict(x.terms) == {
+            key: (tuple(tuple(Fraction(*c) for c in row) for row in a),
+                  tuple(Fraction(*c) for c in d))
+            for key, (a, d) in ratios.items()
+        }
+    assert LieElem.from_ratios(ctx, {}).ratios() == {}
+
+
 @st.composite
 def _algebra_operands(draw):
     """Two elements of the orthogonal cut with frequencies in one open half-plane."""
