@@ -183,7 +183,7 @@ def defect(d: Diagram) -> LieElem | None:
         if h == g:
             return None
     x = LieElem.from_operator(
-        d.ctx, tuple(a - b for a, b in zip(h.sigma_images, g.sigma_images)), h.gauge + -g.gauge)
+        d.ctx, tuple(a - b for a, b in zip(h.tails, g.tails)), h.nil + -g.nil)
     return x.degree_part(x.t_order())
 
 

@@ -11,7 +11,8 @@ shared positive denominator, in lowest terms: ``den > 0``, the gcd of
 ``den`` and every numerator is 1, and ``den == 1`` for zero.  Equal elements
 therefore have equal numerators and denominators, so ``==`` is structural.
 Products and sums run on Python integers and take one gcd at the end: a
-product entry, a matrix entry and each entry of an operator series
+product entry, a matrix entry (also N1 + M + N1 M, a product's gauge part)
+and each entry of an operator series
 (:func:`_operator_series`, the exponentials, logarithms and inverses) add
 all their terms into one integer dict over one common denominator and are
 normalized once.  The rationals appear only at the boundary (the public
@@ -19,8 +20,7 @@ constructor and :meth:`SeriesElem.fractions`).
 
 Zero is free: a sum or a scaling with a zero operand returns an operand
 unchanged, and a matrix product visits only the nonzero entries, so a
-gauge that is the identity plus a few nilpotent entries costs only the
-products of those entries.
+gauge part (gauge - I) with a few nilpotent entries costs only their products.
 
 A :class:`TruncationContext` fixes the truncation order ``N`` and the rank
 ``r`` of the matrix factor used by the extended vertex algebra.
@@ -297,22 +297,27 @@ def _combination(zero: SeriesElem, terms) -> SeriesElem:
     for c, f in terms:
         den = lcm(den, c.denominator * f.den)
     out: dict[Key, int] = {}
-    get = out.get
     for c, f in terms:
-        w = c.numerator * (den // (c.denominator * f.den))
-        for k, x in f.coeffs.items():
-            out[k] = get(k, 0) + w * x
+        _add_scaled(f.coeffs, out, c.numerator * (den // (c.denominator * f.den)))
     return SeriesElem._make(zero.ctx, out, den)
 
 
-def _row_sums(ctx: TruncationContext, rows, vec: tuple, extras=None) -> tuple[SeriesElem, ...]:
-    """The entries ``sum_k rows[i][k] * vec[k]``, each plus ``extras[i]`` if given.
+def _add_scaled(nums: dict, out: dict, w: int) -> None:
+    """Add ``w`` times the numerators ``nums`` into ``out``."""
+    get = out.get
+    for k, x in nums.items():
+        out[k] = get(k, 0) + w * x
 
-    An entry adds each product of two nonzero entries, brought to the lcm
-    of the denominators, into one integer dict and normalizes it once; an
-    entry with nothing to add is one shared zero.  ``extras[i]`` is None or
-    one more summand ``(den, add)``: ``add(out, w)`` adds ``w`` times its
-    numerators over ``den`` into ``out``.
+
+def _row_sums(ctx: TruncationContext, rows, vec: tuple, extras=None, plus=None) -> tuple:
+    """The entries ``sum_k rows[i][k] * vec[k]``, each plus ``extras[i]`` and ``plus[i]`` if given.
+
+    An entry adds each product of two nonzero entries and each summand,
+    brought to the lcm of the denominators, into one integer dict and
+    normalizes it once; an entry with nothing to add is one shared zero,
+    and one with a single series to add is that series.  ``extras[i]`` is
+    None or a summand ``(den, add)``: ``add(out, w)`` adds ``w`` times its
+    numerators over ``den`` into ``out``.  ``plus[i]`` holds series.
     """
     order = ctx.order
     zero = SeriesElem.zero(ctx)
@@ -321,15 +326,20 @@ def _row_sums(ctx: TruncationContext, rows, vec: tuple, extras=None) -> tuple[Se
     for i, row in enumerate(rows):
         pairs = [(x, y, x.den * y.den) for k, y in nonzero if (x := row[k]).coeffs]
         extra = extras[i] if extras else None
-        if not pairs and extra is None:
-            out.append(zero)
+        terms = [f for f in plus[i] if f.coeffs] if plus else ()
+        if not pairs and extra is None and len(terms) < 2:
+            out.append(terms[0] if terms else zero)
             continue
         den = 1 if extra is None else extra[0]
+        for f in terms:
+            den = lcm(den, f.den)
         for _x, _y, d in pairs:
             den = lcm(den, d)
         acc: dict[Key, int] = {}
         if extra is not None:
             extra[1](acc, den // extra[0])
+        for f in terms:
+            _add_scaled(f.coeffs, acc, den // f.den)
         for x, y, d in pairs:
             _mul_add(acc, x.coeffs, y.coeffs, den // d, order)
         out.append(SeriesElem._make(ctx, acc, den))
@@ -356,14 +366,6 @@ class SeriesMatrix:
         if len(self.rows) != r or any(len(row) != r for row in self.rows):
             raise ValueError(f"matrix shape does not match rank {r}")
 
-    @staticmethod
-    def identity(ctx: TruncationContext) -> "SeriesMatrix":
-        one, z = SeriesElem.one(ctx), SeriesElem.zero(ctx)
-        return SeriesMatrix(
-            ctx,
-            tuple(tuple(one if i == j else z for j in range(ctx.rank)) for i in range(ctx.rank)),
-        )
-
     def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         _check_same_context(self, other)
         return SeriesMatrix(
@@ -376,13 +378,19 @@ class SeriesMatrix:
     def __neg__(self) -> "SeriesMatrix":
         return SeriesMatrix(self.ctx, tuple(tuple(-a for a in row) for row in self.rows))
 
+    @staticmethod
+    def from_columns(ctx: TruncationContext, cols) -> "SeriesMatrix":
+        return SeriesMatrix(ctx, tuple(zip(*cols)))
+
     def __mul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         _check_same_context(self, other)
-        cols = [self.matvec(col) for col in zip(*other.rows)]
-        return SeriesMatrix(self.ctx, tuple(zip(*cols)))
+        return SeriesMatrix.from_columns(self.ctx, [self.matvec(col) for col in zip(*other.rows)])
 
     def matvec(self, vec: tuple[SeriesElem, ...]) -> tuple[SeriesElem, ...]:
         return _row_sums(self.ctx, self.rows, vec)
+
+    def is_zero(self) -> bool:
+        return not any(a.coeffs for row in self.rows for a in row)
 
     def t_order(self) -> int | None:
         orders = [a.t_order() for row in self.rows for a in row if not a.is_zero()]

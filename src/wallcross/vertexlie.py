@@ -17,9 +17,10 @@ which is exactly the commutator of the first-order operators
     on sections:    s  |->  t^j z^m (A s) + (ring action applied entrywise)
 
 acting on pairs (Laurent series, section of the rank-r free module).  Group
-elements are stored concretely as :class:`AutPair`: the images of the two
-ring generators under the exponentiated derivation together with the gauge
-matrix recording the action on constant sections.  This representation is
+elements are stored concretely as :class:`AutPair`, by their unipotent
+parts: sigma(z^(e_i)) - z^(e_i) for the two ring generators and gauge - I
+for the action on constant sections.  The identity is all zeros, so no
+operation spends work on it.  This representation is
 faithful, so the module never brackets two elements: the BCH product is
 ``log(compose(exp x, exp y))``.  The bracket formula above and a low-order
 Dynkin series are test oracles (``tests/reference_bracket.py``).  A
@@ -350,73 +351,63 @@ _E2 = (0, 1)
 
 @dataclass(frozen=True)
 class AutPair:
-    """A group element: ring-automorphism generator images plus gauge matrix.
+    """A group element, stored as its unipotent parts.
 
-    ``sigma_images[i]`` is the image of z^{e_i} (of the form z^{e_i} times a
-    unit congruent to 1 mod t); ``gauge`` is the matrix of the action on
-    constant sections, congruent to the identity mod t.
+    ``tails[i]`` is sigma(z^{e_i}) - z^{e_i}, of positive t-order for a
+    pro-unipotent element (the image is z^{e_i} times a unit congruent to
+    1 mod t); ``nil`` is gauge - I, where the gauge is the matrix of the
+    action on constant sections.  The identity is zero in both parts.
 
     An instance holds nothing else but one integer, cached on first use:
-    d, the t-order of sigma - id on the generators (:attr:`_fixed_order`),
-    read from the images' numerators.  So a memoized element stays as small
-    as its images and gauge.  The powers of the generator images that the
-    action needs live in a table owned by the caller, keyed ``(axis, e)``
-    for the e-th power (e may be negative) of ``sigma_images[axis]``; it
-    holds generator powers only, never the image of a monomial.
+    d, the t-order of sigma - id on the generators (:attr:`_fixed_order`).
+    So a memoized element stays as small as its parts.  The powers of the
+    generator images that the action needs live in a table owned by the
+    caller, keyed ``(axis, e)`` for the e-th power (e may be negative) of
+    z^{e_axis} + ``tails[axis]``; it holds generator powers only, never the
+    image of a monomial.
     :func:`compose` and :func:`log` pass one ``powers`` dict to every
     action they make, and :meth:`apply_ring` called without one builds its
     own.
     """
 
     ctx: TruncationContext
-    sigma_images: tuple[SeriesElem, SeriesElem]
-    gauge: SeriesMatrix
+    tails: tuple[SeriesElem, SeriesElem]
+    nil: SeriesMatrix
 
     @staticmethod
     def identity(ctx: TruncationContext) -> "AutPair":
-        return AutPair(ctx, ctx.generators, SeriesMatrix.identity(ctx))
+        zero = SeriesElem.zero(ctx)
+        return AutPair(ctx, (zero, zero), SeriesMatrix(ctx, ((zero,) * ctx.rank,) * ctx.rank))
 
     def is_identity(self) -> bool:
         return self == AutPair.identity(self.ctx)
 
     def relative_frequencies(self):
-        """The frequencies of the units sigma(z^(e_i)) / z^(e_i) and of the gauge, with repeats."""
-        for f, (e1, e2) in zip(self.sigma_images, (_E1, _E2)):
+        """The frequencies of sigma(z^(e_i)) / z^(e_i) - 1 and of gauge - I, with repeats."""
+        for f, (e1, e2) in zip(self.tails, (_E1, _E2)):
             for k in f.coeffs:
                 yield (k[0] - e1, k[1] - e2)
-        for row in self.gauge.rows:
+        for row in self.nil.rows:
             for f in row:
                 for k in f.coeffs:
                     yield (k[0], k[1])
 
     def on_ray(self, p: Vec) -> "AutPair":
-        """The element reduced to the ray through ``p``: its relative frequencies parallel to ``p``."""
+        """The element reduced to the ray through ``p``: the relative frequencies parallel to it."""
         p1, p2 = p
 
         def keep(f, e1=0, e2=0):
             return SeriesElem._make(self.ctx, {k: c for k, c in f.coeffs.items()
                                                if (k[0] - e1) * p2 == (k[1] - e2) * p1}, f.den)
 
-        images = (keep(self.sigma_images[0], *_E1), keep(self.sigma_images[1], *_E2))
-        rows = tuple(tuple(map(keep, row)) for row in self.gauge.rows)
-        return AutPair(self.ctx, images, SeriesMatrix(self.ctx, rows))
+        tails = (keep(self.tails[0], *_E1), keep(self.tails[1], *_E2))
+        rows = tuple(tuple(map(keep, row)) for row in self.nil.rows)
+        return AutPair(self.ctx, tails, SeriesMatrix(self.ctx, rows))
 
     @cached_property
     def _fixed_order(self) -> int:
-        """d, the t-order of sigma - id on the generators; N + 1 for the identity.
-
-        The lowest t-degree of sigma(z^(e_i)) - z^(e_i), read off the images'
-        numerators: 0 if the t^0 coefficient of z^(e_i) is not 1.
-        """
-        d = self.ctx.order + 1
-        for f, e in zip(self.sigma_images, (_E1, _E2)):
-            lead = (e[0], e[1], 0)
-            if f.coeffs.get(lead) != f.den:
-                return 0
-            for k in f.coeffs:
-                if k[2] < d and k != lead:
-                    d = k[2]
-        return d
+        """d, the t-order of sigma - id on the generators: the tails' lowest t-degree, or N + 1."""
+        return min((k[2] for f in self.tails for k in f.coeffs), default=self.ctx.order + 1)
 
     def _gen_power(self, axis: int, e: int, powers: dict) -> SeriesElem:
         """A power (including negative) of a generator image, kept in ``powers``.
@@ -428,9 +419,10 @@ class AutPair:
         if val is not None:
             return val
         if -1 <= e <= 1:
-            image = self.sigma_images[axis]
-            val = image if e == 1 else image.invert_unit() if e else SeriesElem.one(self.ctx)
-            powers[(axis, e)] = val
+            image = powers.get((axis, 1)) if e else SeriesElem.one(self.ctx)
+            if image is None:
+                image = self.ctx.generators[axis] + self.tails[axis]
+            val = powers[(axis, e)] = image.invert_unit() if e < 0 else image
             return val
         step = 1 if e > 0 else -1
         unit = self._gen_power(axis, step, powers)
@@ -488,8 +480,9 @@ class AutPair:
     def apply_section(
         self, vec: tuple[SeriesElem, ...], powers: dict | None = None
     ) -> tuple[SeriesElem, ...]:
-        """The module action: apply sigma entrywise, then the gauge matrix."""
-        return self.gauge.matvec(tuple(self.apply_ring(f, powers) for f in vec))
+        """The module action: w = sigma(v) entrywise, then w + nil w, each entry in one sum."""
+        w = tuple(self.apply_ring(f, powers) for f in vec)
+        return _row_sums(self.ctx, self.nil.rows, w, plus=[(f,) for f in w])
 
 
 def exp(x: LieElem) -> AutPair:
@@ -540,15 +533,15 @@ def _exponential(x: LieElem) -> AutPair:
 def _exponential_series(x: LieElem, coeffs: tuple) -> tuple[AutPair, ...]:
     """One group element per coefficient function, from the operator series of ``x``.
 
-    Each generator image is z^{e_i} plus the series of the derivation D
-    from D z^{e_i}; each gauge is I plus, in column i, the series of the
-    module action L (:meth:`LieElem.apply_section`) from L(e_i) = A e_i,
-    column i of the matrix part, since the derivation kills constants.  The
+    Each tail is the series of the derivation D from D z^{e_i}; column i
+    of each gauge part is the series of the module action L
+    (:meth:`LieElem.apply_section`) from L(e_i) = A e_i, column i of the
+    matrix part, since the derivation kills constants.  The
     coefficients 1/k! give exp(x).  With s the t-order of ``x``, the k-th
     term of either series has t-order at least k s, so each series stops at
     N // s terms, as in :func:`log`: an element with 2s > N makes no step.
     :func:`~wallcross.series._operator_series` forms the powers once for
-    all ``coeffs``.  A zero matrix part gives the identity gauge with no
+    all ``coeffs``.  A zero matrix part gives a zero gauge part with no
     action at all.
     """
     ctx = x.ctx
@@ -557,27 +550,28 @@ def _exponential_series(x: LieElem, coeffs: tuple) -> tuple[AutPair, ...]:
     def derive(v):
         return tuple(map(x.apply_derivation, v))
 
-    gens = ctx.generators
-    tails = _operator_series(derive, derive(gens), coeffs, steps)
+    tails = _operator_series(derive, derive(ctx.generators), coeffs, steps)
     cols = [_operator_series(x.apply_section, col, coeffs, steps) for col in zip(*x.a.rows)]
-    return tuple(_group_element(ctx, gens, t, [c[i] for c in cols]) for i, t in enumerate(tails))
-
-
-def _group_element(ctx: TruncationContext, gens: tuple, tails: tuple, cols: list) -> AutPair:
-    """The AutPair with images ``gens[i] + tails[i]`` and gauge I + the columns ``cols``."""
-    one = SeriesElem.one(ctx)
-    gauge = tuple(tuple(one + f if i == j else f for j, f in enumerate(row))
-                  for i, row in enumerate(zip(*cols)))
-    return AutPair(ctx, (gens[0] + tails[0], gens[1] + tails[1]), SeriesMatrix(ctx, gauge))
+    return tuple(AutPair(ctx, t, SeriesMatrix.from_columns(ctx, [c[i] for c in cols]))
+                 for i, t in enumerate(tails))
 
 
 def compose(g1: AutPair, g2: AutPair) -> AutPair:
-    """The group product g1 o g2 (g2 acts first)."""
+    """The group product g1 o g2 (g2 acts first): tails t1 + sigma1(t2), gauge part N1 + M + N1 M.
+
+    (I + N1)(I + M) with M = sigma1(N2); each entry of N1 + M + N1 M is one
+    :func:`~wallcross.series._row_sums` entry, and a zero part costs nothing.
+    """
     _check_same_context(g1, g2)
-    powers: dict = {}
-    images = tuple(g1.apply_ring(f, powers) for f in g2.sigma_images)
-    gauge = g1.gauge * g1.apply_matrix(g2.gauge, powers)
-    return AutPair(g1.ctx, images, gauge)
+    ctx, powers = g1.ctx, {}
+    tails = tuple(t + g1.apply_ring(f, powers) for t, f in zip(g1.tails, g2.tails))
+    n, m = g1.nil, g2.nil
+    if not m.is_zero():
+        m = g1.apply_matrix(m, powers)
+        n = SeriesMatrix.from_columns(ctx, [
+            _row_sums(ctx, n.rows, col, plus=[(row[j], col[i]) for i, row in enumerate(n.rows)])
+            for j, col in enumerate(zip(*m.rows))])
+    return AutPair(ctx, tails, n)
 
 
 def log(g: AutPair) -> LieElem:
@@ -593,16 +587,12 @@ def log(g: AutPair) -> LieElem:
     g^-1 as the exponential of ``-x``.
     """
     ctx = g.ctx
-    gens = ctx.generators
-    dparts = tuple(f - e for f, e in zip(g.sigma_images, gens))
-    if any(f.t_order() == 0 for f in dparts):
+    orders = [f.t_order() for f in g.tails]
+    if 0 in orders:
         raise ValueError("not pro-unipotent: generator image is not z^e*(1 + O(t))")
-    one = SeriesElem.one(ctx)
-    gauge = SeriesMatrix(ctx, tuple(tuple(f - one if i == j else f for j, f in enumerate(row))
-                                    for i, row in enumerate(g.gauge.rows)))
-    if gauge.t_order() == 0:
+    orders.append(g.nil.t_order())
+    if orders[2] == 0:
         raise ValueError("not pro-unipotent: gauge constant term is not the identity")
-    orders = [f.t_order() for f in dparts] + [gauge.t_order()]
     s = min((o for o in orders if o is not None), default=ctx.order + 1)
     steps = ctx.order // s
     powers: dict = {}
@@ -614,10 +604,10 @@ def log(g: AutPair) -> LieElem:
         return tuple(a - b for a, b in zip(g.apply_section(v, powers), v))
 
     coeffs = (_mercator_coeff, _neumann_coeff)
-    dlog, dinv = _operator_series(ring_step, dparts, coeffs, steps)
-    cols = [_operator_series(section_step, col, coeffs, steps) for col in zip(*gauge.rows)]
+    dlog, dinv = _operator_series(ring_step, g.tails, coeffs, steps)
+    cols = [_operator_series(section_step, col, coeffs, steps) for col in zip(*g.nil.rows)]
 
-    x = LieElem.from_operator(ctx, dlog, SeriesMatrix(ctx, tuple(zip(*(c[0] for c in cols)))))
+    x = LieElem.from_operator(ctx, dlog, SeriesMatrix.from_columns(ctx, [c[0] for c in cols]))
     if (0, 0) in x.frequencies():
         raise ValueError("logarithm has a term outside the Lie algebra")
     if x.non_orthogonal():
@@ -626,7 +616,7 @@ def log(g: AutPair) -> LieElem:
             "input is not in the exponential image"
         )
     x.__dict__["_exp"] = g  # exp(log g) = g exactly
-    (-x).__dict__["_exp"] = _group_element(ctx, gens, dinv, [c[1] for c in cols])
+    (-x).__dict__["_exp"] = AutPair(ctx, dinv, SeriesMatrix.from_columns(ctx, [c[1] for c in cols]))
     return x
 
 

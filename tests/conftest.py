@@ -111,5 +111,31 @@ def truncated_aut(g, ctx):
     def cut(f):
         return SeriesElem(ctx, f.fractions())  # the constructor drops terms above N
 
-    rows = tuple(tuple(cut(f) for f in row) for row in g.gauge.rows)
-    return AutPair(ctx, (cut(g.sigma_images[0]), cut(g.sigma_images[1])), SeriesMatrix(ctx, rows))
+    # the identity has t-degree 0, so truncating commutes with removing it
+    rows = tuple(tuple(cut(f) for f in row) for row in g.nil.rows)
+    return AutPair(ctx, (cut(g.tails[0]), cut(g.tails[1])), SeriesMatrix(ctx, rows))
+
+
+# -- group elements by their images -------------------------------------------------
+#
+# The engine stores an AutPair by its unipotent parts, sigma(z^(e_i)) - z^(e_i)
+# and gauge - I.  Tests state elements as the paper does, by the generator
+# images sigma(z^(e_i)) and the gauge matrix, and convert here.
+
+
+def aut_from_images(ctx, images, gauge):
+    """The AutPair with generator images ``images`` and gauge ``gauge`` (a SeriesMatrix)."""
+    one = SeriesElem.one(ctx)
+    nil = tuple(tuple(f - one if i == k else f for k, f in enumerate(row))
+                for i, row in enumerate(gauge.rows))
+    tails = tuple(f - e for f, e in zip(images, ctx.generators))
+    return AutPair(ctx, tails, SeriesMatrix(ctx, nil))
+
+
+def images_of(g):
+    """``(images, gauge)`` of the AutPair ``g``: the inverse of :func:`aut_from_images`."""
+    one = SeriesElem.one(g.ctx)
+    rows = tuple(tuple(f + one if i == k else f for k, f in enumerate(row))
+                 for i, row in enumerate(g.nil.rows))
+    images = tuple(t + e for t, e in zip(g.tails, g.ctx.generators))
+    return images, SeriesMatrix(g.ctx, rows)

@@ -18,6 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import images_of
 from wallcross import cli, scattering, serialize, series, vertexlie
 from wallcross.groupoid import KFactor, k_wall_log
 from wallcross.lattice import WallKind, det2, primitive_part
@@ -143,7 +144,7 @@ def test_an_action_on_the_fixed_tail_builds_no_power(monkeypatch):
         before = set(table)
         image = apply_ring(self, f, table)
         moves = [(img - SeriesElem.monomial(ctx, e)).t_order()
-                 for img, e in zip(self.sigma_images, ((1, 0), (0, 1)))]
+                 for img, e in zip(images_of(self)[0], ((1, 0), (0, 1)))]
         top = ctx.order - min((o for o in moves if o is not None), default=ctx.order + 1)
         moving = [(m1, m2) for m1, m2, j in f.coeffs if (m1 or m2) and j <= top]
         fixed = [(m1, m2) for m1, m2, j in f.coeffs if (m1 or m2) and j > top]

@@ -20,14 +20,17 @@ gauge columns at the matrix part, is compared with sum_k L^k / k! of the
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import reference_lie as lie
 import reference_series as ref
+from conftest import aut_from_images, images_of, rand_lie
+from wallcross.groupoid import KFactor, k_wall_log
 from wallcross.series import SeriesElem, SeriesMatrix, TruncationContext, _mul_add
-from wallcross.vertexlie import AutPair, LieElem, _exponential, mat_zero
+from wallcross.vertexlie import LieElem, _exponential, compose, elementary, exp, mat_zero
 
 
 def _coeffs(rng, order, min_order=0):
@@ -159,6 +162,50 @@ def test_a_gauge_product_runs_the_kernel_once_per_nonzero_pair(monkeypatch):
     assert len(calls) == pairs
 
 
+def test_compose_runs_the_gauge_kernel_once_per_nonzero_pair_of_the_gauge_parts(monkeypatch):
+    # an element stores gauge - I, so compose's gauge part N1 + M + N1 M
+    # (M = sigma1(N2)) has no identity operand: a zero gauge part (a K wall,
+    # at rank 1 or 4) runs no matrix kernel, and nonzero parts run one per
+    # nonzero entry pair of N1 M.  Only the kernel calls made by the matrix
+    # routine count; the ring action's powers run the kernel elsewhere.
+    calls = []
+
+    def counted(*args):
+        if sys._getframe(1).f_code.co_name == "_row_sums":
+            calls.append(args)
+        _mul_add(*args)
+
+    monkeypatch.setattr("wallcross.series._mul_add", counted)
+    for rank in (1, 4):
+        ctx = TruncationContext(6, rank)
+        g1, g2 = (exp(k_wall_log(ctx, KFactor(gamma, 2))) for gamma in ((1, 0), (1, 1)))
+        assert g1.nil.is_zero() and g2.nil.is_zero()
+        compose(g1, g2)
+        compose(g2, g1)
+        assert calls == []
+
+    def s_wall(ctx, m, i, j, degree):
+        return exp(LieElem.single(ctx, m, degree, matrix=elementary(ctx.rank, i, j, -2)))
+
+    rng = random.Random(1650)
+    ctx = TruncationContext(6, 4)
+    cases = [(s_wall(ctx, (1, 0), 0, 1, 1), s_wall(ctx, (0, 1), 1, 2, 2)),
+             (compose(s_wall(ctx, (1, 0), 0, 1, 1), s_wall(ctx, (1, 1), 2, 0, 1)),
+              compose(s_wall(ctx, (0, 1), 1, 3, 1), s_wall(ctx, (1, 0), 3, 2, 2))),
+             (s_wall(ctx, (1, 0), 0, 1, 1), s_wall(ctx, (0, 1), 2, 3, 1))]
+    small = TruncationContext(3, 3)
+    cases += [(exp(rand_lie(small, rng)), exp(rand_lie(small, rng))) for _ in range(4)]
+    for g1, g2 in cases:
+        r = g1.ctx.rank
+        n, m = g1.nil.rows, g1.apply_matrix(g2.nil).rows
+        pairs = sum(1 for i in range(r) for k in range(r) for j in range(r)
+                    if n[i][k].coeffs and m[k][j].coeffs)
+        calls.clear()
+        compose(g1, g2)
+        assert len(calls) == pairs
+    assert calls  # the random cases multiply nonzero parts
+
+
 def test_a_sum_with_zero_still_checks_the_context():
     zero, x = SeriesElem.zero(TruncationContext(3, 2)), SeriesElem.one(TruncationContext(4, 2))
     with pytest.raises(ValueError, match="context mismatch"):
@@ -198,7 +245,8 @@ def _aut(rng, ctx):
         images.append({(m1 + e[0], m2 + e[1], j): c for (m1, m2, j), c in unit.items()})
     gauge = [[ref.add(ref._one() if i == k else {}, _coeffs(rng, N, min_order=1), N)
               for k in range(r)] for i in range(r)]
-    g = AutPair(ctx, (SeriesElem(ctx, images[0]), SeriesElem(ctx, images[1])), _matrix(ctx, gauge))
+    g = aut_from_images(ctx, (SeriesElem(ctx, images[0]), SeriesElem(ctx, images[1])),
+                        _matrix(ctx, gauge))
     return g, images, gauge
 
 
@@ -312,7 +360,8 @@ def _aut_of_order(rng, ctx, d):
         images.append({(m1 + e[0], m2 + e[1], j): c for (m1, m2, j), c in unit.items()})
     gauge = [[ref.add(ref._one() if i == k else {}, _coeffs(rng, N, min_order=1), N)
               for k in range(r)] for i in range(r)]
-    g = AutPair(ctx, (SeriesElem(ctx, images[0]), SeriesElem(ctx, images[1])), _matrix(ctx, gauge))
+    g = aut_from_images(ctx, (SeriesElem(ctx, images[0]), SeriesElem(ctx, images[1])),
+                        _matrix(ctx, gauge))
     assert _fixed_order(images, N) == d
     return g, images, gauge
 
@@ -394,6 +443,7 @@ def test_the_exponential_is_the_series_of_its_operator(monkeypatch, rank, case):
         g = _exponential(x)
         if case == "zero-matrix":
             assert calls == []
+        images, gauge = images_of(g)
         for i in range(rank):
             term = [ref._one() if k == i else {} for k in range(rank)]
             col = term
@@ -401,10 +451,45 @@ def test_the_exponential_is_the_series_of_its_operator(monkeypatch, rank, case):
                 term = [ref.scale(f, Fraction(1, k), N) for f in lie.apply_section(model, term, N)]
                 col = [ref.add(a, b, N) for a, b in zip(col, term)]
             for row in range(rank):
-                _assert_equal(g.gauge.rows[row][i], col[row])
+                _assert_equal(gauge.rows[row][i], col[row])
         for axis, e in enumerate(((1, 0), (0, 1))):
             term = image = {(e[0], e[1], 0): Fraction(1)}
             for k in range(1, N + 1):
                 term = ref.scale(lie.apply_derivation(model, term, N), Fraction(1, k), N)
                 image = ref.add(image, term, N)
-            _assert_equal(g.sigma_images[axis], image)
+            _assert_equal(images[axis], image)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_compose_on_ray_and_fixed_order_match_the_fraction_model(rank):
+    # the unipotent parts against the images and gauges of the model: the
+    # product's images sigma1(sigma2(z^(e_i))) and gauge G1 sigma1(G2), the
+    # terms on one ray (a relative frequency parallel to p), and the t-order
+    # of sigma - id
+    rng = random.Random(1700 + rank)
+    r = rank
+    for _ in range(15):
+        N = rng.randint(1, 5)
+        ctx = TruncationContext(N, r)
+        (g1, images1, gauge1), (g2, images2, gauge2) = _aut(rng, ctx), _aut(rng, ctx)
+        for g, images in ((g1, images1), (g2, images2)):
+            assert g._fixed_order == _fixed_order(images, N)
+        moved = [[_apply(images1, f, N) for f in row] for row in gauge2]
+        got_images, got_gauge = images_of(compose(g1, g2))
+        for got, f in zip(got_images, images2):
+            _assert_equal(got, _apply(images1, f, N))
+        for i in range(r):
+            for j in range(r):
+                want = _sum((ref.mul(gauge1[i][k], moved[k][j], N) for k in range(r)), N)
+                _assert_equal(got_gauge.rows[i][j], want)
+        p = rng.choice([(1, 0), (0, 1), (1, 1), (-1, 1), (1, -1), (2, 1)])
+
+        def on_ray(f, e=(0, 0)):
+            return {k: c for k, c in f.items() if (k[0] - e[0]) * p[1] == (k[1] - e[1]) * p[0]}
+
+        ray_images, ray_gauge = images_of(g1.on_ray(p))
+        for got, f, e in zip(ray_images, images1, ((1, 0), (0, 1))):
+            _assert_equal(got, on_ray(f, e))
+        for got_row, row in zip(ray_gauge.rows, gauge1):
+            for got, f in zip(got_row, row):
+                _assert_equal(got, on_ray(f))

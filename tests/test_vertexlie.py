@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_lie, truncated, truncated_aut
+from conftest import aut_from_images, images_of, rand_lie, truncated, truncated_aut
 from reference_bracket import bch_reference, bracket
 from reference_completion import fresh_exp
 from wallcross.exceptions import ConventionError
@@ -159,19 +159,21 @@ def test_exp_k_type_closed_form():
     one = SeriesElem.one(ctx)
     u = one - SeriesElem.monomial(ctx, gamma, 1)
     # images are z^(e_i) (1 - t z^gamma)^(-<e_i, n>) with n = (-1, 0)
-    assert g.sigma_images[0] == SeriesElem.monomial(ctx, (1, 0)) * u
-    assert g.sigma_images[1] == SeriesElem.monomial(ctx, (0, 1))
-    assert g.gauge == SeriesMatrix.identity(ctx)
+    images, gauge = images_of(g)
+    assert images[0] == SeriesElem.monomial(ctx, (1, 0)) * u
+    assert images[1] == SeriesElem.monomial(ctx, (0, 1))
+    assert gauge == images_of(AutPair.identity(ctx))[1]
 
 
 def test_exp_s_type_nilpotent():
     ctx = TruncationContext(5, 3)
     x = s_log(ctx, (1, 0), 0, 1)
     g = exp(x)
-    assert g.sigma_images[0] == SeriesElem.monomial(ctx, (1, 0))
-    assert g.sigma_images[1] == SeriesElem.monomial(ctx, (0, 1))
-    expected = SeriesMatrix.identity(ctx) + x.a
-    assert g.gauge == expected
+    images, gauge = images_of(g)
+    assert images[0] == SeriesElem.monomial(ctx, (1, 0))
+    assert images[1] == SeriesElem.monomial(ctx, (0, 1))
+    expected = images_of(AutPair.identity(ctx))[1] + x.a
+    assert gauge == expected
 
 
 def test_exp_log_roundtrip_random():
@@ -227,13 +229,39 @@ def test_module_action_twists_by_sigma():
 
 def test_log_rejects_non_pro_unipotent():
     ctx = TruncationContext(3, 1)
-    bad = AutPair(
+    bad = aut_from_images(
         ctx,
         (SeriesElem.monomial(ctx, (0, 1)), SeriesElem.monomial(ctx, (1, 0))),
-        SeriesMatrix.identity(ctx),
+        images_of(AutPair.identity(ctx))[1],
     )
     with pytest.raises(ValueError, match="pro-unipotent"):
         log(bad)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_the_pro_unipotent_guards_read_the_constant_terms_of_the_parts(rank):
+    # a t^0 term in a tail (sigma(z^(e_i)) = c z^(e_i) + ..., c != 1) or in
+    # the gauge part (a constant gauge other than I) is outside the
+    # pro-unipotent group: log raises these exact messages.  sigma - id has
+    # t-order 0 for the first and N + 1 (sigma is the identity) for the second
+    ctx = TruncationContext(3, rank)
+    zero, nil = SeriesElem.zero(ctx), AutPair.identity(ctx).nil
+    assert AutPair.identity(ctx)._fixed_order == ctx.order + 1
+    for axis in (0, 1):
+        tail = SeriesElem(ctx, {(axis, 1 - axis, 0): Fraction(1, 2), (1, 1, 2): 3})
+        bad = AutPair(ctx, (tail, zero) if axis == 0 else (zero, tail), nil)
+        assert bad._fixed_order == 0
+        with pytest.raises(ValueError) as err:
+            log(bad)
+        assert str(err.value) == "not pro-unipotent: generator image is not z^e*(1 + O(t))"
+    i, k = rank - 1, 0
+    rows = [list(row) for row in nil.rows]
+    rows[i][k] = SeriesElem(ctx, {(0, 0, 0): -1, (1, 0, 1): 2})
+    bad = AutPair(ctx, (zero, zero), SeriesMatrix(ctx, tuple(map(tuple, rows))))
+    assert bad._fixed_order == ctx.order + 1
+    with pytest.raises(ValueError) as err:
+        log(bad)
+    assert str(err.value) == "not pro-unipotent: gauge constant term is not the identity"
 
 
 def test_log_flags_non_orthogonal_derivation():
