@@ -10,8 +10,8 @@ and acting last.  A line carries its automorphism on the ray ``+m`` and the
 inverse on ``-m``; no two walls may cover the same ray.  The diagram is
 consistent when Theta is the identity modulo t^(N+1); moving the loop's
 start conjugates Theta, which changes neither that nor the lowest-degree
-part of Theta - Id that the defect report reads.  Each wall computes its
-automorphisms once, at full order (:attr:`Wall.automorphisms`).
+part of Theta - Id that the defect report reads.  A wall is its log, on
+which ``exp`` and ``exp_pair`` memoize its automorphisms at full order.
 
 When the wall directions lie in one open half-plane, the *sector order*
 runs counterclockwise across it (:func:`~wallcross.lattice.half_plane_order`).
@@ -35,7 +35,6 @@ no initial wall.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from .exceptions import ConventionError, SchemaError
 from .lattice import (
@@ -87,18 +86,6 @@ class Wall:
         m = self.direction
         return (m,) if self.kind is WallKind.RAY else (m, (-m[0], -m[1]))
 
-    @cached_property
-    def automorphisms(self) -> tuple[tuple[Vec, AutPair], ...]:
-        """Each of :attr:`rays` with the automorphism it carries.
-
-        The ``+m`` ray carries ``exp(logf)``; a line's ``-m`` ray carries the
-        inverse ``exp(-logf)``, and :func:`~wallcross.vertexlie.exp_pair` gets
-        both from one series.  Computed once per wall, at full order.
-        """
-        if self.kind is WallKind.RAY:
-            return ((self.direction, exp(self.logf)),)
-        return tuple(zip(self.rays, exp_pair(self.logf)))
-
 
 @dataclass(frozen=True)
 class Diagram:
@@ -145,7 +132,9 @@ def _product(ctx: TruncationContext, factors: list[AutPair]) -> AutPair:
 
 def path_ordered_product(d: Diagram) -> AutPair:
     """Compose the wall automorphisms around a counterclockwise loop; the first crossed acts last."""
-    rays = dict(ray for w in d.walls for ray in w.automorphisms)
+    rays = {}
+    for w in d.walls:
+        rays.update(zip(w.rays, exp_pair(w.logf) if w.kind is WallKind.LINE else (exp(w.logf),)))
     return _product(d.ctx, [rays[p] for p in angular_sort(list(rays))])
 
 
@@ -241,9 +230,9 @@ def complete(d: Diagram) -> Diagram:
     subgroup, so G reduced to the ray through p
     (:meth:`~wallcross.vertexlie.AutPair.on_ray`) is exp(x_p).  x_p is the
     log of the line on p when that element is the line's automorphism, else
-    its ``log``.  The peel stops when G lies on the one ray p, which is then the last line's;
-    else G becomes exp(-x_p) o G, with the inverse that ``log`` or the line
-    keeps, so no exponential is computed.
+    its ``log``.  The peel stops when G lies on the one ray p, which is then
+    the last line's; else G becomes exp(-x_p) o G, with the inverse that
+    ``log`` or the line's ``exp_pair`` kept, so no exponential is computed.
 
     Exit 3 (:class:`ConventionError`) when a step does not advance: G has
     no ray, or its first ray is not strictly counterclockwise of the last
@@ -259,7 +248,7 @@ def complete(d: Diagram) -> Diagram:
     lines = {w.direction: w for w in d.walls if w.kind is WallKind.LINE}
     factors: dict[Vec, LieElem] = {}
     order = half_plane_order(list(lines))
-    g = _product(d.ctx, [lines[p].automorphisms[0][1] for p in reversed(order)])
+    g = _product(d.ctx, [exp_pair(lines[p].logf)[0] for p in reversed(order)])
     last = None
     while lines:
         p = _first_direction(g)
@@ -267,7 +256,7 @@ def complete(d: Diagram) -> Diagram:
             raise ConventionError(f"the peel does not advance past the ray {last}: "
                                   "the factor peeled there does not cancel G on it")
         on_p, line = g.on_ray(p), lines.get(p)
-        on_line = line is not None and on_p == line.automorphisms[0][1]
+        on_line = line is not None and on_p == exp(line.logf)
         factors[p] = x = line.logf if on_line else log(on_p)
         if on_p == g:
             break

@@ -69,6 +69,8 @@ before an unknown one.  Optional are a wall's ``geometry`` (``"line"``) and
 ``twisting``, ``basepoints`` and ``factors``, a ``bch`` input's ``x`` and
 ``y``, and ``truncation`` as noted.  A wall whose log is zero counts for the
 same-ray rule only: :class:`~wallcross.scattering.Diagram` then drops it.
+A ``rank``, or a BPS file's number of vacua, above :data:`MAX_RANK` (64) is
+an error before any r x r matrix is built, so no short file costs r^2 work.
 """
 
 from __future__ import annotations
@@ -88,6 +90,7 @@ from .vertexlie import LieElem
 
 _ZERO = Fraction(0)
 _ZERO_RATIO = (0, 1)
+MAX_RANK = 64  # the largest matrix rank a file may declare; every fixture has rank <= 4
 
 # Fraction's spellings without "/": integer digits, decimal places, exponent
 _DECIMAL = (r"\s*[-+]?(?=\d|\.\d)(\d*|\d+(?:_\d+)*)"
@@ -190,6 +193,12 @@ def _int(v, what) -> int:
     return v
 
 
+def _rank(r, what="rank") -> int:
+    if _int(r, what) > MAX_RANK:
+        raise SchemaError(f"{what} {r} exceeds the largest supported rank {MAX_RANK}")
+    return r
+
+
 def _vec(v, what="vector") -> tuple[int, int]:
     if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise SchemaError(f"bad {what}: {v!r} (expected a pair of integers)")
@@ -261,7 +270,7 @@ def diagram_from_json(data: dict, order: int | None = None) -> Diagram:
     rank, truncation, walls_data = _fields(data, "diagram file", ("rank", "truncation", "walls"))
     truncation = _int(truncation, "truncation")
     try:
-        ctx = TruncationContext(read_order(truncation, order), _int(rank, "rank"))
+        ctx = TruncationContext(read_order(truncation, order), _rank(rank))
         walls = tuple(
             _wall_from_json(ctx, wd, truncation) for wd in _objects(walls_data, "walls")
         )
@@ -318,6 +327,7 @@ def bps_from_json(data: dict, order: int | None = None) -> tuple[BpsProblem, int
         twisting="trivial", truncation=None, basepoints={}, factors=[])
     if not isinstance(vacua, list) or not all(isinstance(v, str) for v in vacua):
         raise SchemaError("vacua must be a list of names")
+    _rank(len(vacua), "number of vacua")
     if twisting != "trivial":
         raise SchemaError(
             f"unsupported twisting {twisting!r}: the solver works in the "
@@ -380,7 +390,7 @@ def bch_from_json(data: dict, order: int | None) -> tuple[LieElem, LieElem]:
         raise SchemaError("bch input missing key 'truncation'")
     truncation = _int(truncation, "truncation")
     try:
-        ctx = TruncationContext(read_order(truncation, order), _int(rank, "rank"))
+        ctx = TruncationContext(read_order(truncation, order), _rank(rank))
     except ValueError as e:
         raise SchemaError(str(e)) from None
     x = lie_terms_from_json(ctx, x, truncation)

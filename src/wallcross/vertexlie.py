@@ -237,7 +237,7 @@ class LieElem:
     @cached_property
     def _exp(self) -> "AutPair":
         """The exponential, computed on first use; :func:`log` and :func:`exp_pair` set it."""
-        return _exponential(self)
+        return _exponential_series(self, (_exp_coeff,))[0]
 
     @cached_property
     def _neg(self) -> "LieElem":
@@ -524,12 +524,6 @@ def _exp_neg_coeff(k):
     return Fraction((-1) ** k, factorial(k))
 
 
-def _exponential(x: LieElem) -> AutPair:
-    """The exponential of ``x``, computed afresh (:func:`exp` keeps it)."""
-    (g,) = _exponential_series(x, (_exp_coeff,))
-    return g
-
-
 def _exponential_series(x: LieElem, coeffs: tuple) -> tuple[AutPair, ...]:
     """One group element per coefficient function, from the operator series of ``x``.
 
@@ -584,7 +578,9 @@ def log(g: AutPair) -> LieElem:
     t-order of g - 1 (sigma(z^m) - z^m = z^m((1 + O(t^s))^m - 1)).  The
     same call sums the Neumann series  g^-1 = sum_k (-1)^k (g - 1)^k  over
     the same powers.  The result x keeps ``g`` as its exponential and
-    g^-1 as the exponential of ``-x``.
+    g^-1 as the exponential of ``-x``.  Each step applies g - 1 as
+    ``g.apply_ring(f) - f`` and ``g.apply_section(v) - v``: the one place the
+    group law still subtracts the identity's action, a second sum per entry.
     """
     ctx = g.ctx
     orders = [f.t_order() for f in g.tails]

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -857,3 +860,63 @@ def test_option_the_command_does_not_read_is_rejected(tmp_path, capsys, command,
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option}" in capsys.readouterr().err
     assert not target.exists()
+
+
+def _file_of_rank(kind, rank):
+    """A short file of ``kind`` that declares matrices of ``rank``, with its command."""
+    if kind == "diagram":
+        line = {"direction": [1, 0], "terms": [{"t": 1, "k": 1, "derivation": "1"}]}
+        return "check", {"rank": rank, "truncation": 2, "walls": [line]}
+    if kind == "bch":
+        term = {"m": [1, 0], "t": 1, "derivation": ["0", "1"]}
+        return "bch", {"rank": rank, "truncation": 2, "x": [term], "y": []}
+    return "wcf", {"vacua": [f"v{i}" for i in range(rank)], "truncation": 2,
+                   "factors": [{"type": "K", "gamma": [0, 1], "Omega": 1}]}
+
+
+@pytest.mark.parametrize("kind", ["diagram", "bch", "bps"])
+def test_a_rank_over_the_cap_exits_2_at_once(tmp_path, capsys, kind):
+    # every log holds rank^2 series, so a ~100-byte file naming a huge rank
+    # would take time and memory quadratic in it; the reader refuses first
+    rank = serialize.MAX_RANK + 1 if kind == "bps" else 10**6
+    command, data = _file_of_rank(kind, rank)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    what = "number of vacua" if kind == "bps" else "rank"
+    assert err == (f"input error: {what} {rank} exceeds the largest supported rank "
+                   f"{serialize.MAX_RANK}\n")
+
+
+@pytest.mark.parametrize("kind", ["diagram", "bch", "bps"])
+def test_a_rank_at_the_cap_is_read(tmp_path, capsys, kind):
+    command, data = _file_of_rank(kind, serialize.MAX_RANK)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, err) == (0, "")
+    assert out
+
+
+def test_outputs_are_byte_identical_across_hash_seeds(tmp_path):
+    # BPS files name their vacua with strings, whose set order follows
+    # PYTHONHASHSEED; no output may
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    runs = {}
+    for seed in ("0", "1"):
+        env["PYTHONHASHSEED"] = seed
+        for command, fixture in (("wcf", "example1"), ("complete", "rand1")):
+            out = tmp_path / f"{fixture}-{seed}.json"
+            result = subprocess.run(
+                [sys.executable, "-m", "wallcross.cli", command,
+                 str(FIXTURES / f"{fixture}.json"), "--output", str(out)],
+                env=env, capture_output=True, check=True)
+            runs.setdefault(fixture, []).append((result.stdout, result.stderr, out.read_bytes()))
+    for fixture, (first, second) in runs.items():
+        assert first == second, fixture
+        assert first[0] and first[2], fixture

@@ -3,6 +3,7 @@ import random
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from unittest import mock
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES, fixture_diagram, kronecker_doc, rand_wall_log
 from reference_bracket import bracket, mat_mul
 from reference_completion import fresh_exp, loop_products, reference_log
-from reference_quiver import central_ray_normal_coefficients
+from reference_quiver import central_ray_normal_coefficients, kronecker_euler_characteristic
 from reference_trees import restrict_direction
 from wallcross import cli, report, scattering, serialize, vertexlie
 from wallcross.exceptions import ConventionError, SchemaError
@@ -262,7 +263,7 @@ def test_merge_wall_adds_commuting_logs_without_bch(case):
     assert merged.walls == (() if expected.is_zero() else (Wall(p, WallKind.RAY, expected),))
     if merged.walls:
         # the merged wall's automorphism is the product, however it was merged
-        assert merged.walls[0].automorphisms[0][1] == compose(fresh_exp(x), fresh_exp(y))
+        assert exp(merged.walls[0].logf) == compose(fresh_exp(x), fresh_exp(y))
 
 
 @pytest.mark.parametrize("rank", [2, 3])
@@ -938,3 +939,34 @@ def test_kronecker_central_ray_matches_its_closed_form_at_order_32(m):
     expected = {((k, k), 2 * k): (mat_zero(1), (c * n[0], c * n[1]))
                 for k, c in central_ray_normal_coefficients(m, N // 2).items()}
     assert dict(completed.wall_in_direction((1, 1)).logf.terms) == expected
+
+
+def test_the_kronecker_oracle_reads_the_known_euler_characteristics():
+    # chi of M^st_(a,b)(K_3) at (2,3) ... (5,6); P^(m-1) at (1,1), a point
+    # at (1,0), and no stable representation of K_2 at (1,3)
+    chi = kronecker_euler_characteristic
+    assert [chi(3, a, a + 1) for a in range(2, 6)] == [13, 68, 399, 2530]
+    assert [chi(m, 1, 1) for m in (2, 3, 4, 5)] == [2, 3, 4, 5]
+    assert chi(4, 1, 0) == chi(4, 0, 1) == 1
+    assert chi(2, 1, 3) == 0
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_every_coprime_kronecker_ray_matches_its_euler_characteristic(m):
+    # the normal coefficient at every coprime (a, b) with a + b <= 11, at
+    # t-degree a + b, is (-1)^(a+b+1) m chi(M^st_(a,b)(K_m)), computed with
+    # no engine code (reference_quiver); a missing ray reads 0
+    N = 11
+    completed = complete(serialize.diagram_from_json(kronecker_doc(m, m, N)))
+    terms = {w.direction: w.logf.terms for w in completed.walls}
+    found, expected = {}, {}
+    for s in range(1, N + 1):
+        for a in range(s + 1):
+            if gcd(a, s - a) != 1:
+                continue
+            p = (a, s - a)
+            _a, d = terms.get(p, {}).get((p, s), (None, (0, 0)))
+            n = primitive_normal(p)
+            found[p] = d[0] / n[0] if n[0] else d[1] / n[1]
+            expected[p] = (-1) ** (s + 1) * m * kronecker_euler_characteristic(m, *p)
+    assert found == expected

@@ -9,7 +9,6 @@ from reference_completion import fresh_exp
 from wallcross.exceptions import ConventionError
 from wallcross.groupoid import KFactor, k_wall_log
 from wallcross.series import SeriesElem, SeriesMatrix, TruncationContext
-from wallcross import vertexlie
 from wallcross.vertexlie import (
     AutPair,
     LieElem,
@@ -573,12 +572,12 @@ def test_an_exponential_of_t_order_s_makes_n_over_s_terms(monkeypatch, order, s)
             return method(self, arg)
 
         monkeypatch.setattr(LieElem, name, counted)
-    g = vertexlie._exponential(x)
+    g = exp(x)
     steps = order // s - 1
     # the first image terms D(z^(e_i)) take one call each, every step two
     assert calls == {"apply_derivation": 2 + 2 * steps, "apply_section": ctx.rank * steps}
     monkeypatch.undo()
     # the value is the exponential at a higher order, truncated
     big = TruncationContext(3 * order, 2)
-    assert truncated_aut(vertexlie._exponential(LieElem.single(big, (1, 0), s, matrix=swap,
-                                                                dvec=(0, 1))), ctx) == g
+    assert truncated_aut(exp(LieElem.single(big, (1, 0), s, matrix=swap, dvec=(0, 1))),
+                         ctx) == g
