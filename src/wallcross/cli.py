@@ -5,8 +5,9 @@ every file format they read or write lives in :mod:`serialize`.  Exit codes:
 0 success/consistent, 1 inconsistent, 2 input error (an input that cannot be
 read or decoded, bad JSON, a JSON integer longer than Python's digit limit
 or nesting deeper than its recursion limit, a malformed value or rational,
-a rank above ``serialize.MAX_RANK`` (64; for a BPS file, more vacua), and
-an output that cannot be written, included), 3 convention
+a rank above ``serialize.MAX_RANK`` (64; for a BPS file, more vacua), a
+frequency whose results at the order could not be printed, and an output
+that cannot be written, included), 3 convention
 violation (among others, a completion that would change an initial wall),
 5 internal error (any other exception, reported as one ``internal error:``
 line on stderr).

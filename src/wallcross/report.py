@@ -142,16 +142,18 @@ def diagram_svg(d: Diagram) -> str:
     segments = [(p, w) for w in sorted(d.walls, key=lambda w: w.direction) for p in w.rays]
     for direction, w in segments:
         x, y = direction
-        norm = (x * x + y * y) ** 0.5
-        ex = mid + _RADIUS * x / norm
-        ey = mid - _RADIUS * y / norm
+        shift = max(max(abs(x), abs(y)).bit_length() - 64, 0)  # to 64 bits: no float overflow
+        fx, fy = x >> shift, y >> shift
+        norm = (fx * fx + fy * fy) ** 0.5
+        ex = mid + _RADIUS * fx / norm
+        ey = mid - _RADIUS * fy / norm
         color = "black" if direction == w.direction else "gray"
         parts.append(
             f'<line x1="{mid}" y1="{mid}" x2="{ex:.2f}" y2="{ey:.2f}" '
             f'stroke="{color}" stroke-width="1.5"/>'
         )
         if direction == w.direction:
-            lx, ly = mid + (_RADIUS + 16) * x / norm, mid - (_RADIUS + 16) * y / norm
+            lx, ly = mid + (_RADIUS + 16) * fx / norm, mid - (_RADIUS + 16) * fy / norm
             label = f"({x},{y}) {_lowest_term_summary(w.logf)}"
             parts.append(
                 f'<text x="{lx:.2f}" y="{ly:.2f}" font-size="10" text-anchor="middle">'

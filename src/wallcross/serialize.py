@@ -71,6 +71,10 @@ before an unknown one.  Optional are a wall's ``geometry`` (``"line"``) and
 same-ray rule only: :class:`~wallcross.scattering.Diagram` then drops it.
 A ``rank``, or a BPS file's number of vacua, above :data:`MAX_RANK` (64) is
 an error before any r x r matrix is built, so no short file costs r^2 work.
+A frequency (a wall term's ``k`` times its direction, a ``bch`` term's ``m``,
+a BPS factor's charge coordinate) is an error when the order N times the
+digits of a coordinate exceed Python's digit limit: its results could not
+be printed.
 """
 
 from __future__ import annotations
@@ -78,6 +82,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import gcd
 
@@ -131,14 +136,35 @@ def parse_frac(s) -> Fraction:
     # whitespace beside "/", or neither "/" nor a decimal spelling
     if (before[-1:].isspace() or after[:1].isspace()) if slash else m is None:
         raise SchemaError(f"bad rational {s!r}: Invalid literal for Fraction: {text!r}")
-    # no limit, and no such function, before Python 3.10.7
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     if limit and m and _over_digit_limit(m, limit):
         raise SchemaError(f"bad rational {s!r}: more digits than Python's limit of {limit}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise SchemaError(f"bad rational {s!r}: {e}") from None
+
+
+def _digit_limit() -> int:
+    """Python's limit on the digits of an int string; 0 for none (before Python 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _frequency(m: tuple[int, int], order: int, what: str) -> tuple[int, int]:
+    """``m``, unless ``order`` times the digits of a coordinate exceed :func:`_digit_limit`.
+
+    A result at order N has frequencies that are sums of at most N read
+    ones, and coefficients that grow with them, too long to print past that.
+    """
+    limit = _digit_limit()
+    if limit and max(abs(m[0]), abs(m[1])) >= _power_of_ten(limit // order):
+        raise SchemaError(
+            f"{what} has a coordinate of more than {limit // order} digits: at order "
+            f"{order}, its results could exceed Python's limit of {limit} digits")
+    return m
+
+
+_power_of_ten = cache(lambda n: 10 ** n)
 
 
 def _over_digit_limit(m: re.Match, limit: int) -> bool:
@@ -307,7 +333,7 @@ def _wall_from_json(ctx: TruncationContext, wd: dict, truncation: int) -> Wall:
         j, k = _t_degree(j, truncation), _int(k, "frequency multiple k")
         if k < 1:
             raise SchemaError("frequency multiple k must be >= 1")
-        m = (k * direction[0], k * direction[1])
+        m = _frequency((k * direction[0], k * direction[1]), ctx.order, "wall term")
         a, (p, q) = _matrix(mat, ctx.rank), _parse_ratio(dc)
         key = (m, j)
         if key in terms:
@@ -357,6 +383,7 @@ def bps_from_json(data: dict, order: int | None = None) -> tuple[BpsProblem, int
         *_, gamma, count = _fields(fd, f"{ftype} factor", keys)
         gamma, count = _vec(gamma, "gamma"), _int(count, keys[-1])
         if ftype == "K":
+            _frequency(gamma, n, "K factor")
             if count:
                 factors.append(KFactor(gamma, count))
             continue
@@ -372,6 +399,7 @@ def bps_from_json(data: dict, order: int | None = None) -> tuple[BpsProblem, int
         g = (gamma[0] - ei[0] + ej[0], gamma[1] - ei[1] + ej[1])
         if g == (0, 0):
             raise SchemaError("S factor has zero charge coordinate")
+        _frequency(g, n, "S factor")
         if count:
             factors.append(SFactor((i, j), g, count))
     return BpsProblem(ctx, tuple(factors)), n
@@ -425,7 +453,8 @@ def lie_terms_from_json(ctx: TruncationContext, data, truncation: int) -> LieEle
     terms = {}
     for td in _objects(data, "terms"):
         m, j, mat, dv = _fields(td, "bch term", ("m", "t"), matrix=None, derivation=["0", "0"])
-        m, j, a = _vec(m, "frequency"), _t_degree(j, truncation), _matrix(mat, ctx.rank)
+        m = _frequency(_vec(m, "frequency"), ctx.order, "bch term")
+        j, a = _t_degree(j, truncation), _matrix(mat, ctx.rank)
         if not isinstance(dv, list) or len(dv) != 2:
             raise SchemaError("derivation must be a pair of rationals")
         key = (m, j)

@@ -10,17 +10,19 @@ The coefficients of one element are stored as integer numerators over one
 shared positive denominator, in lowest terms: ``den > 0``, the gcd of
 ``den`` and every numerator is 1, and ``den == 1`` for zero.  Equal elements
 therefore have equal numerators and denominators, so ``==`` is structural.
-Products and sums run on Python integers and take one gcd at the end: a
-product entry, a matrix entry (also N1 + M + N1 M, a product's gauge part)
-and each entry of an operator series
-(:func:`_operator_series`, the exponentials, logarithms and inverses) add
-all their terms into one integer dict over one common denominator and are
-normalized once.  The rationals appear only at the boundary (the public
+Products and sums run on Python integers and take one gcd at the end.  A
+product is one kernel call (:func:`_mul_add`), and every sum of several
+series and products is one :func:`_sum`, added into one integer dict over
+one common denominator and normalized once: a matrix entry (also
+N1 + M + N1 M, a product's gauge part), an entry of a module action and of
+an operator series (:func:`_operator_series`, the exponentials, logarithms
+and inverses).  The rationals appear only at the boundary (the public
 constructor and :meth:`SeriesElem.fractions`).
 
 Zero is free: a sum or a scaling with a zero operand returns an operand
-unchanged, and a matrix product visits only the nonzero entries, so a
-gauge part (gauge - I) with a few nilpotent entries costs only their products.
+unchanged, a sum with no nonzero summand is the context's one shared zero,
+and a matrix product visits only the nonzero entries, so a gauge part
+(gauge - I) with a few nilpotent entries costs only their products.
 
 A :class:`TruncationContext` fixes the truncation order ``N`` and the rank
 ``r`` of the matrix factor used by the extended vertex algebra.
@@ -55,6 +57,11 @@ class TruncationContext:
     def generators(self) -> tuple["SeriesElem", "SeriesElem"]:
         """z^(e_1) and z^(e_2) in this context, built on first use and kept."""
         return SeriesElem.monomial(self, (1, 0)), SeriesElem.monomial(self, (0, 1))
+
+    @cached_property
+    def _zero(self) -> "SeriesElem":
+        """The zero series of this context, built on first use and shared."""
+        return SeriesElem._normal(self, {}, 1)
 
 
 def _check_same_context(a, b):
@@ -111,9 +118,7 @@ class SeriesElem:
             c = Fraction(c)
             if key[2] <= order and c:
                 rational[key] = c
-        den = 1
-        for c in rational.values():
-            den = lcm(den, c.denominator)
+        den = lcm(*(c.denominator for c in rational.values()))
         _set(self, "ctx", ctx)
         _set(self, "coeffs", {k: c.numerator * (den // c.denominator) for k, c in rational.items()})
         _set(self, "den", den)
@@ -167,7 +172,7 @@ class SeriesElem:
 
     @staticmethod
     def zero(ctx: TruncationContext) -> "SeriesElem":
-        return SeriesElem._normal(ctx, {}, 1)
+        return ctx._zero
 
     @staticmethod
     def one(ctx: TruncationContext) -> "SeriesElem":
@@ -262,88 +267,49 @@ def _operator_series(step, v: tuple, coeffs: tuple, steps: int) -> tuple:
     with integer or Fraction values.  The powers ``step^(k-1)(v)`` are
     formed once for all the sums, and a zero power ends them before the
     next step, so a zero ``v`` costs no step.  Each entry of a sum is then
-    one linear combination of the powers' entries (:func:`_combination`),
-    normalized once.  Every exponential and logarithm of the engine, the
-    inverse of a group element and the inverse of a unit is such a series.
+    one :func:`_sum` of the powers' entries.  Every exponential and
+    logarithm of the engine, the inverse of a group element and the inverse
+    of a unit is such a series.
     """
     powers = [v]
     while len(powers) < steps and any(f.coeffs for f in v):
         v = step(v)
         powers.append(v)
-    zero = SeriesElem.zero(v[0].ctx)
+    ctx = v[0].ctx
     entries = list(zip(*powers))  # the powers of each entry of v
     sums = []
     for coeff in coeffs:
         cs = [coeff(k) for k in range(1, len(powers) + 1)]
-        sums.append(tuple(_combination(zero, zip(cs, entry)) for entry in entries))
+        sums.append(tuple(_sum(ctx, zip(cs, entry)) for entry in entries))
     return tuple(sums)
 
 
-def _combination(zero: SeriesElem, terms) -> SeriesElem:
-    """The sum of ``c * f`` over the pairs ``(c, f)`` in ``terms``, normalized once.
+def _sum(ctx: TruncationContext, terms=(), pairs=()) -> SeriesElem:
+    """The sum of ``c * f`` over ``terms`` and of ``x * y`` over ``pairs``, normalized once.
 
-    ``c`` is an integer or a Fraction.  Every nonzero term is brought to the
-    lcm of the terms' denominators and added into one integer dict.  With
-    no nonzero term the sum is ``zero``, and one term is scaled once (by
-    nothing when ``c`` is 1 or -1).
+    ``c`` is an integer or a Fraction.  Every nonzero summand is brought to
+    the lcm of the summands' denominators and added into one integer dict.
+    With no nonzero summand the sum is the context's one shared zero, and a
+    lone term is scaled once (by nothing when ``c`` is 1 or -1).
     """
-    terms = [(c, f) for c, f in terms if f.coeffs and c]
-    if not terms:
-        return zero
-    if len(terms) == 1:
+    terms = [(c, f) for c, f in terms if c and f.coeffs]
+    pairs = [(x, y) for x, y in pairs if x.coeffs and y.coeffs]
+    if not pairs and len(terms) < 2:
+        if not terms:
+            return ctx._zero
         c, f = terms[0]
         return f if c == 1 else -f if c == -1 else f.scale(c)
-    den = 1
-    for c, f in terms:
-        den = lcm(den, c.denominator * f.den)
+    den = lcm(*[c.denominator * f.den for c, f in terms], *[x.den * y.den for x, y in pairs])
     out: dict[Key, int] = {}
-    for c, f in terms:
-        _add_scaled(f.coeffs, out, c.numerator * (den // (c.denominator * f.den)))
-    return SeriesElem._make(zero.ctx, out, den)
-
-
-def _add_scaled(nums: dict, out: dict, w: int) -> None:
-    """Add ``w`` times the numerators ``nums`` into ``out``."""
     get = out.get
-    for k, x in nums.items():
-        out[k] = get(k, 0) + w * x
-
-
-def _row_sums(ctx: TruncationContext, rows, vec: tuple, extras=None, plus=None) -> tuple:
-    """The entries ``sum_k rows[i][k] * vec[k]``, each plus ``extras[i]`` and ``plus[i]`` if given.
-
-    An entry adds each product of two nonzero entries and each summand,
-    brought to the lcm of the denominators, into one integer dict and
-    normalizes it once; an entry with nothing to add is one shared zero,
-    and one with a single series to add is that series.  ``extras[i]`` is
-    None or a summand ``(den, add)``: ``add(out, w)`` adds ``w`` times its
-    numerators over ``den`` into ``out``.  ``plus[i]`` holds series.
-    """
+    for c, f in terms:
+        w = c.numerator * (den // (c.denominator * f.den))
+        for k, v in f.coeffs.items():
+            out[k] = get(k, 0) + w * v
     order = ctx.order
-    zero = SeriesElem.zero(ctx)
-    nonzero = [(k, y) for k, y in enumerate(vec) if y.coeffs]
-    out = []
-    for i, row in enumerate(rows):
-        pairs = [(x, y, x.den * y.den) for k, y in nonzero if (x := row[k]).coeffs]
-        extra = extras[i] if extras else None
-        terms = [f for f in plus[i] if f.coeffs] if plus else ()
-        if not pairs and extra is None and len(terms) < 2:
-            out.append(terms[0] if terms else zero)
-            continue
-        den = 1 if extra is None else extra[0]
-        for f in terms:
-            den = lcm(den, f.den)
-        for _x, _y, d in pairs:
-            den = lcm(den, d)
-        acc: dict[Key, int] = {}
-        if extra is not None:
-            extra[1](acc, den // extra[0])
-        for f in terms:
-            _add_scaled(f.coeffs, acc, den // f.den)
-        for x, y, d in pairs:
-            _mul_add(acc, x.coeffs, y.coeffs, den // d, order)
-        out.append(SeriesElem._make(ctx, acc, den))
-    return tuple(out)
+    for x, y in pairs:
+        _mul_add(out, x.coeffs, y.coeffs, den // (x.den * y.den), order)
+    return SeriesElem._make(ctx, out, den)
 
 
 # -- matrices over the series ring ---------------------------------------------
@@ -354,8 +320,8 @@ class SeriesMatrix:
     """An r x r matrix with SeriesElem entries.
 
     :meth:`matvec` is the one product: ``a * b`` applies it to each column
-    of ``b``, and each entry is one :func:`_row_sums` entry, so zero
-    entries cost nothing.
+    of ``b``, and each entry is one :func:`_sum` over the row's pairs, so
+    zero entries cost nothing.
     """
 
     ctx: TruncationContext
@@ -387,7 +353,8 @@ class SeriesMatrix:
         return SeriesMatrix.from_columns(self.ctx, [self.matvec(col) for col in zip(*other.rows)])
 
     def matvec(self, vec: tuple[SeriesElem, ...]) -> tuple[SeriesElem, ...]:
-        return _row_sums(self.ctx, self.rows, vec)
+        ctx = self.ctx
+        return tuple(_sum(ctx, pairs=zip(row, vec)) for row in self.rows)
 
     def is_zero(self) -> bool:
         return not any(a.coeffs for row in self.rows for a in row)

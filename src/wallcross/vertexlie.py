@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from math import factorial, lcm
 from types import MappingProxyType
 
@@ -63,7 +63,7 @@ from .exceptions import ConventionError
 from .lattice import Vec
 from .series import (
     SeriesElem, SeriesMatrix, TruncationContext, _check_same_context, _mul_add, _operator_series,
-    _row_sums,
+    _sum,
 )
 
 _ZERO = Fraction(0)
@@ -296,19 +296,22 @@ class LieElem:
         """The frequencies whose derivation vector is not orthogonal to them."""
         return [(m1, m2) for m1, m2, _j, n1, n2 in self._derivations[1] if m1 * n1 + m2 * n2]
 
-    def _derive_into(self, f: dict, out: dict, w: int) -> None:
-        """Add ``w`` times the numerators of D(f) into ``out``: the one derivation loop.
+    def apply_derivation(self, f: SeriesElem) -> SeriesElem:
+        """The ring-derivation part applied to a series.
 
-        ``f`` is a numerator dict; D(f) is over ``f``'s denominator times
-        that of :attr:`_derivations`.  D(c z^m' t^j') is the sum over the
-        terms (d, m, j) of  c <m', d> z^(m' + m) t^(j' + j).
+        D(c z^m' t^j') is the sum over the terms (d, m, j) of
+        c <m', d> z^(m' + m) t^(j' + j).  The derivation vectors are kept
+        over one common denominator, so the accumulation runs on the integer
+        numerators of ``f``.
         """
+        den, derivations = self._derivations
+        if not derivations or not f.coeffs:
+            return SeriesElem.zero(self.ctx)
         N = self.ctx.order
+        out: dict = {}
         get = out.get
-        for m1, m2, j, n1, n2 in self._derivations[1]:
-            n1 *= w
-            n2 *= w
-            for (f1, f2, jf), cf in f.items():
+        for m1, m2, j, n1, n2 in derivations:
+            for (f1, f2, jf), cf in f.coeffs.items():
                 jj = j + jf
                 if jj > N:
                     continue
@@ -316,31 +319,16 @@ class LieElem:
                 if c:
                     k = (f1 + m1, f2 + m2, jj)
                     out[k] = get(k, 0) + c
-
-    def apply_derivation(self, f: SeriesElem) -> SeriesElem:
-        """The ring-derivation part applied to a series.
-
-        The derivation vectors are kept over one common denominator, so the
-        accumulation runs on the integer numerators of ``f``.
-        """
-        den, derivations = self._derivations
-        if not derivations or not f.coeffs:
-            return SeriesElem.zero(self.ctx)
-        out: dict = {}
-        self._derive_into(f.coeffs, out, 1)
         return SeriesElem._make(self.ctx, out, f.den * den)
 
     def apply_section(self, vec: tuple[SeriesElem, ...]) -> tuple[SeriesElem, ...]:
         """The full first-order operator on a section of the free module: D(v_i) + (A v)_i.
 
-        Each entry adds the derivation of ``v_i`` and the products of row i
-        of the matrix part with ``v`` into one integer dict, normalized once
-        (:func:`~wallcross.series._row_sums`).
+        Each entry is one :func:`~wallcross.series._sum` of the term D(v_i)
+        and the products of row i of the matrix part with ``v``.
         """
-        den, derivations = self._derivations
-        extras = [(f.den * den, partial(self._derive_into, f.coeffs)) if f.coeffs else None
-                  for f in vec] if derivations else None
-        return _row_sums(self.ctx, self.a.rows, vec, extras)
+        return tuple(_sum(self.ctx, ((1, self.apply_derivation(f)),), zip(row, vec))
+                     for f, row in zip(vec, self.a.rows))
 
 
 # -- the exponential group -------------------------------------------------------
@@ -364,7 +352,8 @@ class AutPair:
     generator images that the action needs live in a table owned by the
     caller, keyed ``(axis, e)`` for the e-th power (e may be negative) of
     z^{e_axis} + ``tails[axis]``; it holds generator powers only, never the
-    image of a monomial.
+    image of a monomial, and the e-th power adds at most 2 log2 |e| of them
+    (:meth:`_gen_power`).
     :func:`compose` and :func:`log` pass one ``powers`` dict to every
     action they make, and :meth:`apply_ring` called without one builds its
     own.
@@ -412,8 +401,11 @@ class AutPair:
     def _gen_power(self, axis: int, e: int, powers: dict) -> SeriesElem:
         """A power (including negative) of a generator image, kept in ``powers``.
 
-        Built in a loop from the nearest kept power of the same sign:
-        P^k = P^(k-1) P and P^(-k) = P^(-(k-1)) P^(-1), keeping each step.
+        P^e is built in a loop from P^s, s = 1 or -1 the sign of e, along
+        the binary digits of |e| after the leading one: for each digit,
+        square the power so far, then multiply by P^s on a 1.  Every step is
+        kept and looked up before it is computed, so P^e costs at most
+        2 log2 |e| products, and fewer when its steps are already kept.
         """
         val = powers.get((axis, e))
         if val is not None:
@@ -424,15 +416,16 @@ class AutPair:
                 image = self.ctx.generators[axis] + self.tails[axis]
             val = powers[(axis, e)] = image.invert_unit() if e < 0 else image
             return val
-        step = 1 if e > 0 else -1
-        unit = self._gen_power(axis, step, powers)
-        k = e - step
-        while k != step and (axis, k) not in powers:
-            k -= step
-        val = powers[(axis, k)]
-        while k != e:
-            k += step
-            val = powers[(axis, k)] = val * unit
+        sign = 1 if e > 0 else -1
+        unit = val = self._gen_power(axis, sign, powers)
+        k = 1
+        for digit in bin(abs(e))[3:]:
+            # square, then multiply by P^sign on a 1: the steps to P^(2k) and P^(2k+1)
+            for k, factor in ((2 * k, val), (2 * k + 1, unit))[:1 + int(digit)]:
+                key = (axis, sign * k)
+                if key not in powers:
+                    powers[key] = val * factor
+                val = powers[key]
         return val
 
     def apply_ring(self, f: SeriesElem, powers: dict | None = None) -> SeriesElem:
@@ -482,7 +475,7 @@ class AutPair:
     ) -> tuple[SeriesElem, ...]:
         """The module action: w = sigma(v) entrywise, then w + nil w, each entry in one sum."""
         w = tuple(self.apply_ring(f, powers) for f in vec)
-        return _row_sums(self.ctx, self.nil.rows, w, plus=[(f,) for f in w])
+        return tuple(_sum(self.ctx, ((1, f),), zip(row, w)) for f, row in zip(w, self.nil.rows))
 
 
 def exp(x: LieElem) -> AutPair:
@@ -534,9 +527,9 @@ def _exponential_series(x: LieElem, coeffs: tuple) -> tuple[AutPair, ...]:
     coefficients 1/k! give exp(x).  With s the t-order of ``x``, the k-th
     term of either series has t-order at least k s, so each series stops at
     N // s terms, as in :func:`log`: an element with 2s > N makes no step.
-    :func:`~wallcross.series._operator_series` forms the powers once for
-    all ``coeffs``.  A zero matrix part gives a zero gauge part with no
-    action at all.
+    :func:`_group_series` sums them, forming the powers once for all
+    ``coeffs``.  A zero matrix part gives a zero gauge part with no action
+    at all.
     """
     ctx = x.ctx
     steps = ctx.order // (x.t_order() or ctx.order + 1)
@@ -544,27 +537,36 @@ def _exponential_series(x: LieElem, coeffs: tuple) -> tuple[AutPair, ...]:
     def derive(v):
         return tuple(map(x.apply_derivation, v))
 
-    tails = _operator_series(derive, derive(ctx.generators), coeffs, steps)
-    cols = [_operator_series(x.apply_section, col, coeffs, steps) for col in zip(*x.a.rows)]
-    return tuple(AutPair(ctx, t, SeriesMatrix.from_columns(ctx, [c[i] for c in cols]))
-                 for i, t in enumerate(tails))
+    return tuple(AutPair(ctx, tails, nil) for tails, nil in _group_series(
+        ctx, derive, derive(ctx.generators), x.apply_section, x.a, coeffs, steps))
+
+
+def _group_series(ctx, ring_step, tails, section_step, mat, coeffs, steps) -> list:
+    """The series of :func:`exp` and :func:`log`: one (tails, matrix) pair per coefficient.
+
+    One :func:`~wallcross.series._operator_series` of ``ring_step`` from
+    ``tails``, and one of ``section_step`` from each column of ``mat``.
+    """
+    sums = _operator_series(ring_step, tails, coeffs, steps)
+    cols = [_operator_series(section_step, col, coeffs, steps) for col in zip(*mat.rows)]
+    return [(t, SeriesMatrix.from_columns(ctx, [c[i] for c in cols])) for i, t in enumerate(sums)]
 
 
 def compose(g1: AutPair, g2: AutPair) -> AutPair:
     """The group product g1 o g2 (g2 acts first): tails t1 + sigma1(t2), gauge part N1 + M + N1 M.
 
     (I + N1)(I + M) with M = sigma1(N2); each entry of N1 + M + N1 M is one
-    :func:`~wallcross.series._row_sums` entry, and a zero part costs nothing.
+    :func:`~wallcross.series._sum`, and a zero part costs nothing.
     """
     _check_same_context(g1, g2)
     ctx, powers = g1.ctx, {}
     tails = tuple(t + g1.apply_ring(f, powers) for t, f in zip(g1.tails, g2.tails))
     n, m = g1.nil, g2.nil
     if not m.is_zero():
-        m = g1.apply_matrix(m, powers)
-        n = SeriesMatrix.from_columns(ctx, [
-            _row_sums(ctx, n.rows, col, plus=[(row[j], col[i]) for i, row in enumerate(n.rows)])
-            for j, col in enumerate(zip(*m.rows))])
+        cols = tuple(zip(*g1.apply_matrix(m, powers).rows))
+        n = SeriesMatrix(ctx, tuple(
+            tuple(_sum(ctx, ((1, a), (1, col[i])), zip(row, col)) for a, col in zip(row, cols))
+            for i, row in enumerate(n.rows)))
     return AutPair(ctx, tails, n)
 
 
@@ -599,11 +601,9 @@ def log(g: AutPair) -> LieElem:
     def section_step(v):
         return tuple(a - b for a, b in zip(g.apply_section(v, powers), v))
 
-    coeffs = (_mercator_coeff, _neumann_coeff)
-    dlog, dinv = _operator_series(ring_step, g.tails, coeffs, steps)
-    cols = [_operator_series(section_step, col, coeffs, steps) for col in zip(*g.nil.rows)]
-
-    x = LieElem.from_operator(ctx, dlog, SeriesMatrix.from_columns(ctx, [c[0] for c in cols]))
+    (dlog, a), inverse = _group_series(
+        ctx, ring_step, g.tails, section_step, g.nil, (_mercator_coeff, _neumann_coeff), steps)
+    x = LieElem.from_operator(ctx, dlog, a)
     if (0, 0) in x.frequencies():
         raise ValueError("logarithm has a term outside the Lie algebra")
     if x.non_orthogonal():
@@ -612,7 +612,7 @@ def log(g: AutPair) -> LieElem:
             "input is not in the exponential image"
         )
     x.__dict__["_exp"] = g  # exp(log g) = g exactly
-    (-x).__dict__["_exp"] = AutPair(ctx, dinv, SeriesMatrix.from_columns(ctx, [c[1] for c in cols]))
+    (-x).__dict__["_exp"] = AutPair(ctx, *inverse)
     return x
 
 

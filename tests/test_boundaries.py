@@ -129,8 +129,8 @@ def test_completion_peels_one_ray_per_compose(monkeypatch):
 def test_an_action_on_the_fixed_tail_builds_no_power(monkeypatch):
     # sigma = id + O(t^d) on the generators fixes every term above t-degree
     # N - d.  During a completion, each action builds only the generator
-    # powers that its other non-constant terms need (for an exponent e, the
-    # chain from +-1 to e), and an action with no such term returns its
+    # powers that its other non-constant terms need (for an exponent e, steps
+    # between +-1 and e), and an action with no such term returns its
     # argument.  The completion's actions mix both kinds of term, so the
     # test counts the fixed-term powers that were skipped.
     ctx = TruncationContext(12, 1)
@@ -164,6 +164,22 @@ def test_an_action_on_the_fixed_tail_builds_no_power(monkeypatch):
     completed = scattering.complete(d)
     assert len(completed.walls) > 2
     assert skipped
+
+
+def test_a_generator_power_keeps_logarithmically_many_steps():
+    # P^e is built along the binary digits of |e| from P^(+-1): a square per
+    # digit and a product per 1 digit, each kept, so the table grows with
+    # log |e|, not |e|; the powers multiply as powers do
+    ctx = TruncationContext(3, 1)
+    g = exp(LieElem.single(ctx, (1, 1), 1, dvec=(1, -1)))
+    for e in (1000, -1000, 2**20 + 1, -(2**20 - 1)):
+        powers = {}
+        image = g.apply_ring(SeriesElem.monomial(ctx, (e, 0)), powers)
+        assert len(powers) <= 2 * abs(e).bit_length()
+        step = 1 if e > 0 else -1
+        assert image == g.apply_ring(SeriesElem.monomial(ctx, (e - step, 0))) * g.apply_ring(
+            SeriesElem.monomial(ctx, (step, 0)))
+        assert image * g.apply_ring(SeriesElem.monomial(ctx, (-e, 0))) == SeriesElem.one(ctx)
 
 
 def test_every_truncated_series_is_summed_by_one_routine(monkeypatch):

@@ -901,6 +901,68 @@ def test_a_rank_at_the_cap_is_read(tmp_path, capsys, kind):
     assert out
 
 
+def _file_with_frequency(kind, c):
+    """A short order-2 file of ``kind`` with a frequency coordinate ``c``, and its command."""
+    if kind == "diagram":
+        return "complete", {"rank": 1, "truncation": 2, "walls": [
+            {"direction": d, "terms": [{"t": 1, "k": 1, "derivation": "1"}]}
+            for d in ([1, 0], [1, c])]}
+    if kind == "bch":
+        x = {"m": [1, c], "t": 1, "derivation": [str(-c), "1"]}
+        y = {"m": [1, 0], "t": 1, "derivation": ["0", "1"]}
+        return "bch", {"rank": 1, "truncation": 2, "x": [x], "y": [y]}
+    return "wcf", {"vacua": ["a", "b"], "truncation": 2, "factors": [
+        {"type": "S", "pair": ["a", "b"], "gamma": [1, c], "mu": 1},
+        {"type": "K", "gamma": [1, 0], "Omega": 1}]}
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_needs_digit_limit = pytest.mark.skipif(not _DIGIT_LIMIT, reason="no int digit limit")
+
+
+@_needs_digit_limit
+@pytest.mark.parametrize("kind", ["diagram", "bch", "bps"])
+def test_a_frequency_whose_results_cannot_be_printed_exits_2_at_once(tmp_path, capsys, kind):
+    # at order 2 a result has frequencies and coefficients with up to twice
+    # the digits of a read coordinate, which Python cannot print past its
+    # limit on an int string; the reader refuses from 10^(limit // 2) on
+    digits = _DIGIT_LIMIT // 2
+    command, data = _file_with_frequency(kind, -(10 ** digits) if kind == "bch" else 10 ** digits)
+    path, target = tmp_path / "input.json", tmp_path / "written.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(path), "--output", str(target))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    what = {"diagram": "wall term", "bch": "bch term", "bps": "S factor"}[kind]
+    assert err == (f"input error: {what} has a coordinate of more than {digits} digits: at "
+                   f"order 2, its results could exceed Python's limit of {_DIGIT_LIMIT} digits\n")
+    assert not target.exists()
+
+
+@_needs_digit_limit
+@pytest.mark.parametrize("kind", ["diagram", "bch", "bps"])
+def test_a_frequency_just_under_the_printable_bound_is_read(kind):
+    command, data = _file_with_frequency(kind, 10 ** (_DIGIT_LIMIT // 2) - 1)
+    if kind == "diagram":
+        assert len(serialize.diagram_from_json(data).walls) == 2
+    elif kind == "bch":
+        assert all(not z.is_zero() for z in serialize.bch_from_json(data, None))
+    else:
+        assert len(serialize.bps_from_json(data)[0].factors) == 2
+
+
+def test_a_huge_direction_is_plotted(tmp_path, capsys):
+    # floats overflow past about 10^308, so a long direction is scaled down
+    # to 64 bits before its angle is drawn; its label keeps every digit
+    path, svg = tmp_path / "input.json", tmp_path / "plot.svg"
+    path.write_text(json.dumps(_file_with_frequency("diagram", 10**200)[1]))
+    assert run(capsys, "plot", str(path), "--emit-svg", str(svg)) == (0, "", "")
+    text = svg.read_text()
+    assert '<line x1="240" y1="240" x2="240.00" y2="40.00" stroke="black"' in text
+    assert f">(1,{10**200}) t^1 * d({-10**200},1) * z^(1,{10**200})</text>" in text
+
+
 def test_outputs_are_byte_identical_across_hash_seeds(tmp_path):
     # BPS files name their vacua with strings, whose set order follows
     # PYTHONHASHSEED; no output may

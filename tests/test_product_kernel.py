@@ -166,12 +166,12 @@ def test_compose_runs_the_gauge_kernel_once_per_nonzero_pair_of_the_gauge_parts(
     # an element stores gauge - I, so compose's gauge part N1 + M + N1 M
     # (M = sigma1(N2)) has no identity operand: a zero gauge part (a K wall,
     # at rank 1 or 4) runs no matrix kernel, and nonzero parts run one per
-    # nonzero entry pair of N1 M.  Only the kernel calls made by the matrix
-    # routine count; the ring action's powers run the kernel elsewhere.
+    # nonzero entry pair of N1 M.  Only the kernel calls made by the sum
+    # routine count; the ring action and its powers run the kernel elsewhere.
     calls = []
 
     def counted(*args):
-        if sys._getframe(1).f_code.co_name == "_row_sums":
+        if sys._getframe(1).f_code.co_name == "_sum":
             calls.append(args)
         _mul_add(*args)
 

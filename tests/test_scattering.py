@@ -1,6 +1,7 @@
 import json
 import random
 import signal
+import time
 from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
@@ -685,8 +686,8 @@ def test_a_wrong_peel_fails_at_once(wrong, monkeypatch, capsys):
 @pytest.mark.parametrize("c", [400, 999, 1000])
 def test_a_long_direction_completes_and_checks(c, tmp_path, capsys):
     # lines (1,0) and (1,c) with t d_n each: a generator power of order c
-    # is built step by step, with no recursion as deep as c; the one new
-    # ray carries t^2 d(c^2, -2c) z^(2,c)
+    # is built along the binary digits of c, in a loop; the one new ray
+    # carries t^2 d(c^2, -2c) z^(2,c)
     p, out = tmp_path / "long.json", tmp_path / "long.completed.json"
     p.write_text(json.dumps({"rank": 1, "truncation": 2, "walls": [
         {"direction": d, "geometry": "line", "terms": [{"t": 1, "k": 1, "derivation": "1"}]}
@@ -699,6 +700,47 @@ def test_a_long_direction_completes_and_checks(c, tmp_path, capsys):
     a, b = primitive_part((2, c))
     assert completion.endswith(f"  new rays: 1\n    direction ({a},{b}) [ray]\n"
                            f"      t^2 * d({c * c},{-2 * c}) * z^(2,{c})\n")
+
+
+def _two_line_completion(tmp_path, direction, k):
+    """Lines (1,0) and ``direction`` (its one term at ``k``), t d_n each, completed at N = 2.
+
+    The CLI completes the file and checks the result.  Returns both exit
+    codes, the seconds they took, the new ray's log and the bracket
+    [log (1,0), log ``direction``] of the reference oracle.
+    """
+    doc = {"rank": 1, "truncation": 2, "walls": [
+        {"direction": list(d), "terms": [{"t": 1, "k": kk, "derivation": "1"}]}
+        for d, kk in (((1, 0), 1), (direction, k))]}
+    p, out = tmp_path / "lines.json", tmp_path / "lines.completed.json"
+    p.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    codes = (cli.main(["complete", str(p), "--output", str(out)]), cli.main(["check", str(out)]))
+    seconds = time.perf_counter() - start
+    initial = serialize.diagram_from_json(doc)
+    (ray,) = new_rays(initial, serialize.diagram_from_json(json.loads(out.read_text())))
+    logs = {w.direction: w.logf for w in initial.walls}
+    return codes, seconds, ray.logf, bracket(logs[(1, 0)], logs[direction])
+
+
+@pytest.mark.parametrize("huge, small", [
+    pytest.param(((0, 1), 10**8), ((0, 1), 2), id="k=10^8"),
+    pytest.param(((1, 10**18), 1), ((1, 2), 1), id="direction=(1,10^18)"),
+])
+def test_a_huge_frequency_completes_and_checks_at_once(huge, small, tmp_path, capsys):
+    # a generator power z^(e e_i) costs O(log |e|) products, so a frequency
+    # of 10^8 or 10^18 completes in milliseconds; the new ray is the bracket
+    # of the two line logs, with the sign the same lines give at a small
+    # frequency
+    codes, _, got, expected = _two_line_completion(tmp_path, *small)
+    assert codes == (0, 0)
+    sign = 1 if got == expected else -1
+    assert got == expected.scale(sign)
+    codes, seconds, got, expected = _two_line_completion(tmp_path, *huge)
+    capsys.readouterr()
+    assert codes == (0, 0)
+    assert seconds < 1
+    assert got == expected.scale(sign)
 
 
 def test_readme_library_example():

@@ -574,8 +574,10 @@ def test_an_exponential_of_t_order_s_makes_n_over_s_terms(monkeypatch, order, s)
         monkeypatch.setattr(LieElem, name, counted)
     g = exp(x)
     steps = order // s - 1
-    # the first image terms D(z^(e_i)) take one call each, every step two
-    assert calls == {"apply_derivation": 2 + 2 * steps, "apply_section": ctx.rank * steps}
+    # the first image terms D(z^(e_i)) take one call each, every image step
+    # two, and every section step derives each of its r entries once
+    assert calls == {"apply_derivation": 2 + 2 * steps + ctx.rank * ctx.rank * steps,
+                     "apply_section": ctx.rank * steps}
     monkeypatch.undo()
     # the value is the exponential at a higher order, truncated
     big = TruncationContext(3 * order, 2)
