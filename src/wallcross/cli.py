@@ -14,7 +14,10 @@ line on stderr).
 The plots are written first, ``--output`` next and stdout last, so a run
 that exits 2 leaves no ``--output`` file and nothing on stdout, and one that
 exits 3 writes nothing.  ``SCATTER_MAX_ORDER`` caps the truncation order
-(default 16).  Outputs are byte-identical across runs and hash seeds.
+(default 16) of ``complete``, ``check``, ``wcf`` and ``bch``, checked once
+the whole file is read; it does not apply to ``plot`` or ``demo``.  An order
+below 1 is refused by the readers, through the series context they build.
+Outputs are byte-identical across runs and hash seeds.
 """
 
 from __future__ import annotations
@@ -57,9 +60,8 @@ def max_order() -> int:
 
 
 def check_order(n: int):
+    """Refuse an order above the cap; the readers refuse one below 1."""
     cap = max_order()
-    if n < 1:
-        raise SchemaError("truncation order must be >= 1")
     if n > cap:
         raise SchemaError(f"truncation order {n} exceeds SCATTER_MAX_ORDER={cap}")
 

@@ -19,7 +19,7 @@ are a test oracle (``tests/reference_groupoid_ring.py``) that checks them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -41,14 +41,21 @@ _S_SIGN = -UPSILON_MATRIX_SIGN
 
 @dataclass(frozen=True)
 class BpsContext:
-    """The vacua and the truncation order of a 2d-4d problem."""
+    """The vacua and the truncation order of a 2d-4d problem.
+
+    ``series``, built here, is the problem's :class:`TruncationContext` (rank
+    ``max(1, len(vacua))``), so an order below 1 raises ``ValueError``; it
+    takes no part in ``==``, the hash or ``repr``.
+    """
 
     vacua: tuple[str, ...]
     order: int
+    series: TruncationContext = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.vacua)) != len(self.vacua):
             raise ValueError("duplicate vacuum names")
+        object.__setattr__(self, "series", TruncationContext(self.order, max(1, len(self.vacua))))
 
 
 @dataclass(frozen=True)
@@ -191,8 +198,7 @@ def ray_factors(ctx: BpsContext, wall: Wall) -> list[ProducedFactor]:
 def solve_wcf(problem: BpsProblem) -> WcfSolution:
     """Build the diagram of a 2d-4d problem, complete it, and read it back."""
     ctx = problem.context
-    lie_ctx = TruncationContext(ctx.order, max(1, len(ctx.vacua)))
-    initial = build_initial_diagram(problem, lie_ctx)
+    initial = build_initial_diagram(problem, ctx.series)
     completed = scattering.complete(initial)
     produced = [p for w in scattering.new_rays(initial, completed) for p in ray_factors(ctx, w)]
     return WcfSolution(

@@ -168,10 +168,11 @@ def _lowest_term_summary(x: LieElem) -> str:
 
 
 def diagram_csv(d: Diagram) -> str:
+    """One CSV row per wall; the summary holds commas and no quote, so it is quoted (RFC 4180)."""
     rows = ["dir_x,dir_y,kind,lowest_degree,summary"]
     for w in sorted(d.walls, key=lambda w: w.direction):
         rows.append(
             f"{w.direction[0]},{w.direction[1]},{w.kind.value},"
-            f"{w.logf.t_order()},{_lowest_term_summary(w.logf)}"
+            f'{w.logf.t_order()},"{_lowest_term_summary(w.logf)}"'
         )
     return "\n".join(rows) + "\n"

@@ -57,7 +57,10 @@ product of ``x`` and ``y`` at order N.  BPS problem files::
 
 ``basepoints`` (default ``[0, 0]`` per vacuum) shift an S factor's charge to
 its coordinate ``gamma - e_i + e_j``; ``truncation`` may be left out when an
-order is passed.  A factor whose count is an explicit 0 is dropped.  The
+order is passed, and an order passed may exceed it, since a factor has no
+terms that stop there.  The order is checked by the problem's
+:class:`~wallcross.groupoid.BpsContext`, before the first factor is read.
+A factor whose count is an explicit 0 is dropped.  The
 solver works in the untwisted groupoid ring, so a ``"twisting"`` key other
 than ``"trivial"`` is rejected.  Counts, orders and lattice coordinates must
 be JSON integers; every malformed value raises :class:`SchemaError`.
@@ -74,7 +77,8 @@ an error before any r x r matrix is built, so no short file costs r^2 work.
 A frequency (a wall term's ``k`` times its direction, a ``bch`` term's ``m``,
 a BPS factor's charge coordinate) is an error when the order N times the
 digits of a coordinate exceed Python's digit limit: its results could not
-be printed.
+be printed.  Above that limit no coordinate is short enough, and the error
+names the order.
 """
 
 from __future__ import annotations
@@ -158,6 +162,9 @@ def _frequency(m: tuple[int, int], order: int, what: str) -> tuple[int, int]:
     """
     limit = _digit_limit()
     if limit and max(abs(m[0]), abs(m[1])) >= _power_of_ten(limit // order):
+        if order > limit:
+            raise SchemaError(f"{what} at order {order}: above Python's limit of {limit} "
+                              "digits, no frequency's results can be printed")
         raise SchemaError(
             f"{what} has a coordinate of more than {limit // order} digits: at order "
             f"{order}, its results could exceed Python's limit of {limit} digits")
@@ -296,7 +303,7 @@ def diagram_from_json(data: dict, order: int | None = None) -> Diagram:
     rank, truncation, walls_data = _fields(data, "diagram file", ("rank", "truncation", "walls"))
     truncation = _int(truncation, "truncation")
     try:
-        ctx = TruncationContext(read_order(truncation, order), _rank(rank))
+        ctx = read_context(truncation, order, rank)
         walls = tuple(
             _wall_from_json(ctx, wd, truncation) for wd in _objects(walls_data, "walls")
         )
@@ -305,13 +312,18 @@ def diagram_from_json(data: dict, order: int | None = None) -> Diagram:
         raise SchemaError(str(e)) from None
 
 
-def read_order(truncation: int, order: int | None) -> int:
-    """The order a file is read at: its ``truncation``, or a lower ``order``."""
-    if order is not None and order > truncation:
+def read_context(truncation: int, order: int | None, rank) -> TruncationContext:
+    """The context a file of ``rank`` is read in: its ``truncation``, or a lower ``order``.
+
+    The context checks the order first, so an order below 1 is named as such
+    even when it is above a ``truncation`` below 1.
+    """
+    ctx = TruncationContext(truncation if order is None else order, _rank(rank))
+    if ctx.order > truncation:
         raise SchemaError(
             f"order {order} exceeds the file's truncation {truncation}, where its data stops"
         )
-    return truncation if order is None else order
+    return ctx
 
 
 def _t_degree(j, truncation: int) -> int:
@@ -418,7 +430,7 @@ def bch_from_json(data: dict, order: int | None) -> tuple[LieElem, LieElem]:
         raise SchemaError("bch input missing key 'truncation'")
     truncation = _int(truncation, "truncation")
     try:
-        ctx = TruncationContext(read_order(truncation, order), _rank(rank))
+        ctx = read_context(truncation, order, rank)
     except ValueError as e:
         raise SchemaError(str(e)) from None
     x = lie_terms_from_json(ctx, x, truncation)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -205,6 +206,19 @@ def test_plot_empty_diagram(tmp_path, capsys):
     code, _, _ = run(capsys, "plot", str(p), "--emit-csv", str(csv))
     assert code == 0
     assert csv.read_text() == "dir_x,dir_y,kind,lowest_degree,summary\n"
+
+
+def test_every_csv_row_reads_as_five_fields(tmp_path, capsys):
+    # a summary such as "t^1 * E[1,2] * z^(1,0)" holds commas, so it is quoted
+    for name, (kind, fname) in cli.FIXTURES.items():
+        path = tmp_path / f"{name}.csv"
+        command = "wcf" if kind == "bps" else "complete"
+        assert run(capsys, command, str(FIXTURES / fname), "--emit-csv", str(path))[0] == 0
+        with path.open(newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["dir_x", "dir_y", "kind", "lowest_degree", "summary"]
+        assert len(rows) > 1 and all(len(row) == 5 for row in rows), name
+        assert all(row[4].startswith("t^") and "z^(" in row[4] for row in rows[1:]), name
 
 
 def test_demo_runs_and_writes_reports(tmp_path, capsys):
@@ -490,6 +504,13 @@ def _bch(x, y, truncation=3):
                      "bad mu", id="bps-mu"),
         pytest.param("wcf", _fixture_with("example1.json", ("truncation", "x")), (),
                      "bad truncation", id="bps-truncation"),
+        # a BPS file's order is checked before its first factor is read
+        pytest.param("wcf", _fixture_with("example1.json", ("truncation", 0)), (),
+                     "truncation order must be >= 1", id="bps-truncation-zero"),
+        pytest.param("wcf", _fixture_with("example1.json"), ("--order", "0"),
+                     "truncation order must be >= 1", id="bps-order-zero"),
+        pytest.param("wcf", _fixture_with("example1.json"), ("--order", "-1"),
+                     "truncation order must be >= 1", id="bps-order-negative"),
         pytest.param("wcf", _fixture_with("example1.json", ("factors", 0, "pair", ["i", "i"])),
                      (), "names one vacuum twice", id="s-pair-equal-vacua"),
         pytest.param("complete", _fixture_with("pentagon.json", ("walls", 0, "terms", 0, "t", "x")),
@@ -568,6 +589,12 @@ def _bch(x, y, truncation=3):
         pytest.param("bch", _bch([{"m": [1, 0], "t": 1, "matrix": _UPPER}], [], truncation=2),
                      ("--order", "4"), "exceeds the file's truncation",
                      id="order-above-truncation-bch"),
+        # an order below 1 is named as such, also above a truncation below 1
+        pytest.param("complete", _fixture_with("pentagon.json", ("truncation", -1)),
+                     ("--order", "0"), "truncation order must be >= 1",
+                     id="order-zero-above-truncation-complete"),
+        pytest.param("bch", _bch([], [], truncation=-1), ("--order", "0"),
+                     "truncation order must be >= 1", id="order-zero-above-truncation-bch"),
         # every object kind has one closed key set: an unknown key is not ignored
         pytest.param("complete", _fixture_with("pentagon.json", ("order", 3)), (),
                      "diagram file has unknown key 'order'", id="unknown-key-diagram"),
@@ -938,6 +965,24 @@ def test_a_frequency_whose_results_cannot_be_printed_exits_2_at_once(tmp_path, c
     assert err == (f"input error: {what} has a coordinate of more than {digits} digits: at "
                    f"order 2, its results could exceed Python's limit of {_DIGIT_LIMIT} digits\n")
     assert not target.exists()
+
+
+@_needs_digit_limit
+@pytest.mark.parametrize("kind", ["diagram", "bch", "bps"])
+def test_an_order_above_the_digit_limit_names_the_order(tmp_path, capsys, kind):
+    # above the limit no coordinate is short enough, so the message names the
+    # order rather than a bound of 0 digits; it comes from the first term
+    # read, before the order cap
+    order = _DIGIT_LIMIT + 700
+    command, data = _file_with_frequency(kind, 1)
+    data["truncation"] = order
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    what = {"diagram": "wall term", "bch": "bch term", "bps": "S factor"}[kind]
+    assert err == (f"input error: {what} at order {order}: above Python's limit of "
+                   f"{_DIGIT_LIMIT} digits, no frequency's results can be printed\n")
 
 
 @_needs_digit_limit

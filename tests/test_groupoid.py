@@ -400,6 +400,25 @@ def test_solve_wcf_zero_strength_is_empty():
     assert sol.completed.walls == ()
 
 
+@pytest.mark.parametrize("order", [0, -1])
+def test_a_bps_context_checks_its_order(order):
+    with pytest.raises(ValueError, match="truncation order must be >= 1"):
+        BpsContext(("i",), order)
+
+
+def test_solve_wcf_completes_in_the_problem_s_own_series_context():
+    # the context is built once, with one matrix row per vacuum, and is no
+    # part of the problem's equality or repr
+    problem = example1_problem(order=5)
+    series = problem.context.series
+    assert series == TruncationContext(5, 3)
+    sol = solve_wcf(problem)
+    assert sol.initial.ctx is series and sol.completed.ctx is series
+    assert BpsContext(("i",), 2).series == TruncationContext(2, 1)
+    assert problem.context == BpsContext(("i", "j", "k"), 5)
+    assert repr(problem.context) == "BpsContext(vacua=('i', 'j', 'k'), order=5)"
+
+
 def test_solve_wcf_rechecks_consistency():
     sol = solve_wcf(example1_problem(order=5))
     assert is_consistent(sol.completed)

@@ -970,17 +970,26 @@ def test_check_of_a_completion_computes_no_inverse_exponential(tmp_path, monkeyp
     assert coeffs and coeffs == [1] * len(coeffs)
 
 
-@pytest.mark.parametrize("m", range(2, 7))
-def test_kronecker_central_ray_matches_its_closed_form_at_order_32(m):
-    # every term of the (1,1) ray of the m-Kronecker diagram up to t^32,
+def _assert_central_ray_matches_its_closed_form(m, N):
+    # every term of the (1,1) ray of the m-Kronecker diagram up to t^N,
     # against a closed form computed with no engine code (reference_quiver):
     # an order the benchmark's workloads (N <= 7) never reach
-    N = 32
     completed = complete(serialize.diagram_from_json(kronecker_doc(m, m, N)))
     n = primitive_normal((1, 1))
     expected = {((k, k), 2 * k): (mat_zero(1), (c * n[0], c * n[1]))
                 for k, c in central_ray_normal_coefficients(m, N // 2).items()}
     assert dict(completed.wall_in_direction((1, 1)).logf.terms) == expected
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_kronecker_central_ray_matches_its_closed_form_at_order_32(m):
+    _assert_central_ray_matches_its_closed_form(m, 32)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_kronecker_central_ray_matches_its_closed_form_at_order_64(m):
+    # only m = 2 and 3, which complete in about a second or less at N = 64
+    _assert_central_ray_matches_its_closed_form(m, 64)
 
 
 def test_the_kronecker_oracle_reads_the_known_euler_characteristics():
