@@ -7,16 +7,16 @@ read or decoded, bad JSON, a JSON integer longer than Python's digit limit
 or nesting deeper than its recursion limit, a malformed value or rational,
 a rank above ``serialize.MAX_RANK`` (64; for a BPS file, more vacua), a
 frequency whose results at the order could not be printed, and an output
-that cannot be written, included), 3 convention
-violation (among others, a completion that would change an initial wall),
-5 internal error (any other exception, reported as one ``internal error:``
-line on stderr).
-The plots are written first, ``--output`` next and stdout last, so a run
-that exits 2 leaves no ``--output`` file and nothing on stdout, and one that
-exits 3 writes nothing.  ``SCATTER_MAX_ORDER`` caps the truncation order
-(default 16) of ``complete``, ``check``, ``wcf`` and ``bch``, checked once
-the whole file is read; it does not apply to ``plot`` or ``demo``.  An order
-below 1 is refused by the readers, through the series context they build.
+that cannot be written, included), 3 convention violation (among others,
+a completion that would change an initial wall), 5 internal error (any other
+exception, reported as one ``internal error:`` line on stderr).  Every input
+is judged before anything is written; the plots are written first,
+``--output`` next and stdout last, so a run that exits 2 on its input, or 3,
+writes nothing, and only a failed write can leave the files before it.
+``SCATTER_MAX_ORDER`` caps the truncation order (default 16) of
+``complete``, ``check``, ``wcf`` and ``bch``, checked once the whole file is
+read; it does not apply to ``plot`` or ``demo``.  An order below 1 is
+refused by the readers, through the series context they build.
 Outputs are byte-identical across runs and hash seeds.
 """
 
@@ -135,13 +135,11 @@ def cmd_check(args) -> int:
     d = serialize.diagram_from_json(load_json(args.input), args.order)
     check_order(d.ctx.order)
     defect = scattering.defect(d)
+    if defect is not None:
+        scattering.require_half_plane(d)
     _emit_plots(args, d)
-    if defect is None:
-        sys.stdout.write("consistent\n")
-        return EXIT_OK
-    scattering.require_half_plane(d)
-    sys.stdout.write(report.defect_report(defect))
-    return EXIT_INCONSISTENT
+    sys.stdout.write("consistent\n" if defect is None else report.defect_report(defect))
+    return EXIT_OK if defect is None else EXIT_INCONSISTENT
 
 
 def cmd_wcf(args) -> int:

@@ -59,8 +59,9 @@ product of ``x`` and ``y`` at order N.  BPS problem files::
 its coordinate ``gamma - e_i + e_j``; ``truncation`` may be left out when an
 order is passed, and an order passed may exceed it, since a factor has no
 terms that stop there.  The order is checked by the problem's
-:class:`~wallcross.groupoid.BpsContext`, before the first factor is read.
-A factor whose count is an explicit 0 is dropped.  The
+:class:`~wallcross.groupoid.BpsContext`, and a ``truncation`` given meets
+the same floor of 1 whether or not an order is passed, both before the
+first factor is read.  A factor whose count is an explicit 0 is dropped.  The
 solver works in the untwisted groupoid ring, so a ``"twisting"`` key other
 than ``"trivial"`` is rejected.  Counts, orders and lattice coordinates must
 be JSON integers; every malformed value raises :class:`SchemaError`.
@@ -241,8 +242,10 @@ def _vec(v, what="vector") -> tuple[int, int]:
 def _fields(obj: dict, what: str, required: tuple, **optional) -> list:
     """The values of ``obj`` at its ``required`` keys, then at ``optional`` ones or their defaults.
 
-    No other key is allowed; a missing key is reported before an unknown one.
+    ``obj`` must be a JSON object with no other key; a missing key is named before an unknown one.
     """
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} must be a JSON object")
     for key in required:
         if key not in obj:
             raise SchemaError(f"{what} missing key {key!r}")
@@ -294,13 +297,12 @@ def diagram_to_json(d: Diagram) -> dict:
 
 def diagram_from_json(data: dict, order: int | None = None) -> Diagram:
     """Parse a diagram file; ``order`` may lower its truncation, never raise it."""
-    if not isinstance(data, dict):
-        raise SchemaError("diagram file must be a JSON object")
+    rank, truncation, walls_data, _ = _fields(
+        data, "diagram file", ("rank", "truncation", "walls"), base_direction=None)
     if "base_direction" in data:
         raise SchemaError(
             "base_direction is no longer accepted: every loop starts at the positive x-axis"
         )
-    rank, truncation, walls_data = _fields(data, "diagram file", ("rank", "truncation", "walls"))
     truncation = _int(truncation, "truncation")
     try:
         ctx = read_context(truncation, order, rank)
@@ -358,8 +360,6 @@ def _wall_from_json(ctx: TruncationContext, wd: dict, truncation: int) -> Wall:
 
 
 def bps_from_json(data: dict, order: int | None = None) -> tuple[BpsProblem, int]:
-    if not isinstance(data, dict):
-        raise SchemaError("BPS file must be a JSON object")
     vacua, twisting, truncation, basepoints, factors_data = _fields(
         data, "BPS file", ("vacua",),
         twisting="trivial", truncation=None, basepoints={}, factors=[])
@@ -384,6 +384,8 @@ def bps_from_json(data: dict, order: int | None = None) -> tuple[BpsProblem, int
     shift = {name: _vec(v, "basepoint") for name, v in basepoints.items()}
     try:
         ctx = BpsContext(tuple(vacua), n)
+        if truncation is not None:
+            TruncationContext(truncation)  # the order floor, with or without --order
     except ValueError as e:
         raise SchemaError(str(e)) from None
     factors = []
@@ -422,8 +424,6 @@ def bps_from_json(data: dict, order: int | None = None) -> tuple[BpsProblem, int
 
 def bch_from_json(data: dict, order: int | None) -> tuple[LieElem, LieElem]:
     """The ``x`` and ``y`` of a bch input, read at ``order`` (``None``: its truncation)."""
-    if not isinstance(data, dict):
-        raise SchemaError("bch input must be a JSON object")
     # without a truncation key, the order is the file's truncation
     rank, truncation, x, y = _fields(data, "bch input", ("rank",), truncation=order, x=[], y=[])
     if order is None and "truncation" not in data:
@@ -431,10 +431,10 @@ def bch_from_json(data: dict, order: int | None) -> tuple[LieElem, LieElem]:
     truncation = _int(truncation, "truncation")
     try:
         ctx = read_context(truncation, order, rank)
+        x = lie_terms_from_json(ctx, x, truncation)
+        y = lie_terms_from_json(ctx, y, truncation)
     except ValueError as e:
         raise SchemaError(str(e)) from None
-    x = lie_terms_from_json(ctx, x, truncation)
-    y = lie_terms_from_json(ctx, y, truncation)
     if not in_open_half_plane(list(x.frequencies() | y.frequencies())):
         raise SchemaError(
             "the frequencies of x and y must lie in one open half-plane, or the "
@@ -461,7 +461,10 @@ def lie_terms_to_json(x: LieElem) -> list[dict]:
 
 
 def lie_terms_from_json(ctx: TruncationContext, data, truncation: int) -> LieElem:
-    """A Lie element read at ``ctx.order`` from a file truncated at ``truncation``."""
+    """A Lie element read at ``ctx.order`` from a file truncated at ``truncation``.
+
+    The engine's ``ValueError`` passes through, to :func:`bch_from_json`'s guard.
+    """
     terms = {}
     for td in _objects(data, "terms"):
         m, j, mat, dv = _fields(td, "bch term", ("m", "t"), matrix=None, derivation=["0", "0"])
@@ -476,10 +479,7 @@ def lie_terms_from_json(ctx: TruncationContext, data, truncation: int) -> LieEle
         if m[0] * p1 * q2 + m[1] * p2 * q1:
             raise SchemaError(f"derivation at frequency {m} is not orthogonal to it")
         terms[key] = (a, d)
-    try:
-        return LieElem.from_ratios(ctx, terms)
-    except ValueError as e:
-        raise SchemaError(str(e)) from None
+    return LieElem.from_ratios(ctx, terms)
 
 
 def dumps(data) -> str:

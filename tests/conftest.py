@@ -13,7 +13,7 @@ os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 from wallcross import cli, groupoid, serialize  # noqa: E402
 from wallcross.lattice import primitive_normal  # noqa: E402
-from wallcross.series import SeriesElem, SeriesMatrix, TruncationContext  # noqa: E402
+from wallcross.series import SeriesElem, SeriesMatrix  # noqa: E402
 from wallcross.vertexlie import AutPair, LieElem, mat_zero  # noqa: E402
 
 FIXTURES = Path(cli.__file__).parent / "fixtures"
@@ -28,10 +28,8 @@ def fixture_diagram(name, order=None):
     data = json.loads((FIXTURES / fname).read_text())
     if kind == "diagram":
         return serialize.diagram_from_json(data, order)
-    problem, n = serialize.bps_from_json(data, order)
-    return groupoid.build_initial_diagram(
-        problem, TruncationContext(n, len(problem.context.vacua))
-    )
+    problem, _ = serialize.bps_from_json(data, order)
+    return groupoid.build_initial_diagram(problem, problem.context.series)
 
 
 def kronecker_doc(omega1, omega2, order):

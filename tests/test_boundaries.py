@@ -430,3 +430,37 @@ def test_one_place_asks_whether_a_wall_is_zero():
     reads = {path.stem: names for path in sorted(PACKAGE.glob("*.py"))
              if (names := _zero_log_tests(ast.parse(path.read_text())))}
     assert reads == {"scattering": ["Diagram.__post_init__"]}
+
+
+def _input_rules(tree) -> dict[str, list[str]]:
+    """Per function: dict checks of its first argument, object messages, ValueError guards."""
+    found = {}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        first = fn.args.args[0].arg if fn.args.args else None
+        rules = []
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and ast.unparse(node) == f"isinstance({first}, dict)":
+                rules.append("object check")
+            elif isinstance(node, ast.Raise) and "must be a JSON object" in ast.unparse(node):
+                rules.append("object message")
+            elif isinstance(node, ast.Raise) and ast.unparse(node) == (
+                    "raise SchemaError(str(e)) from None"):
+                rules.append("guard")
+        if rules:
+            found[fn.name] = sorted(rules)
+    return found
+
+
+def test_each_input_rule_has_one_home_in_the_readers():
+    # _fields judges whether a document is a JSON object, for every reader,
+    # and each public reader turns the engine's ValueError into a
+    # SchemaError in one guard
+    rules = _input_rules(ast.parse((PACKAGE / "serialize.py").read_text()))
+    assert rules == {
+        "_fields": ["object check", "object message"],
+        "diagram_from_json": ["guard"],
+        "bps_from_json": ["guard"],
+        "bch_from_json": ["guard"],
+    }

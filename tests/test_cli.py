@@ -487,6 +487,17 @@ _THREE_SPANNING_RAYS = _walls(2, 4, ([1, 0], "ray", [_s_term(_UPPER)]),
                               ([0, -1], "ray", [_s_term(_TOP_LEFT)]))
 
 
+def _k_factors(*gammas):
+    """A BPS document with no vacua and one K factor (Omega 1) on each charge."""
+    factors = [{"type": "K", "gamma": g, "Omega": 1} for g in gammas]
+    return {"vacua": [], "factors": factors, "truncation": 3}
+
+
+def _spanning_lines(*terms):
+    """A rank-1 diagram with lines on (1,0), (0,1) and (-1,-1), one term each."""
+    return _walls(1, 3, *((d, "line", [t]) for d, t in zip(([1, 0], [0, 1], [-1, -1]), terms)))
+
+
 def _bch(x, y, truncation=3):
     return {"rank": 2, "truncation": truncation, "x": x, "y": y}
 
@@ -511,6 +522,18 @@ def _bch(x, y, truncation=3):
                      "truncation order must be >= 1", id="bps-order-zero"),
         pytest.param("wcf", _fixture_with("example1.json"), ("--order", "-1"),
                      "truncation order must be >= 1", id="bps-order-negative"),
+        # a truncation below 1 is refused also when an order is passed
+        pytest.param("wcf", _fixture_with("example1.json", ("truncation", -1)), ("--order", "3"),
+                     "truncation order must be >= 1", id="bps-truncation-negative-with-order"),
+        pytest.param("wcf", _fixture_with("example1.json", ("truncation", 0)), ("--order", "3"),
+                     "truncation order must be >= 1", id="bps-truncation-zero-with-order"),
+        # the direction rules of a BPS problem's initial walls
+        pytest.param("wcf", _k_factors([1, 0], [-1, 0]), (),
+                     "anti-parallel factor directions", id="bps-anti-parallel-factors"),
+        pytest.param("wcf", _k_factors([0, 0]), (),
+                     "factor directions must be nonzero", id="bps-zero-factor"),
+        pytest.param("wcf", _k_factors([1, 0], [0, 1], [-1, -1]), (),
+                     "parallel initial walls", id="bps-spanning-factors"),
         pytest.param("wcf", _fixture_with("example1.json", ("factors", 0, "pair", ["i", "i"])),
                      (), "names one vacuum twice", id="s-pair-equal-vacua"),
         pytest.param("complete", _fixture_with("pentagon.json", ("walls", 0, "terms", 0, "t", "x")),
@@ -554,6 +577,9 @@ def _bch(x, y, truncation=3):
                      "parallel initial walls", id="three-spanning-rays-complete"),
         pytest.param("check", _fixture_with("pentagon.json", ("base_direction", [-1, 0])), (),
                      "base_direction is no longer accepted", id="base-direction-on-wall"),
+        # the key sets are read first: a missing key is named before base_direction
+        pytest.param("check", {"rank": 1, "truncation": 3, "base_direction": [1, 0]}, (),
+                     "diagram file missing key 'walls'", id="base-direction-and-missing-key"),
         pytest.param("complete", _fixture_with("pentagon.json", ("walls", 0, "direction",
                                                                  [True, False])), (),
                      "bad direction", id="direction-booleans"),
@@ -807,6 +833,27 @@ def test_a_failed_demo_report_write_leaves_stdout_empty(tmp_path, capsys):
     code, out, err = run(capsys, "demo", "--outdir", str(tmp_path))
     assert (code, out) == (2, "")
     assert err.startswith(f"input error: cannot write {tmp_path / 'pentagon.report.txt'}")
+
+
+def test_a_rejected_check_writes_no_plot(tmp_path, capsys):
+    # lines on every side of the origin: the defect has a term at frequency
+    # zero, which is found before the plots are written
+    p = tmp_path / "spanning.json"
+    p.write_text(json.dumps(_spanning_lines(_K_TERM, _K_TERM, _K_TERM)))
+    svg, csv_path = tmp_path / "p.svg", tmp_path / "p.csv"
+    code, out, err = run(capsys, "check", str(p), "--emit-svg", str(svg),
+                         "--emit-csv", str(csv_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: parallel initial walls")
+    assert sorted(tmp_path.iterdir()) == [p]
+
+
+def test_check_accepts_consistent_lines_on_every_side(tmp_path, capsys):
+    # rank-1 matrix terms commute, so the same lines are consistent: the
+    # half-plane rule is for a defect only
+    p = tmp_path / "spanning.json"
+    p.write_text(json.dumps(_spanning_lines(*(_s_term([[c]]) for c in ("1", "2", "3")))))
+    assert run(capsys, "check", str(p)) == (0, "consistent\n", "")
 
 
 def test_check_accepts_a_consistent_diagram_with_opposite_rays(tmp_path, capsys):
