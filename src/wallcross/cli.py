@@ -6,7 +6,8 @@ every file format they read or write lives in :mod:`serialize`.  Exit codes:
 read or decoded, bad JSON, a JSON integer longer than Python's digit limit
 or nesting deeper than its recursion limit, a malformed value or rational,
 a rank above ``serialize.MAX_RANK`` (64; for a BPS file, more vacua), a
-frequency whose results at the order could not be printed, and an output
+frequency whose results at the order could not be printed, a
+``SCATTER_MAX_ORDER`` that is not an integer of at least 1, and an output
 that cannot be written, included), 3 convention violation (among others,
 a completion that would change an initial wall), 5 internal error (any other
 exception, reported as one ``internal error:`` line on stderr).  Every input
@@ -15,8 +16,10 @@ is judged before anything is written; the plots are written first,
 writes nothing, and only a failed write can leave the files before it.
 ``SCATTER_MAX_ORDER`` caps the truncation order (default 16) of
 ``complete``, ``check``, ``wcf`` and ``bch``, checked once the whole file is
-read; it does not apply to ``plot`` or ``demo``.  An order below 1 is
-refused by the readers, through the series context they build.
+read; it does not apply to ``plot`` or ``demo``.  ``--convention-audit``
+prints the cap, so it runs under the same guard and exits 2 on a bad one.
+An order below 1 is refused by the readers, through the series context they
+build.
 Outputs are byte-identical across runs and hash seeds.
 """
 
@@ -52,11 +55,15 @@ FIXTURES = {
 
 
 def max_order() -> int:
+    """The cap from ``SCATTER_MAX_ORDER``: an integer of at least 1, or the default if unset."""
     raw = os.environ.get("SCATTER_MAX_ORDER", "")
     try:
-        return int(raw) if raw else DEFAULT_MAX_ORDER
+        cap = int(raw) if raw else DEFAULT_MAX_ORDER
     except ValueError:
-        raise SchemaError(f"bad SCATTER_MAX_ORDER {raw!r}") from None
+        cap = 0
+    if cap < 1:
+        raise SchemaError(f"bad SCATTER_MAX_ORDER {raw!r}")
+    return cap
 
 
 def check_order(n: int):
@@ -101,6 +108,11 @@ def convention_audit() -> str:
         f"  max truncation order: {max_order()}",
     ]
     return "\n".join(lines) + "\n"
+
+
+def cmd_audit(args) -> int:
+    sys.stdout.write(convention_audit())
+    return EXIT_OK
 
 
 def _completion(d) -> tuple:
@@ -239,14 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.convention_audit:
-        sys.stdout.write(convention_audit())
-        return EXIT_OK
-    if not getattr(args, "fn", None):
+    fn = cmd_audit if args.convention_audit else getattr(args, "fn", None)
+    if not fn:
         parser.print_help()
         return EXIT_SCHEMA
     try:
-        return args.fn(args)
+        return fn(args)
     except SchemaError as e:
         sys.stderr.write(f"input error: {e}\n")
         return EXIT_SCHEMA

@@ -45,6 +45,11 @@ modulo t^(N+1): the action copies those and builds no power for them.  The
 exponential's gauge column i starts at L(e_i) = A e_i, the i-th column of
 the matrix part, since the derivation kills constants.
 
+An element of t-order s with 2s > N squares to zero modulo t^(N+1), so
+exp(x) = 1 + x, log g = g - 1 and g^-1 = 1 - (g - 1) are read off its parts
+with no series, and sigma with 2d > N maps z^m to z^m (1 + m1 u1 + m2 u2),
+u_i = tails[i] / z^(e_i), with no generator power and no inverse.
+
 Every term's t-degree is at least 1, so :func:`exp`, :func:`log` and the
 inverses are finite operator series, summed by
 :func:`~wallcross.series._operator_series`, and every identity here is
@@ -442,15 +447,29 @@ class AutPair:
         with ``j > N - d`` (d is :attr:`_fixed_order`), since
         sigma(z^m) = z^m (1 + O(t^d)) and the rest lies above t^N.  Those
         terms are copied into the sum, and ``f`` with no other term is
-        returned as it is.
+        returned as it is.  When 2d > N, each other term adds
+        c t^j z^m (m1 u1 + m2 u2) read off the tails, with no power.
         """
-        N = self.ctx.order
-        top = N - self._fixed_order
+        N, d = self.ctx.order, self._fixed_order
+        top = N - d
         fixed, moving = [], []
         for k, c in f.coeffs.items():
             (moving if (k[0] or k[1]) and k[2] <= top else fixed).append((k, c))
         if not moving:
             return f
+        if 2 * d > N:  # sigma(z^m) = z^m (1 + m1 u1 + m2 u2), u_i = tails[i] / z^(e_i)
+            den = lcm(self.tails[0].den, self.tails[1].den)
+            out = {k: c * den for k, c in f.coeffs.items()} if den > 1 else dict(f.coeffs)
+            get = out.get
+            for i, t in enumerate(self.tails):
+                w = den // t.den
+                for (m1, m2, j), c in moving:
+                    cm = c * w * (m2 if i else m1)
+                    for (k1, k2, k), a in t.coeffs.items() if cm else ():
+                        if j + k <= N:
+                            key = (m1 + k1 - 1 + i, m2 + k2 - i, j + k)
+                            out[key] = get(key, 0) + cm * a
+            return SeriesElem._make(self.ctx, out, f.den * den)
         if powers is None:
             powers = {}
         terms = []
@@ -488,7 +507,8 @@ def exp(x: LieElem) -> AutPair:
     keeps its argument g as the exponential of its result x and g^-1 as
     that of ``-x``, and :func:`exp_pair` fills both memos from one series.
     An equal element built separately (a restriction, a parsed copy)
-    carries no memo and is computed afresh.
+    carries no memo and is computed afresh.  With 2s > N, s the t-order of
+    ``x``, exp(x) is 1 + x, built with no series.
     """
     return x._exp
 
@@ -526,19 +546,28 @@ def _exponential_series(x: LieElem, coeffs: tuple) -> tuple[AutPair, ...]:
     matrix part, since the derivation kills constants.  The
     coefficients 1/k! give exp(x).  With s the t-order of ``x``, the k-th
     term of either series has t-order at least k s, so each series stops at
-    N // s terms, as in :func:`log`: an element with 2s > N makes no step.
-    :func:`_group_series` sums them, forming the powers once for all
-    ``coeffs``.  A zero matrix part gives a zero gauge part with no action
-    at all.
+    N // s terms, as in :func:`log`.  With 2s > N that is one term: each
+    result is 1 + c(1) x, read off ``x`` with no series.  Otherwise
+    :func:`_group_series` sums them, forming the powers once for all ``coeffs``.
+    A zero matrix part gives a zero gauge part with no action at all.
     """
     ctx = x.ctx
     steps = ctx.order // (x.t_order() or ctx.order + 1)
+    tails = tuple(map(x.apply_derivation, ctx.generators))
+    if steps <= 1:  # c(1) is 1 or -1
+        g = AutPair(ctx, tails, x.a)
+        return tuple(g if c(1) == 1 else _negated(g) for c in coeffs)
 
     def derive(v):
         return tuple(map(x.apply_derivation, v))
 
-    return tuple(AutPair(ctx, tails, nil) for tails, nil in _group_series(
-        ctx, derive, derive(ctx.generators), x.apply_section, x.a, coeffs, steps))
+    return tuple(AutPair(ctx, t, nil) for t, nil in _group_series(
+        ctx, derive, tails, x.apply_section, x.a, coeffs, steps))
+
+
+def _negated(g: AutPair) -> AutPair:
+    """1 - (g - 1): the inverse of g when (g - 1)^2 = 0."""
+    return AutPair(g.ctx, (-g.tails[0], -g.tails[1]), -g.nil)
 
 
 def _group_series(ctx, ring_step, tails, section_step, mat, coeffs, steps) -> list:
@@ -582,7 +611,10 @@ def log(g: AutPair) -> LieElem:
     the same powers.  The result x keeps ``g`` as its exponential and
     g^-1 as the exponential of ``-x``.  Each step applies g - 1 as
     ``g.apply_ring(f) - f`` and ``g.apply_section(v) - v``: the one place the
-    group law still subtracts the identity's action, a second sum per entry.
+    group law still subtracts the identity's action, a second sum per entry,
+    and only when N // s >= 2.  When N // s is 1, (g - 1)^2 = 0, so log g is
+    g - 1 and g^-1 is 1 - (g - 1), read off the parts with no series.  Every
+    check runs on either path.
     """
     ctx = g.ctx
     orders = [f.t_order() for f in g.tails]
@@ -593,16 +625,20 @@ def log(g: AutPair) -> LieElem:
         raise ValueError("not pro-unipotent: gauge constant term is not the identity")
     s = min((o for o in orders if o is not None), default=ctx.order + 1)
     steps = ctx.order // s
-    powers: dict = {}
+    if steps <= 1:  # (g - 1)^2 = 0: log g = g - 1 and g^-1 = 1 - (g - 1)
+        (dlog, a), inverse = (g.tails, g.nil), _negated(g)
+    else:
+        powers: dict = {}
 
-    def ring_step(v):
-        return tuple(g.apply_ring(f, powers) - f for f in v)
+        def ring_step(v):
+            return tuple(g.apply_ring(f, powers) - f for f in v)
 
-    def section_step(v):
-        return tuple(a - b for a, b in zip(g.apply_section(v, powers), v))
+        def section_step(v):
+            return tuple(a - b for a, b in zip(g.apply_section(v, powers), v))
 
-    (dlog, a), inverse = _group_series(
-        ctx, ring_step, g.tails, section_step, g.nil, (_mercator_coeff, _neumann_coeff), steps)
+        (dlog, a), (tails, nil) = _group_series(
+            ctx, ring_step, g.tails, section_step, g.nil, (_mercator_coeff, _neumann_coeff), steps)
+        inverse = AutPair(ctx, tails, nil)
     x = LieElem.from_operator(ctx, dlog, a)
     if (0, 0) in x.frequencies():
         raise ValueError("logarithm has a term outside the Lie algebra")
@@ -612,7 +648,7 @@ def log(g: AutPair) -> LieElem:
             "input is not in the exponential image"
         )
     x.__dict__["_exp"] = g  # exp(log g) = g exactly
-    (-x).__dict__["_exp"] = AutPair(ctx, *inverse)
+    (-x).__dict__["_exp"] = inverse
     return x
 
 

@@ -16,6 +16,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from conftest import images_of
@@ -214,6 +215,45 @@ def test_every_truncated_series_is_summed_by_one_routine(monkeypatch):
     assert log(values["exp"]) == x + y
     assert fresh_exp(values["log"]) == g
     assert unit * values["invert_unit"] == SeriesElem.one(ctx)
+
+
+def test_a_square_zero_element_runs_no_series_and_no_power(monkeypatch):
+    # with 2s > N an element squares to zero: exp(x) = 1 + x, log g = g - 1
+    # and sigma(z^m) = z^m (1 + m1 u1 + m2 u2), so exp, exp_pair and log sum
+    # no operator series and the action builds no generator power, even for
+    # a negative exponent; at t-order s = N // 2 both run as before
+    ctx = TruncationContext(6, 2)
+    calls = {"_operator_series": 0, "_gen_power": 0}
+    routine, gen_power = vertexlie._operator_series, AutPair._gen_power
+
+    def counted_series(*args):
+        calls["_operator_series"] += 1
+        return routine(*args)
+
+    def counted_power(*args):
+        calls["_gen_power"] += 1
+        return gen_power(*args)
+
+    monkeypatch.setattr(vertexlie, "_operator_series", counted_series)
+    monkeypatch.setattr(AutPair, "_gen_power", counted_power)
+    f = SeriesElem(ctx, {(-1, 2, 0): 1, (3, -1, 1): Fraction(1, 2), (0, 0, 2): 5})
+    for s, runs in ((4, False), (3, True)):
+        def element():
+            return LieElem.single(ctx, (-1, 2), s, matrix=elementary(2, 0, 1, 3), dvec=(-2, -1))
+
+        group = fresh_exp(element())
+        # each case's group element; log's is exp(-log g), the inverse it keeps
+        for name, fn in (("exp", lambda: exp(element())),
+                         ("exp_pair", lambda: vertexlie.exp_pair(element())[1]),
+                         ("log", lambda: exp(-log(group)))):
+            calls.update(_operator_series=0, _gen_power=0)
+            g = fn()
+            assert bool(calls["_operator_series"]) == runs, (name, s)
+            calls.update(_operator_series=0, _gen_power=0)
+            image = g.apply_ring(f)
+            assert bool(calls["_gen_power"]) == runs, (name, s)
+            assert image != f
+        assert log(group) == element()
 
 
 def test_engine_runs_without_the_rational_boundary(monkeypatch, tmp_path, capsys):

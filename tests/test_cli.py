@@ -32,6 +32,25 @@ def test_convention_audit(capsys):
     assert "twisting default" not in out
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "1.5"])
+def test_a_bad_order_cap_exits_2_in_the_audit_and_every_command(capsys, monkeypatch, raw):
+    # the audit prints the cap, so it runs under the same error guard as the
+    # commands: nothing on stdout, one input error line on stderr
+    monkeypatch.setenv("SCATTER_MAX_ORDER", raw)
+    message = f"input error: bad SCATTER_MAX_ORDER {raw!r}\n"
+    assert run(capsys, "--convention-audit") == (2, "", message)
+    assert run(capsys, "complete", str(FIXTURES / "pentagon.json")) == (2, "", message)
+
+
+def test_the_audit_prints_the_order_cap(capsys, monkeypatch):
+    monkeypatch.setenv("SCATTER_MAX_ORDER", "1")
+    code, out, _ = run(capsys, "--convention-audit")
+    assert code == 0 and "  max truncation order: 1\n" in out
+    monkeypatch.delenv("SCATTER_MAX_ORDER")
+    code, out, _ = run(capsys, "--convention-audit")
+    assert code == 0 and f"  max truncation order: {cli.DEFAULT_MAX_ORDER}\n" in out
+
+
 def test_complete_pentagon_fixture(tmp_path, capsys):
     out_json = tmp_path / "completed.json"
     code, out, _ = run(

@@ -16,7 +16,11 @@ N - d when sigma - id has t-order d), which it copies.  Separate tests pin
 that the skipping is real (kernel calls, the powers table) and that a zero
 operand still has its context checked.  The exponential, which starts its
 gauge columns at the matrix part, is compared with sum_k L^k / k! of the
-``reference_lie`` operator.
+``reference_lie`` operator.  So are the elements of t-order s with 2s > N,
+which square to zero and take the closed forms exp(x) = 1 + x,
+log g = g - 1 and sigma(z^m) = z^m (1 + m1 u1 + m2 u2): their exp,
+exp_pair, log, actions and products against the model, beside elements of
+t-order N // 2 that still sum their series.
 """
 
 import random
@@ -28,9 +32,10 @@ import pytest
 import reference_lie as lie
 import reference_series as ref
 from conftest import aut_from_images, images_of, rand_lie
+from reference_completion import fresh_exp
 from wallcross.groupoid import KFactor, k_wall_log
 from wallcross.series import SeriesElem, SeriesMatrix, TruncationContext, _mul_add
-from wallcross.vertexlie import LieElem, compose, elementary, exp, mat_zero
+from wallcross.vertexlie import LieElem, compose, elementary, exp, exp_pair, log, mat_zero
 
 
 def _coeffs(rng, order, min_order=0):
@@ -304,18 +309,36 @@ def _fixed_order(images, order):
     return min((j for f in moved for (_m1, _m2, j) in f), default=order + 1)
 
 
+def _count_inversions(monkeypatch) -> list:
+    """Record every ``SeriesElem.invert_unit`` call in the returned list."""
+    calls = []
+    invert_unit = SeriesElem.invert_unit
+
+    def counted(self):
+        calls.append(self)
+        return invert_unit(self)
+
+    monkeypatch.setattr(SeriesElem, "invert_unit", counted)
+    return calls
+
+
 @pytest.mark.parametrize("rank", [1, 4])
-def test_constants_are_fixed_and_build_no_power(rank):
+def test_constants_are_fixed_and_build_no_power(monkeypatch, rank):
     # sigma builds a power for a term exactly when it can move it: a
     # non-constant term at t-degree j <= N - d, with d the t-order of
-    # sigma - id on the generators; every other series comes back as it is
+    # sigma - id on the generators; every other series comes back as it is.
+    # When 2d > N, (sigma - id)^2 = 0 and sigma moves such a term with no
+    # power and no inverse at all
+    inversions = _count_inversions(monkeypatch)
     rng = random.Random(1400 + rank)
     seen = set()
     for _ in range(20):
         N = rng.randint(1, 5)
         ctx = TruncationContext(N, rank)
         g, images, gauge = _aut(rng, ctx)
-        top = N - _fixed_order(images, N)
+        d = _fixed_order(images, N)
+        top, square_zero = N - d, 2 * d > N
+        inversions.clear()
         constants = [
             ref.truncate({(0, 0, j): Fraction(rng.randint(-5, 5), rng.randint(1, 6))
                           for j in range(rng.randint(0, N + 1))}, N)
@@ -330,14 +353,16 @@ def test_constants_are_fixed_and_build_no_power(rank):
         mixed = [ref.add(f, {(0, rng.choice([-1, 1]), j): Fraction(1)}, N)
                  for f, j in zip(constants, degrees)]
         elems = _assert_actions(g, images, gauge, mixed, powers)
-        assert bool(powers) == any(j <= top for j in degrees)
+        assert bool(powers) == (not square_zero and any(j <= top for j in degrees))
         for f, j in zip(elems, degrees):
             own: dict = {}
             image = g.apply_ring(f, own)
-            assert bool(own) == (j <= top)
+            assert bool(own) == (j <= top and not square_zero)
             assert (image is f) == (j > top)
-            seen.add(j <= top)
-    assert seen == {True, False}
+            seen.add((j <= top, square_zero))
+        if square_zero:
+            assert inversions == []
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def _aut_of_order(rng, ctx, d):
@@ -376,29 +401,38 @@ def _series_across(rng, order, top):
 
 
 @pytest.mark.parametrize("rank", [1, 3])
-def test_the_action_builds_powers_only_for_the_terms_sigma_moves(rank):
+def test_the_action_builds_powers_only_for_the_terms_sigma_moves(monkeypatch, rank):
     # for every t-order d of sigma - id from 0 to N + 1: a term c z^m t^j is
-    # fixed when m = 0 or j > N - d, and the action builds a power exactly
-    # when some other term is present, else it returns its argument
+    # fixed when m = 0 or j > N - d, and the action returns its argument
+    # when no other term is present.  With 2d <= N it builds a power exactly
+    # when some other term is present; with 2d > N it builds none and
+    # inverts no unit, since sigma(z^m) = z^m (1 + m1 u1 + m2 u2)
+    inversions = _count_inversions(monkeypatch)
     rng = random.Random(1500 + rank)
+    seen = set()
     for N in range(1, 6):
         ctx = TruncationContext(N, rank)
         for d in range(N + 2):
             for _ in range(3):
                 g, images, gauge = _aut_of_order(rng, ctx, d)
                 assert g._fixed_order == d
-                top = N - d
+                top, square_zero = N - d, 2 * d > N
                 fs = [_series_across(rng, N, top) for _ in range(rank)]
                 powers: dict = {}
+                inversions.clear()
                 elems = _assert_actions(g, images, gauge, fs, powers)
                 for f in elems:
                     moves = any((m1 or m2) and j <= top for m1, m2, j in f.coeffs)
                     own: dict = {}
                     image = g.apply_ring(f, own)
-                    assert bool(own) == moves
+                    assert bool(own) == (moves and not square_zero)
                     assert (image is f) == (not moves)
+                    seen.add((moves, square_zero))
+                if square_zero:
+                    assert powers == {} and inversions == []
                 for (axis, e), p in powers.items():
                     _assert_equal(p, _power(images[axis], e, N))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -443,21 +477,41 @@ def test_the_exponential_is_the_series_of_its_operator(monkeypatch, rank, case):
         g = exp(x)
         if case == "zero-matrix":
             assert calls == []
-        images, gauge = images_of(g)
-        for i in range(rank):
-            term = [ref._one() if k == i else {} for k in range(rank)]
-            col = term
-            for k in range(1, N + 1):
-                term = [ref.scale(f, Fraction(1, k), N) for f in lie.apply_section(model, term, N)]
-                col = [ref.add(a, b, N) for a, b in zip(col, term)]
-            for row in range(rank):
-                _assert_equal(gauge.rows[row][i], col[row])
-        for axis, e in enumerate(((1, 0), (0, 1))):
-            term = image = {(e[0], e[1], 0): Fraction(1)}
-            for k in range(1, N + 1):
-                term = ref.scale(lie.apply_derivation(model, term, N), Fraction(1, k), N)
-                image = ref.add(image, term, N)
-            _assert_equal(images[axis], image)
+        _assert_group_element(g, *_model_exp(model, rank, N))
+
+
+def _model_exp(model, rank, order):
+    """exp of the ``reference_lie`` element ``model`` as (generator images, gauge) dicts.
+
+    The images are sum_k D^k z^(e_i) / k!, and gauge column i is
+    sum_k L^k e_i / k! for the first-order operator L on sections.
+    """
+    N = order
+    cols = []
+    for i in range(rank):
+        term = col = [ref._one() if k == i else {} for k in range(rank)]
+        for k in range(1, N + 1):
+            term = [ref.scale(f, Fraction(1, k), N) for f in lie.apply_section(model, term, N)]
+            col = [ref.add(a, b, N) for a, b in zip(col, term)]
+        cols.append(col)
+    images = []
+    for e in ((1, 0), (0, 1)):
+        term = image = {(e[0], e[1], 0): Fraction(1)}
+        for k in range(1, N + 1):
+            term = ref.scale(lie.apply_derivation(model, term, N), Fraction(1, k), N)
+            image = ref.add(image, term, N)
+        images.append(image)
+    return images, [[cols[k][i] for k in range(rank)] for i in range(rank)]
+
+
+def _assert_group_element(g, images, gauge):
+    """The AutPair ``g`` has the generator images and gauge of the model, in normal form."""
+    got_images, got_gauge = images_of(g)
+    for got, want in zip(got_images, images):
+        _assert_equal(got, want)
+    for got_row, row in zip(got_gauge.rows, gauge):
+        for got, want in zip(got_row, row):
+            _assert_equal(got, want)
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -493,3 +547,78 @@ def test_compose_on_ray_and_fixed_order_match_the_fraction_model(rank):
         for got_row, row in zip(ray_gauge.rows, gauge1):
             for got, f in zip(got_row, row):
                 _assert_equal(got, on_ray(f))
+
+
+# -- square-zero elements: (g - 1)^2 = 0 when twice the t-order exceeds N --------------
+
+
+def _terms_of_order(rng, rank, order, s, case):
+    """``reference_lie`` terms of t-order exactly ``s`` in the orthogonal cut.
+
+    Every frequency has m1 + m2 > 0, so products and logs stay off
+    frequency zero; (-1, 2) and (2, -1) have a negative coordinate.
+    """
+    terms = {}
+    for j in [s] + [rng.randint(s, order) for _ in range(rng.randint(0, 2))]:
+        m = rng.choice([(1, 0), (0, 1), (1, 1), (-1, 2), (2, -1)])
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        a = [[Fraction(0)] * rank for _ in range(rank)]
+        if case != "derivation-only":
+            for _ in range(rng.randint(1, rank)):
+                a[rng.randrange(rank)][rng.randrange(rank)] = Fraction(rng.choice([-2, -1, 1, 3]),
+                                                                      rng.randint(1, 2))
+        dv = (0, 0) if case == "matrix-only" else (-c * m[1], c * m[0])
+        terms[(m, j)] = (tuple(map(tuple, a)), dv)
+    model = lie.clean(terms, order)
+    assert lie.t_order(model) == s
+    return model
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("case", ["derivation-only", "matrix-only", "mixed"])
+def test_square_zero_elements_match_the_fraction_model(rank, case):
+    # for every N from 2 to 9, elements of t-order s = N // 2 (a series of
+    # N // s >= 2 terms) and s = N // 2 + 1 (one term: exp(x) = 1 + x,
+    # log g = g - 1, sigma(z^m) = z^m (1 + m1 u1 + m2 u2)) against the
+    # Fraction model: exp and exp_pair against sum_k L^k / k!, log of the
+    # model's group element, the actions, compose, and g o exp(-log g) = 1
+    rng = random.Random(f"square-zero-{rank}-{case}")
+    seen = set()
+    for N in range(2, 10):
+        ctx = TruncationContext(N, rank)
+        for s in (N // 2, N // 2 + 1):
+            for _ in range(2):
+                model = _terms_of_order(rng, rank, N, s, case)
+                images, gauge = _model_exp(model, rank, N)
+                neg_images, neg_gauge = _model_exp(lie.scale(model, -1, N), rank, N)
+                x = LieElem.from_terms(ctx, model)
+                g = exp(x)
+                _assert_group_element(g, images, gauge)
+                pair = exp_pair(LieElem.from_terms(ctx, model))
+                _assert_group_element(pair[0], images, gauge)
+                _assert_group_element(pair[1], neg_images, neg_gauge)
+                # log of the model's element, which carries no memo
+                fresh = aut_from_images(ctx, tuple(SeriesElem(ctx, f) for f in images),
+                                        _matrix(ctx, gauge))
+                z = log(fresh)
+                assert dict(z.terms) == model
+                _assert_group_element(exp(-z), neg_images, neg_gauge)
+                assert compose(fresh, exp(-log(fresh))).is_identity()
+                assert compose(g, exp(-log(g))).is_identity()
+                # the actions and compose, on both sides of the fixed tail
+                top = N - g._fixed_order
+                fs = [_series_across(rng, N, top) for _ in range(rank)]
+                fs[0] = ref.add(fs[0], {(-1, 2, 0): Fraction(2, 3)}, N)
+                _assert_actions(g, images, gauge, fs)
+                other = _terms_of_order(rng, rank, N, rng.choice((N // 2, N // 2 + 1)), "mixed")
+                h_images, h_gauge = _model_exp(other, rank, N)
+                product = compose(g, fresh_exp(LieElem.from_terms(ctx, other)))
+                moved = [[_apply(images, f, N) for f in row] for row in h_gauge]
+                _assert_group_element(
+                    product, [_apply(images, f, N) for f in h_images],
+                    [[_sum((ref.mul(gauge[i][k], moved[k][j], N) for k in range(rank)), N)
+                      for j in range(rank)] for i in range(rank)])
+                seen.add((N // s, 2 * g._fixed_order > N))
+    assert {n >= 2 for n, _ in seen} == {True, False}
+    if case != "matrix-only":
+        assert {sq for _, sq in seen} == {True, False}
