@@ -3,8 +3,9 @@
 Subcommands: ``complete``, ``check``, ``wcf``, ``bch``, ``plot``, ``demo``;
 every file format they read or write lives in :mod:`serialize`.  Exit codes:
 0 success/consistent, 1 inconsistent, 2 input error (an input that cannot be
-read or decoded, bad JSON, a JSON integer longer than Python's digit limit
-or nesting deeper than its recursion limit, a malformed value or rational,
+read or decoded, bad JSON, a key given twice in one JSON object, a JSON
+integer longer than Python's digit limit or nesting deeper than its
+recursion limit, a malformed value or rational,
 a rank above ``serialize.MAX_RANK`` (64; for a BPS file, more vacua), a
 frequency whose results at the order could not be printed, a
 ``SCATTER_MAX_ORDER`` that is not an integer of at least 1, and an output
@@ -20,7 +21,8 @@ read; it does not apply to ``plot`` or ``demo``.  ``--convention-audit``
 prints the cap, so it runs under the same guard and exits 2 on a bad one.
 An order below 1 is refused by the readers, through the series context they
 build.
-Outputs are byte-identical across runs and hash seeds.
+Files are read and written as UTF-8, whatever the locale.  Outputs are
+byte-identical across runs and hash seeds.
 """
 
 from __future__ import annotations
@@ -73,10 +75,20 @@ def check_order(n: int):
         raise SchemaError(f"truncation order {n} exceeds SCATTER_MAX_ORDER={cap}")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused if a key repeats: ``json`` alone keeps the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set = set()
+        key = next(k for k, _v in pairs if k in seen or seen.add(k))
+        raise ValueError(f"duplicate key {key!r}")
+    return obj
+
+
 def load_json(path: str) -> dict:
     try:
-        with open(path) as f:
-            return json.load(f)
+        with open(path, encoding="utf-8") as f:
+            return json.load(f, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise SchemaError(f"no such file: {path}") from None
     except (OSError, UnicodeDecodeError) as e:
@@ -88,7 +100,7 @@ def load_json(path: str) -> dict:
 
 def write_text(path: str, text: str):
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as e:
         raise SchemaError(f"cannot write {path}: {e}") from None
 
@@ -198,7 +210,8 @@ def cmd_demo(args) -> int:
     worst = EXIT_OK
     reports = []
     for name, (kind, fname) in FIXTURES.items():
-        data = json.loads(resources.files("wallcross.fixtures").joinpath(fname).read_text())
+        fixture = resources.files("wallcross.fixtures").joinpath(fname)
+        data = json.loads(fixture.read_text(encoding="utf-8"))
         if kind == "bps":
             _completed, text, ok = _solution(serialize.bps_from_json(data)[0])
         else:

@@ -66,13 +66,15 @@ solver works in the untwisted groupoid ring, so a ``"twisting"`` key other
 than ``"trivial"`` is rejected.  Counts, orders and lattice coordinates must
 be JSON integers; every malformed value raises :class:`SchemaError`.
 
-Each object takes the keys shown (a BPS file also ``twisting``) and no other,
-so a misspelled key is an error, not an absent one; a missing key is named
-before an unknown one.  Optional are a wall's ``geometry`` (``"line"``) and
-``terms``, a term's ``matrix`` and ``derivation`` (zero), a BPS file's
-``twisting``, ``basepoints`` and ``factors``, a ``bch`` input's ``x`` and
-``y``, and ``truncation`` as noted.  A wall whose log is zero counts for the
-same-ray rule only: :class:`~wallcross.scattering.Diagram` then drops it.
+Each object takes the keys shown (a BPS file also ``twisting``), each at
+most once, and no other, so a misspelled key is an error, not an absent
+one; a missing key is named before an unknown one, and ``cli.load_json``
+refuses a key given twice before any reader runs.  Optional are a wall's
+``geometry`` (``"line"``) and ``terms``, a term's ``matrix`` and
+``derivation`` (zero), a BPS file's ``twisting``, ``basepoints`` and
+``factors``, a ``bch`` input's ``x`` and ``y``, and ``truncation`` as noted.
+A wall whose log is zero counts for the same-ray rule only:
+:class:`~wallcross.scattering.Diagram` then drops it.
 A ``rank``, or a BPS file's number of vacua, above :data:`MAX_RANK` (64) is
 an error before any r x r matrix is built, so no short file costs r^2 work.
 A frequency (a wall term's ``k`` times its direction, a ``bch`` term's ``m``,

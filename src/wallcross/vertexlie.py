@@ -45,10 +45,11 @@ modulo t^(N+1): the action copies those and builds no power for them.  The
 exponential's gauge column i starts at L(e_i) = A e_i, the i-th column of
 the matrix part, since the derivation kills constants.
 
-An element of t-order s with 2s > N squares to zero modulo t^(N+1), so
-exp(x) = 1 + x, log g = g - 1 and g^-1 = 1 - (g - 1) are read off its parts
-with no series, and sigma with 2d > N maps z^m to z^m (1 + m1 u1 + m2 u2),
-u_i = tails[i] / z^(e_i), with no generator power and no inverse.
+An element of t-order s needs at most N // s series terms, and one with
+2s > N squares to zero modulo t^(N+1), so exp(x) = 1 + x, log g = g - 1 and
+g^-1 = 1 - (g - 1) need none; both rules live in :func:`_group_series`.
+Sigma with 2d > N maps z^m to z^m (1 + m1 u1 + m2 u2), u_i = tails[i] / z^(e_i),
+with no generator power and no inverse (:meth:`AutPair.apply_ring`).
 
 Every term's t-degree is at least 1, so :func:`exp`, :func:`log` and the
 inverses are finite operator series, summed by
@@ -508,7 +509,7 @@ def exp(x: LieElem) -> AutPair:
     that of ``-x``, and :func:`exp_pair` fills both memos from one series.
     An equal element built separately (a restriction, a parsed copy)
     carries no memo and is computed afresh.  With 2s > N, s the t-order of
-    ``x``, exp(x) is 1 + x, built with no series.
+    ``x``, :func:`_group_series` returns exp(x) = 1 + x with no series.
     """
     return x._exp
 
@@ -544,38 +545,37 @@ def _exponential_series(x: LieElem, coeffs: tuple) -> tuple[AutPair, ...]:
     of each gauge part is the series of the module action L
     (:meth:`LieElem.apply_section`) from L(e_i) = A e_i, column i of the
     matrix part, since the derivation kills constants.  The
-    coefficients 1/k! give exp(x).  With s the t-order of ``x``, the k-th
-    term of either series has t-order at least k s, so each series stops at
-    N // s terms, as in :func:`log`.  With 2s > N that is one term: each
-    result is 1 + c(1) x, read off ``x`` with no series.  Otherwise
-    :func:`_group_series` sums them, forming the powers once for all ``coeffs``.
-    A zero matrix part gives a zero gauge part with no action at all.
+    coefficients 1/k! give exp(x).  :func:`_group_series` sums both
+    series, forming the powers once for all ``coeffs``; the first terms
+    D z^{e_i} and A have the t-orders of ``x``'s parts, so it bounds them
+    by the t-order of ``x``.  A zero matrix part gives a zero gauge part
+    with no action at all.
     """
     ctx = x.ctx
-    steps = ctx.order // (x.t_order() or ctx.order + 1)
-    tails = tuple(map(x.apply_derivation, ctx.generators))
-    if steps <= 1:  # c(1) is 1 or -1
-        g = AutPair(ctx, tails, x.a)
-        return tuple(g if c(1) == 1 else _negated(g) for c in coeffs)
 
     def derive(v):
         return tuple(map(x.apply_derivation, v))
 
     return tuple(AutPair(ctx, t, nil) for t, nil in _group_series(
-        ctx, derive, tails, x.apply_section, x.a, coeffs, steps))
+        ctx, derive, derive(ctx.generators), x.apply_section, x.a, coeffs))
 
 
-def _negated(g: AutPair) -> AutPair:
-    """1 - (g - 1): the inverse of g when (g - 1)^2 = 0."""
-    return AutPair(g.ctx, (-g.tails[0], -g.tails[1]), -g.nil)
-
-
-def _group_series(ctx, ring_step, tails, section_step, mat, coeffs, steps) -> list:
+def _group_series(ctx, ring_step, tails, section_step, mat, coeffs) -> list:
     """The series of :func:`exp` and :func:`log`: one (tails, matrix) pair per coefficient.
 
     One :func:`~wallcross.series._operator_series` of ``ring_step`` from
     ``tails``, and one of ``section_step`` from each column of ``mat``.
+    With s the lowest t-order of ``tails`` and ``mat``, the k-th term of
+    either series has t-order at least k s, so each stops at N // s terms.
+    This is the one place that bound is taken: with 2s > N it is one term,
+    the element squares to zero, and the sum c(1) times (tails, mat) is
+    returned as it is for c(1) = 1 and negated for c(1) = -1, with no series.
     """
+    degrees = [k[2] for f in tails for k in f.coeffs]
+    degrees += [k[2] for row in mat.rows for f in row for k in f.coeffs]
+    steps = ctx.order // min(degrees, default=ctx.order + 1)
+    if steps <= 1:  # c(1) is 1 or -1
+        return [(tails, mat) if c(1) == 1 else (tuple(-f for f in tails), -mat) for c in coeffs]
     sums = _operator_series(ring_step, tails, coeffs, steps)
     cols = [_operator_series(section_step, col, coeffs, steps) for col in zip(*mat.rows)]
     return [(t, SeriesMatrix.from_columns(ctx, [c[i] for c in cols])) for i, t in enumerate(sums)]
@@ -605,40 +605,31 @@ def log(g: AutPair) -> LieElem:
     The derivation part is log(sigma) evaluated on the two generators, the
     matrix part the operator logarithm on the constant sections: the
     Mercator series  sum_k (-1)^(k+1)/k (g - 1)^k  from g - 1 itself, summed
-    by :func:`~wallcross.series._operator_series` over N // s terms, s the
-    t-order of g - 1 (sigma(z^m) - z^m = z^m((1 + O(t^s))^m - 1)).  The
-    same call sums the Neumann series  g^-1 = sum_k (-1)^k (g - 1)^k  over
-    the same powers.  The result x keeps ``g`` as its exponential and
-    g^-1 as the exponential of ``-x``.  Each step applies g - 1 as
+    by :func:`_group_series` from the tails and ``nil``, whose t-order s is
+    that of g - 1 (sigma(z^m) - z^m = z^m((1 + O(t^s))^m - 1)).  The same
+    call sums the Neumann series  g^-1 = sum_k (-1)^k (g - 1)^k  over the
+    same powers.  The result x keeps ``g`` as its exponential and g^-1 as
+    the exponential of ``-x``.  Each step applies g - 1 as
     ``g.apply_ring(f) - f`` and ``g.apply_section(v) - v``: the one place the
     group law still subtracts the identity's action, a second sum per entry,
-    and only when N // s >= 2.  When N // s is 1, (g - 1)^2 = 0, so log g is
-    g - 1 and g^-1 is 1 - (g - 1), read off the parts with no series.  Every
-    check runs on either path.
+    and only for a series of two terms or more.  Every check runs whatever
+    the number of terms.
     """
     ctx = g.ctx
-    orders = [f.t_order() for f in g.tails]
-    if 0 in orders:
+    if 0 in (f.t_order() for f in g.tails):
         raise ValueError("not pro-unipotent: generator image is not z^e*(1 + O(t))")
-    orders.append(g.nil.t_order())
-    if orders[2] == 0:
+    if g.nil.t_order() == 0:
         raise ValueError("not pro-unipotent: gauge constant term is not the identity")
-    s = min((o for o in orders if o is not None), default=ctx.order + 1)
-    steps = ctx.order // s
-    if steps <= 1:  # (g - 1)^2 = 0: log g = g - 1 and g^-1 = 1 - (g - 1)
-        (dlog, a), inverse = (g.tails, g.nil), _negated(g)
-    else:
-        powers: dict = {}
+    powers: dict = {}
 
-        def ring_step(v):
-            return tuple(g.apply_ring(f, powers) - f for f in v)
+    def ring_step(v):
+        return tuple(g.apply_ring(f, powers) - f for f in v)
 
-        def section_step(v):
-            return tuple(a - b for a, b in zip(g.apply_section(v, powers), v))
+    def section_step(v):
+        return tuple(a - b for a, b in zip(g.apply_section(v, powers), v))
 
-        (dlog, a), (tails, nil) = _group_series(
-            ctx, ring_step, g.tails, section_step, g.nil, (_mercator_coeff, _neumann_coeff), steps)
-        inverse = AutPair(ctx, tails, nil)
+    (dlog, a), (tails, nil) = _group_series(
+        ctx, ring_step, g.tails, section_step, g.nil, (_mercator_coeff, _neumann_coeff))
     x = LieElem.from_operator(ctx, dlog, a)
     if (0, 0) in x.frequencies():
         raise ValueError("logarithm has a term outside the Lie algebra")
@@ -648,7 +639,7 @@ def log(g: AutPair) -> LieElem:
             "input is not in the exponential image"
         )
     x.__dict__["_exp"] = g  # exp(log g) = g exactly
-    (-x).__dict__["_exp"] = inverse
+    (-x).__dict__["_exp"] = AutPair(ctx, tails, nil)
     return x
 
 

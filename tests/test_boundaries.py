@@ -221,21 +221,23 @@ def test_a_square_zero_element_runs_no_series_and_no_power(monkeypatch):
     # with 2s > N an element squares to zero: exp(x) = 1 + x, log g = g - 1
     # and sigma(z^m) = z^m (1 + m1 u1 + m2 u2), so exp, exp_pair and log sum
     # no operator series and the action builds no generator power, even for
-    # a negative exponent; at t-order s = N // 2 both run as before
+    # a negative exponent; at t-order s = N // 2 both run as before.  Either
+    # way each of them makes one _group_series call, the one home of the
+    # step bound and of the one-step case
     ctx = TruncationContext(6, 2)
-    calls = {"_operator_series": 0, "_gen_power": 0}
-    routine, gen_power = vertexlie._operator_series, AutPair._gen_power
+    calls = {"_group_series": 0, "_operator_series": 0, "_gen_power": 0}
+    group_series, routine = vertexlie._group_series, vertexlie._operator_series
+    gen_power = AutPair._gen_power
 
-    def counted_series(*args):
-        calls["_operator_series"] += 1
-        return routine(*args)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    def counted_power(*args):
-        calls["_gen_power"] += 1
-        return gen_power(*args)
-
-    monkeypatch.setattr(vertexlie, "_operator_series", counted_series)
-    monkeypatch.setattr(AutPair, "_gen_power", counted_power)
+    monkeypatch.setattr(vertexlie, "_group_series", counted("_group_series", group_series))
+    monkeypatch.setattr(vertexlie, "_operator_series", counted("_operator_series", routine))
+    monkeypatch.setattr(AutPair, "_gen_power", counted("_gen_power", gen_power))
     f = SeriesElem(ctx, {(-1, 2, 0): 1, (3, -1, 1): Fraction(1, 2), (0, 0, 2): 5})
     for s, runs in ((4, False), (3, True)):
         def element():
@@ -246,8 +248,9 @@ def test_a_square_zero_element_runs_no_series_and_no_power(monkeypatch):
         for name, fn in (("exp", lambda: exp(element())),
                          ("exp_pair", lambda: vertexlie.exp_pair(element())[1]),
                          ("log", lambda: exp(-log(group)))):
-            calls.update(_operator_series=0, _gen_power=0)
+            calls.update(_group_series=0, _operator_series=0, _gen_power=0)
             g = fn()
+            assert calls["_group_series"] == 1, (name, s)
             assert bool(calls["_operator_series"]) == runs, (name, s)
             calls.update(_operator_series=0, _gen_power=0)
             image = g.apply_ring(f)

@@ -521,6 +521,13 @@ def _bch(x, y, truncation=3):
     return {"rank": 2, "truncation": truncation, "x": x, "y": y}
 
 
+def _key_twice(data, first, second):
+    """``data`` as JSON text with ``second`` written right after ``first``: one key given twice."""
+    text = json.dumps(data)
+    assert first in text
+    return text.replace(first, f"{first}, {second}", 1)
+
+
 @pytest.mark.parametrize(
     "command, data, extra, message",
     [
@@ -659,12 +666,27 @@ def _bch(x, y, truncation=3):
                      id="unknown-key-bch-input"),
         pytest.param("bch", _bch([{"m": [1, 0], "t": 1, "k": 1, "matrix": _UPPER}], []), (),
                      "bch term has unknown key 'k'", id="unknown-key-bch-term"),
+        # a key given twice is refused at every depth, not read as its last value
+        pytest.param("complete", _key_twice(_spanning_lines(_K_TERM, _K_TERM, _K_TERM),
+                                            '"truncation": 3', '"truncation": 2'), (),
+                     "input.json: duplicate key 'truncation'",
+                     id="duplicate-key-diagram"),
+        pytest.param("complete", _key_twice(_spanning_lines(_K_TERM, _K_TERM, _K_TERM),
+                                            '"derivation": "1"', '"derivation": "2"'), (),
+                     "input.json: duplicate key 'derivation'",
+                     id="duplicate-key-wall-term"),
+        pytest.param("wcf", _key_twice(_k_factors([1, 0], [0, 1]), '"Omega": 1', '"Omega": 0'),
+                     (), "input.json: duplicate key 'Omega'",
+                     id="duplicate-key-bps-factor"),
+        pytest.param("bch", _key_twice(_bch([{"m": [1, 0], "t": 1, "matrix": _UPPER}], []),
+                                       '"t": 1', '"t": 2'), (),
+                     "input.json: duplicate key 't'", id="duplicate-key-bch-term"),
     ],
 )
 def test_malformed_input_exit_code(tmp_path, capsys, monkeypatch, command, data, extra, message):
     monkeypatch.chdir(tmp_path)
     p = tmp_path / "input.json"
-    p.write_text(json.dumps(data))
+    p.write_text(data if isinstance(data, str) else json.dumps(data))
     code, out, err = run(capsys, command, str(p), *extra)
     assert code == 2
     assert err.startswith("input error:") and message in err
