@@ -46,6 +46,7 @@ def completion_report(initial: Diagram, completed: Diagram, consistent: bool) ->
 
 
 def defect_report(defect: LieElem) -> str:
+    """The ``check`` report: the lowest-degree part of ``defect``, one block per frequency."""
     k0 = defect.t_order()
     lines = [f"inconsistent: lowest defect at t-degree {k0}"]
     part = defect.degree_part(k0)

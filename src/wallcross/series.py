@@ -358,7 +358,3 @@ class SeriesMatrix:
 
     def is_zero(self) -> bool:
         return not any(a.coeffs for row in self.rows for a in row)
-
-    def t_order(self) -> int | None:
-        orders = [a.t_order() for row in self.rows for a in row if not a.is_zero()]
-        return min(orders) if orders else None

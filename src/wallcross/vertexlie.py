@@ -45,16 +45,15 @@ modulo t^(N+1): the action copies those and builds no power for them.  The
 exponential's gauge column i starts at L(e_i) = A e_i, the i-th column of
 the matrix part, since the derivation kills constants.
 
-An element of t-order s needs at most N // s series terms, and one with
-2s > N squares to zero modulo t^(N+1), so exp(x) = 1 + x, log g = g - 1 and
-g^-1 = 1 - (g - 1) need none; both rules live in :func:`_group_series`.
-Sigma with 2d > N maps z^m to z^m (1 + m1 u1 + m2 u2), u_i = tails[i] / z^(e_i),
-with no generator power and no inverse (:meth:`AutPair.apply_ring`).
-
 Every term's t-degree is at least 1, so :func:`exp`, :func:`log` and the
 inverses are finite operator series, summed by
-:func:`~wallcross.series._operator_series`, and every identity here is
-exact.
+:func:`~wallcross.series._operator_series`, and every identity is exact.
+:func:`_group_series` is the one home of the rules they rest on: it refuses
+a group element with a t-degree-0 term (not pro-unipotent), and an element
+of t-order s needs at most N // s terms, so one with 2s > N squares to zero
+and exp(x) = 1 + x, log g = g - 1 and g^-1 = 1 - (g - 1) need none.
+Sigma with 2d > N maps z^m to z^m (1 + m1 u1 + m2 u2), u_i = tails[i] / z^(e_i),
+with no generator power and no inverse (:meth:`AutPair.apply_ring`).
 """
 
 from __future__ import annotations
@@ -565,15 +564,19 @@ def _group_series(ctx, ring_step, tails, section_step, mat, coeffs) -> list:
 
     One :func:`~wallcross.series._operator_series` of ``ring_step`` from
     ``tails``, and one of ``section_step`` from each column of ``mat``.
-    With s the lowest t-order of ``tails`` and ``mat``, the k-th term of
-    either series has t-order at least k s, so each stops at N // s terms.
-    This is the one place that bound is taken: with 2s > N it is one term,
-    the element squares to zero, and the sum c(1) times (tails, mat) is
-    returned as it is for c(1) = 1 and negated for c(1) = -1, with no series.
+    One scan of both reads their lowest t-degrees, the one home of two rules.
+    A 0 is not pro-unipotent and raises ``ValueError``, the tails' first.
+    Else, with s the lower, the k-th term has t-order at least k s: a series
+    stops at N // s terms, and with 2s > N the element squares to zero and
+    c(1) (tails, mat) is returned, negated for c(1) = -1, with no series.
     """
-    degrees = [k[2] for f in tails for k in f.coeffs]
-    degrees += [k[2] for row in mat.rows for f in row for k in f.coeffs]
-    steps = ctx.order // min(degrees, default=ctx.order + 1)
+    s_tails, s_mat = (min((k[2] for f in part for k in f.coeffs), default=ctx.order + 1)
+                      for part in (tails, [f for row in mat.rows for f in row]))
+    if not s_tails:
+        raise ValueError("not pro-unipotent: generator image is not z^e*(1 + O(t))")
+    if not s_mat:
+        raise ValueError("not pro-unipotent: gauge constant term is not the identity")
+    steps = ctx.order // min(s_tails, s_mat)
     if steps <= 1:  # c(1) is 1 or -1
         return [(tails, mat) if c(1) == 1 else (tuple(-f for f in tails), -mat) for c in coeffs]
     sums = _operator_series(ring_step, tails, coeffs, steps)
@@ -608,18 +611,13 @@ def log(g: AutPair) -> LieElem:
     by :func:`_group_series` from the tails and ``nil``, whose t-order s is
     that of g - 1 (sigma(z^m) - z^m = z^m((1 + O(t^s))^m - 1)).  The same
     call sums the Neumann series  g^-1 = sum_k (-1)^k (g - 1)^k  over the
-    same powers.  The result x keeps ``g`` as its exponential and g^-1 as
-    the exponential of ``-x``.  Each step applies g - 1 as
-    ``g.apply_ring(f) - f`` and ``g.apply_section(v) - v``: the one place the
-    group law still subtracts the identity's action, a second sum per entry,
-    and only for a series of two terms or more.  Every check runs whatever
-    the number of terms.
+    same powers, and raises ``ValueError`` for a g that is not pro-unipotent.
+    The result x keeps ``g`` as its exponential and g^-1 as that of ``-x``.
+    Each step applies g - 1 as ``g.apply_ring(f) - f`` and ``g.apply_section(v) - v``,
+    the one place the group law subtracts the identity's action, only for a
+    series of two terms or more; the frequency and orthogonality checks always run.
     """
     ctx = g.ctx
-    if 0 in (f.t_order() for f in g.tails):
-        raise ValueError("not pro-unipotent: generator image is not z^e*(1 + O(t))")
-    if g.nil.t_order() == 0:
-        raise ValueError("not pro-unipotent: gauge constant term is not the identity")
     powers: dict = {}
 
     def ring_step(v):

@@ -17,7 +17,9 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
+from pathlib import Path, PurePosixPath
+
+import pytest
 
 from conftest import images_of
 from reference_completion import fresh_exp
@@ -50,6 +52,20 @@ def test_cli_loads_every_package_module():
         for path in PACKAGE.glob("*.py")
     }
     assert modules - set(result.stdout.split()) == set()
+
+
+def test_the_package_data_holds_every_fixture_and_golden():
+    # tier-1 imports the package from src/, so only pyproject's package-data
+    # globs decide whether an installed wheel carries the fixtures and goldens
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    config = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    globs = config["tool"]["setuptools"]["package-data"]["wallcross"]
+    files = [f"fixtures/{name}" for _kind, name in cli.FIXTURES.values()]
+    files += [f"fixtures/{name}.report.txt" for name in cli.FIXTURES]
+    assert all((PACKAGE / f).is_file() for f in files)
+    assert [f for f in files if not any(PurePosixPath(f).match(g) for g in globs)] == []
+    module, _, attr = config["project"]["scripts"]["wallcross"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 def test_benchmark_layer_hooks_resolve_and_see_the_solver(monkeypatch, capsys):
@@ -473,6 +489,39 @@ def test_one_place_asks_whether_a_wall_is_zero():
     reads = {path.stem: names for path in sorted(PACKAGE.glob("*.py"))
              if (names := _zero_log_tests(ast.parse(path.read_text())))}
     assert reads == {"scattering": ["Diagram.__post_init__"]}
+
+
+def _pro_unipotent_messages(tree) -> dict[str, list[str]]:
+    """The ``not pro-unipotent`` strings of a module, by the innermost function holding them."""
+    found = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, ast.FunctionDef) else scope
+            if (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                    and child.value.startswith("not pro-unipotent")):
+                found.setdefault(inner, []).append(child.value)
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_scan_judges_and_bounds_every_group_series():
+    # the lowest t-degrees of a group element's parts say both whether it is
+    # pro-unipotent and how many terms its series need; _group_series reads
+    # them once, so the two messages live there and log asks no t_order
+    messages = {path.stem: found for path in sorted(PACKAGE.glob("*.py"))
+                if (found := _pro_unipotent_messages(ast.parse(path.read_text())))}
+    assert messages == {"vertexlie": {"_group_series": [
+        "not pro-unipotent: generator image is not z^e*(1 + O(t))",
+        "not pro-unipotent: gauge constant term is not the identity",
+    ]}}
+    tree = ast.parse((PACKAGE / "vertexlie.py").read_text())
+    (log_def,) = [node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "log"]
+    assert [ast.unparse(node) for node in ast.walk(log_def) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "t_order"] == []
 
 
 def _input_rules(tree) -> dict[str, list[str]]:

@@ -8,6 +8,11 @@ one ray at a time.  Their serialized results, wall order included, and
 their errors must agree, and the two logarithms must agree on any product.
 The product modulo t^(k+1) must equal the product of the diagram whose wall
 logs were truncated there first.
+
+``reference_action.py`` acts the loop out wall by wall in closed form, as
+z^m exp(h_m) on the ring and exp(A) on the sections, on Fraction dicts.  It
+calls none of ``exp``, ``exp_pair``, ``compose``, ``log`` or the actions of
+an ``AutPair``, so a fault in the group law cannot hide in both sides.
 """
 
 import random
@@ -19,8 +24,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    fixture_diagram, kronecker_doc, rand_lie, rand_wall_log, truncated, truncated_aut,
+    fixture_diagram, images_of, kronecker_doc, rand_lie, rand_wall_log, truncated, truncated_aut,
 )
+from reference_action import reference_images
 from reference_bracket import bracket
 from reference_completion import (
     fresh_exp,
@@ -72,6 +78,34 @@ def test_complete_matches_reference_on_random_two_line_diagrams():
         inconsistent += not product.is_identity()
         assert _dump(complete(d)) == _dump(reference_complete(d))
     assert inconsistent >= 30
+
+
+def _assert_loop_matches_the_action_oracle(d):
+    images, gauge = images_of(path_ordered_product(d))
+    expected_images, expected_gauge = reference_images(d)
+    assert [f.fractions() for f in images] == expected_images
+    assert [[f.fractions() for f in row] for row in gauge.rows] == expected_gauge
+
+
+@pytest.mark.parametrize("name", sorted(cli.FIXTURES))
+def test_the_loop_matches_the_action_oracle_on_fixtures_and_completions(name):
+    top = 5 if cli.FIXTURES[name][0] == "bps" else 4
+    for order in range(2, top + 1):
+        d = fixture_diagram(name, order)
+        _assert_loop_matches_the_action_oracle(d)
+        _assert_loop_matches_the_action_oracle(complete(d))
+
+
+def test_the_loop_matches_the_action_oracle_on_random_two_line_diagrams():
+    for d in _random_two_line_diagrams(20261021):
+        _assert_loop_matches_the_action_oracle(d)
+
+
+@pytest.mark.parametrize("omegas", [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)])
+def test_the_loop_matches_the_action_oracle_on_kronecker_lines(omegas):
+    for order in (3, 8):
+        _assert_loop_matches_the_action_oracle(
+            serialize.diagram_from_json(kronecker_doc(*omegas, order)))
 
 
 def _assert_rounds_match_truncated_diagrams(d):
