@@ -16,25 +16,25 @@ which ``exp`` and ``exp_pair`` memoize its automorphisms at full order.
 When the wall directions lie in one open half-plane, the *sector order*
 runs counterclockwise across it (:func:`~wallcross.lattice.half_plane_order`).
 A loop started at the half-plane's edge crosses its walls in sector order
-and then the lines' ``-m`` rays, so it composes H o G^-1, with H the
-product of every wall's own automorphism in sector order and
-G = theta_(a_n) o ... o theta_(a_1) the lines in reverse sector order.
-The diagram is consistent exactly when H == G, and :func:`defect` tests
-that, with no inverse, and reads the defect off H - G; a diagram with no
-such half-plane takes the whole loop.
+and then the lines' ``-m`` rays, so it composes H o G^-1, with H the product
+of every wall's own automorphism in sector order and G = theta_(a_n) o ...
+o theta_(a_1) the lines in reverse sector order, built once per diagram
+(:attr:`Diagram.line_product`).  The diagram is consistent exactly when
+H == G, and :func:`defect` tests that, with no inverse, and reads the defect
+off H - G; a diagram with no such half-plane takes the whole loop.
 
 Completion is a factorization.  The wall directions lie in one open
 half-plane, and G factors uniquely as an ordered product
 exp(x_p1) o exp(x_p2) o ... over rays p1, p2, ... in sector order
 (Kontsevich-Soibelman, arXiv:0811.2435, section 2.1; Gross-Pandharipande-
 Siebert, arXiv:0902.0779, Theorem 1.4).  The factors are the completed
-walls, so their H is G.  Initial rays never enter G; a completion changes
-no initial wall.
+walls, so their H is G, which the completion carries: its lines are the
+same walls.  Initial rays never enter G; a completion changes no initial wall.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .exceptions import ConventionError, SchemaError
 from .lattice import (
@@ -94,11 +94,12 @@ class Diagram:
     No two walls as given may cover the same ray.  A wall whose log is zero
     carries the identity, which changes no product and no completion, so the
     diagram then drops it: :attr:`walls` holds only nonzero walls, in the
-    order given.
+    order given, and ``line_product_memo`` keeps G once it is built.
     """
 
     ctx: TruncationContext
     walls: tuple[Wall, ...]
+    line_product_memo: AutPair | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for w in self.walls:
@@ -108,6 +109,18 @@ class Diagram:
         if len(set(rays)) != len(rays):
             raise ValueError("two walls cover the same ray (a line covers both of its rays)")
         object.__setattr__(self, "walls", tuple(w for w in self.walls if not w.logf.is_zero()))
+
+    @property
+    def line_product(self) -> AutPair:
+        """G: each line's ``exp(w.logf)`` in reverse sector order, the identity for no line.
+
+        Defined when the lines lie in one open half-plane, as :func:`complete` requires.
+        """
+        if self.line_product_memo is None:
+            lines = {w.direction: w.logf for w in self.walls if w.kind is WallKind.LINE}
+            g = _product(self.ctx, [exp(lines[p]) for p in reversed(half_plane_order(list(lines)))])
+            object.__setattr__(self, "line_product_memo", g)
+        return self.line_product_memo
 
     def wall_in_direction(self, p: Vec) -> Wall | None:
         for w in self.walls:
@@ -139,18 +152,18 @@ def path_ordered_product(d: Diagram) -> AutPair:
 
 
 def is_consistent(d: Diagram) -> bool:
-    """Whether the path-ordered product is the identity: :func:`defect` finds none."""
+    """Whether :func:`defect` finds none; a completion, which carries its G, composes only H."""
     return defect(d) is None
 
 
 def defect(d: Diagram) -> LieElem | None:
     """None for a consistent diagram, else the lowest-degree part of its defect.
 
-    With the wall directions in one open half-plane, this builds H and G
-    once (see the module docstring): the walls' own automorphisms in sector
-    order against the lines in reverse sector order, each ``exp(w.logf)``,
-    so no line's inverse is computed.  With no such half-plane, H is the
-    whole loop and G the identity.  The diagram is consistent when H == G.
+    With the wall directions in one open half-plane, this builds H (see the
+    module docstring), the walls' own automorphisms in sector order, and
+    reads G, the lines' in reverse sector order, from :attr:`Diagram.line_product`;
+    each factor is ``exp(w.logf)``, so no line's inverse is computed.  With no
+    such half-plane, H is the whole loop and G the identity.  Consistent is H == G.
     Else H - G first differs from zero at some t-order k0, and there it is
     the degree-k0 part of H o G^-1 - Id, hence of the log of the loop from
     any start: the images' differences, shifted by -e_i, give the
@@ -166,9 +179,7 @@ def defect(d: Diagram) -> LieElem | None:
         g = AutPair.identity(d.ctx)
     else:
         walls = {w.direction: w for w in d.walls}
-        h = _product(d.ctx, [exp(walls[p].logf) for p in order])
-        g = _product(d.ctx, [exp(walls[p].logf) for p in reversed(order)
-                             if walls[p].kind is WallKind.LINE])
+        h, g = _product(d.ctx, [exp(walls[p].logf) for p in order]), d.line_product
         if h == g:
             return None
     x = LieElem.from_operator(
@@ -242,13 +253,15 @@ def complete(d: Diagram) -> Diagram:
     changes no initial wall: an initial wall on direction p whose
     factor differs from its log at t-order k (a direction the peel never
     reaches has the identity as its factor).  Output: the initial
-    walls in input order, then the rest by (log's t-degree, direction).
+    walls in input order, then the rest by (log's t-degree, direction),
+    carrying the G they factor, read after each line's ``exp_pair``.
     """
     require_half_plane(d)
     lines = {w.direction: w for w in d.walls if w.kind is WallKind.LINE}
     factors: dict[Vec, LieElem] = {}
-    order = half_plane_order(list(lines))
-    g = _product(d.ctx, [exp_pair(lines[p].logf)[0] for p in reversed(order)])
+    for line in lines.values():
+        exp_pair(line.logf)
+    g = d.line_product
     last = None
     while lines:
         p = _first_direction(g)
@@ -277,7 +290,9 @@ def complete(d: Diagram) -> Diagram:
     done = {w.direction for w in d.walls}
     produced = sorted((Wall(p, WallKind.RAY, x) for p, x in factors.items() if p not in done),
                       key=lambda w: (w.logf.t_degree(), w.direction))
-    return replace(d, walls=d.walls + tuple(produced))
+    completed = replace(d, walls=d.walls + tuple(produced))
+    object.__setattr__(completed, "line_product_memo", d.line_product)
+    return completed
 
 
 def new_rays(initial: Diagram, completed: Diagram) -> list[Wall]:

@@ -92,6 +92,21 @@ class _WallFactor:
         return rs.truncate(out, self.order)
 
 
+def reference_product(ctx, factors) -> tuple[list[rs.Coeffs], list[list[rs.Coeffs]]]:
+    """``(images, gauge)`` of exp(s_1 x_1) o ... o exp(s_k x_k), the first factor acting last.
+
+    ``factors`` lists the pairs ``(x_i, s_i)``, a log in ``ctx`` and a sign
+    of 1 or -1; no factor gives the identity's images and gauge.
+    """
+    images = [{(1, 0, 0): Fraction(1)}, {(0, 1, 0): Fraction(1)}]
+    gauge = _identity(ctx.rank)
+    for x, sign in reversed(factors):
+        theta = _WallFactor(x, sign)
+        images = [theta.act(f) for f in images]
+        gauge = _mat_mul(theta.gauge, [[theta.act(f) for f in row] for row in gauge], ctx.order)
+    return images, gauge
+
+
 def reference_images(d) -> tuple[list[rs.Coeffs], list[list[rs.Coeffs]]]:
     """``(images, gauge)`` of the loop around ``d``: sigma(z^(e_i)) and the gauge matrix.
 
@@ -101,14 +116,7 @@ def reference_images(d) -> tuple[list[rs.Coeffs], list[list[rs.Coeffs]]]:
     factors = {}
     for w in d.walls:
         p = w.direction
-        factors[p] = _WallFactor(w.logf, 1)
+        factors[p] = (w.logf, 1)
         if w.kind is WallKind.LINE:
-            factors[(-p[0], -p[1])] = _WallFactor(w.logf, -1)
-    N = d.ctx.order
-    images = [{(1, 0, 0): Fraction(1)}, {(0, 1, 0): Fraction(1)}]
-    gauge = _identity(d.ctx.rank)
-    for p in reversed(angular_sort(list(factors))):
-        theta = factors[p]
-        images = [theta.act(f) for f in images]
-        gauge = _mat_mul(theta.gauge, [[theta.act(f) for f in row] for row in gauge], N)
-    return images, gauge
+            factors[(-p[0], -p[1])] = (w.logf, -1)
+    return reference_product(d.ctx, [factors[p] for p in angular_sort(list(factors))])

@@ -556,3 +556,38 @@ def test_each_input_rule_has_one_home_in_the_readers():
         "bps_from_json": ["guard"],
         "bch_from_json": ["guard"],
     }
+
+
+def _calls_by_scope(tree, accept) -> list[tuple[str, str]]:
+    """``(Class.function, source)`` of each call in a module that ``accept`` takes."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and accept(child):
+                found.append((".".join(scope), ast.unparse(child)))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_the_lines_product_has_one_home():
+    # G, the lines' product, is built by Diagram.line_product and kept on the
+    # diagram, which only that property and complete (for the diagram it
+    # returns, whose lines are the same walls) write; defect composes H
+    # alone, and complete reads G where it peels
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    products = {name: calls for name, tree in trees.items() if (calls := _calls_by_scope(
+        tree, lambda call: ast.unparse(call.func) == "_product"))}
+    assert list(products) == ["scattering"]
+    assert sorted(scope for scope, _ in products["scattering"]) == [
+        "Diagram.line_product", "defect", "path_ordered_product"]
+    assert "line" not in dict(products["scattering"])["defect"].lower()
+    writes = sorted((name, scope) for name, tree in trees.items() for scope, _ in _calls_by_scope(
+        tree, lambda call: ast.unparse(call.func) in ("object.__setattr__", "setattr")
+        and any(isinstance(a, ast.Constant) and a.value == "line_product_memo" for a in call.args)))
+    assert writes == [("scattering", "Diagram.line_product"), ("scattering", "complete")]

@@ -17,6 +17,7 @@ an ``AutPair``, so a fault in the group law cannot hide in both sides.
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 from conftest import (
     fixture_diagram, images_of, kronecker_doc, rand_lie, rand_wall_log, truncated, truncated_aut,
 )
-from reference_action import reference_images
+from reference_action import reference_images, reference_product
 from reference_bracket import bracket
 from reference_completion import (
     fresh_exp,
@@ -108,6 +109,56 @@ def test_the_loop_matches_the_action_oracle_on_kronecker_lines(omegas):
             serialize.diagram_from_json(kronecker_doc(*omegas, order)))
 
 
+def _assert_defect_products_match_the_action_oracle(d):
+    # defect tests H == G: H the walls' own exponentials in sector order, G
+    # the lines' in reverse sector order, carried by a completion and built
+    # once by any other diagram
+    built = []
+
+    def recording(ctx, factors):
+        built.append(product(ctx, factors))
+        return built[-1]
+
+    product, carried = scattering._product, d.line_product_memo
+    with mock.patch.object(scattering, "_product", recording):
+        consistent = scattering.defect(d) is None
+    h = built[0]
+    assert len(built) == 1 + (carried is None)
+    walls = {w.direction: w for w in d.walls}
+    order = half_plane_order(list(walls))
+    expected_h = reference_product(d.ctx, [(walls[p].logf, 1) for p in order])
+    expected_g = reference_product(d.ctx, [(walls[p].logf, 1) for p in reversed(order)
+                                           if walls[p].kind is WallKind.LINE])
+    for g, expected in ((h, expected_h), (d.line_product, expected_g)):
+        images, gauge = images_of(g)
+        assert ([f.fractions() for f in images],
+                [[f.fractions() for f in row] for row in gauge.rows]) == expected
+    assert consistent is (expected_h == expected_g)
+
+
+@pytest.mark.parametrize("name", sorted(cli.FIXTURES))
+def test_defect_products_match_the_action_oracle_on_fixtures_and_completions(name):
+    top = 5 if cli.FIXTURES[name][0] == "bps" else 4
+    for order in range(2, top + 1):
+        d = fixture_diagram(name, order)
+        completed = complete(d)
+        assert completed.line_product is d.line_product
+        _assert_defect_products_match_the_action_oracle(completed)
+        _assert_defect_products_match_the_action_oracle(fixture_diagram(name, order))
+
+
+def test_defect_products_match_the_action_oracle_on_random_two_line_diagrams():
+    for d in _random_two_line_diagrams(20261021):
+        _assert_defect_products_match_the_action_oracle(d)
+
+
+def test_defect_products_match_the_action_oracle_on_kronecker_lines():
+    for a in (1, 2, 3):
+        for b in (1, 2, 3):
+            _assert_defect_products_match_the_action_oracle(
+                serialize.diagram_from_json(kronecker_doc(a, b, 10)))
+
+
 def _assert_rounds_match_truncated_diagrams(d):
     # for every k, the product modulo t^(k+1) is the product of the wall
     # logs truncated there: truncation commutes with exp and compose
@@ -140,7 +191,7 @@ def _assert_inverses_are_exact(d):
     for w in complete(d).walls:
         x = w.logf
         if w.kind is WallKind.LINE:
-            # the peel built G from exp_pair, which kept both on the log
+            # complete ran exp_pair on each line before it read G, which kept both on the log
             assert "_exp" in vars(x) and "_exp" in vars(-x)
         g = exp(x)
         assert g == fresh_exp(x)

@@ -3,6 +3,7 @@ import random
 import signal
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -28,7 +29,7 @@ from wallcross.groupoid import (
     factor_log,
     k_wall_log,
 )
-from wallcross.lattice import WallKind, primitive_normal, primitive_part
+from wallcross.lattice import WallKind, half_plane_order, primitive_normal, primitive_part
 from wallcross.scattering import (
     Diagram,
     Wall,
@@ -1021,3 +1022,115 @@ def test_every_coprime_kronecker_ray_matches_its_euler_characteristic(m):
             found[p] = d[0] / n[0] if n[0] else d[1] / n[1]
             expected[p] = (-1) ** (s + 1) * m * kronecker_euler_characteristic(m, *p)
     assert found == expected
+
+
+# -- the lines' product G is built once per diagram -----------------------------------
+
+
+def _random_r3_doc(seed):
+    """Two rank-3 lines at N = 4, matrix and derivation parts at (t, k) = (1, 1) and (2, 1)."""
+    rng = random.Random(seed)
+
+    def entry(nonzero=False):
+        while True:
+            c = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+            if c or not nonzero:
+                return str(c)
+
+    walls = [{"direction": list(d), "geometry": "line", "terms": [
+        {"t": t, "k": 1, "matrix": [[entry() for _ in range(3)] for _ in range(3)],
+         "derivation": entry(nonzero=True)} for t in (1, 2)]} for d in ((1, 0), (0, 1))]
+    return {"rank": 3, "truncation": 4, "walls": walls}
+
+
+@pytest.mark.parametrize("doc", [kronecker_doc(2, 3, 7), _random_r3_doc(3901)],
+                         ids=["kronecker-2-3", "random-r3"])
+def test_a_completion_composes_the_lines_product_once(doc, tmp_path, monkeypatch, capsys):
+    # with W walls out, complete composes G of the two lines once, peels W - 1
+    # rays off it and checks H == G by the W - 1 composes of H alone, as the
+    # completion carries its G; check of the written file builds G again
+    src, out = tmp_path / "input.json", tmp_path / "completed.json"
+    src.write_text(json.dumps(doc))
+    calls, composed = [], scattering.compose
+
+    def counted(g1, g2):
+        calls.append(None)
+        return composed(g1, g2)
+
+    monkeypatch.setattr(scattering, "compose", counted)
+    assert cli.main(["complete", str(src), "--output", str(out)]) == 0
+    walls, completing = len(json.loads(out.read_text())["walls"]), len(calls)
+    calls.clear()
+    assert cli.main(["check", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("consistent\n")
+    assert walls > 2
+    assert (completing, len(calls)) == (2 * walls - 1, walls)
+
+
+def _sector_line_product(d):
+    """G as the lines filtered out of the sector order of all walls, in reverse, composed."""
+    order = half_plane_order([w.direction for w in d.walls])
+    walls = {w.direction: w for w in d.walls}
+    g = AutPair.identity(d.ctx)
+    for p in order:
+        if walls[p].kind is WallKind.LINE:
+            g = compose(exp(walls[p].logf), g)
+    return g
+
+
+def _two_line_diagrams():
+    """The six fixtures, then eight random two-line diagrams (ranks 1-3, N 3-5)."""
+    for name in sorted(cli.FIXTURES):
+        yield fixture_diagram(name)
+    rng = random.Random(20261021)
+    cases = 0
+    while cases < 8:
+        ctx = TruncationContext(rng.randint(3, 5), rng.randint(1, 3))
+        walls = tuple(Wall(p, WallKind.LINE, rand_wall_log(ctx, rng, p)) for p in ((1, -1), (1, 1)))
+        if all(not w.logf.is_zero() for w in walls):
+            cases += 1
+            yield Diagram(ctx, walls)
+
+
+def test_a_completion_carries_the_line_product_it_factored():
+    for d in _two_line_diagrams():
+        for _ in range(2):  # the diagram, then its completion
+            completed = complete(d)
+            assert completed.line_product is d.line_product
+            fresh = Diagram(completed.ctx, completed.walls)
+            assert fresh.line_product_memo is None
+            assert fresh.line_product == completed.line_product == _sector_line_product(completed)
+            d = completed
+
+
+def test_the_line_product_skips_rays_before_between_and_after_the_lines():
+    rng = random.Random(20261022)
+    rays = ((2, -1), (1, 1), (-1, 2))
+    for lines in (((1, 0), (0, 1)), ((1, 0), (1, 2), (0, 1))):
+        order = half_plane_order(list(rays + lines))
+        assert (order[0], order[-1]) == ((2, -1), (-1, 2))  # a ray before the lines, one after
+        assert order.index(lines[0]) < order.index((1, 1)) < order.index(lines[-1])
+        for _ in range(4):
+            ctx = TruncationContext(rng.randint(2, 4), rng.randint(1, 3))
+            walls = [Wall(p, WallKind.LINE, rand_wall_log(ctx, rng, p, terms=3)) for p in lines]
+            walls += [Wall(p, WallKind.RAY, rand_wall_log(ctx, rng, p)) for p in rays]
+            rng.shuffle(walls)
+            d = Diagram(ctx, tuple(walls))
+            only_lines = Diagram(ctx, tuple(w for w in d.walls if w.kind is WallKind.LINE))
+            assert d.line_product == _sector_line_product(d) == only_lines.line_product
+
+
+def test_a_changed_completion_rebuilds_the_line_product():
+    rng = random.Random(20261023)
+    completed = complete(fixture_diagram("example2"))
+    g = completed.line_product
+    line = completed.wall_in_direction((0, 1))
+    extra = Wall(line.direction, WallKind.LINE, rand_wall_log(completed.ctx, rng, line.direction))
+    doubled = Wall(line.direction, WallKind.LINE, line.logf.scale(2))
+    for changed in (merge_wall(completed, extra),
+                    replace(completed, walls=tuple(doubled if w is line else w
+                                                   for w in completed.walls))):
+        assert changed.line_product_memo is None
+        assert changed.line_product == _sector_line_product(changed)
+        assert changed.line_product != g
+    assert completed.line_product is g
