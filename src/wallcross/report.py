@@ -46,13 +46,11 @@ def completion_report(initial: Diagram, completed: Diagram, consistent: bool) ->
 
 
 def defect_report(defect: LieElem) -> str:
-    """The ``check`` report: the lowest-degree part of ``defect``, one block per frequency."""
-    k0 = defect.t_order()
-    lines = [f"inconsistent: lowest defect at t-degree {k0}"]
-    part = defect.degree_part(k0)
-    for m in sorted(part.frequencies()):
+    """The ``check`` report of a defect's lowest-degree part, as given, one block per frequency."""
+    lines = [f"inconsistent: lowest defect at t-degree {defect.t_order()}"]
+    for m in sorted(defect.frequencies()):
         lines.append(f"  frequency ({m[0]},{m[1]}):")
-        lines.extend(format_term_lines(part.restrict(lambda k: k[:2] == m), indent="    "))
+        lines.extend(format_term_lines(defect.restrict(lambda k: k[:2] == m), indent="    "))
     return "\n".join(lines) + "\n"
 
 

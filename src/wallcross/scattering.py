@@ -94,12 +94,12 @@ class Diagram:
     No two walls as given may cover the same ray.  A wall whose log is zero
     carries the identity, which changes no product and no completion, so the
     diagram then drops it: :attr:`walls` holds only nonzero walls, in the
-    order given, and ``line_product_memo`` keeps G once it is built.
+    order given, and ``_line_product`` keeps G once it is built.
     """
 
     ctx: TruncationContext
     walls: tuple[Wall, ...]
-    line_product_memo: AutPair | None = field(default=None, init=False, repr=False, compare=False)
+    _line_product: AutPair | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for w in self.walls:
@@ -116,11 +116,11 @@ class Diagram:
 
         Defined when the lines lie in one open half-plane, as :func:`complete` requires.
         """
-        if self.line_product_memo is None:
+        if self._line_product is None:
             lines = {w.direction: w.logf for w in self.walls if w.kind is WallKind.LINE}
             g = _product(self.ctx, [exp(lines[p]) for p in reversed(half_plane_order(list(lines)))])
-            object.__setattr__(self, "line_product_memo", g)
-        return self.line_product_memo
+            object.__setattr__(self, "_line_product", g)
+        return self._line_product
 
     def wall_in_direction(self, p: Vec) -> Wall | None:
         for w in self.walls:
@@ -291,7 +291,7 @@ def complete(d: Diagram) -> Diagram:
     produced = sorted((Wall(p, WallKind.RAY, x) for p, x in factors.items() if p not in done),
                       key=lambda w: (w.logf.t_degree(), w.direction))
     completed = replace(d, walls=d.walls + tuple(produced))
-    object.__setattr__(completed, "line_product_memo", d.line_product)
+    object.__setattr__(completed, "_line_product", d.line_product)
     return completed
 
 

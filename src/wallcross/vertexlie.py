@@ -32,11 +32,10 @@ its negation.  Every inverse comes from the series that made its element:
 (exp(log g) = g exactly) and g^-1, summed over the same powers of g - 1,
 as the exponential of -x; :func:`exp_pair` gets exp(x) and exp(-x) from one
 series.  So a group element is computed once however often it is used, and
-its inverse costs no series of its own.  The action of
-an element on a series maps each monomial to a product of two generator
-powers and adds all of them into one integer accumulator
-(:meth:`AutPair.apply_ring`), so an action builds no intermediate series
-beyond the generator powers.
+its inverse costs no series of its own.  Unless it squares to zero
+(below), an element acts on a series (:meth:`AutPair.apply_ring`) by
+mapping each monomial to a product of two generator powers, all added
+into one integer accumulator, with no other intermediate series.
 
 Both maps act only on the terms an automorphism can move.  If sigma - id
 has t-order d on the generators, then sigma(z^m) = z^m (1 + O(t^d)) for
@@ -52,8 +51,9 @@ inverses are finite operator series, summed by
 a group element with a t-degree-0 term (not pro-unipotent), and an element
 of t-order s needs at most N // s terms, so one with 2s > N squares to zero
 and exp(x) = 1 + x, log g = g - 1 and g^-1 = 1 - (g - 1) need none.
-Sigma with 2d > N maps z^m to z^m (1 + m1 u1 + m2 u2), u_i = tails[i] / z^(e_i),
-with no generator power and no inverse (:meth:`AutPair.apply_ring`).
+Likewise sigma with 2d > N is id + D, D = sigma - id a derivation read
+off the tails, so it acts through the kernel of every exponential step,
+:meth:`LieElem.apply_derivation`, with no generator power and no inverse.
 """
 
 from __future__ import annotations
@@ -125,6 +125,10 @@ class LieElem:
     :func:`log` call :meth:`non_orthogonal`; the ``bch`` input parser
     (``serialize.lie_terms_from_json``) checks each term itself, before
     ``from_ratios`` drops the terms above a lowered order.
+
+    An operator view (:meth:`from_operator`) keeps every frequency of its
+    parts, so where opposite frequencies meet it may hold (0, 0), outside the
+    invariant: :meth:`apply_derivation` applies it, and :func:`log` refuses it.
     """
 
     ctx: TruncationContext
@@ -351,9 +355,10 @@ class AutPair:
     1 mod t); ``nil`` is gauge - I, where the gauge is the matrix of the
     action on constant sections.  The identity is zero in both parts.
 
-    An instance holds nothing else but one integer, cached on first use:
-    d, the t-order of sigma - id on the generators (:attr:`_fixed_order`).
-    So a memoized element stays as small as its parts.  The powers of the
+    An instance caches, on first use, d, the t-order of sigma - id on the
+    generators (:attr:`_fixed_order`), and for 2d > N sigma - id itself as
+    a Lie element (:attr:`_derivation`, a shifted copy of the tails), by
+    which it acts.  The powers of the
     generator images that the action needs live in a table owned by the
     caller, keyed ``(axis, e)`` for the e-th power (e may be negative) of
     z^{e_axis} + ``tails[axis]``; it holds generator powers only, never the
@@ -403,6 +408,11 @@ class AutPair:
         """d, the t-order of sigma - id on the generators: the tails' lowest t-degree, or N + 1."""
         return min((k[2] for f in self.tails for k in f.coeffs), default=self.ctx.order + 1)
 
+    @cached_property
+    def _derivation(self) -> LieElem:
+        """sigma - id read as a Lie element, D(z^(e_i)) = ``tails[i]``; the action when 2d > N."""
+        return LieElem.from_operator(self.ctx, self.tails, self.nil)
+
     def _gen_power(self, axis: int, e: int, powers: dict) -> SeriesElem:
         """A power (including negative) of a generator image, kept in ``powers``.
 
@@ -436,19 +446,18 @@ class AutPair:
     def apply_ring(self, f: SeriesElem, powers: dict | None = None) -> SeriesElem:
         """Apply the ring automorphism to a series.
 
-        The term ``c z^m t^j`` of ``f`` maps to ``c t^j P1[m1] P2[m2]``, with
-        ``Pi[e]`` the e-th power of the i-th generator image, kept in
-        ``powers`` (a table of generator powers for this element only).
-        Every such product is brought to the lcm of the products'
-        denominators and added into one integer dict, normalized once.
-
-        Only the terms sigma can move cost a power or a kernel call.  A
-        constant is fixed, since sigma fixes z^0 and t; so is every term
-        with ``j > N - d`` (d is :attr:`_fixed_order`), since
-        sigma(z^m) = z^m (1 + O(t^d)) and the rest lies above t^N.  Those
-        terms are copied into the sum, and ``f`` with no other term is
-        returned as it is.  When 2d > N, each other term adds
-        c t^j z^m (m1 u1 + m2 u2) read off the tails, with no power.
+        Only the terms sigma can move cost any work.  With d the t-order of
+        sigma - id (:attr:`_fixed_order`), sigma(z^m) = z^m (1 + O(t^d)), so
+        a constant and every term with ``j > N - d`` are fixed, and ``f``
+        with no other term is returned as it is.  When 2d > N, sigma - id
+        squares to zero modulo t^(N+1): it is the derivation D of
+        :attr:`_derivation`, and sigma(f) = f + D(f), with no power (``f``
+        itself when D(f) = 0).  Else the term ``c z^m t^j`` maps to
+        ``c t^j P1[m1] P2[m2]``, with ``Pi[e]`` the e-th power of the i-th
+        generator image, kept in ``powers`` (a table of generator powers for
+        this element only); the fixed terms are copied, and every product is
+        brought to the lcm of the products' denominators and added into one
+        integer dict, normalized once.
         """
         N, d = self.ctx.order, self._fixed_order
         top = N - d
@@ -457,19 +466,8 @@ class AutPair:
             (moving if (k[0] or k[1]) and k[2] <= top else fixed).append((k, c))
         if not moving:
             return f
-        if 2 * d > N:  # sigma(z^m) = z^m (1 + m1 u1 + m2 u2), u_i = tails[i] / z^(e_i)
-            den = lcm(self.tails[0].den, self.tails[1].den)
-            out = {k: c * den for k, c in f.coeffs.items()} if den > 1 else dict(f.coeffs)
-            get = out.get
-            for i, t in enumerate(self.tails):
-                w = den // t.den
-                for (m1, m2, j), c in moving:
-                    cm = c * w * (m2 if i else m1)
-                    for (k1, k2, k), a in t.coeffs.items() if cm else ():
-                        if j + k <= N:
-                            key = (m1 + k1 - 1 + i, m2 + k2 - i, j + k)
-                            out[key] = get(key, 0) + cm * a
-            return SeriesElem._make(self.ctx, out, f.den * den)
+        if 2 * d > N:  # (sigma - id)^2 = 0 modulo t^(N+1)
+            return f + self._derivation.apply_derivation(f)
         if powers is None:
             powers = {}
         terms = []

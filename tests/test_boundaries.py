@@ -235,15 +235,17 @@ def test_every_truncated_series_is_summed_by_one_routine(monkeypatch):
 
 def test_a_square_zero_element_runs_no_series_and_no_power(monkeypatch):
     # with 2s > N an element squares to zero: exp(x) = 1 + x, log g = g - 1
-    # and sigma(z^m) = z^m (1 + m1 u1 + m2 u2), so exp, exp_pair and log sum
-    # no operator series and the action builds no generator power, even for
-    # a negative exponent; at t-order s = N // 2 both run as before.  Either
-    # way each of them makes one _group_series call, the one home of the
-    # step bound and of the one-step case
+    # and sigma = id + D, D the derivation sigma - id, so exp, exp_pair and
+    # log sum no operator series and the action builds no generator power,
+    # even for a negative exponent: it is the one derivation kernel,
+    # LieElem.apply_derivation.  At t-order s = N // 2 both run as before,
+    # and the action never calls that kernel.  Either way each of them makes
+    # one _group_series call, the one home of the step bound and of the
+    # one-step case
     ctx = TruncationContext(6, 2)
-    calls = {"_group_series": 0, "_operator_series": 0, "_gen_power": 0}
+    calls = {"_group_series": 0, "_operator_series": 0, "_gen_power": 0, "apply_derivation": 0}
     group_series, routine = vertexlie._group_series, vertexlie._operator_series
-    gen_power = AutPair._gen_power
+    gen_power, derivation = AutPair._gen_power, LieElem.apply_derivation
 
     def counted(name, fn):
         def wrapper(*args):
@@ -254,6 +256,7 @@ def test_a_square_zero_element_runs_no_series_and_no_power(monkeypatch):
     monkeypatch.setattr(vertexlie, "_group_series", counted("_group_series", group_series))
     monkeypatch.setattr(vertexlie, "_operator_series", counted("_operator_series", routine))
     monkeypatch.setattr(AutPair, "_gen_power", counted("_gen_power", gen_power))
+    monkeypatch.setattr(LieElem, "apply_derivation", counted("apply_derivation", derivation))
     f = SeriesElem(ctx, {(-1, 2, 0): 1, (3, -1, 1): Fraction(1, 2), (0, 0, 2): 5})
     for s, runs in ((4, False), (3, True)):
         def element():
@@ -268,9 +271,10 @@ def test_a_square_zero_element_runs_no_series_and_no_power(monkeypatch):
             g = fn()
             assert calls["_group_series"] == 1, (name, s)
             assert bool(calls["_operator_series"]) == runs, (name, s)
-            calls.update(_operator_series=0, _gen_power=0)
+            calls.update(_operator_series=0, _gen_power=0, apply_derivation=0)
             image = g.apply_ring(f)
             assert bool(calls["_gen_power"]) == runs, (name, s)
+            assert calls["apply_derivation"] == (0 if runs else 1), (name, s)
             assert image != f
         assert log(group) == element()
 
@@ -438,15 +442,36 @@ def _dict_writes(tree) -> list[int]:
 
 
 def _foreign_private_attributes(tree) -> list[str]:
-    """``_``-prefixed, non-dunder attributes read that the module itself does not define."""
+    """``_``-prefixed, non-dunder attributes read that the module itself does not define.
+
+    A module defines its functions, its classes and their class-level
+    annotated names (a dataclass's fields).
+    """
     own = {node.name for node in ast.walk(tree)
            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    own |= {stmt.target.id for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)}
     return sorted(
         f"{node.attr} (line {node.lineno})"
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr.startswith("_")
         and not node.attr.endswith("__") and node.attr not in own
     )
+
+
+def test_a_module_owns_its_class_fields():
+    # a dataclass's own private field is the module's own name; a private
+    # name it reads off another module's object is still foreign
+    tree = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class Memo:\n"
+        "    _kept: int | None = None\n"
+        "\n"
+        "    def read(self, other):\n"
+        "        return self._kept, other._foreign\n"
+    )
+    assert _foreign_private_attributes(tree) == ["_foreign (line 6)"]
 
 
 def test_each_type_owns_its_layout():
@@ -589,5 +614,5 @@ def test_the_lines_product_has_one_home():
     assert "line" not in dict(products["scattering"])["defect"].lower()
     writes = sorted((name, scope) for name, tree in trees.items() for scope, _ in _calls_by_scope(
         tree, lambda call: ast.unparse(call.func) in ("object.__setattr__", "setattr")
-        and any(isinstance(a, ast.Constant) and a.value == "line_product_memo" for a in call.args)))
+        and any(isinstance(a, ast.Constant) and a.value == "_line_product" for a in call.args)))
     assert writes == [("scattering", "Diagram.line_product"), ("scattering", "complete")]

@@ -327,8 +327,9 @@ def test_constants_are_fixed_and_build_no_power(monkeypatch, rank):
     # sigma builds a power for a term exactly when it can move it: a
     # non-constant term at t-degree j <= N - d, with d the t-order of
     # sigma - id on the generators; every other series comes back as it is.
-    # When 2d > N, (sigma - id)^2 = 0 and sigma moves such a term with no
-    # power and no inverse at all
+    # When 2d > N, (sigma - id)^2 = 0, so sigma = id + D with D a derivation:
+    # it moves such a term with no power and no inverse at all, and returns
+    # its argument exactly when sigma fixes it
     inversions = _count_inversions(monkeypatch)
     rng = random.Random(1400 + rank)
     seen = set()
@@ -358,7 +359,7 @@ def test_constants_are_fixed_and_build_no_power(monkeypatch, rank):
             own: dict = {}
             image = g.apply_ring(f, own)
             assert bool(own) == (j <= top and not square_zero)
-            assert (image is f) == (j > top)
+            assert (image is f) == (image == f if square_zero else j > top)
             seen.add((j <= top, square_zero))
         if square_zero:
             assert inversions == []
@@ -406,7 +407,8 @@ def test_the_action_builds_powers_only_for_the_terms_sigma_moves(monkeypatch, ra
     # fixed when m = 0 or j > N - d, and the action returns its argument
     # when no other term is present.  With 2d <= N it builds a power exactly
     # when some other term is present; with 2d > N it builds none and
-    # inverts no unit, since sigma(z^m) = z^m (1 + m1 u1 + m2 u2)
+    # inverts no unit, since sigma(z^m) = z^m (1 + m1 u1 + m2 u2), and it
+    # returns its argument exactly when sigma fixes it
     inversions = _count_inversions(monkeypatch)
     rng = random.Random(1500 + rank)
     seen = set()
@@ -426,7 +428,7 @@ def test_the_action_builds_powers_only_for_the_terms_sigma_moves(monkeypatch, ra
                     own: dict = {}
                     image = g.apply_ring(f, own)
                     assert bool(own) == (moves and not square_zero)
-                    assert (image is f) == (not moves)
+                    assert (image is f) == (image == f if square_zero else not moves)
                     seen.add((moves, square_zero))
                 if square_zero:
                     assert powers == {} and inversions == []

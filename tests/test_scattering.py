@@ -1098,7 +1098,7 @@ def test_a_completion_carries_the_line_product_it_factored():
             completed = complete(d)
             assert completed.line_product is d.line_product
             fresh = Diagram(completed.ctx, completed.walls)
-            assert fresh.line_product_memo is None
+            assert fresh._line_product is None
             assert fresh.line_product == completed.line_product == _sector_line_product(completed)
             d = completed
 
@@ -1130,7 +1130,7 @@ def test_a_changed_completion_rebuilds_the_line_product():
     for changed in (merge_wall(completed, extra),
                     replace(completed, walls=tuple(doubled if w is line else w
                                                    for w in completed.walls))):
-        assert changed.line_product_memo is None
+        assert changed._line_product is None
         assert changed.line_product == _sector_line_product(changed)
         assert changed.line_product != g
     assert completed.line_product is g
