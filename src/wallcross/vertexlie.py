@@ -51,9 +51,9 @@ inverses are finite operator series, summed by
 a group element with a t-degree-0 term (not pro-unipotent), and an element
 of t-order s needs at most N // s terms, so one with 2s > N squares to zero
 and exp(x) = 1 + x, log g = g - 1 and g^-1 = 1 - (g - 1) need none.
-Likewise sigma with 2d > N is id + D, D = sigma - id a derivation read
-off the tails, so it acts through the kernel of every exponential step,
-:meth:`LieElem.apply_derivation`, with no generator power and no inverse.
+Likewise sigma with 2d > N is id + D, D = sigma - id a derivation, so it
+acts by the chain rule, f + sum_i (df/dz_i) tails[i], with no generator
+power and no inverse.
 """
 
 from __future__ import annotations
@@ -128,7 +128,8 @@ class LieElem:
 
     An operator view (:meth:`from_operator`) keeps every frequency of its
     parts, so where opposite frequencies meet it may hold (0, 0), outside the
-    invariant: :meth:`apply_derivation` applies it, and :func:`log` refuses it.
+    invariant: :func:`log` refuses it, and :func:`~wallcross.scattering.defect`
+    may return it for walls in no open half-plane.
     """
 
     ctx: TruncationContext
@@ -143,24 +144,22 @@ class LieElem:
         Each entry of the r x r matrix ``A`` and of the dual vector ``d`` is
         a pair ``(p, q)``, ``q > 0``, for the rational p/q.  Every part puts
         its numerators over the lcm of its denominators and is normalized
-        once.  This is the one constructor from coefficients: diagram and
-        ``bch`` files are read through it, and :meth:`from_terms` converts
-        rationals onto it.
+        once, and every term is judged before one above N is dropped.  This
+        is the one constructor from coefficients: diagram and ``bch`` files
+        are read through it, and :meth:`from_terms` converts rationals onto it.
         """
         r = ctx.rank
         d1, d2 = {}, {}
         mats = [[{} for _ in range(r)] for _ in range(r)]
-        for (m, j), (a, d) in terms.items():
-            c1, c2 = d
-            if j > ctx.order or (not c1[0] and not c2[0]
-                                 and not any(c[0] for row in a for c in row)):
-                continue
+        for (m, j), (a, (c1, c2)) in terms.items():
             if j < 1:
                 raise ValueError("Lie algebra terms need t-degree >= 1")
             if m == (0, 0):
                 raise ValueError("Lie algebra terms need nonzero frequency")
             if len(a) != r:
                 raise ValueError("matrix part does not match context rank")
+            if j > ctx.order:
+                continue
             key = (m[0], m[1], j)
             if c1[0]:
                 d1[key] = c1
@@ -355,10 +354,9 @@ class AutPair:
     1 mod t); ``nil`` is gauge - I, where the gauge is the matrix of the
     action on constant sections.  The identity is zero in both parts.
 
-    An instance caches, on first use, d, the t-order of sigma - id on the
-    generators (:attr:`_fixed_order`), and for 2d > N sigma - id itself as
-    a Lie element (:attr:`_derivation`, a shifted copy of the tails), by
-    which it acts.  The powers of the
+    Besides its parts, an instance holds one integer, cached on first use:
+    d, the t-order of sigma - id on the generators (:attr:`_fixed_order`).
+    The powers of the
     generator images that the action needs live in a table owned by the
     caller, keyed ``(axis, e)`` for the e-th power (e may be negative) of
     z^{e_axis} + ``tails[axis]``; it holds generator powers only, never the
@@ -408,11 +406,6 @@ class AutPair:
         """d, the t-order of sigma - id on the generators: the tails' lowest t-degree, or N + 1."""
         return min((k[2] for f in self.tails for k in f.coeffs), default=self.ctx.order + 1)
 
-    @cached_property
-    def _derivation(self) -> LieElem:
-        """sigma - id read as a Lie element, D(z^(e_i)) = ``tails[i]``; the action when 2d > N."""
-        return LieElem.from_operator(self.ctx, self.tails, self.nil)
-
     def _gen_power(self, axis: int, e: int, powers: dict) -> SeriesElem:
         """A power (including negative) of a generator image, kept in ``powers``.
 
@@ -450,9 +443,10 @@ class AutPair:
         sigma - id (:attr:`_fixed_order`), sigma(z^m) = z^m (1 + O(t^d)), so
         a constant and every term with ``j > N - d`` are fixed, and ``f``
         with no other term is returned as it is.  When 2d > N, sigma - id
-        squares to zero modulo t^(N+1): it is the derivation D of
-        :attr:`_derivation`, and sigma(f) = f + D(f), with no power (``f``
-        itself when D(f) = 0).  Else the term ``c z^m t^j`` maps to
+        squares to zero modulo t^(N+1), so sigma(f) = f + sum_i (df/dz_i)
+        ``tails[i]`` by the chain rule: one :func:`~wallcross.series._sum`
+        over the moving terms' partials, with no power (``f`` itself when
+        each partial meets a zero tail).  Else the term ``c z^m t^j`` maps to
         ``c t^j P1[m1] P2[m2]``, with ``Pi[e]`` the e-th power of the i-th
         generator image, kept in ``powers`` (a table of generator powers for
         this element only); the fixed terms are copied, and every product is
@@ -466,8 +460,11 @@ class AutPair:
             (moving if (k[0] or k[1]) and k[2] <= top else fixed).append((k, c))
         if not moving:
             return f
-        if 2 * d > N:  # (sigma - id)^2 = 0 modulo t^(N+1)
-            return f + self._derivation.apply_derivation(f)
+        if 2 * d > N:  # (sigma - id)^2 = 0 modulo t^(N+1): the chain rule
+            partials = (SeriesElem._make(self.ctx, {(k[0] - e1, k[1] - e2, k[2]): c * k[i]
+                                                    for k, c in moving if k[i]}, f.den)
+                        for i, (e1, e2) in enumerate((_E1, _E2)))
+            return _sum(self.ctx, ((1, f),), zip(partials, self.tails))
         if powers is None:
             powers = {}
         terms = []

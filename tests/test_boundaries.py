@@ -237,11 +237,11 @@ def test_a_square_zero_element_runs_no_series_and_no_power(monkeypatch):
     # with 2s > N an element squares to zero: exp(x) = 1 + x, log g = g - 1
     # and sigma = id + D, D the derivation sigma - id, so exp, exp_pair and
     # log sum no operator series and the action builds no generator power,
-    # even for a negative exponent: it is the one derivation kernel,
-    # LieElem.apply_derivation.  At t-order s = N // 2 both run as before,
-    # and the action never calls that kernel.  Either way each of them makes
-    # one _group_series call, the one home of the step bound and of the
-    # one-step case
+    # even for a negative exponent: it is the chain rule on the element's own
+    # tails, and equals f + D_x(f) by the Lie element's kernel,
+    # LieElem.apply_derivation, without calling it.  At t-order s = N // 2
+    # both run as before.  Either way each of them makes one _group_series
+    # call, the one home of the step bound and of the one-step case
     ctx = TruncationContext(6, 2)
     calls = {"_group_series": 0, "_operator_series": 0, "_gen_power": 0, "apply_derivation": 0}
     group_series, routine = vertexlie._group_series, vertexlie._operator_series
@@ -264,9 +264,10 @@ def test_a_square_zero_element_runs_no_series_and_no_power(monkeypatch):
 
         group = fresh_exp(element())
         # each case's group element; log's is exp(-log g), the inverse it keeps
-        for name, fn in (("exp", lambda: exp(element())),
-                         ("exp_pair", lambda: vertexlie.exp_pair(element())[1]),
-                         ("log", lambda: exp(-log(group)))):
+        # and the sign of its log
+        for name, fn, sign in (("exp", lambda: exp(element()), 1),
+                               ("exp_pair", lambda: vertexlie.exp_pair(element())[1], -1),
+                               ("log", lambda: exp(-log(group)), -1)):
             calls.update(_group_series=0, _operator_series=0, _gen_power=0)
             g = fn()
             assert calls["_group_series"] == 1, (name, s)
@@ -274,8 +275,10 @@ def test_a_square_zero_element_runs_no_series_and_no_power(monkeypatch):
             calls.update(_operator_series=0, _gen_power=0, apply_derivation=0)
             image = g.apply_ring(f)
             assert bool(calls["_gen_power"]) == runs, (name, s)
-            assert calls["apply_derivation"] == (0 if runs else 1), (name, s)
+            assert calls["apply_derivation"] == 0, (name, s)
             assert image != f
+            if not runs:
+                assert image == f + element().scale(sign).apply_derivation(f), name
         assert log(group) == element()
 
 
@@ -485,6 +488,30 @@ def test_each_type_owns_its_layout():
     private = {name: names for name in ("scattering", "groupoid", "serialize", "report", "cli")
                if (names := _foreign_private_attributes(trees[name]))}
     assert private == {}
+
+
+def test_a_group_element_keeps_its_parts_and_one_integer():
+    # an AutPair holds its tails and gauge part, and caches only d, the
+    # t-order of sigma - id: every action reads its operands off the parts
+    # themselves, a square-zero one too, so no second view of the element
+    # is built or kept on it
+    tree = ast.parse((PACKAGE / "vertexlie.py").read_text(encoding="utf-8"))
+    (cls,) = (node for node in tree.body if isinstance(node, ast.ClassDef)
+              and node.name == "AutPair")
+    cached = [node.name for node in cls.body if isinstance(node, ast.FunctionDef)
+              and any(isinstance(dec, ast.Name) and dec.id == "cached_property"
+                      for dec in node.decorator_list)]
+    assert cached == ["_fixed_order"]
+    ctx = TruncationContext(8, 1)
+    d = Diagram(ctx, tuple(
+        Wall(g, WallKind.LINE, k_wall_log(ctx, KFactor(g, 3))) for g in ((1, 0), (0, 1))
+    ))
+    completed = scattering.complete(d)
+    assert scattering.is_consistent(completed)
+    logs = [x for w in completed.walls for x in (w.logf, w.logf.__dict__.get("_neg"))]
+    kept = [x.__dict__["_exp"] for x in logs if x is not None and "_exp" in x.__dict__]
+    assert any(2 * g.__dict__.get("_fixed_order", 0) > ctx.order for g in kept)
+    assert all(set(g.__dict__) <= {"ctx", "tails", "nil", "_fixed_order"} for g in kept)
 
 
 def _zero_log_tests(tree) -> list[str]:

@@ -641,6 +641,13 @@ def _key_twice(data, first, second):
         pytest.param("bch", _bch([{"m": [1, 0], "t": 1, "matrix": _UPPER}], [], truncation=2),
                      ("--order", "4"), "exceeds the file's truncation",
                      id="order-above-truncation-bch"),
+        # a zero term is judged like any other before it is dropped
+        pytest.param("check", {"rank": 1, "truncation": 3, "walls": [
+            {"direction": [1, 0], "terms": [{"t": -5, "k": 1}]}]}, (),
+            "Lie algebra terms need t-degree >= 1", id="zero-term-below-degree-one-check"),
+        pytest.param("bch", {"rank": 1, "truncation": 3, "x": [{"m": [0, 0], "t": 1}]}, (),
+                     "Lie algebra terms need nonzero frequency",
+                     id="zero-term-at-frequency-zero-bch"),
         # an order below 1 is named as such, also above a truncation below 1
         pytest.param("complete", _fixture_with("pentagon.json", ("truncation", -1)),
                      ("--order", "0"), "truncation order must be >= 1",

@@ -172,11 +172,13 @@ def test_compose_runs_the_gauge_kernel_once_per_nonzero_pair_of_the_gauge_parts(
     # (M = sigma1(N2)) has no identity operand: a zero gauge part (a K wall,
     # at rank 1 or 4) runs no matrix kernel, and nonzero parts run one per
     # nonzero entry pair of N1 M.  Only the kernel calls made by the sum
-    # routine count; the ring action and its powers run the kernel elsewhere.
+    # routine for compose count; the ring action runs the kernel directly,
+    # through its powers, or, when it squares to zero, through its own sum.
     calls = []
 
     def counted(*args):
-        if sys._getframe(1).f_code.co_name == "_sum":
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "_sum" and caller.f_back.f_code.co_name != "apply_ring":
             calls.append(args)
         _mul_add(*args)
 
@@ -405,10 +407,11 @@ def _series_across(rng, order, top):
 def test_the_action_builds_powers_only_for_the_terms_sigma_moves(monkeypatch, rank):
     # for every t-order d of sigma - id from 0 to N + 1: a term c z^m t^j is
     # fixed when m = 0 or j > N - d, and the action returns its argument
-    # when no other term is present.  With 2d <= N it builds a power exactly
-    # when some other term is present; with 2d > N it builds none and
-    # inverts no unit, since sigma(z^m) = z^m (1 + m1 u1 + m2 u2), and it
-    # returns its argument exactly when sigma fixes it
+    # exactly when no other term is present.  With 2d <= N it builds a power
+    # exactly when some other term is present; with 2d > N it builds none and
+    # inverts no unit, since sigma(z^m) = z^m (1 + m1 u1 + m2 u2): there
+    # the chain rule pairs the partial in z_i with the i-th tail, so it also
+    # returns its argument when each other term's partials meet zero tails
     inversions = _count_inversions(monkeypatch)
     rng = random.Random(1500 + rank)
     seen = set()
@@ -424,17 +427,20 @@ def test_the_action_builds_powers_only_for_the_terms_sigma_moves(monkeypatch, ra
                 inversions.clear()
                 elems = _assert_actions(g, images, gauge, fs, powers)
                 for f in elems:
-                    moves = any((m1 or m2) and j <= top for m1, m2, j in f.coeffs)
+                    moving = [k for k in f.coeffs if (k[0] or k[1]) and k[2] <= top]
+                    moves = bool(moving)
+                    paired = any(k[i] and g.tails[i].coeffs for k in moving for i in (0, 1))
                     own: dict = {}
                     image = g.apply_ring(f, own)
                     assert bool(own) == (moves and not square_zero)
-                    assert (image is f) == (image == f if square_zero else not moves)
-                    seen.add((moves, square_zero))
+                    assert (image is f) == (not (paired if square_zero else moves))
+                    seen.add((moves, square_zero, image is f))
                 if square_zero:
                     assert powers == {} and inversions == []
                 for (axis, e), p in powers.items():
                     _assert_equal(p, _power(images[axis], e, N))
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    assert seen == {(True, True, False), (True, True, True), (True, False, False),
+                    (False, True, True), (False, False, True)}
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
